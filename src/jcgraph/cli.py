@@ -16,7 +16,6 @@ import configparser
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import code_construction as cc
 from . import gk_states as gk
 from . import graph_verify as gv
-from .hilbert import QuadratureRule, TruncationConfig
+from .hilbert import TruncationConfig
 from .jc_spectrum import JCParams, dressed_basis, hamiltonian_matrix
 
 _FLOAT_KEYS = {"omega_f", "omega_s", "kappa", "gamma_f", "gamma_s",
@@ -46,17 +45,12 @@ class RunConfig:
 
     params: JCParams
     k0: int
-    n_fock: int
-    tail_tol: float
+    trunc: TruncationConfig
     family1: gk.WeightFamily
     family2: gk.WeightFamily
     nodes: int
     tol: float
     seed: int
-
-    @property
-    def trunc(self) -> TruncationConfig:
-        return TruncationConfig(n_fock=self.n_fock, tail_tol=self.tail_tol)
 
 
 def _fmt(value: float) -> str:
@@ -118,51 +112,38 @@ def resolve_run_config(values: dict) -> RunConfig:
     rates = [k for k in ("gamma_f", "gamma_s") if k in values]
     if freq and rates:
         raise UsageError("give either the frequency triple or the rate pair, not both")
-    if len(freq) == 3:
-        scale = 2.0 * math.pi if values.get("hz") else 1.0
-        try:
+    if not freq and not rates:
+        raise UsageError("system parameters required: --omega-f/--omega-s/--kappa "
+                         "or --gamma-f/--gamma-s")
+    missing = ({"omega_f", "omega_s", "kappa"} - set(freq)) if freq else \
+        ({"gamma_f", "gamma_s"} - set(rates))
+    if missing:
+        raise UsageError(f"incomplete parameter group; missing {sorted(missing)}")
+    try:
+        if freq:
+            scale = 2.0 * math.pi if values.get("hz") else 1.0
             params = JCParams(omega_f=scale * values["omega_f"],
                               omega_s=scale * values["omega_s"],
                               kappa=scale * values["kappa"])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    elif len(rates) == 2:
-        try:
+        else:
             params = JCParams.from_rates(values["gamma_f"], values["gamma_s"],
                                          omega_f=values.get("reference_omega_f", 1.0))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    elif freq or rates:
-        missing = ({"omega_f", "omega_s", "kappa"} - set(freq)) if freq else \
-            ({"gamma_f", "gamma_s"} - set(rates))
-        raise UsageError(f"incomplete parameter group; missing {sorted(missing)}")
-    else:
-        raise UsageError("system parameters required: --omega-f/--omega-s/--kappa "
-                         "or --gamma-f/--gamma-s")
-
-    k0_star = cc.minimal_k0(cc.minimal_m0(params))
+        k0_star = cc.minimal_k0(cc.minimal_m0(params))
+        trunc = TruncationConfig(n_fock=values.get("n_fock", 60),
+                                 tail_tol=values.get("tail_tol", 1e-9))
+        fam1 = gk.builtin_family(values.get("family1", "uniform_moment"))
+        fam2 = gk.builtin_family(values.get("family2", "uniform_moment"))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     k0 = values.get("k0", k0_star)
     if k0 < 1:
         raise UsageError(f"k0 must be >= 1, got {k0}")
-    n_fock = values.get("n_fock", 60)
-    if n_fock < k0 + 10:
-        raise UsageError(
-            f"n_fock = {n_fock} leaves no truncation headroom; need N >= k0 + 10 "
-            f"= {k0 + 10}")
-    tail_tol = values.get("tail_tol", 1e-9)
-    try:
-        fam1 = gk.builtin_family(values.get("family1", "uniform_moment"))
-        fam2 = gk.builtin_family(values.get("family2", "uniform_moment"))
-        trunc_check = TruncationConfig(n_fock=n_fock, tail_tol=tail_tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    del trunc_check
     nodes = values.get("nodes", 200)
     if nodes < 2:
         raise UsageError(f"nodes must be >= 2, got {nodes}")
-    return RunConfig(params=params, k0=k0, n_fock=n_fock, tail_tol=tail_tol,
-                     family1=fam1, family2=fam2, nodes=nodes,
-                     tol=values.get("tol", 1e-8), seed=values.get("seed", 7))
+    return RunConfig(params=params, k0=k0, trunc=trunc, family1=fam1,
+                     family2=fam2, nodes=nodes, tol=values.get("tol", 1e-8),
+                     seed=values.get("seed", 7))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -467,6 +448,10 @@ def main(argv=None) -> int:
         if args.command == "mindim":
             _emit(json.dumps(cmd_mindim(cfg), indent=2) + "\n", out)
             return 0
+        # mindim builds no state; every other command needs truncation headroom
+        if cfg.trunc.n_fock < cfg.k0 + 10:
+            raise UsageError(f"n_fock = {cfg.trunc.n_fock} leaves no truncation "
+                             f"headroom; need N >= k0 + 10 = {cfg.k0 + 10}")
         if args.command == "verify":
             report = run_verification(cfg)
             _emit(json.dumps(report.to_dict(), indent=2) + "\n", out)

@@ -27,7 +27,7 @@ import numpy as np
 from .hilbert import TruncationConfig, projector_onto
 from .jc_spectrum import JCParams, dressed_basis, eigenenergy
 
-_SCAN_CAP = 10 ** 8
+_WALK_CAP = 64  # steps the closed-form start may move; rounding needs a few
 
 
 class CutConstraintError(ValueError):
@@ -50,29 +50,51 @@ def _gap_condition(params: JCParams, m: int) -> bool:
     return lhs < 2.0 * params.omega_f / params.kappa ** 2
 
 
+def _first_gap_index(gamma_f: float, gamma_s: float, gap_holds) -> int:
+    """Smallest m >= 1 with ``gap_holds(m)``, started from the closed form.
+
+    The gap condition holds exactly for m > m* = ((u - 1/u)/2)^2 - d^2 with
+    u = gamma_f/2, and for all m when u < 1.  The start floor(m*) + 1 moves
+    only while the exact strict predicate says so, which keeps the resonant
+    jump at gamma = 2(2 + sqrt 3) exact.  ValueError when M0 is not
+    resolvable: past m* = 2^53 neighbouring m are not distinct doubles.
+    """
+    u = 0.5 * gamma_f
+    if u < 1.0:
+        return 1
+    d = 1.0 / gamma_f - 1.0 / gamma_s
+    half = 0.5 * (u - 1.0 / u)
+    m_star = half * half - d * d
+    if m_star <= 2.0 ** 53:  # also false for NaN
+        m = 1 if m_star < 1.0 else math.floor(m_star) + 1
+        try:
+            for _ in range(_WALK_CAP):
+                if m > 1 and gap_holds(m - 1):
+                    m -= 1
+                elif gap_holds(m):
+                    return m
+                else:
+                    m += 1
+        except OverflowError:  # the frequency form squares delta and kappa
+            pass
+    raise ValueError(f"M0 is not resolvable in double precision at gamma_f = "
+                     f"{gamma_f}, gamma_s = {gamma_s} (m* = {m_star})")
+
+
 def minimal_m0(params: JCParams) -> int:
     """Smallest M0 >= 1 from which the lower-branch gaps are all positive."""
-    if params.kappa == 0.0:
-        return 1
-    m = 1
-    while not _gap_condition(params, m):
-        m += 1
-        if m > _SCAN_CAP:  # pragma: no cover - unreachable for finite rates
-            raise RuntimeError("monotonicity threshold scan did not terminate")
-    return m
+    return _first_gap_index(params.gamma_f, params.gamma_s,
+                            lambda m: _gap_condition(params, m))
 
 
 def minimal_m0_from_rates(gamma_f: float, gamma_s: float) -> int:
     """Same threshold evaluated purely from the dimensionless rates."""
-    if gamma_f <= 0 or gamma_s <= 0:
-        raise ValueError("rates must be positive")
+    if not (0 < gamma_f < math.inf and 0 < gamma_s < math.inf):
+        raise ValueError("rates must be positive and finite")
     d = 1.0 / gamma_f - 1.0 / gamma_s
-    m = 1
-    while not (math.sqrt(d * d + m + 1) + math.sqrt(d * d + m) > 0.5 * gamma_f):
-        m += 1
-        if m > _SCAN_CAP:  # pragma: no cover
-            raise RuntimeError("monotonicity threshold scan did not terminate")
-    return m
+    return _first_gap_index(
+        gamma_f, gamma_s,
+        lambda m: math.sqrt(d * d + m + 1) + math.sqrt(d * d + m) > 0.5 * gamma_f)
 
 
 def minimal_k0(m0: int) -> int:
@@ -165,6 +187,17 @@ def _row(gamma_f: float, gamma_s: float) -> SweepRow:
                     k0_star=k0_star, d_min=k0_star - 1)
 
 
+def _rate_axis(gamma_range: tuple, steps: int) -> np.ndarray:
+    """``steps`` evenly spaced rates over a positive, finite, increasing range."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    lo, hi = gamma_range
+    if not 0 < lo <= hi < math.inf:
+        raise ValueError(f"rate range must be positive, finite and increasing, "
+                         f"got {gamma_range}")
+    return np.linspace(lo, hi, steps)
+
+
 def dmin_sweep(gamma_f_range: tuple, gamma_s_range: tuple, steps) -> list:
     """Minimal code data over a rate grid, rows in row-major order.
 
@@ -175,14 +208,8 @@ def dmin_sweep(gamma_f_range: tuple, gamma_s_range: tuple, steps) -> list:
         steps_f, steps_s = steps
     except TypeError:
         steps_f = steps_s = steps
-    if steps_f < 1 or steps_s < 1:
-        raise ValueError("steps must be >= 1")
-    if gamma_f_range[0] <= 0 or gamma_s_range[0] <= 0:
-        raise ValueError("rate ranges must be positive")
-    if gamma_f_range[1] < gamma_f_range[0] or gamma_s_range[1] < gamma_s_range[0]:
-        raise ValueError("rate ranges must be increasing")
-    gfs = np.linspace(gamma_f_range[0], gamma_f_range[1], steps_f)
-    gss = np.linspace(gamma_s_range[0], gamma_s_range[1], steps_s)
+    gfs = _rate_axis(gamma_f_range, steps_f)
+    gss = _rate_axis(gamma_s_range, steps_s)
     return [_row(float(gf), float(gs)) for gf in gfs for gs in gss]
 
 
@@ -190,9 +217,4 @@ def resonant_sweep(gamma_range: tuple, steps: int) -> list:
     """Sweep along the resonant line gamma_s = gamma_f."""
     if steps < 2:
         raise ValueError("a resonant sweep needs at least 2 points")
-    if gamma_range[0] <= 0:
-        raise ValueError("rate range must be positive")
-    if gamma_range[1] < gamma_range[0]:
-        raise ValueError("rate range must be increasing")
-    gfs = np.linspace(gamma_range[0], gamma_range[1], steps)
-    return [_row(float(gf), float(gf)) for gf in gfs]
+    return [_row(float(gf), float(gf)) for gf in _rate_axis(gamma_range, steps)]

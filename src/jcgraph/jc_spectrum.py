@@ -59,6 +59,9 @@ class JCParams:
             raise ValueError("omega_f and omega_s must be positive")
         if self.kappa < 0:
             raise ValueError("kappa must be nonnegative")
+        if not all(map(math.isfinite, (self.omega_f, self.omega_s, self.kappa,
+                                       self.gamma_f, self.gamma_s))):
+            raise ValueError("frequencies and the rates kappa/omega must be finite")
 
     @property
     def delta(self) -> float:
@@ -76,20 +79,10 @@ class JCParams:
     def from_rates(cls, gamma_f: float, gamma_s: float,
                    omega_f: float = 1.0) -> "JCParams":
         """Build parameters from the dimensionless rates kappa/omega_f,s."""
-        if gamma_f <= 0 or gamma_s <= 0:
-            raise ValueError("rates must be positive")
+        if not (0 < gamma_f < math.inf and 0 < gamma_s < math.inf):
+            raise ValueError("rates must be positive and finite")
         kappa = gamma_f * omega_f
         return cls(omega_f=omega_f, omega_s=kappa / gamma_s, kappa=kappa)
-
-
-@dataclass(frozen=True)
-class DressedLevel:
-    """One excitation doublet member: quantum number, branch, angle, energy."""
-
-    n: int
-    branch: str
-    theta: float
-    energy: float
 
 
 def mixing_angle(params: JCParams, n: int) -> float:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface (in-process)."""
 import json
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +36,28 @@ def test_mindim_cavity_benchmark_frequencies(capsys):
     rc, out, _ = run(argv, capsys)
     assert rc == 0
     assert json.loads(out) == {"m0": 1, "k0_star": 3, "d_min": 2, "dim_h3": 3}
+
+
+def test_mindim_needs_no_truncation_headroom(capsys):
+    rc, out, _ = run(["mindim", "--gamma-f", "1e6", "--gamma-s", "1e6"], capsys)
+    assert rc == 0
+    assert json.loads(out)["m0"] == 62500000000
+
+
+@pytest.mark.parametrize("argv", [
+    ["mindim", "--omega-f", "nan", "--omega-s", "1", "--kappa", "1"],
+    ["mindim", "--gamma-f", "inf", "--gamma-s", "1"],
+    ["sweep", "--resonant", "--gamma-f-min", "1", "--gamma-f-max", "nan",
+     "--gamma-f-steps", "3"],
+    ["mindim", "--gamma-f", "1e15", "--gamma-s", "1e15"],
+    ["mindim", "--gamma-f", "1e160", "--gamma-s", "1e160"],
+], ids=["omega-nan", "gamma-inf", "sweep-nan", "gamma-1e15", "gamma-1e160"])
+def test_bad_rates_fail_fast(argv, capsys):
+    start = time.perf_counter()
+    rc, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert out == "" and err.startswith("error:")
 
 
 def test_sweep_resonant_csv_golden(capsys):
@@ -227,7 +250,7 @@ def test_usage_errors(capsys):
     rc, _, _ = run(["verify"] + WEAK + ["--family1", "nosuch"], capsys)
     assert rc == 2
     # not enough truncation headroom
-    rc, _, err = run(["mindim"] + WEAK + ["--n-fock", "12"], capsys)
+    rc, _, err = run(["verify"] + WEAK + ["--n-fock", "12"], capsys)
     assert rc == 2
     assert "headroom" in err
     # nonsense node count and cut

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jcgraph.hilbert import TruncationConfig, basis_index
 from jcgraph.code_construction import (
     CutConstraintError,
+    _gap_condition,
     decompose,
     dmin_sweep,
     minimal_k0,
@@ -21,6 +23,25 @@ TWO_PI = 2.0 * math.pi
 # microwave cavity benchmark point: the deep perturbative regime
 HAROCHE = JCParams(omega_f=TWO_PI * 51.1e9, omega_s=TWO_PI * 51.1e9,
                    kappa=TWO_PI * 47e3)
+
+
+# Reference oracles: scan m = 1, 2, ... with each exact strict predicate.
+# They cost O(gamma_f^2), so they only run on moderate rates.
+def scan_m0(params):
+    if params.kappa == 0.0:
+        return 1
+    m = 1
+    while not _gap_condition(params, m):
+        m += 1
+    return m
+
+
+def scan_m0_from_rates(gamma_f, gamma_s):
+    d = 1.0 / gamma_f - 1.0 / gamma_s
+    m = 1
+    while not (math.sqrt(d * d + m + 1) + math.sqrt(d * d + m) > 0.5 * gamma_f):
+        m += 1
+    return m
 
 
 def test_s_sequence_frozen_values():
@@ -62,6 +83,23 @@ def test_minimal_m0_resonant_jump_location():
     gamma_c = 2.0 * (2.0 + math.sqrt(3.0))
     assert minimal_m0_from_rates(gamma_c - 1e-6, gamma_c - 1e-6) == 3
     assert minimal_m0_from_rates(gamma_c + 1e-6, gamma_c + 1e-6) == 4
+    below, above = math.nextafter(gamma_c, 0.0), math.nextafter(gamma_c, 9.0)
+    for g, want in ((below, 3), (gamma_c, None), (above, 4)):
+        p = JCParams.from_rates(g, g)
+        assert minimal_m0_from_rates(g, g) == scan_m0_from_rates(g, g)
+        assert minimal_m0(p) == scan_m0(p)
+        if want is not None:
+            assert minimal_m0_from_rates(g, g) == minimal_m0(p) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(math.log(1e-6), math.log(1e3)),
+       st.floats(math.log(1e-6), math.log(1e3)))
+def test_minimal_m0_closed_form_matches_scans(log_gf, log_gs):
+    gf, gs = math.exp(log_gf), math.exp(log_gs)
+    assert minimal_m0_from_rates(gf, gs) == scan_m0_from_rates(gf, gs)
+    p = JCParams.from_rates(gf, gs)
+    assert minimal_m0(p) == scan_m0(p)
 
 
 def test_minimal_m0_two_forms_agree():
@@ -77,6 +115,15 @@ def test_minimal_m0_from_rates_validation():
         minimal_m0_from_rates(0.0, 1.0)
     with pytest.raises(ValueError):
         minimal_m0_from_rates(1.0, -2.0)
+    for bad in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            minimal_m0_from_rates(*bad)
+    # M0 past 2^53 (m* ~ 6e28) and an overflowing m*: not resolvable
+    for g in (1e15, 1e160):
+        with pytest.raises(ValueError, match="not resolvable"):
+            minimal_m0_from_rates(g, g)
+        with pytest.raises(ValueError, match="not resolvable"):
+            minimal_m0(JCParams.from_rates(g, g))
 
 
 def test_minimal_k0_floor_at_three():
@@ -197,3 +244,8 @@ def test_sweep_validation():
         dmin_sweep((1.0, 0.5), (0.5, 1.0), 3)  # inverted range
     with pytest.raises(ValueError):
         resonant_sweep((0.5, 1.0), 1)  # fewer than two points
+    for bad in ((math.nan, 1.0), (0.5, math.nan), (0.5, math.inf), (0.0, 1.0)):
+        with pytest.raises(ValueError):
+            dmin_sweep((0.5, 1.0), bad, 2)
+        with pytest.raises(ValueError):
+            resonant_sweep(bad, 2)

@@ -38,6 +38,13 @@ def test_params_validation():
         JCParams(omega_f=1.0, omega_s=-1.0, kappa=0.5)
     with pytest.raises(ValueError):
         JCParams(omega_f=1.0, omega_s=1.0, kappa=-0.1)
+    for bad in ((math.nan, 1.0, 0.5), (1.0, math.inf, 0.5), (1.0, 1.0, math.nan),
+                (1e-310, 1.0, 1.0)):  # the last overflows gamma_f = kappa/omega_f
+        with pytest.raises(ValueError):
+            JCParams(*bad)
+    for bad in ((math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)):
+        with pytest.raises(ValueError):
+            JCParams.from_rates(*bad)
 
 
 def test_params_from_rates_roundtrip():
