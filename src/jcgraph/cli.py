@@ -258,29 +258,32 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     xmax = gk.tail_safe_xmax(cfg.family1, families[0].terms - 1, budget=1e-6)
     x_hi = min(xmax, 0.95 * cfg.family1.radius) if math.isfinite(cfg.family1.radius) \
         else xmax
-    samples = []
+    # Knill-Laflamme in the k0-dimensional frame of W = h3_basis (P3 = W W+):
+    # every operator A enters as W+ A W, the identity as W+ W.
+    js, frames = [], []
     for _ in range(40):
         j = int(rng.integers(1, 4))
         x = float(rng.uniform(0.0, x_hi))
         t = float(rng.uniform(0.0, 10.0 / params.omega_f))
-        samples.append(gv.generator(params, code, families, j, x, t, trunc))
+        js.append(j)
+        frames.append(gv.frame_generator(code, families, j, x, t))
     combos = []
     for _ in range(8):
-        coeffs = rng.normal(size=len(samples))
-        combos.append(sum(c * g.operator for c, g in zip(coeffs, samples)))
-    ops = samples + combos + [np.eye(trunc.dim, dtype=complex)]
-    kl = gv.verify_anticlique(code, ops, tol=cfg.tol)
+        coeffs = rng.normal(size=len(frames))
+        combos.append(sum(c * m for c, m in zip(coeffs, frames)))
+    w = code.h3_basis
+    kl = gv.knill_laflamme_frame(w, frames + combos + [w.conj().T @ w], tol=cfg.tol)
     worst_kl = kl.max_residual()
     report.add(gv.CheckRecord("graph.anticlique", worst_kl, cfg.tol,
                               all(c.passed for c in kl.checks)))
-    alpha_zero = max(abs(c.alpha) for c, g in zip(kl.checks, samples)
-                     if g.j in (1, 2))
+    alpha_zero = max(abs(c.alpha) for c, j in zip(kl.checks, js) if j in (1, 2))
     report.add(gv.CheckRecord("graph.anticlique_alpha_zero", alpha_zero, 1e-10,
                               alpha_zero < 1e-10))
     alpha_id = abs(kl.checks[-1].alpha - 1.0)
     report.add(gv.CheckRecord("graph.anticlique_alpha_identity", alpha_id, 1e-10,
                               alpha_id < 1e-10, alpha=kl.checks[-1].alpha))
 
+    # The channel on pure code states, from the branches P_k v.
     dim_code = code.code_basis.shape[1]
     worst_fid, worst_tr, worst_neg = 0.0, 0.0, 0.0
     leak_slack = 0.0
@@ -288,18 +291,15 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
         amps = rng.normal(size=dim_code) + 1j * rng.normal(size=dim_code)
         amps /= np.linalg.norm(amps)
         v = code.code_basis @ amps
-        rho = np.outer(v, v.conj())
         x = float(rng.uniform(0.0, x_hi))
         t = float(rng.uniform(0.0, 10.0 / params.omega_f))
-        channel = gv.dephasing_channel(params, code, families, x, t, trunc)
-        out = gv.channel_apply(channel, rho)
-        worst_tr = max(worst_tr, abs(float(np.trace(out).real) - 1.0))
-        worst_neg = max(worst_neg, -float(np.linalg.eigvalsh(out).min()))
-        worst_fid = max(worst_fid, 1.0 - gv.fidelity(rho, out))
+        out = gv.dephase_pure_state(families, x, t, v)
+        worst_tr = max(worst_tr, abs(out.trace - 1.0))
+        worst_neg = max(worst_neg, -out.min_eigenvalue)
+        worst_fid = max(worst_fid, 1.0 - out.fidelity)
         if i == 0:
             probe = gv.leak_probe(code, families, x, t)
-            rho_l = np.outer(probe, probe.conj())
-            f_leak = gv.fidelity(rho_l, gv.channel_apply(channel, rho_l))
+            f_leak = gv.dephase_pure_state(families, x, t, probe).fidelity
             leak_slack = max(0.0, f_leak - (1.0 - 1e-3))
     report.add(gv.CheckRecord("channel.trace_preservation", worst_tr, 1e-10,
                               worst_tr < 1e-10))

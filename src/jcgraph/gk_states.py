@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hilbert import QuadratureRule, TruncationConfig
-from .jc_spectrum import JCParams, dressed_basis, eigenenergy
+from .jc_spectrum import JCParams, dressed_frame, dressed_index
 
 _TAIL_ITER_CAP = 1_000_000
 
@@ -292,12 +292,12 @@ def jc_families(params: JCParams, k0: int, family1: WeightFamily,
     """
     if not 1 <= k0 < trunc.n_fock:
         raise ValueError(f"k0 = {k0} outside 1..{trunc.n_fock - 1}")
-    basis = dressed_basis(params, trunc)
+    frame = dressed_frame(params, trunc)
     specs = []
     for family, branch, start, label in (
             (family1, "plus", 1, "J"), (family2, "minus", k0, "S")):
-        ns = range(start, trunc.n_fock + 1)
-        energies = np.array([eigenenergy(params, n, branch) for n in ns])
+        idx = dressed_index(branch, np.arange(start, trunc.n_fock + 1))
+        energies = frame.energies[idx]
         gaps = np.diff(energies)
         if gaps.size and gaps.min() <= 0:
             i = int(np.argmax(gaps <= 0))
@@ -305,10 +305,8 @@ def jc_families(params: JCParams, k0: int, family1: WeightFamily,
                 f"{label} ladder not strictly increasing: h[{i + 1}] - h[{i}] = "
                 f"{gaps[i]:.3e} (cut k0 = {k0} below the monotonicity threshold?)",
                 index=i, gap=float(gaps[i]))
-        cols = np.column_stack([basis.vectors[:, basis.index_of(branch, n)]
-                                for n in ns])
         specs.append(GKFamilySpec(family=family, energies=energies,
-                                  embedding=cols.astype(complex), label=label,
+                                  embedding=frame.columns(idx), label=label,
                                   start_index=start))
     return specs[0], specs[1]
 
@@ -341,10 +339,6 @@ class ResolutionCheck:
     degree_limit: int
     n_nodes: int
 
-    @property
-    def passed(self) -> bool:
-        return self.residual < 1e-6
-
 
 def verify_resolution(spec: GKFamilySpec, rule: QuadratureRule | None = None,
                       trunc: TruncationConfig | None = None) -> ResolutionCheck:
@@ -374,13 +368,13 @@ def verify_resolution(spec: GKFamilySpec, rule: QuadratureRule | None = None,
 
 def verify_temporal_stability(spec: GKFamilySpec, params: JCParams, x: float,
                               t: float, trunc: TruncationConfig) -> float:
-    """|<x, t| U_t |x, 0>|^2; equals 1 up to rounding and truncation tail."""
-    from .jc_spectrum import evolution_operator
+    """|<x, t| U_t |x, 0>|^2; equals 1 up to rounding and truncation tail.
 
+    U_t |x, 0> is applied block by block in O(N), never as a dense matrix.
+    """
     v0 = gk_state(spec, x, 0.0, trunc)
     vt = gk_state(spec, x, t, trunc)
-    u = evolution_operator(params, t, trunc)
-    return float(abs(np.vdot(vt, u @ v0)) ** 2)
+    return float(abs(np.vdot(vt, dressed_frame(params, trunc).evolve(v0, t))) ** 2)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import numpy as np
 from .code_construction import CodeSpec
 from .gk_states import GKFamilySpec, _coefficients, moment_diagonals
 from .hilbert import QuadratureRule, TruncationConfig, ValidationError, basis_index
-from .jc_spectrum import JCParams, evolution_operator
+from .jc_spectrum import JCParams
 
 
 class UnsupportedFamilyError(ValueError):
@@ -113,13 +113,18 @@ class GraphGenerator:
     operator: np.ndarray
 
 
+def ladder_vector(spec: GKFamilySpec, x: float, t: float) -> np.ndarray:
+    """Unit vector |x, t> of the ladder, spanning the generator U_t P^j_x U_t+.
+
+    The truncated coefficients are renormalized so the generator is an
+    exact projector for every x in [0, R), not only where the tail is small.
+    """
+    v = spec.embedding @ _coefficients(spec, x, t)
+    return v / np.linalg.norm(v)
+
+
 def _ladder_projector(spec: GKFamilySpec, x: float, t: float) -> np.ndarray:
-    # Rank-1 projector on the truncated coherent state; the truncated
-    # coefficients are renormalized so the realized operator is an exact
-    # projector for every x in [0, R), not only where the tail is small.
-    c = _coefficients(spec, x, t)
-    v = spec.embedding @ c
-    v = v / np.linalg.norm(v)
+    v = ladder_vector(spec, x, t)
     return np.outer(v, v.conj())
 
 
@@ -132,17 +137,38 @@ def generator(params: JCParams, code: CodeSpec, families: Sequence[GKFamilySpec]
     corresponding ladder at phase time t, using the covariance
     U_t P^j_x U_t+ = |x, t><x, t|.
     """
+    _check_generator_index(code, families, j)
+    if j == 3:
+        op = code.p3.astype(complex)
+    else:
+        op = _ladder_projector(families[j - 1], x, t)
+    return GraphGenerator(j=j, x=x, t=t, operator=op)
+
+
+def _check_generator_index(code: CodeSpec, families: Sequence[GKFamilySpec],
+                           j: int) -> None:
     if j not in (1, 2, 3):
         raise ValueError(f"generator index must be 1, 2 or 3, got {j}")
     if families[1].start_index != code.k0:
         raise FamilyMismatchError(
             f"lower-branch family starts at {families[1].start_index}, "
             f"code cut is k0 = {code.k0}")
+
+
+def frame_generator(code: CodeSpec, families: Sequence[GKFamilySpec],
+                    j: int, x: float, t: float) -> np.ndarray:
+    """The generator of ``generator`` seen in the H3 frame: W+ G W, k0 x k0.
+
+    W = code.h3_basis, so P3 = W W+.  A ladder generator |v><v| becomes
+    u u+ with u = W+ v; P3 itself becomes (W+ W)^2.
+    """
+    _check_generator_index(code, families, j)
+    w = code.h3_basis
     if j == 3:
-        op = code.p3.astype(complex)
-    else:
-        op = _ladder_projector(families[j - 1], x, t)
-    return GraphGenerator(j=j, x=x, t=t, operator=op)
+        gram = w.conj().T @ w
+        return gram @ gram
+    u = w.conj().T @ ladder_vector(families[j - 1], x, t)
+    return np.outer(u, u.conj())
 
 
 def q_operator(x: float, families: Sequence[GKFamilySpec],
@@ -245,6 +271,31 @@ def knill_laflamme_check(p: np.ndarray, ops: Sequence, tol: float = 1e-8,
     return report
 
 
+def knill_laflamme_frame(w: np.ndarray, ms: Sequence[np.ndarray], tol: float = 1e-8,
+                         names: Sequence[str] | None = None) -> VerificationReport:
+    """``knill_laflamme_check`` for P = W W+, each A given as M = W+ A W.
+
+    P A P = W M W+, so alpha(A) = tr(M) / k0 and the residual
+    max |P A P - alpha P| = max |W (M - alpha I) W+| is taken over the rows
+    where W is nonzero; every other entry of both sides is exactly zero.
+    """
+    w = np.asarray(w, dtype=complex)
+    k0 = w.shape[1]
+    ortho = np.abs(w.conj().T @ w - np.eye(k0)).max()
+    if ortho > 1e-9:
+        raise ValidationError(
+            f"W W+ is not a projector: max |W+W - I| = {ortho:.3e}")
+    ws = w[np.abs(w).max(axis=1) > 0]
+    report = VerificationReport()
+    for i, m in enumerate(ms):
+        alpha = complex(np.trace(m)) / k0
+        residual = float(np.abs(ws @ (m - alpha * np.eye(k0)) @ ws.conj().T).max())
+        name = names[i] if names is not None else f"op[{i}]"
+        report.add(CheckRecord(name=name, residual=residual, tolerance=tol,
+                               passed=residual < tol, alpha=alpha))
+    return report
+
+
 def verify_anticlique(code: CodeSpec, generators: Sequence, tol: float = 1e-8,
                       projector: np.ndarray | None = None) -> VerificationReport:
     """Knill-Laflamme verification of the H3 block (or a sub-projector of it).
@@ -324,6 +375,56 @@ def channel_apply(channel: Channel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class PureTransmission:
+    """The dephasing channel's output on a pure input |v><v|.
+
+    ``eigenvalues`` are the output's eigenvalues on its range, those of the
+    3 x 3 Gram matrix of the branches u_k = P_k v; the rest are zero.
+    """
+
+    trace: float
+    eigenvalues: np.ndarray
+    fidelity: float
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return min(0.0, float(self.eigenvalues.min()))
+
+
+def dephase_pure_state(families: Sequence[GKFamilySpec], x: float, t: float,
+                       v: np.ndarray) -> PureTransmission:
+    """``dephasing_channel`` at (x, t) applied to |v><v|, in O(dim).
+
+    With v1, v2 the ladder vectors, the Kraus projectors |v1><v1|,
+    |v2><v2| and I - both are Hermitian, idempotent and complete exactly
+    when ||v1|| = ||v2|| = 1 and <v1|v2> = 0, checked to 1e-9 as Channel
+    checks its projectors.  The output sum_k u_k u_k+ has trace
+    sum_k ||u_k||^2 and, v being pure, fidelity sum_k |<v|u_k>|^2.
+    """
+    v = np.asarray(v, dtype=complex)
+    tr = float(np.vdot(v, v).real)
+    if abs(tr - 1.0) > 1e-9:
+        raise InvalidDensityError(f"rho has trace {tr}, expected 1")
+    ladders = [ladder_vector(spec, x, t) for spec in families[:2]]
+    for i, vi in enumerate(ladders):
+        dev = abs(float(np.linalg.norm(vi)) - 1.0)
+        if dev > 1e-9:
+            raise ValidationError(
+                f"channel projector {i} is not idempotent: | ||v|| - 1 | = {dev:.3e}")
+    overlap = abs(np.vdot(ladders[0], ladders[1]))
+    if overlap > 1e-9:
+        raise ValidationError(
+            f"channel projectors 0 and 1 overlap: |<v1|v2>| = {overlap:.3e}")
+    branches = [vi * np.vdot(vi, v) for vi in ladders]
+    u = np.stack(branches + [v - branches[0] - branches[1]])
+    gram = u.conj() @ u.T
+    fid = float((np.abs(u.conj() @ v) ** 2).sum())
+    return PureTransmission(trace=float(np.trace(gram).real),
+                            eigenvalues=np.linalg.eigvalsh(gram),
+                            fidelity=min(1.0, fid))
+
+
 def _sqrtm_psd(a: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
     vals = np.clip(vals, 0.0, None)
@@ -341,9 +442,10 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     for a, b in ((rho, sigma), (sigma, rho)):
-        purity = float(np.trace(a @ a).real)
+        # tr(a a) and tr(a b) as O(dim^2) sums, exact for any square input
+        purity = float(np.einsum("ij,ji->", a, a).real)
         if abs(purity - 1.0) < 1e-12:
-            return float(min(1.0, np.trace(a @ b).real))
+            return float(min(1.0, np.einsum("ij,ji->", a, b).real))
     s = _sqrtm_psd(rho)
     inner = s @ sigma @ s
     vals = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
@@ -380,8 +482,6 @@ def leak_probe(code: CodeSpec, families: Sequence[GKFamilySpec], x: float,
     Used as the negative control: the ladder component is measured out by
     the channel, so the transmission fidelity drops well below 1.
     """
-    c = _coefficients(families[0], x, t)
-    ladder = families[0].embedding @ c
-    ladder = ladder / np.linalg.norm(ladder)
+    ladder = ladder_vector(families[0], x, t)
     v = math.sqrt(1.0 - weight) * code.code_basis[:, 0] + math.sqrt(weight) * ladder
     return v / np.linalg.norm(v)

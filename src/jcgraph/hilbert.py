@@ -1,9 +1,9 @@
-"""Dense numerics on the truncated qubit-oscillator product space.
+"""The truncated qubit-oscillator product space and its basic tools.
 
 The product basis |n, s> (photon number n = 0..N, qubit level s in {g, e})
 is flattened to index 2n + s with g = 0 and e = 1, so the truncated space
 has dimension 2(N + 1).  States are complex vectors of that length and
-operators are dense complex matrices; both are plain numpy arrays.
+operators are complex matrices; both are plain numpy arrays.
 
 Besides the indexing helpers this module provides the two averaging
 primitives used throughout the verification suite: the analytic Bohr mean

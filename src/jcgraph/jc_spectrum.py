@@ -21,6 +21,11 @@ to the qubit-excited component only for delta < 0; writing the + vector
 with the cosine on |n-1, e> would describe the opposite sign convention.)
 On the truncated space the lone state |N, e> decouples and is kept as an
 exact eigenvector with its diagonal energy omega_f N + omega_s / 2.
+
+The block of level n sits on the neighbouring product indices 2n - 1
+(|n-1, e>) and 2n (|n, g>), so ``DressedFrame`` holds the whole dressed
+basis as two half-angle arrays and the energies, and applies U_t to a
+vector in O(N); the dense ``evolution_operator`` is kept as its reference.
 """
 from __future__ import annotations
 
@@ -151,6 +156,79 @@ def hamiltonian_matrix(params: JCParams, trunc: TruncationConfig) -> np.ndarray:
     return h
 
 
+def dressed_index(branch: str, n):
+    """Position of the level (branch, n) in the dressed order, for n >= 1.
+
+    (n, +) sits at 2n - 1 and (n, -) at 2n, the product indices of |n-1, e>
+    and |n, g>; ``n`` may be an integer array.
+    """
+    return 2 * n - (branch == "plus")
+
+
+@dataclass(frozen=True)
+class DressedFrame:
+    """The dressed eigenbasis as O(N) data: one 2x2 rotation per block.
+
+    Block n = 1..N acts on the product indices (2n - 1, 2n), i.e. on
+    |n-1, e> and |n, g>, which are also the dressed indices of (n, +) and
+    (n, -); index 0 (|0, g>) and dim - 1 (|N, e>) are eigenvectors on their
+    own.  ``cos``/``sin`` hold cos(theta_n/2) and sin(theta_n/2) for
+    n = 1..N, ``energies`` all dim eigenvalues in dressed order.
+    """
+
+    cos: np.ndarray
+    sin: np.ndarray
+    energies: np.ndarray
+
+    def rotate(self, a: np.ndarray) -> np.ndarray:
+        """Change coordinates between the product and the dressed basis.
+
+        Acts on axis 0 of a vector or matrix.  Every block rotation is a
+        real symmetric reflection, so the map is its own inverse.
+        """
+        a = np.asarray(a, dtype=complex)
+        c, s = self.cos, self.sin
+        if a.ndim == 2:
+            c, s = c[:, None], s[:, None]
+        ae, ag = a[1:-1:2], a[2:-1:2]
+        out = a.copy()
+        out[1:-1:2] = s * ae + c * ag
+        out[2:-1:2] = c * ae - s * ag
+        return out
+
+    def columns(self, idx) -> np.ndarray:
+        """Dressed eigenvectors at the dressed indices ``idx`` as columns."""
+        idx = np.asarray(idx)
+        unit = np.zeros((self.energies.size, idx.size), dtype=complex)
+        unit[idx, np.arange(idx.size)] = 1.0
+        return self.rotate(unit)
+
+    def evolve(self, v: np.ndarray, t: float) -> np.ndarray:
+        """U_t v = exp(-i H t) v in O(N), without building U_t.
+
+        Rotates into the dressed frame, applies the phases, rotates back.
+        """
+        return self.rotate(np.exp(-1j * self.energies * t) * self.rotate(v))
+
+
+def dressed_frame(params: JCParams, trunc: TruncationConfig) -> DressedFrame:
+    """Half-angle arrays and all energies of the truncated Hamiltonian, in O(N)."""
+    if params.kappa == 0.0 and params.delta == 0.0:
+        raise DegenerateLevelError(
+            "level n = 1 is exactly degenerate (kappa = 0, delta = 0)")
+    n_max = trunc.n_fock
+    n = np.arange(1, n_max + 1)
+    half = 0.5 * np.arctan2(params.kappa * np.sqrt(n), params.delta)
+    rabi = np.sqrt(params.delta ** 2 + params.kappa ** 2 * n)
+    centre = params.omega_f * (n - 0.5)
+    energies = np.empty(trunc.dim)
+    energies[0] = -0.5 * params.omega_s
+    energies[1:-1:2] = centre + 0.5 * rabi
+    energies[2:-1:2] = centre - 0.5 * rabi
+    energies[-1] = params.omega_f * n_max + 0.5 * params.omega_s
+    return DressedFrame(cos=np.cos(half), sin=np.sin(half), energies=energies)
+
+
 @dataclass(frozen=True)
 class DressedBasis:
     """Full eigenbasis of the truncated Hamiltonian.
@@ -165,33 +243,30 @@ class DressedBasis:
     levels: tuple
 
     def index_of(self, branch: str, n: int) -> int:
-        return self.levels.index((branch, n))
+        if branch == "ground":
+            i = 0
+        elif branch == "top":
+            i = len(self.levels) - 1
+        else:
+            i = int(dressed_index(branch, n))
+        if 0 <= i < len(self.levels) and self.levels[i] == (branch, n):
+            return i
+        raise ValueError(f"{(branch, n)!r} is not a level of the basis")
 
 
 def dressed_basis(params: JCParams, trunc: TruncationConfig) -> DressedBasis:
-    """Assemble all dressed vectors and energies, plus the |N, e> leftover."""
-    n_max = trunc.n_fock
-    cols = [dressed_vector(params, 0, "ground", trunc)]
-    energies = [eigenenergy(params, 0, "ground")]
+    """All dressed vectors and energies, plus the |N, e> leftover, as dense arrays."""
+    frame = dressed_frame(params, trunc)
     levels = [("ground", 0)]
-    for n in range(1, n_max + 1):
-        for b in ("plus", "minus"):
-            cols.append(dressed_vector(params, n, b, trunc))
-            energies.append(eigenenergy(params, n, b))
-            levels.append((b, n))
-    top = np.zeros(trunc.dim, dtype=complex)
-    top[basis_index(n_max, "e", trunc)] = 1.0
-    cols.append(top)
-    energies.append(params.omega_f * n_max + 0.5 * params.omega_s)
-    levels.append(("top", n_max))
-    return DressedBasis(vectors=np.column_stack(cols),
-                        energies=np.array(energies, dtype=float),
-                        levels=tuple(levels))
+    levels += [(b, n) for n in range(1, trunc.n_fock + 1) for b in ("plus", "minus")]
+    levels.append(("top", trunc.n_fock))
+    return DressedBasis(vectors=frame.columns(np.arange(trunc.dim)),
+                        energies=frame.energies, levels=tuple(levels))
 
 
 def evolution_operator(params: JCParams, t: float,
                        trunc: TruncationConfig) -> np.ndarray:
-    """U_t = exp(-i H t) assembled spectrally from the dressed basis."""
+    """Dense U_t = exp(-i H t) assembled spectrally; a reference for DressedFrame.evolve."""
     basis = dressed_basis(params, trunc)
     phases = np.exp(-1j * basis.energies * t)
     return (basis.vectors * phases) @ basis.vectors.conj().T

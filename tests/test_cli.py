@@ -126,6 +126,34 @@ def test_verify_passes_and_schema(capsys):
         assert c["pass"] is True
 
 
+def _expected_checks(family):
+    ladder = [(f"gk.{kind}.{label}{suffix}", tol)
+              for label in ("J", "S")
+              for kind, suffix, tol in (("moments", f".{family}", 1e-8),
+                                        ("resolution", f".{family}", 1e-6),
+                                        ("temporal_stability", "", 1e-9))]
+    return ([("spectrum.eigen_residual", 1e-10), ("spectrum.gram_identity", 1e-10),
+             ("gk.ladder_increasing", 1e-12)] + ladder
+            + [("graph.identity_membership", 1e-6), ("graph.anticlique", 1e-8),
+               ("graph.anticlique_alpha_zero", 1e-10),
+               ("graph.anticlique_alpha_identity", 1e-10),
+               ("channel.trace_preservation", 1e-10), ("channel.positivity", 1e-9),
+               ("channel.code_fidelity", 1e-8), ("channel.leak_control", 1e-12)])
+
+
+@pytest.mark.parametrize("family,n_fock", [("factorial", 30), ("factorial", 60),
+                                           ("factorial", 160), ("uniform_moment", 30)])
+@pytest.mark.parametrize("omega_s", ["0.8", "1.2", "1"])  # delta > 0, < 0, = 0
+def test_verify_keeps_its_checks_and_passes(capsys, family, n_fock, omega_s):
+    rc, out, _ = run(["verify", "--omega-f", "1", "--omega-s", omega_s, "--kappa", "0.7",
+                      "--family1", family, "--family2", family,
+                      "--n-fock", str(n_fock)], capsys)
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["tolerance"]) for c in checks] == _expected_checks(family)
+    assert all(c["pass"] and c["residual"] < c["tolerance"] for c in checks)
+    assert rc == 0
+
+
 def test_verify_detects_bad_cut(capsys):
     rc, out, _ = run(["verify"] + STRONG + ["--k0", "3", "--n-fock", "20"], capsys)
     assert rc == 1

@@ -240,7 +240,7 @@ def test_verify_resolution_reconstructs_projector():
         j, s = jc_families(PARAMS, 3, fam, fam, tr)
         for spec in (j, s):
             check = verify_resolution(spec, fam.moment_rule(200), tr)
-            assert check.passed
+            assert check.residual < 1e-6
             assert check.residual < 1e-10
             assert check.max_diag_deviation < 1e-10
             assert check.n_nodes == 200
