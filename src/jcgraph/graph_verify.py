@@ -271,8 +271,8 @@ def knill_laflamme_check(p: np.ndarray, ops: Sequence, tol: float = 1e-8,
     return report
 
 
-def knill_laflamme_frame(w: np.ndarray, ms: Sequence[np.ndarray], tol: float = 1e-8,
-                         names: Sequence[str] | None = None) -> VerificationReport:
+def knill_laflamme_frame(w: np.ndarray, ms: Sequence[np.ndarray],
+                         tol: float = 1e-8) -> VerificationReport:
     """``knill_laflamme_check`` for P = W W+, each A given as M = W+ A W.
 
     P A P = W M W+, so alpha(A) = tr(M) / k0 and the residual
@@ -290,8 +290,7 @@ def knill_laflamme_frame(w: np.ndarray, ms: Sequence[np.ndarray], tol: float = 1
     for i, m in enumerate(ms):
         alpha = complex(np.trace(m)) / k0
         residual = float(np.abs(ws @ (m - alpha * np.eye(k0)) @ ws.conj().T).max())
-        name = names[i] if names is not None else f"op[{i}]"
-        report.add(CheckRecord(name=name, residual=residual, tolerance=tol,
+        report.add(CheckRecord(name=f"op[{i}]", residual=residual, tolerance=tol,
                                passed=residual < tol, alpha=alpha))
     return report
 

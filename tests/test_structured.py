@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcgraph import cli, jc_spectrum
+from jcgraph import cli, graph_verify, jc_spectrum
 from jcgraph.code_construction import decompose, minimal_k0, minimal_m0
 from jcgraph.gk_states import (builtin_family, gk_state, jc_families, tail_safe_xmax,
                                verify_temporal_stability)
@@ -197,9 +197,9 @@ def test_frame_check_rejects_non_orthonormal_frame():
         knill_laflamme_frame(w, [np.eye(2)])
 
 
-def _count_calls(monkeypatch, name):
-    """Wrap jc_spectrum.<name> in every jcgraph namespace that binds it."""
-    original = getattr(jc_spectrum, name)
+def _count_calls(monkeypatch, name, home=jc_spectrum):
+    """Wrap home.<name> in every jcgraph namespace that binds it."""
+    original = getattr(home, name)
     calls = []
 
     def counted(*args, **kwargs):
@@ -224,3 +224,18 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, family):
     assert rc == 0
     assert len(evolutions) == 0
     assert 1 <= len(bases) <= 3  # at least the spectrum check's, so the wrap holds
+
+
+@pytest.mark.parametrize("extra", [[], ["--state", "basis1"], ["--allow-leak"]])
+def test_demo_sends_vectors_through_the_channel(monkeypatch, capsys, extra):
+    dense = [_count_calls(monkeypatch, name, graph_verify)
+             for name in ("dephasing_channel", "channel_apply", "fidelity",
+                          "transmit_demo")]
+    pure = _count_calls(monkeypatch, "dephase_pure_state", graph_verify)
+    rc = cli.main(["demo", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+                   "--n-fock", "30"] + extra)
+    fid = float(capsys.readouterr().out)
+    assert (rc, fid < 1.0 - 1e-3) == ((1, True) if extra == ["--allow-leak"]
+                                       else (0, False))
+    assert [len(calls) for calls in dense] == [0, 0, 0, 0]
+    assert len(pure) == 1
