@@ -141,8 +141,11 @@ def resolve_run_config(values: dict) -> RunConfig:
     nodes = values.get("nodes", 200)
     if nodes < 2:
         raise UsageError(f"nodes must be >= 2, got {nodes}")
+    tol = values.get("tol", 1e-8)
+    if not 0.0 < tol < math.inf:
+        raise UsageError(f"tol must be positive and finite, got {tol}")
     return RunConfig(params=params, k0=k0, trunc=trunc, family1=fam1,
-                     family2=fam2, nodes=nodes, tol=values.get("tol", 1e-8),
+                     family2=fam2, nodes=nodes, tol=tol,
                      seed=values.get("seed", 7))
 
 
@@ -232,7 +235,7 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
                            - 1.0).max())
         report.add(gv.CheckRecord(f"gk.moments.{spec.label}.{fam.name}", dev, 1e-8,
                                   dev < 1e-8))
-        res = gk.verify_resolution(spec, fam.moment_rule(cfg.nodes), trunc)
+        res = gk.verify_resolution(spec, fam.moment_rule(cfg.nodes))
         report.add(gv.CheckRecord(f"gk.resolution.{spec.label}.{fam.name}",
                                   res.residual, 1e-6, res.residual < 1e-6))
         xs, ts = _stability_grid(cfg, spec)
@@ -251,8 +254,7 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     else:
         uni = gk.builtin_family("uniform_moment")
         mem_families = gk.jc_families(params, cfg.k0, uni, uni, trunc)
-    mem = gv.verify_identity_membership(params, code, mem_families, trunc,
-                                        nodes=cfg.nodes)
+    mem = gv.verify_identity_membership(code, mem_families, trunc, nodes=cfg.nodes)
     report.add(gv.CheckRecord("graph.identity_membership", mem, 1e-6, mem < 1e-6))
 
     xmax = gk.tail_safe_xmax(cfg.family1, families[0].terms - 1, budget=1e-6)
@@ -319,6 +321,8 @@ def cmd_demo(cfg: RunConfig, values: dict) -> tuple:
     x = values.get("x", 0.5 * cfg.family1.radius
                    if math.isfinite(cfg.family1.radius) else 1.0)
     t = values.get("t", 1.0 / cfg.params.omega_f)
+    if not (math.isfinite(x) and math.isfinite(t)):
+        raise UsageError(f"x and t must be finite, got x = {x}, t = {t}")
     rng = np.random.default_rng(cfg.seed)
     state = values.get("state", "random")
     dim_code = code.code_basis.shape[1]
@@ -366,6 +370,8 @@ def cmd_gk_dump(cfg: RunConfig, values: dict) -> dict:
         ys = [float(p) for p in values.get("ys", "0").split(",")]
     except ValueError as exc:
         raise UsageError(f"bad grid list: {exc}") from exc
+    if not all(map(math.isfinite, ys)):
+        raise UsageError(f"y values must be finite, got {ys}")
     for x in xs:
         if not 0.0 <= x < spec.family.radius:
             raise UsageError(f"x = {x} outside [0, {spec.family.radius})")

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import TruncationConfig, projector_onto
-from .jc_spectrum import JCParams, dressed_basis, eigenenergy
+from .hilbert import TruncationConfig, ValidationError
+from .jc_spectrum import JCParams, dressed_frame, dressed_index, eigenenergy
 
 _WALK_CAP = 64  # steps the closed-form start may move; rounding needs a few
 
@@ -106,35 +106,38 @@ def minimal_k0(m0: int) -> int:
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """Cut data: projectors for the three invariant blocks and the code.
+    """Cut data: the H3 basis and the code basis as columns.
 
-    ``code_dim_paper`` is the dimension k0 - 1 of the default code span,
-    one less than the k0 basis vectors spanning H3.  ``h3_basis`` and
-    ``code_basis`` keep the spanning vectors as columns, ordered |0,g>,
-    |1,->, ..., so downstream callers can prepare code states directly.
+    ``h3_basis`` W holds the k0 dressed vectors |0,g>, |1,->, ...,
+    |k0-1,-> spanning H3; ``code_basis`` its first k0 - 1 columns, so
+    callers prepare code states directly.  The dense projectors ``p3`` =
+    W W+ and ``code_projector`` are built on demand for the dense oracles.
+    H1 and H2 are the ladders of ``gk_states.jc_families``.
     """
 
     params: JCParams
     trunc: TruncationConfig
     m0: int
     k0: int
-    code_dim_paper: int
-    p1: np.ndarray
-    p2: np.ndarray
-    p3: np.ndarray
-    code_projector: np.ndarray
     h3_basis: np.ndarray
     code_basis: np.ndarray
 
+    @property
+    def p3(self) -> np.ndarray:
+        return self.h3_basis @ self.h3_basis.conj().T
 
-def decompose(params: JCParams, k0: int, trunc: TruncationConfig,
-              code_dim: int | None = None) -> CodeSpec:
+    @property
+    def code_projector(self) -> np.ndarray:
+        return self.code_basis @ self.code_basis.conj().T
+
+
+def decompose(params: JCParams, k0: int, trunc: TruncationConfig) -> CodeSpec:
     """Split the truncated space along the cut k0 and build the code.
 
     Requires k0 >= max(3, M0) so that H2 carries a strictly increasing
-    energy ladder, and k0 < N so the cut lies inside the truncation.  The
-    code spans the first ``code_dim`` (default k0 - 1, always >= 2) basis
-    vectors of H3.
+    energy ladder, and k0 < N so the cut lies inside the truncation.  H3 is
+    taken from the dressed frame by index, as ``jc_families`` takes H1 and
+    H2; the code spans its first k0 - 1 (always >= 2) basis vectors.
     """
     m0 = minimal_m0(params)
     k_min = minimal_k0(m0)
@@ -144,29 +147,15 @@ def decompose(params: JCParams, k0: int, trunc: TruncationConfig,
     if k0 >= trunc.n_fock:
         raise CutConstraintError(
             f"k0 = {k0} must be smaller than the photon cutoff N = {trunc.n_fock}")
-    d = k0 - 1 if code_dim is None else code_dim
-    if not 2 <= d <= k0:
-        raise ValueError(f"code dimension must lie in [2, k0], got {d}")
 
-    basis = dressed_basis(params, trunc)
-    plus_cols = [basis.vectors[:, basis.index_of("plus", n)]
-                 for n in range(1, trunc.n_fock + 1)]
-    lower_cols = [basis.vectors[:, basis.index_of("minus", n)]
-                  for n in range(k0, trunc.n_fock + 1)]
-    h3_cols = [basis.vectors[:, basis.index_of("ground", 0)]]
-    h3_cols += [basis.vectors[:, basis.index_of("minus", n)] for n in range(1, k0)]
-
-    h3_basis = np.column_stack(h3_cols)
-    code_basis = h3_basis[:, :d]
-    return CodeSpec(
-        params=params, trunc=trunc, m0=m0, k0=k0, code_dim_paper=k0 - 1,
-        p1=projector_onto(plus_cols),
-        p2=projector_onto(lower_cols),
-        p3=projector_onto(h3_cols),
-        code_projector=projector_onto(list(code_basis.T)),
-        h3_basis=h3_basis,
-        code_basis=code_basis,
-    )
+    idx = np.concatenate(([0], dressed_index("minus", np.arange(1, k0))))
+    h3_basis = dressed_frame(params, trunc).columns(idx)
+    dev = np.abs(h3_basis.conj().T @ h3_basis - np.eye(k0))
+    if dev.max() > 1e-10:
+        i, j = np.unravel_index(int(dev.argmax()), dev.shape)
+        raise ValidationError(f"H3 basis vectors {i} and {j} are not orthonormal")
+    return CodeSpec(params=params, trunc=trunc, m0=m0, k0=k0,
+                    h3_basis=h3_basis, code_basis=h3_basis[:, :k0 - 1])
 
 
 @dataclass(frozen=True)

@@ -340,8 +340,8 @@ class ResolutionCheck:
     n_nodes: int
 
 
-def verify_resolution(spec: GKFamilySpec, rule: QuadratureRule | None = None,
-                      trunc: TruncationConfig | None = None) -> ResolutionCheck:
+def verify_resolution(spec: GKFamilySpec,
+                      rule: QuadratureRule | None = None) -> ResolutionCheck:
     """Reconstruct the ladder projector from the coherent-state resolution.
 
     The Bohr mean in y removes all off-diagonal terms analytically (the

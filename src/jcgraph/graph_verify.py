@@ -31,7 +31,6 @@ import numpy as np
 from .code_construction import CodeSpec
 from .gk_states import GKFamilySpec, _coefficients, moment_diagonals
 from .hilbert import QuadratureRule, TruncationConfig, ValidationError, basis_index
-from .jc_spectrum import JCParams
 
 
 class UnsupportedFamilyError(ValueError):
@@ -128,8 +127,8 @@ def _ladder_projector(spec: GKFamilySpec, x: float, t: float) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def generator(params: JCParams, code: CodeSpec, families: Sequence[GKFamilySpec],
-              j: int, x: float, t: float, trunc: TruncationConfig) -> GraphGenerator:
+def generator(code: CodeSpec, families: Sequence[GKFamilySpec],
+              j: int, x: float, t: float) -> GraphGenerator:
     """Build the graph generator for index j in {1, 2, 3} at sample (x, t).
 
     j = 3 returns the H3 projector itself (it is invariant under the
@@ -225,8 +224,7 @@ def identity_reconstruction(code: CodeSpec, families: Sequence[GKFamilySpec],
     return recon
 
 
-def verify_identity_membership(params: JCParams, code: CodeSpec,
-                               families: Sequence[GKFamilySpec],
+def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
                                trunc: TruncationConfig,
                                rule: QuadratureRule | None = None,
                                nodes: int = 200) -> float:
@@ -343,9 +341,8 @@ def projective_channel(projectors: Sequence[np.ndarray]) -> Channel:
                                     for p in projectors))
 
 
-def dephasing_channel(params: JCParams, code: CodeSpec,
-                      families: Sequence[GKFamilySpec], x: float, t: float,
-                      trunc: TruncationConfig) -> Channel:
+def dephasing_channel(families: Sequence[GKFamilySpec], x: float,
+                      t: float) -> Channel:
     """The measurement channel induced by the graph at sample (x, t).
 
     Kraus projectors: the two time-translated ladder projectors and the
@@ -353,7 +350,7 @@ def dephasing_channel(params: JCParams, code: CodeSpec,
     """
     p1 = _ladder_projector(families[0], x, t)
     p2 = _ladder_projector(families[1], x, t)
-    rest = np.eye(trunc.dim, dtype=complex) - p1 - p2
+    rest = np.eye(p1.shape[0], dtype=complex) - p1 - p2
     return projective_channel((p1, p2, rest))
 
 
@@ -403,16 +400,16 @@ def dephase_pure_state(families: Sequence[GKFamilySpec], x: float, t: float,
     """
     v = np.asarray(v, dtype=complex)
     tr = float(np.vdot(v, v).real)
-    if abs(tr - 1.0) > 1e-9:
+    if not abs(tr - 1.0) <= 1e-9:  # NaN fails every check here
         raise InvalidDensityError(f"rho has trace {tr}, expected 1")
     ladders = [ladder_vector(spec, x, t) for spec in families[:2]]
     for i, vi in enumerate(ladders):
         dev = abs(float(np.linalg.norm(vi)) - 1.0)
-        if dev > 1e-9:
+        if not dev <= 1e-9:
             raise ValidationError(
                 f"channel projector {i} is not idempotent: | ||v|| - 1 | = {dev:.3e}")
     overlap = abs(np.vdot(ladders[0], ladders[1]))
-    if overlap > 1e-9:
+    if not overlap <= 1e-9:
         raise ValidationError(
             f"channel projectors 0 and 1 overlap: |<v1|v2>| = {overlap:.3e}")
     branches = [vi * np.vdot(vi, v) for vi in ladders]
@@ -451,10 +448,8 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(min(1.0, np.sqrt(vals).sum() ** 2))
 
 
-def transmit_demo(params: JCParams, code: CodeSpec,
-                  families: Sequence[GKFamilySpec], x: float, t: float,
-                  rho_code: np.ndarray,
-                  trunc: TruncationConfig | None = None) -> float:
+def transmit_demo(code: CodeSpec, families: Sequence[GKFamilySpec], x: float,
+                  t: float, rho_code: np.ndarray) -> float:
     """Send a code-supported state through the graph channel; return fidelity.
 
     States supported on the code subspace are fixed points of every
@@ -462,7 +457,6 @@ def transmit_demo(params: JCParams, code: CodeSpec,
     with support outside the code subspace is rejected, reporting the
     leakage magnitude.
     """
-    trunc = code.trunc if trunc is None else trunc
     rho = np.asarray(rho_code, dtype=complex)
     pc = code.code_projector
     leak = float(np.abs(pc @ rho @ pc - rho).max())
@@ -470,7 +464,7 @@ def transmit_demo(params: JCParams, code: CodeSpec,
         raise CodeLeakageError(
             f"input state leaks outside the code subspace: max residual {leak:.3e}",
             leakage=leak)
-    channel = dephasing_channel(params, code, families, x, t, trunc)
+    channel = dephasing_channel(families, x, t)
     return fidelity(rho, channel_apply(channel, rho))
 
 

@@ -234,34 +234,19 @@ class DressedBasis:
     """Full eigenbasis of the truncated Hamiltonian.
 
     ``vectors`` holds the eigenvectors as columns, ordered ground,
-    (1,+), (1,-), ..., (N,+), (N,-), and finally the decoupled |N, e>.
-    ``levels`` carries matching (branch, n) labels, the last one ("top", N).
+    (1,+), (1,-), ..., (N,+), (N,-), and finally the decoupled |N, e>;
+    ``dressed_index`` maps a level (branch, n) to its column.
     """
 
     vectors: np.ndarray
     energies: np.ndarray
-    levels: tuple
-
-    def index_of(self, branch: str, n: int) -> int:
-        if branch == "ground":
-            i = 0
-        elif branch == "top":
-            i = len(self.levels) - 1
-        else:
-            i = int(dressed_index(branch, n))
-        if 0 <= i < len(self.levels) and self.levels[i] == (branch, n):
-            return i
-        raise ValueError(f"{(branch, n)!r} is not a level of the basis")
 
 
 def dressed_basis(params: JCParams, trunc: TruncationConfig) -> DressedBasis:
     """All dressed vectors and energies, plus the |N, e> leftover, as dense arrays."""
     frame = dressed_frame(params, trunc)
-    levels = [("ground", 0)]
-    levels += [(b, n) for n in range(1, trunc.n_fock + 1) for b in ("plus", "minus")]
-    levels.append(("top", trunc.n_fock))
     return DressedBasis(vectors=frame.columns(np.arange(trunc.dim)),
-                        energies=frame.energies, levels=tuple(levels))
+                        energies=frame.energies)
 
 
 def evolution_operator(params: JCParams, t: float,

@@ -128,7 +128,7 @@ def test_criterion_5_gk_property_suite():
         worst_moment = max(worst_moment,
                            float(np.abs(moment_diagonals(fam, ks, rule) - 1.0).max()))
         for spec in jc_families(HAROCHE, 3, fam, fam, N60):
-            check = verify_resolution(spec, rule, N60)
+            check = verify_resolution(spec, rule)
             worst_resolution = max(worst_resolution, check.residual)
             xmax = tail_safe_xmax(fam, spec.terms - 1, budget=1e-12)
             for x in np.linspace(0.0, xmax, 10):
@@ -150,14 +150,14 @@ def test_criterion_6_identity_membership():
     uni = builtin_family("uniform_moment")
     families = jc_families(GENERIC, 3, uni, uni, N60)
     code = decompose(GENERIC, 3, N60)
-    res200 = verify_identity_membership(GENERIC, code, families, N60, nodes=200)
-    res100 = verify_identity_membership(GENERIC, code, families, N60, nodes=100)
+    res200 = verify_identity_membership(code, families, N60, nodes=200)
+    res100 = verify_identity_membership(code, families, N60, nodes=100)
     floor = 1e-10
     doubling_ok = (res200 < res100 / 2.0) or (res100 < floor and res200 < floor)
     # with deliberately under-resolved rules the factor-2 gain is visible
-    res8 = verify_identity_membership(GENERIC, code, families, N60, nodes=8)
-    res16 = verify_identity_membership(GENERIC, code, families, N60, nodes=16)
-    res32 = verify_identity_membership(GENERIC, code, families, N60, nodes=32)
+    res8 = verify_identity_membership(code, families, N60, nodes=8)
+    res16 = verify_identity_membership(code, families, N60, nodes=16)
+    res32 = verify_identity_membership(code, families, N60, nodes=32)
     genuine = res16 < res8 / 2.0 and res32 < res16 / 2.0
     elapsed = time.perf_counter() - t0
     ok = res200 < 1e-6 and doubling_ok and genuine and elapsed < 60.0
@@ -179,7 +179,7 @@ def test_criterion_7_anticlique():
         j = int(rng.integers(1, 4))
         x = float(rng.uniform(0.0, 0.95))
         t = float(rng.uniform(0.0, 10.0))
-        gens.append(generator(GENERIC, code, families, j, x, t, N60))
+        gens.append(generator(code, families, j, x, t))
     combos = []
     for _ in range(20):
         w = rng.normal(size=len(gens))
@@ -228,7 +228,7 @@ def test_criterion_8_zero_error_transmission():
     for _ in range(10):
         t = float(rng.uniform(0.0, 10.0))
         x = float(rng.uniform(0.0, 0.9))
-        channel = dephasing_channel(GENERIC, code, families, x, t, N60)
+        channel = dephasing_channel(families, x, t)
         for rho in states:
             out = channel_apply(channel, rho)
             worst_trace = max(worst_trace, abs(float(np.trace(out).real) - 1.0))

@@ -51,7 +51,18 @@ def test_mindim_needs_no_truncation_headroom(capsys):
      "--gamma-f-steps", "3"],
     ["mindim", "--gamma-f", "1e15", "--gamma-s", "1e15"],
     ["mindim", "--gamma-f", "1e160", "--gamma-s", "1e160"],
-], ids=["omega-nan", "gamma-inf", "sweep-nan", "gamma-1e15", "gamma-1e160"])
+    ["demo"] + SMALL + ["--t", "nan"],
+    ["demo"] + SMALL + ["--t", "inf"],
+    ["demo"] + SMALL + ["--x", "nan"],
+    ["demo"] + SMALL + ["--x=-inf", "--allow-leak"],
+    ["gk-dump"] + SMALL + ["--ys", "0,nan"],
+    ["gk-dump"] + SMALL + ["--ys", "inf"],
+    ["verify"] + SMALL + ["--tol", "nan"],
+    ["verify"] + SMALL + ["--tol", "-1"],
+    ["verify"] + SMALL + ["--tol", "inf"],
+], ids=["omega-nan", "gamma-inf", "sweep-nan", "gamma-1e15", "gamma-1e160",
+        "demo-t-nan", "demo-t-inf", "demo-x-nan", "demo-x-inf", "dump-y-nan",
+        "dump-y-inf", "tol-nan", "tol-negative", "tol-inf"])
 def test_bad_rates_fail_fast(argv, capsys):
     start = time.perf_counter()
     rc, out, err = run(argv, capsys)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcgraph.hilbert import TruncationConfig, basis_index
+from jcgraph.gk_states import builtin_family, jc_families
+from jcgraph.hilbert import TruncationConfig, basis_index, projector_onto
 from jcgraph.code_construction import (
     CutConstraintError,
     _gap_condition,
@@ -141,13 +142,15 @@ def test_decompose_block_ranks_and_orthogonality():
     code = decompose(p, 3, tr)
     assert code.m0 == 1
     assert code.k0 == 3
-    assert round(np.trace(code.p1).real) == 20
-    assert round(np.trace(code.p2).real) == 18
-    assert round(np.trace(code.p3).real) == 3
-    for a, b in ((code.p1, code.p2), (code.p1, code.p3), (code.p2, code.p3)):
-        assert np.abs(a @ b).max() < 1e-12
+    # H1 and H2 are the ladders of jc_families, H3 the code's basis
+    fam = builtin_family("factorial")
+    h1, h2 = (spec.embedding for spec in jc_families(p, 3, fam, fam, tr))
+    blocks = (h1, h2, code.h3_basis)
+    assert [np.linalg.matrix_rank(b) for b in blocks] == [20, 18, 3]
+    for a, b in ((h1, h2), (h1, code.h3_basis), (h2, code.h3_basis)):
+        assert np.abs(a.conj().T @ b).max() < 1e-12
     # the three blocks cover everything except the decoupled |N, e>
-    total = code.p1 + code.p2 + code.p3
+    total = sum(b @ b.conj().T for b in blocks)
     leftover = np.eye(tr.dim)
     leftover[basis_index(20, "e"), basis_index(20, "e")] = 0.0
     assert np.abs(total - leftover).max() < 1e-12
@@ -170,12 +173,9 @@ def test_decompose_default_code_dimension():
     p = JCParams(omega_f=1.0, omega_s=1.0, kappa=0.2)
     tr = TruncationConfig(20)
     code = decompose(p, 4, tr)
-    assert code.code_dim_paper == 3
     assert code.code_basis.shape[1] == 3
     np.testing.assert_allclose(code.code_basis, code.h3_basis[:, :3], atol=0)
     assert round(np.trace(code.code_projector).real) == 3
-    full = decompose(p, 4, tr, code_dim=4)
-    assert full.code_basis.shape[1] == 4
 
 
 def test_decompose_rejects_bad_cuts():
@@ -192,13 +192,33 @@ def test_decompose_rejects_bad_cuts():
     assert decompose(ps, 4, tr).k0 == 4
 
 
-def test_decompose_rejects_bad_code_dimension():
-    p = JCParams(omega_f=1.0, omega_s=1.0, kappa=0.2)
-    tr = TruncationConfig(20)
-    with pytest.raises(ValueError):
-        decompose(p, 3, tr, code_dim=1)
-    with pytest.raises(ValueError):
-        decompose(p, 3, tr, code_dim=4)
+@st.composite
+def cuts(draw):
+    """A system with delta > 0, < 0 or = 0 (or kappa -> 0) and a cut k0* .. N-1."""
+    omega_s = draw(st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 4.0),
+                             st.just(1.0)))
+    if omega_s == 1.0:
+        kappa = draw(st.floats(0.01, 8.0))
+    else:
+        kappa = draw(st.one_of(st.floats(0.0, 1e-8), st.floats(0.01, 8.0)))
+    params = JCParams(omega_f=1.0, omega_s=omega_s, kappa=kappa)
+    trunc = TruncationConfig(draw(st.sampled_from((12, 20, 40))))
+    k0 = draw(st.integers(minimal_k0(minimal_m0(params)), trunc.n_fock - 1))
+    return params, trunc, k0
+
+
+@settings(max_examples=80, deadline=None)
+@given(cuts())
+def test_h3_basis_is_the_dressed_cut(cut):
+    params, trunc, k0 = cut
+    code = decompose(params, k0, trunc)
+    want = [dressed_vector(params, 0, "ground", trunc)]
+    want += [dressed_vector(params, n, "minus", trunc) for n in range(1, k0)]
+    np.testing.assert_allclose(code.h3_basis, np.column_stack(want),
+                               atol=1e-15, rtol=0)
+    np.testing.assert_allclose(code.p3, projector_onto(list(code.h3_basis.T)),
+                               atol=0, rtol=0)
+    np.testing.assert_allclose(code.code_basis, code.h3_basis[:, :k0 - 1], atol=0)
 
 
 def test_benchmark_code_subspace():
@@ -206,7 +226,6 @@ def test_benchmark_code_subspace():
     tr = TruncationConfig(20)
     code = decompose(HAROCHE, 3, tr)
     assert code.m0 == 1
-    assert code.code_dim_paper == 2
     assert code.code_basis.shape[1] == 2
     np.testing.assert_allclose(code.code_basis[:, 0],
                                np.eye(tr.dim)[basis_index(0, "g")], atol=0)

@@ -239,7 +239,7 @@ def test_verify_resolution_reconstructs_projector():
         fam = builtin_family(name)
         j, s = jc_families(PARAMS, 3, fam, fam, tr)
         for spec in (j, s):
-            check = verify_resolution(spec, fam.moment_rule(200), tr)
+            check = verify_resolution(spec, fam.moment_rule(200))
             assert check.residual < 1e-6
             assert check.residual < 1e-10
             assert check.max_diag_deviation < 1e-10
@@ -252,7 +252,7 @@ def test_verify_resolution_converges_with_nodes():
     tr = TruncationConfig(40)
     uni = builtin_family("uniform_moment")
     j, _ = jc_families(PARAMS, 3, uni, uni, tr)
-    residuals = [verify_resolution(j, uni.moment_rule(n), tr).residual
+    residuals = [verify_resolution(j, uni.moment_rule(n)).residual
                  for n in (8, 16)]
     assert residuals[1] < residuals[0] / 2.0
 

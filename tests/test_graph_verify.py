@@ -70,40 +70,40 @@ def test_verification_report_aggregation():
 def test_generator_returns_exact_projectors():
     for j in (1, 2):
         for x in (0.0, 0.3, 0.8):
-            g = generator(PARAMS, CODE, FAMILIES, j, x, 1.2, TRUNC)
+            g = generator(CODE, FAMILIES, j, x, 1.2)
             op = g.operator
             assert np.abs(op @ op - op).max() < 1e-12
             assert np.abs(op - op.conj().T).max() < 1e-12
             assert abs(np.trace(op).real - 1.0) < 1e-12
-    g3 = generator(PARAMS, CODE, FAMILIES, 3, 0.1, 0.0, TRUNC)
+    g3 = generator(CODE, FAMILIES, 3, 0.1, 0.0)
     np.testing.assert_allclose(g3.operator, CODE.p3, atol=0)
 
 
 def test_generator_covariance_under_evolution():
     """U_t P_x U_t+ equals the projector built at phase time t."""
     x, t = 0.4, 2.7
-    p0 = generator(PARAMS, CODE, FAMILIES, 1, x, 0.0, TRUNC).operator
-    pt = generator(PARAMS, CODE, FAMILIES, 1, x, t, TRUNC).operator
+    p0 = generator(CODE, FAMILIES, 1, x, 0.0).operator
+    pt = generator(CODE, FAMILIES, 1, x, t).operator
     u = evolution_operator(PARAMS, t, TRUNC)
     assert np.abs(u @ p0 @ u.conj().T - pt).max() < 1e-12
 
 
 def test_generator_validation():
     with pytest.raises(ValueError):
-        generator(PARAMS, CODE, FAMILIES, 0, 0.1, 0.0, TRUNC)
+        generator(CODE, FAMILIES, 0, 0.1, 0.0)
     with pytest.raises(ValueError):
-        generator(PARAMS, CODE, FAMILIES, 4, 0.1, 0.0, TRUNC)
+        generator(CODE, FAMILIES, 4, 0.1, 0.0)
     mismatched = jc_families(PARAMS, 4, UNI, UNI, TRUNC)
     with pytest.raises(FamilyMismatchError):
-        generator(PARAMS, CODE, mismatched, 1, 0.1, 0.0, TRUNC)
+        generator(CODE, mismatched, 1, 0.1, 0.0)
 
 
 def test_q_operator_weights():
     """Q_x puts weight 1 on each ladder state and 1/(R tau1) on H3."""
     q = q_operator(0.5, FAMILIES, CODE)
     for spec in FAMILIES:
-        g = generator(PARAMS, CODE, FAMILIES, 1 if spec.label == "J" else 2,
-                      0.5, 0.0, TRUNC).operator
+        g = generator(CODE, FAMILIES, 1 if spec.label == "J" else 2,
+                      0.5, 0.0).operator
         # expectation in the normalized ladder state
         v = g[:, np.argmax(np.diag(g.real))]
         v = v / np.linalg.norm(v)
@@ -135,7 +135,7 @@ def test_identity_reconstruction_requires_matching_radii():
 
 
 def test_identity_membership_residual_small():
-    res = verify_identity_membership(PARAMS, CODE, FAMILIES, TRUNC, nodes=200)
+    res = verify_identity_membership(CODE, FAMILIES, TRUNC, nodes=200)
     assert res < 1e-10
 
 
@@ -151,15 +151,15 @@ def test_identity_membership_excludes_decoupled_direction():
 
 def test_identity_membership_node_convergence():
     """Halving an under-resolved node count worsens the residual > 2x."""
-    r8 = verify_identity_membership(PARAMS, CODE, FAMILIES, TRUNC, nodes=8)
-    r16 = verify_identity_membership(PARAMS, CODE, FAMILIES, TRUNC, nodes=16)
+    r8 = verify_identity_membership(CODE, FAMILIES, TRUNC, nodes=8)
+    r16 = verify_identity_membership(CODE, FAMILIES, TRUNC, nodes=16)
     assert r16 < r8 / 2.0
 
 
 def test_knill_laflamme_alpha_values():
     dim = TRUNC.dim
     ops = [np.eye(dim, dtype=complex), CODE.p3,
-           generator(PARAMS, CODE, FAMILIES, 1, 0.3, 0.5, TRUNC)]
+           generator(CODE, FAMILIES, 1, 0.3, 0.5)]
     rep = knill_laflamme_check(CODE.p3, ops)
     assert rep.overall_pass
     assert abs(rep.checks[0].alpha - 1.0) < 1e-12
@@ -189,7 +189,7 @@ def test_verify_anticlique_full_projector():
         j = int(rng.integers(1, 4))
         x = float(rng.uniform(0.0, 0.9))
         t = float(rng.uniform(0.0, 12.0))
-        gens.append(generator(PARAMS, CODE, FAMILIES, j, x, t, TRUNC))
+        gens.append(generator(CODE, FAMILIES, j, x, t))
     rep = verify_anticlique(CODE, gens)
     assert rep.overall_pass
     assert rep.max_residual() < 1e-12
@@ -201,8 +201,8 @@ def test_verify_anticlique_full_projector():
 
 def test_verify_anticlique_linear_combinations():
     rng = np.random.default_rng(37)
-    gens = [generator(PARAMS, CODE, FAMILIES, int(rng.integers(1, 4)),
-                      float(rng.uniform(0, 0.9)), float(rng.uniform(0, 5)), TRUNC)
+    gens = [generator(CODE, FAMILIES, int(rng.integers(1, 4)),
+                      float(rng.uniform(0, 0.9)), float(rng.uniform(0, 5)))
             for _ in range(10)]
     combos = []
     for _ in range(5):
@@ -216,7 +216,7 @@ def test_verify_anticlique_sub_projector():
     # any rank-2 sub-projector of H3 inherits the anticlique property
     sub = np.outer(CODE.h3_basis[:, 0], CODE.h3_basis[:, 0].conj()) \
         + np.outer(CODE.h3_basis[:, 2], CODE.h3_basis[:, 2].conj())
-    gens = [generator(PARAMS, CODE, FAMILIES, j, 0.4, 1.0, TRUNC) for j in (1, 2, 3)]
+    gens = [generator(CODE, FAMILIES, j, 0.4, 1.0) for j in (1, 2, 3)]
     rep = verify_anticlique(CODE, gens, projector=sub)
     assert rep.overall_pass
     assert abs(rep.checks[2].alpha - 1.0) < 1e-12
@@ -240,14 +240,14 @@ def test_channel_validation():
 
 
 def test_dephasing_channel_is_complete():
-    ch = dephasing_channel(PARAMS, CODE, FAMILIES, 0.3, 1.1, TRUNC)
+    ch = dephasing_channel(FAMILIES, 0.3, 1.1)
     assert len(ch.projectors) == 3
     total = sum(ch.projectors)
     assert np.abs(total - np.eye(TRUNC.dim)).max() < 1e-12
 
 
 def test_channel_apply_matches_definition_and_preserves_trace():
-    ch = dephasing_channel(PARAMS, CODE, FAMILIES, 0.3, 1.1, TRUNC)
+    ch = dephasing_channel(FAMILIES, 0.3, 1.1)
     rng = np.random.default_rng(41)
     m = rng.normal(size=(TRUNC.dim, TRUNC.dim)) \
         + 1j * rng.normal(size=(TRUNC.dim, TRUNC.dim))
@@ -261,7 +261,7 @@ def test_channel_apply_matches_definition_and_preserves_trace():
 
 
 def test_channel_apply_rejects_bad_input():
-    ch = dephasing_channel(PARAMS, CODE, FAMILIES, 0.3, 1.1, TRUNC)
+    ch = dephasing_channel(FAMILIES, 0.3, 1.1)
     dim = TRUNC.dim
     with pytest.raises(InvalidDensityError):
         channel_apply(ch, np.eye(dim, dtype=complex))  # trace N, not 1
@@ -307,7 +307,7 @@ def test_code_states_are_channel_fixed_points():
         rho = np.outer(v, v.conj())
         x = float(rng.uniform(0.0, 0.8))
         t = float(rng.uniform(0.0, 10.0))
-        ch = dephasing_channel(PARAMS, CODE, FAMILIES, x, t, TRUNC)
+        ch = dephasing_channel(FAMILIES, x, t)
         out = channel_apply(ch, rho)
         assert np.abs(out - rho).max() < 1e-12
 
@@ -315,7 +315,7 @@ def test_code_states_are_channel_fixed_points():
 def test_transmit_demo_perfect_fidelity():
     v = code_state(3)
     rho = np.outer(v, v.conj())
-    fid = transmit_demo(PARAMS, CODE, FAMILIES, 0.45, 2.0, rho, TRUNC)
+    fid = transmit_demo(CODE, FAMILIES, 0.45, 2.0, rho)
     assert fid >= 1.0 - 1e-12
 
 
@@ -326,7 +326,7 @@ def test_transmit_demo_rejects_leaky_input():
     mixed = (v + w) / np.linalg.norm(v + w)
     rho = np.outer(mixed, mixed.conj())
     with pytest.raises(CodeLeakageError) as err:
-        transmit_demo(PARAMS, CODE, FAMILIES, 0.45, 2.0, rho, TRUNC)
+        transmit_demo(CODE, FAMILIES, 0.45, 2.0, rho)
     assert err.value.leakage > 0.1
 
 
@@ -335,7 +335,7 @@ def test_leak_probe_shows_fidelity_drop():
     probe = leak_probe(CODE, FAMILIES, x, t)
     assert abs(np.vdot(probe, probe).real - 1.0) < 1e-12
     rho = np.outer(probe, probe.conj())
-    ch = dephasing_channel(PARAMS, CODE, FAMILIES, x, t, TRUNC)
+    ch = dephasing_channel(FAMILIES, x, t)
     fid = fidelity(rho, channel_apply(ch, rho))
     assert fid < 1.0 - 1e-3
     assert fid > 0.2

@@ -16,6 +16,7 @@ from jcgraph.jc_spectrum import (
     DegenerateLevelError,
     JCParams,
     dressed_basis,
+    dressed_index,
     dressed_vector,
     eigenenergy,
     evolution_operator,
@@ -191,10 +192,9 @@ def test_dressed_basis_layout_and_top_state():
     np.testing.assert_allclose(top, np.eye(tr.dim)[basis_index(6, "e")], atol=1e-14)
     assert abs(basis.energies[-1] - (2.0 * 6 + 0.5)) < 1e-14
     # interior columns alternate (n, +), (n, -)
-    assert basis.index_of("plus", 1) == 1
-    assert basis.index_of("minus", 1) == 2
-    assert basis.index_of("plus", 2) == 3
-    assert basis.index_of("ground", 0) == 0
+    assert dressed_index("plus", 1) == 1
+    assert dressed_index("minus", 1) == 2
+    assert dressed_index("plus", 2) == 3
 
 
 def test_dressed_basis_is_orthonormal():

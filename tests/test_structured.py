@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcgraph import cli, graph_verify, jc_spectrum
+from jcgraph import cli, graph_verify, hilbert, jc_spectrum
 from jcgraph.code_construction import decompose, minimal_k0, minimal_m0
 from jcgraph.gk_states import (builtin_family, gk_state, jc_families, tail_safe_xmax,
                                verify_temporal_stability)
@@ -33,7 +33,8 @@ from jcgraph.graph_verify import (
 )
 from jcgraph.hilbert import TruncationConfig, ValidationError
 from jcgraph.jc_spectrum import (JCParams, dressed_basis, dressed_frame,
-                                 dressed_vector, eigenenergy, evolution_operator)
+                                 dressed_index, dressed_vector, eigenenergy,
+                                 evolution_operator)
 
 FAMILIES = ("uniform_moment", "factorial")
 ORACLE_TOL = 1e-12
@@ -73,18 +74,15 @@ def test_vectorized_basis_matches_closed_forms_column_by_column():
         params = JCParams(omega_f=1.0, omega_s=omega_s, kappa=0.7)
         trunc = TruncationConfig(25)
         basis = dressed_basis(params, trunc)
-        for branch, n in basis.levels[:-1]:
-            i = basis.index_of(branch, n)
-            assert basis.levels[i] == (branch, n)
+        levels = [("ground", 0, 0)]
+        levels += [(b, n, dressed_index(b, n)) for n in range(1, 26)
+                   for b in ("plus", "minus")]
+        assert [i for _, _, i in levels] == list(range(trunc.dim - 1))
+        for branch, n, i in levels:
             np.testing.assert_allclose(basis.vectors[:, i],
                                        dressed_vector(params, n, branch, trunc),
                                        atol=1e-15, rtol=0)
             assert basis.energies[i] == eigenenergy(params, n, branch)
-        assert basis.index_of("top", 25) == trunc.dim - 1
-        for label in (("plus", 0), ("minus", 26), ("top", 24), ("ground", 1),
-                      ("up", 1), ("plus", 1.5)):
-            with pytest.raises(ValueError):
-                basis.index_of(*label)
 
 
 def test_frame_rejects_the_degenerate_point():
@@ -121,7 +119,7 @@ def test_frame_knill_laflamme_matches_dense_check(system, seed):
     x_hi = cli_x_range(families)
     draws = [(j, float(rng.uniform(0.0, x_hi)), float(rng.uniform(0.0, 10.0)))
              for j in (1, 2, 3, 1, 2, 1, 2)]
-    ops = [generator(params, code, families, j, x, t, trunc).operator
+    ops = [generator(code, families, j, x, t).operator
            for j, x, t in draws]
     ms = [frame_generator(code, families, j, x, t) for j, x, t in draws]
     for _ in range(2):
@@ -160,7 +158,7 @@ def test_pure_state_channel_matches_dense_channel(system, seed):
     generic = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
     generic = generic / np.linalg.norm(generic) + families[1].embedding[:, 0]
     generic /= np.linalg.norm(generic)
-    channel = dephasing_channel(params, code, families, x, t, trunc)
+    channel = dephasing_channel(families, x, t)
     for v in (code_state, generic, leak_probe(code, families, x, t)):
         rho = np.outer(v, v.conj())
         out = channel_apply(channel, rho)
@@ -224,6 +222,18 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, family):
     assert rc == 0
     assert len(evolutions) == 0
     assert 1 <= len(bases) <= 3  # at least the spectrum check's, so the wrap holds
+
+
+@pytest.mark.parametrize("command, bases", [("verify", 1), ("demo", 0)])
+def test_commands_build_no_dense_projector(monkeypatch, capsys, command, bases):
+    projectors = _count_calls(monkeypatch, "projector_onto", hilbert)
+    dressed = _count_calls(monkeypatch, "dressed_basis")
+    rc = cli.main([command, "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+                   "--family1", "factorial", "--family2", "factorial",
+                   "--n-fock", "30"])
+    capsys.readouterr()
+    assert rc == 0
+    assert (len(projectors), len(dressed)) == (0, bases)
 
 
 @pytest.mark.parametrize("extra", [[], ["--state", "basis1"], ["--allow-leak"]])
