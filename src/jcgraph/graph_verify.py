@@ -30,7 +30,8 @@ import numpy as np
 
 from .code_construction import CodeSpec
 from .gk_states import GKFamilySpec, _coefficients, moment_diagonals
-from .hilbert import QuadratureRule, TruncationConfig, ValidationError, basis_index
+from .hilbert import ValidationError, basis_index
+from .jc_spectrum import block_entries
 
 
 class UnsupportedFamilyError(ValueError):
@@ -195,15 +196,20 @@ def q_operator(x: float, families: Sequence[GKFamilySpec],
             + third * code.p3)
 
 
-def identity_reconstruction(code: CodeSpec, families: Sequence[GKFamilySpec],
-                            rule: QuadratureRule) -> np.ndarray:
-    """Radial integral of tau1(x) times the Bohr mean of U_t Q_x U_t+.
+def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
+                               nodes: int = 200) -> float:
+    """Max entrywise deviation of the reconstructed identity from I.
 
-    The Bohr mean is taken analytically per ladder (each ladder is
-    strictly increasing, so only diagonal terms in its embedded basis
-    survive), which turns the integral into moment form: the ladder
-    diagonals become int rho_i(x) x^k dx / c_k and the H3 term integrates
-    tau1(x)/(R tau1(x)) = 1/R exactly.
+    The reconstruction is the radial integral of tau1(x) times the Bohr
+    mean of U_t Q_x U_t+.  The Bohr mean is taken analytically per ladder
+    (each ladder is strictly increasing, so only diagonal terms in its
+    embedded basis survive), which turns the integral into moment form:
+    the ladder diagonals become int rho_i(x) x^k dx / c_k under each
+    family's ``moment_rule(nodes)``, and the H3 term integrates
+    tau1(x)/(R tau1(x)) = 1/R on the same nodes.  Ladder vectors and the H3
+    basis are dressed vectors, so the result is read block by block.  The
+    decoupled |N, e> direction is excluded: no generator has support
+    there, so the reconstruction is structurally zero on that entry.
     """
     fam1 = families[0].family
     fam2 = families[1].family
@@ -211,36 +217,23 @@ def identity_reconstruction(code: CodeSpec, families: Sequence[GKFamilySpec],
         raise UnsupportedFamilyError(
             "identity membership needs matching finite convergence radii; "
             f"got R1 = {fam1.radius}, R2 = {fam2.radius}")
-    recon = np.zeros((code.trunc.dim, code.trunc.dim), dtype=complex)
+    trunc = code.trunc
     for spec in families:
-        fam = spec.family
-        eff = QuadratureRule(nodes=rule.nodes,
-                             weights=rule.weights * np.asarray(fam.rho(rule.nodes),
-                                                               dtype=float),
-                             kind=rule.kind)
-        diag = moment_diagonals(fam, np.arange(spec.terms), eff)
-        recon += (spec.embedding * diag) @ spec.embedding.conj().T
-    recon += (rule.weights.sum() / fam1.radius) * code.p3
-    return recon
-
-
-def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
-                               trunc: TruncationConfig,
-                               rule: QuadratureRule | None = None,
-                               nodes: int = 200) -> float:
-    """Max entrywise deviation of the reconstructed identity from I.
-
-    The decoupled |N, e> direction is excluded: no generator has support
-    there, so the reconstruction is structurally zero on that row and
-    column of the truncated space.
-    """
-    if rule is None:
-        rule = QuadratureRule.gauss_legendre(0.0, families[0].family.radius, nodes)
-    recon = identity_reconstruction(code, families, rule)
-    target = np.eye(trunc.dim, dtype=complex)
-    keep = np.arange(trunc.dim) != basis_index(trunc.n_fock, "e", trunc)
-    diff = np.abs(recon - target)[np.ix_(keep, keep)]
-    return float(diff.max())
+        if spec.embedding.shape[0] != trunc.dim:
+            raise FamilyMismatchError(
+                f"{spec.label or spec.family.name} ladder built on a dim "
+                f"{spec.embedding.shape[0]} space, the code on dim {trunc.dim}")
+    diag, off = 0.0, 0.0
+    rules = [spec.family.moment_rule(nodes) for spec in families]
+    for spec, rule in zip(families, rules):
+        moments = moment_diagonals(spec.family, np.arange(spec.terms), rule)
+        d, o = block_entries(spec.embedding, moments)
+        diag, off = diag + d, off + o
+    third = (rules[0].weights / fam1.rho(rules[0].nodes)).sum() / fam1.radius
+    d, o = block_entries(code.h3_basis, np.full(code.k0, third))
+    dev = np.abs(diag + d - 1.0)
+    dev[basis_index(trunc.n_fock, "e", trunc)] = 0.0
+    return float(max(dev.max(), np.abs(off + o).max()))
 
 
 def knill_laflamme_check(p: np.ndarray, ops: Sequence, tol: float = 1e-8,

@@ -165,6 +165,20 @@ def dressed_index(branch: str, n):
     return 2 * n - (branch == "plus")
 
 
+def block_entries(c: np.ndarray, w: np.ndarray) -> tuple:
+    """Diagonal and in-block off-diagonal of C diag(w) C+, in O(dim k).
+
+    Each column of the dim x k matrix C must be a dressed vector, nonzero
+    only inside one block (2n - 1, 2n) or at index 0 or dim - 1; then
+    C diag(w) C+ is zero outside the blocks.  The second array holds the
+    (2n - 1, 2n) entries for n = 1..N; the (2n, 2n - 1) ones are their
+    conjugates.
+    """
+    diag = (np.abs(c) ** 2) @ w
+    off = (c[1:-1:2] * c[2:-1:2].conj()) @ w
+    return diag, off
+
+
 @dataclass(frozen=True)
 class DressedFrame:
     """The dressed eigenbasis as O(N) data: one 2x2 rotation per block.

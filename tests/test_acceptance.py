@@ -150,14 +150,14 @@ def test_criterion_6_identity_membership():
     uni = builtin_family("uniform_moment")
     families = jc_families(GENERIC, 3, uni, uni, N60)
     code = decompose(GENERIC, 3, N60)
-    res200 = verify_identity_membership(code, families, N60, nodes=200)
-    res100 = verify_identity_membership(code, families, N60, nodes=100)
+    res200 = verify_identity_membership(code, families, nodes=200)
+    res100 = verify_identity_membership(code, families, nodes=100)
     floor = 1e-10
     doubling_ok = (res200 < res100 / 2.0) or (res100 < floor and res200 < floor)
     # with deliberately under-resolved rules the factor-2 gain is visible
-    res8 = verify_identity_membership(code, families, N60, nodes=8)
-    res16 = verify_identity_membership(code, families, N60, nodes=16)
-    res32 = verify_identity_membership(code, families, N60, nodes=32)
+    res8 = verify_identity_membership(code, families, nodes=8)
+    res16 = verify_identity_membership(code, families, nodes=16)
+    res32 = verify_identity_membership(code, families, nodes=32)
     genuine = res16 < res8 / 2.0 and res32 < res16 / 2.0
     elapsed = time.perf_counter() - t0
     ok = res200 < 1e-6 and doubling_ok and genuine and elapsed < 60.0

@@ -60,10 +60,18 @@ def test_mindim_needs_no_truncation_headroom(capsys):
     ["verify"] + SMALL + ["--tol", "nan"],
     ["verify"] + SMALL + ["--tol", "-1"],
     ["verify"] + SMALL + ["--tol", "inf"],
+    ["verify"] + SMALL + ["--seed", "-1"],
+    ["demo"] + SMALL + ["--seed", "-1"],
+    ["verify"] + SMALL + ["--config", "SEED_CONFIG"],
+    ["demo"] + SMALL + ["--config", "SEED_CONFIG"],
 ], ids=["omega-nan", "gamma-inf", "sweep-nan", "gamma-1e15", "gamma-1e160",
         "demo-t-nan", "demo-t-inf", "demo-x-nan", "demo-x-inf", "dump-y-nan",
-        "dump-y-inf", "tol-nan", "tol-negative", "tol-inf"])
-def test_bad_rates_fail_fast(argv, capsys):
+        "dump-y-inf", "tol-nan", "tol-negative", "tol-inf", "verify-seed-negative",
+        "demo-seed-negative", "verify-seed-config", "demo-seed-config"])
+def test_bad_rates_fail_fast(argv, capsys, tmp_path):
+    config = tmp_path / "seed.ini"
+    config.write_text("[run]\nseed = -1\n")
+    argv = [str(config) if a == "SEED_CONFIG" else a for a in argv]
     start = time.perf_counter()
     rc, out, err = run(argv, capsys)
     assert time.perf_counter() - start < 1.0

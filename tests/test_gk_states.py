@@ -15,7 +15,6 @@ from jcgraph.gk_states import (
     gk_state,
     jc_families,
     moment_diagonals,
-    subspace_projector,
     tail_mass,
     tail_safe_xmax,
     verify_action_identity,
@@ -222,15 +221,14 @@ def test_gk_state_truncation_error_reports_needed_cutoff():
     assert tail_mass(uni, 0.9, need - j.start_index - 1) > 1e-9
 
 
-def test_subspace_projector_is_projector():
+def test_ladder_embeddings_are_orthonormal():
     tr = TruncationConfig(25)
     uni = builtin_family("uniform_moment")
     j, s = jc_families(PARAMS, 3, uni, uni, tr)
-    pj = subspace_projector(j)
-    assert np.abs(pj @ pj - pj).max() < 1e-12
-    assert round(np.trace(pj).real) == j.terms
-    ps = subspace_projector(s)
-    assert np.abs(pj @ ps).max() < 1e-12
+    for spec in (j, s):
+        e = spec.embedding
+        assert np.abs(e.conj().T @ e - np.eye(spec.terms)).max() < 1e-12
+    assert np.abs(j.embedding.conj().T @ s.embedding).max() < 1e-12
 
 
 def test_verify_resolution_reconstructs_projector():

@@ -20,7 +20,6 @@ from jcgraph.graph_verify import (
     dephasing_channel,
     fidelity,
     generator,
-    identity_reconstruction,
     knill_laflamme_check,
     leak_probe,
     projective_channel,
@@ -126,33 +125,36 @@ def test_q_operator_domain():
         q_operator(-0.2, FAMILIES, CODE)
 
 
-def test_identity_reconstruction_requires_matching_radii():
+def test_identity_membership_requires_matching_radii():
     fams = jc_families(PARAMS, 3, UNI, builtin_family("factorial"), TRUNC)
-    from jcgraph.hilbert import QuadratureRule
-    rule = QuadratureRule.gauss_legendre(0.0, 1.0, 50)
-    with pytest.raises(UnsupportedFamilyError):
-        identity_reconstruction(CODE, fams, rule)
+    with pytest.raises(UnsupportedFamilyError, match="matching finite"):
+        verify_identity_membership(CODE, fams)
+
+
+def test_identity_membership_rejects_families_of_another_cutoff():
+    code = decompose(PARAMS, 3, TruncationConfig(30))
+    with pytest.raises(FamilyMismatchError, match="dim 42 space, the code on dim 62"):
+        verify_identity_membership(code, jc_families(PARAMS, 3, UNI, UNI,
+                                                     TruncationConfig(20)))
 
 
 def test_identity_membership_residual_small():
-    res = verify_identity_membership(CODE, FAMILIES, TRUNC, nodes=200)
+    res = verify_identity_membership(CODE, FAMILIES, nodes=200)
     assert res < 1e-10
 
 
 def test_identity_membership_excludes_decoupled_direction():
-    from jcgraph.hilbert import QuadratureRule
-    rule = QuadratureRule.gauss_legendre(0.0, 1.0, 200)
-    recon = identity_reconstruction(CODE, FAMILIES, rule)
     idx = basis_index(TRUNC.n_fock, "e", TRUNC)
-    # nothing in the graph touches |N, e>
-    assert np.abs(recon[idx, :]).max() < 1e-12
-    assert np.abs(recon[:, idx]).max() < 1e-12
+    # nothing in the graph touches |N, e>: every E diag(d) E+ term is zero there
+    for basis in (FAMILIES[0].embedding, FAMILIES[1].embedding, CODE.h3_basis):
+        assert np.abs(basis[idx]).max() == 0.0
+    assert verify_identity_membership(CODE, FAMILIES) < 1e-10
 
 
 def test_identity_membership_node_convergence():
     """Halving an under-resolved node count worsens the residual > 2x."""
-    r8 = verify_identity_membership(CODE, FAMILIES, TRUNC, nodes=8)
-    r16 = verify_identity_membership(CODE, FAMILIES, TRUNC, nodes=16)
+    r8 = verify_identity_membership(CODE, FAMILIES, nodes=8)
+    r16 = verify_identity_membership(CODE, FAMILIES, nodes=16)
     assert r16 < r8 / 2.0
 
 

@@ -1,11 +1,13 @@
 """The O(N) structured paths of `verify` against their dense oracles.
 
 `verify` applies U_t block by block, checks Knill-Laflamme in the frame of
-the H3 basis and sends pure code states through the channel as vectors.
-Each is compared here with the dense dim x dim computation it replaces
-(`evolution_operator`, `knill_laflamme_check`, `channel_apply` + `eigvalsh`
-+ `fidelity`) at N <= 60, on both weight families, for positive, negative
-and zero detuning, with x up to the tail-safe radius.
+the H3 basis, sends pure code states through the channel as vectors and
+reads the resolution and identity-membership reconstructions block by
+block.  Each is compared here with the dense dim x dim computation it
+replaces (`evolution_operator`, `knill_laflamme_check`, `channel_apply` +
+`eigvalsh` + `fidelity`, and the reconstructions `E diag(d) E+` below) at
+N <= 60, on both weight families, for positive, negative and zero
+detuning, with x up to the tail-safe radius.
 """
 import functools
 import sys
@@ -14,13 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcgraph import cli, graph_verify, hilbert, jc_spectrum
+from jcgraph import cli, gk_states, graph_verify, hilbert, jc_spectrum
 from jcgraph.code_construction import decompose, minimal_k0, minimal_m0
-from jcgraph.gk_states import (builtin_family, gk_state, jc_families, tail_safe_xmax,
+from jcgraph.gk_states import (builtin_family, gk_state, jc_families, moment_diagonals,
+                               tail_safe_xmax, verify_resolution,
                                verify_temporal_stability)
 from jcgraph.graph_verify import (
     InvalidDensityError,
     PureTransmission,
+    UnsupportedFamilyError,
     channel_apply,
     dephase_pure_state,
     dephasing_channel,
@@ -30,8 +34,9 @@ from jcgraph.graph_verify import (
     knill_laflamme_check,
     knill_laflamme_frame,
     leak_probe,
+    verify_identity_membership,
 )
-from jcgraph.hilbert import TruncationConfig, ValidationError
+from jcgraph.hilbert import QuadratureRule, TruncationConfig, ValidationError, basis_index
 from jcgraph.jc_spectrum import (JCParams, dressed_basis, dressed_frame,
                                  dressed_index, dressed_vector, eigenenergy,
                                  evolution_operator)
@@ -189,6 +194,73 @@ def test_pure_state_channel_validates_its_input():
     assert PureTransmission(1.0, np.array([1e-3, 0.2, 0.8]), 1.0).min_eigenvalue == 0.0
 
 
+def dense_resolution_residual(spec, rule):
+    """max |E diag(d) E+ - E E+|, the ladder projector and its reconstruction."""
+    e = spec.embedding
+    diag = moment_diagonals(spec.family, np.arange(spec.terms), rule)
+    return float(np.abs((e * diag) @ e.conj().T - e @ e.conj().T).max())
+
+
+def dense_identity_reconstruction(code, families, rule):
+    """The radial integral of tau1(x) BohrMean[U_t Q_x U_t+] as a dim x dim matrix.
+
+    ``rule`` is a plain rule on [0, R); each ladder folds its rho into it.
+    """
+    recon = np.zeros((code.trunc.dim, code.trunc.dim), dtype=complex)
+    for spec in families:
+        fam = spec.family
+        eff = QuadratureRule(nodes=rule.nodes,
+                             weights=rule.weights * np.asarray(fam.rho(rule.nodes),
+                                                               dtype=float),
+                             kind=rule.kind)
+        diag = moment_diagonals(fam, np.arange(spec.terms), eff)
+        recon += (spec.embedding * diag) @ spec.embedding.conj().T
+    return recon + (rule.weights.sum() / families[0].family.radius) * code.p3
+
+
+def dense_identity_residual(code, families, nodes):
+    """max |recon - I| off the decoupled |N, e> row and column."""
+    trunc = code.trunc
+    rule = QuadratureRule.gauss_legendre(0.0, families[0].family.radius, nodes)
+    diff = np.abs(dense_identity_reconstruction(code, families, rule) - np.eye(trunc.dim))
+    keep = np.arange(trunc.dim) != basis_index(trunc.n_fock, "e", trunc)
+    return float(diff[np.ix_(keep, keep)].max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(systems(), st.integers(0, 2 ** 32 - 1))
+def test_block_entries_match_dense_product(system, seed):
+    params, trunc, _ = system
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(trunc.dim, size=int(rng.integers(1, trunc.dim)), replace=False)
+    c = dressed_frame(params, trunc).columns(idx)
+    w = rng.normal(size=idx.size)
+    diag, off = jc_spectrum.block_entries(c, w)
+    n = np.arange(1, trunc.n_fock + 1)
+    rebuilt = np.diag(diag).astype(complex)
+    rebuilt[2 * n - 1, 2 * n] = off
+    rebuilt[2 * n, 2 * n - 1] = off.conj()
+    assert np.abs(rebuilt - (c * w) @ c.conj().T).max() <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems(), st.sampled_from((4, 8, 16, 200)))
+def test_block_reconstructions_match_dense_oracles(system, nodes):
+    params, trunc, family = system
+    code, families = build(params, trunc, family)
+    for spec in families:
+        rule = spec.family.moment_rule(nodes)
+        assert abs(verify_resolution(spec, rule).residual
+                   - dense_resolution_residual(spec, rule)) <= 1e-14
+    if family == "factorial":  # infinite radius: membership needs uniform_moment
+        with pytest.raises(UnsupportedFamilyError):
+            verify_identity_membership(code, families, nodes)
+        uni = builtin_family("uniform_moment")
+        families = jc_families(params, code.k0, uni, uni, trunc)
+    assert abs(verify_identity_membership(code, families, nodes)
+               - dense_identity_residual(code, families, nodes)) <= 1e-14
+
+
 def test_frame_check_rejects_non_orthonormal_frame():
     w = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
     with pytest.raises(ValidationError):
@@ -216,12 +288,16 @@ def _count_calls(monkeypatch, name, home=jc_spectrum):
 def test_verify_builds_no_dense_evolution(monkeypatch, capsys, family):
     evolutions = _count_calls(monkeypatch, "evolution_operator")
     bases = _count_calls(monkeypatch, "dressed_basis")
+    moments = _count_calls(monkeypatch, "moment_diagonals", gk_states)
     rc = cli.main(["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
                    "--family1", family, "--family2", family, "--n-fock", "40"])
     capsys.readouterr()
     assert rc == 0
     assert len(evolutions) == 0
     assert 1 <= len(bases) <= 3  # at least the spectrum check's, so the wrap holds
+    # one per ladder for the resolution (whose diagonals the moments check
+    # reads) and one per ladder for identity membership
+    assert len(moments) == 4
 
 
 @pytest.mark.parametrize("command, bases", [("verify", 1), ("demo", 0)])
