@@ -28,6 +28,7 @@ from .hilbert import QuadratureRule, TruncationConfig
 from .jc_spectrum import JCParams, block_entries, dressed_frame, dressed_index
 
 _TAIL_ITER_CAP = 1_000_000
+_MOMENT_BLOCK = 1 << 18  # bounds the (k, node) temporaries of moment_diagonals
 
 
 class DomainError(ValueError):
@@ -203,9 +204,13 @@ def tail_safe_xmax(family: WeightFamily, n_cut: int, budget: float = 1e-12) -> f
             hi *= 2.0
     if bound(hi) <= budget:
         return hi
+    # bound(lo) <= budget < bound(hi) throughout; once the midpoint rounds
+    # onto an end the bracket cannot move again, so lo is final.
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if bound(mid) <= budget:
             lo = mid
         else:
@@ -256,6 +261,16 @@ def _required_n(spec: GKFamilySpec, x: float, tol: float) -> int | None:
     return lo + spec.start_index - 1
 
 
+def _check_tail(spec: GKFamilySpec, x: float, trunc: TruncationConfig) -> None:
+    tail = tail_mass(spec.family, x, spec.terms - 1)
+    if tail > trunc.tail_tol:
+        need = _required_n(spec, x, trunc.tail_tol)
+        raise TruncationTooSmallError(
+            f"tail mass {tail:.3e} at x = {x} exceeds tail_tol = "
+            f"{trunc.tail_tol:.1e}; the {spec.label or spec.family.name} ladder "
+            f"needs a photon cutoff N >= {need}", required_n=need)
+
+
 def gk_state(spec: GKFamilySpec, x: float, y: float,
              trunc: TruncationConfig) -> np.ndarray:
     """Truncated Gazeau-Klauder state with the full-series normalization.
@@ -264,13 +279,7 @@ def gk_state(spec: GKFamilySpec, x: float, y: float,
     is 1 minus the neglected tail mass; the tail must fit within
     ``trunc.tail_tol`` or the error reports the photon cutoff that would.
     """
-    tail = tail_mass(spec.family, x, spec.terms - 1)
-    if tail > trunc.tail_tol:
-        need = _required_n(spec, x, trunc.tail_tol)
-        raise TruncationTooSmallError(
-            f"tail mass {tail:.3e} at x = {x} exceeds tail_tol = "
-            f"{trunc.tail_tol:.1e}; the {spec.label or spec.family.name} ladder "
-            f"needs a photon cutoff N >= {need}", required_n=need)
+    _check_tail(spec, x, trunc)
     return spec.embedding @ _coefficients(spec, x, y)
 
 
@@ -316,11 +325,15 @@ def moment_diagonals(family: WeightFamily, ks: Sequence[int],
                                                            rule.weights, 1.0)), -np.inf)
         log_x = np.where(rule.nodes > 0, np.log(np.where(rule.nodes > 0,
                                                          rule.nodes, 1.0)), -np.inf)
-    out = np.empty(len(ks))
-    for j, k in enumerate(ks):
-        logs = log_w + k * log_x - family.log_weight(int(k))
+    ks = np.asarray(ks, dtype=np.int64)
+    log_c = np.array([family.log_weight(int(k)) for k in ks])
+    out = np.empty(ks.size)
+    rows = max(1, _MOMENT_BLOCK // log_x.size)
+    for start in range(0, ks.size, rows):
+        block = slice(start, start + rows)
         with np.errstate(under="ignore"):
-            out[j] = np.exp(logs).sum()
+            out[block] = np.exp(log_w + ks[block, None] * log_x
+                                - log_c[block, None]).sum(axis=1)
     return out
 
 
@@ -361,15 +374,29 @@ def verify_resolution(spec: GKFamilySpec,
                            n_nodes=rule.nodes.size)
 
 
-def verify_temporal_stability(spec: GKFamilySpec, params: JCParams, x: float,
-                              t: float, trunc: TruncationConfig) -> float:
-    """|<x, t| U_t |x, 0>|^2; equals 1 up to rounding and truncation tail.
+def verify_temporal_stability(spec: GKFamilySpec, params: JCParams,
+                              xs: Sequence[float], ts: Sequence[float],
+                              trunc: TruncationConfig) -> np.ndarray:
+    """|<x, t| U_t |x, 0>|^2 for every x in ``xs`` and t in ``ts``.
 
-    U_t |x, 0> is applied block by block in O(N), never as a dense matrix.
+    Returns the (len(xs), len(ts)) array of fidelities, each equal to 1 up
+    to rounding and truncation tail.  Every x's tail check, amplitudes and
+    |x, 0> are computed once; U_t |x, 0> is applied block by block in O(N),
+    never as a dense matrix.
     """
-    v0 = gk_state(spec, x, 0.0, trunc)
-    vt = gk_state(spec, x, t, trunc)
-    return float(abs(np.vdot(vt, dressed_frame(params, trunc).evolve(v0, t))) ** 2)
+    frame = dressed_frame(params, trunc)
+    fids = np.empty((len(xs), len(ts)))
+    for i, x in enumerate(xs):
+        x = float(x)
+        _check_tail(spec, x, trunc)
+        amp = np.sqrt(spec.family.probabilities(x, spec.terms - 1))
+        # the y = 0 phases, exactly as gk_state(spec, x, 0.0) builds them
+        v0 = spec.embedding @ (amp * np.exp(-1j * spec.energies * 0.0))
+        for j, t in enumerate(ts):
+            t = float(t)
+            vt = spec.embedding @ (amp * np.exp(-1j * spec.energies * t))
+            fids[i, j] = abs(np.vdot(vt, frame.evolve(v0, t))) ** 2
+    return fids
 
 
 @dataclass(frozen=True)

@@ -131,11 +131,10 @@ def test_criterion_5_gk_property_suite():
             check = verify_resolution(spec, rule)
             worst_resolution = max(worst_resolution, check.residual)
             xmax = tail_safe_xmax(fam, spec.terms - 1, budget=1e-12)
-            for x in np.linspace(0.0, xmax, 10):
-                for t in np.linspace(0.0, 10.0 / HAROCHE.omega_f, 10):
-                    fid = verify_temporal_stability(spec, HAROCHE, float(x),
-                                                    float(t), N60)
-                    worst_stability = max(worst_stability, 1.0 - fid)
+            fids = verify_temporal_stability(
+                spec, HAROCHE, np.linspace(0.0, xmax, 10),
+                np.linspace(0.0, 10.0 / HAROCHE.omega_f, 10), N60)
+            worst_stability = max(worst_stability, float((1.0 - fids).max()))
     elapsed = time.perf_counter() - t0
     ok = (worst_moment < 1e-8 and worst_resolution < 1e-6
           and worst_stability < 1e-9 and elapsed < 60.0)

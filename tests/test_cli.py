@@ -64,10 +64,15 @@ def test_mindim_needs_no_truncation_headroom(capsys):
     ["demo"] + SMALL + ["--seed", "-1"],
     ["verify"] + SMALL + ["--config", "SEED_CONFIG"],
     ["demo"] + SMALL + ["--config", "SEED_CONFIG"],
+    ["verify"] + SMALL + ["--family1", "factorial", "--family2", "factorial",
+                          "--nodes", "400"],
+    ["verify"] + SMALL + ["--nodes", "4097"],
+    ["demo"] + SMALL + ["--nodes", "100000"],
 ], ids=["omega-nan", "gamma-inf", "sweep-nan", "gamma-1e15", "gamma-1e160",
         "demo-t-nan", "demo-t-inf", "demo-x-nan", "demo-x-inf", "dump-y-nan",
         "dump-y-inf", "tol-nan", "tol-negative", "tol-inf", "verify-seed-negative",
-        "demo-seed-negative", "verify-seed-config", "demo-seed-config"])
+        "demo-seed-negative", "verify-seed-config", "demo-seed-config",
+        "nodes-nan-rule", "nodes-cap", "demo-nodes-cap"])
 def test_bad_rates_fail_fast(argv, capsys, tmp_path):
     config = tmp_path / "seed.ini"
     config.write_text("[run]\nseed = -1\n")
@@ -77,6 +82,15 @@ def test_bad_rates_fail_fast(argv, capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert rc == 2
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("family, nodes, limit", [("factorial", "400", "360"),
+                                                  ("uniform_moment", "5000", "4096")])
+def test_node_limits_are_named(capsys, family, nodes, limit):
+    rc, _, err = run(["verify"] + SMALL + ["--family1", family, "--family2", family,
+                                           "--nodes", nodes], capsys)
+    assert rc == 2
+    assert limit in err
 
 
 def test_sweep_resonant_csv_golden(capsys):
@@ -145,11 +159,11 @@ def test_verify_passes_and_schema(capsys):
         assert c["pass"] is True
 
 
-def _expected_checks(family):
+def _expected_checks(family, family2=None):
     ladder = [(f"gk.{kind}.{label}{suffix}", tol)
-              for label in ("J", "S")
-              for kind, suffix, tol in (("moments", f".{family}", 1e-8),
-                                        ("resolution", f".{family}", 1e-6),
+              for label, fam in (("J", family), ("S", family2 or family))
+              for kind, suffix, tol in (("moments", f".{fam}", 1e-8),
+                                        ("resolution", f".{fam}", 1e-6),
                                         ("temporal_stability", "", 1e-9))]
     return ([("spectrum.eigen_residual", 1e-10), ("spectrum.gram_identity", 1e-10),
              ("gk.ladder_increasing", 1e-12)] + ladder
@@ -169,6 +183,18 @@ def test_verify_keeps_its_checks_and_passes(capsys, family, n_fock, omega_s):
                       "--n-fock", str(n_fock)], capsys)
     checks = json.loads(out)["checks"]
     assert [(c["name"], c["tolerance"]) for c in checks] == _expected_checks(family)
+    assert all(c["pass"] and c["residual"] < c["tolerance"] for c in checks)
+    assert rc == 0
+
+
+def test_verify_mixed_families_sample_both_domains(capsys):
+    # the KL and channel samples must lie in both families' domains
+    rc, out, _ = run(["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+                      "--family1", "factorial", "--family2", "uniform_moment",
+                      "--n-fock", "40"], capsys)
+    checks = json.loads(out)["checks"]
+    assert ([(c["name"], c["tolerance"]) for c in checks]
+            == _expected_checks("factorial", "uniform_moment"))
     assert all(c["pass"] and c["residual"] < c["tolerance"] for c in checks)
     assert rc == 0
 

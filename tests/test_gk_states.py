@@ -1,14 +1,18 @@
 """Tests for weight families, tail bounds and generalized coherent states."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jcgraph import gk_states
 from jcgraph.hilbert import TruncationConfig
 from jcgraph.jc_spectrum import JCParams, eigenenergy, evolution_operator
 from jcgraph.gk_states import (
     DomainError,
     EnergyOrderError,
+    TailBoundError,
     TruncationTooSmallError,
     builtin_family,
     dump_family,
@@ -130,6 +134,77 @@ def test_tail_safe_xmax_is_sharp():
         assert tail_mass(fam, x * 1.01, 60) > 1e-12
     with pytest.raises(ValueError):
         tail_safe_xmax(builtin_family("factorial"), 10, budget=0.0)
+
+
+def bisection_xmax(family, n_cut, budget):
+    """The full 200-step bisection ``tail_safe_xmax`` stops short of."""
+    def bound(x):
+        try:
+            return tail_mass(family, x, n_cut)
+        except TailBoundError:
+            return math.inf
+
+    if math.isfinite(family.radius):
+        hi = family.radius * (1.0 - 1e-12)
+    else:
+        hi = 1.0
+        while bound(hi) <= budget and hi < 1e6:
+            hi *= 2.0
+    if bound(hi) <= budget:
+        return hi
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if bound(mid) <= budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("factorial", "uniform_moment")), st.integers(5, 500),
+       st.sampled_from((1e-12, 1e-9, 1e-6)))
+def test_tail_safe_xmax_matches_full_bisection(name, n_cut, budget):
+    # Near the uniform_moment radius the bound runs to the term cap and
+    # gives up; a smaller cap gives up sooner, and both searches see it.
+    with mock.patch.object(gk_states, "_TAIL_ITER_CAP", 50_000):
+        fam = builtin_family(name)
+        assert tail_safe_xmax(fam, n_cut, budget) == bisection_xmax(fam, n_cut, budget)
+
+
+def loop_moment_diagonals(family, ks, rule):
+    """moment_diagonals one k at a time."""
+    with np.errstate(divide="ignore"):
+        log_w = np.where(rule.weights > 0, np.log(np.where(rule.weights > 0,
+                                                           rule.weights, 1.0)), -np.inf)
+        log_x = np.where(rule.nodes > 0, np.log(np.where(rule.nodes > 0,
+                                                         rule.nodes, 1.0)), -np.inf)
+    out = np.empty(len(ks))
+    for j, k in enumerate(ks):
+        logs = log_w + k * log_x - family.log_weight(int(k))
+        with np.errstate(under="ignore"):
+            out[j] = np.exp(logs).sum()
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("factorial", "uniform_moment")), st.integers(2, 360),
+       st.lists(st.integers(0, 1500), max_size=400))
+def test_moment_diagonals_match_the_loop_bit_for_bit(name, nodes, ks):
+    fam = builtin_family(name)
+    rule = fam.moment_rule(nodes)
+    np.testing.assert_array_equal(moment_diagonals(fam, ks, rule),
+                                  loop_moment_diagonals(fam, ks, rule))
+
+
+def test_moment_diagonals_in_blocks_match_the_loop():
+    # 3 000 nodes x 2 000 orders spans several blocks of the vectorized sum
+    uni = builtin_family("uniform_moment")
+    rule = uni.moment_rule(3000)
+    ks = np.arange(2000)
+    np.testing.assert_array_equal(moment_diagonals(uni, ks, rule),
+                                  loop_moment_diagonals(uni, ks, rule))
 
 
 def test_moment_diagonals_are_unity():
@@ -262,7 +337,7 @@ def test_temporal_stability_equals_kept_mass_squared():
     x = 0.3
     kept = 1.0 - geometric_tail(x, j.terms - 1)
     for t in (0.0, 1.7, 9.4):
-        fid = verify_temporal_stability(j, PARAMS, x, t, tr)
+        fid = verify_temporal_stability(j, PARAMS, [x], [t], tr)[0, 0]
         assert abs(fid - kept ** 2) < 1e-12
 
 

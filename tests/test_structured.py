@@ -111,7 +111,7 @@ def test_structured_evolution_matches_dense_operator(system, frac, t, seed):
         v0 = gk_state(spec, x, 0.0, trunc)
         vt = gk_state(spec, x, t, trunc)
         dense = float(abs(np.vdot(vt, u @ v0)) ** 2)
-        assert abs(verify_temporal_stability(spec, params, x, t, trunc)
+        assert abs(verify_temporal_stability(spec, params, [x], [t], trunc)[0, 0]
                    - dense) <= ORACLE_TOL
 
 
@@ -289,6 +289,8 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, family):
     evolutions = _count_calls(monkeypatch, "evolution_operator")
     bases = _count_calls(monkeypatch, "dressed_basis")
     moments = _count_calls(monkeypatch, "moment_diagonals", gk_states)
+    frames = _count_calls(monkeypatch, "dressed_frame")
+    tails = _count_calls(monkeypatch, "tail_mass", gk_states)
     rc = cli.main(["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
                    "--family1", family, "--family2", family, "--n-fock", "40"])
     capsys.readouterr()
@@ -298,6 +300,10 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, family):
     # one per ladder for the resolution (whose diagonals the moments check
     # reads) and one per ladder for identity membership
     assert len(moments) == 4
+    # the stability grid builds one frame per ladder and checks each x's
+    # tail once; the three tail-safe searches stop when the bracket does
+    assert 1 <= len(frames) <= 5
+    assert 1 <= len(tails) <= 250
 
 
 @pytest.mark.parametrize("command, bases", [("verify", 1), ("demo", 0)])
