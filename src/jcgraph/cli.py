@@ -253,7 +253,8 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
         report.add(gv.CheckRecord(f"gk.temporal_stability.{spec.label}", worst,
                                   1e-9, worst < 1e-9))
 
-    # Identity membership always runs on the finite-radius built-in family.
+    # Identity membership always runs on the finite-radius built-in family,
+    # on the same ladders.
     if math.isfinite(cfg.family1.radius) and cfg.family2.radius == cfg.family1.radius:
         mem_families = families
     else:
