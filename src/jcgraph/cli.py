@@ -193,13 +193,6 @@ def cmd_sweep(values: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stability_grid(cfg: RunConfig, spec: gk.GKFamilySpec, points: int = 10):
-    xmax = gk.tail_safe_xmax(spec.family, spec.terms - 1, budget=1e-12)
-    xs = np.linspace(0.0, xmax, points)
-    ts = np.linspace(0.0, 10.0 / cfg.params.omega_f, points)
-    return xs, ts
-
-
 def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     """The full numerical battery for one configuration."""
     report = gv.VerificationReport()
@@ -231,28 +224,6 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     report.add(gv.CheckRecord("gk.ladder_increasing", max(0.0, -gap_min), 1e-12,
                               gap_min > 0))
 
-    for spec in families:
-        fam = spec.family
-        with np.errstate(all="ignore"):  # a broken rule is reported below
-            rule = fam.moment_rule(cfg.nodes)
-        if not (np.isfinite(rule.nodes).all() and np.isfinite(rule.weights).all()):
-            raise UsageError(f"the {cfg.nodes}-node moment rule of family "
-                             f"{fam.name!r} has non-finite nodes or weights; "
-                             f"use fewer --nodes (Gauss-Laguerre rules on [0, inf) "
-                             f"stay finite up to about 360 nodes)")
-        res = gk.verify_resolution(spec, rule)
-        # moment_diagonals treats each k alone: these are the first 41 it would return
-        dev = float(np.abs(res.diagonals[:41] - 1.0).max())
-        report.add(gv.CheckRecord(f"gk.moments.{spec.label}.{fam.name}", dev, 1e-8,
-                                  dev < 1e-8))
-        report.add(gv.CheckRecord(f"gk.resolution.{spec.label}.{fam.name}",
-                                  res.residual, 1e-6, res.residual < 1e-6))
-        xs, ts = _stability_grid(cfg, spec)
-        fids = gk.verify_temporal_stability(spec, params, xs, ts, trunc)
-        worst = float(np.max(1.0 - fids, initial=0.0))
-        report.add(gv.CheckRecord(f"gk.temporal_stability.{spec.label}", worst,
-                                  1e-9, worst < 1e-9))
-
     # Identity membership always runs on the finite-radius built-in family,
     # on the same ladders.
     if math.isfinite(cfg.family1.radius) and cfg.family2.radius == cfg.family1.radius:
@@ -260,7 +231,38 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     else:
         uni = gk.builtin_family("uniform_moment")
         mem_families = [replace(spec, family=uni) for spec in families]
-    mem = gv.verify_identity_membership(code, mem_families, nodes=cfg.nodes)
+    # one moment rule per family, shared by the ladders and identity membership
+    rules = {}
+    for fam in (spec.family for spec in (*families, *mem_families)):
+        if fam.name in rules:
+            continue
+        with np.errstate(all="ignore"):  # a broken rule is reported below
+            rule = rules[fam.name] = fam.moment_rule(cfg.nodes)
+        if not (np.isfinite(rule.nodes).all() and np.isfinite(rule.weights).all()):
+            raise UsageError(f"the {cfg.nodes}-node moment rule of family "
+                             f"{fam.name!r} has non-finite nodes or weights; "
+                             f"use fewer --nodes (Gauss-Laguerre rules on [0, inf) "
+                             f"stay finite up to about 360 nodes)")
+
+    for spec in families:
+        fam = spec.family
+        res = gk.verify_resolution(spec, rules[fam.name])
+        # moment_diagonals treats each k alone: these are the first 41 it would return
+        dev = float(np.abs(res.diagonals[:41] - 1.0).max())
+        report.add(gv.CheckRecord(f"gk.moments.{spec.label}.{fam.name}", dev, 1e-8,
+                                  dev < 1e-8))
+        report.add(gv.CheckRecord(f"gk.resolution.{spec.label}.{fam.name}",
+                                  res.residual, 1e-6, res.residual < 1e-6))
+        xmax = gk.tail_safe_xmax(fam, spec.terms - 1, budget=1e-12)
+        fids = gk.verify_temporal_stability(
+            spec, np.linspace(0.0, xmax, 10),
+            np.linspace(0.0, 10.0 / params.omega_f, 10), trunc)
+        worst = float(np.max(1.0 - fids, initial=0.0))
+        report.add(gv.CheckRecord(f"gk.temporal_stability.{spec.label}", worst,
+                                  1e-9, worst < 1e-9))
+
+    mem = gv.verify_identity_membership(
+        code, mem_families, [rules[spec.family.name] for spec in mem_families])
     report.add(gv.CheckRecord("graph.identity_membership", mem, 1e-6, mem < 1e-6))
 
     xmax = gk.tail_safe_xmax(cfg.family1, families[0].terms - 1, budget=1e-6)
@@ -470,7 +472,8 @@ def main(argv=None) -> int:
             _emit(f"{fid:.12f}\n", out)
             return rc
         if args.command == "gk-dump":
-            _emit(json.dumps(cmd_gk_dump(cfg, values), indent=2) + "\n", out)
+            _emit(json.dumps(cmd_gk_dump(cfg, values), indent=2, allow_nan=False)
+                  + "\n", out)
             return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -104,18 +104,23 @@ def minimal_k0(m0: int) -> int:
     return max(3, m0)
 
 
+def h3_index(k0: int) -> np.ndarray:
+    """Dressed indices of the H3 basis |0,g>, |1,->, ..., |k0-1,->: 0, 2, ..., 2(k0-1)."""
+    return np.concatenate(([0], dressed_index("minus", np.arange(1, k0))))
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """Cut data: the H3 basis and the code basis as columns.
 
     ``h3_basis`` W holds the k0 dressed vectors |0,g>, |1,->, ...,
-    |k0-1,-> spanning H3; ``code_basis`` its first k0 - 1 columns, so
+    |k0-1,-> spanning H3, at the dressed indices ``h3_index(k0)``;
+    ``code_basis`` its first k0 - 1 columns, so
     callers prepare code states directly.  The dense projectors ``p3`` =
     W W+ and ``code_projector`` are built on demand for the dense oracles.
     H1 and H2 are the ladders of ``gk_states.jc_families``.
     """
 
-    params: JCParams
     trunc: TruncationConfig
     m0: int
     k0: int
@@ -148,13 +153,12 @@ def decompose(params: JCParams, k0: int, trunc: TruncationConfig) -> CodeSpec:
         raise CutConstraintError(
             f"k0 = {k0} must be smaller than the photon cutoff N = {trunc.n_fock}")
 
-    idx = np.concatenate(([0], dressed_index("minus", np.arange(1, k0))))
-    h3_basis = dressed_frame(params, trunc).columns(idx)
+    h3_basis = dressed_frame(params, trunc).embed(h3_index(k0), np.eye(k0))
     dev = np.abs(h3_basis.conj().T @ h3_basis - np.eye(k0))
     if dev.max() > 1e-10:
         i, j = np.unravel_index(int(dev.argmax()), dev.shape)
         raise ValidationError(f"H3 basis vectors {i} and {j} are not orthonormal")
-    return CodeSpec(params=params, trunc=trunc, m0=m0, k0=k0,
+    return CodeSpec(trunc=trunc, m0=m0, k0=k0,
                     h3_basis=h3_basis, code_basis=h3_basis[:, :k0 - 1])
 
 

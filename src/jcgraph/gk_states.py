@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hilbert import QuadratureRule, TruncationConfig
-from .jc_spectrum import JCParams, block_entries, dressed_frame, dressed_index
+from .jc_spectrum import DressedFrame, JCParams, dressed_frame, dressed_index
 
 _TAIL_ITER_CAP = 1_000_000
 _MOMENT_BLOCK = 1 << 18  # bounds the (k, node) temporaries of moment_diagonals
@@ -220,24 +220,36 @@ def tail_safe_xmax(family: WeightFamily, n_cut: int, budget: float = 1e-12) -> f
 
 @dataclass(frozen=True)
 class GKFamilySpec:
-    """A weight family bound to an embedded, strictly increasing ladder.
+    """A weight family bound to a strictly increasing ladder of dressed states.
 
-    ``embedding`` holds the orthonormal target vectors as columns (one per
-    ladder index k), ``energies`` the matching h_k, and ``start_index``
-    the dressed quantum number of column 0 (1 for the upper-branch family,
-    k0 for the lower-branch family), so truncation requirements can be
-    reported in terms of the photon cutoff.
+    |e_k> is the dressed eigenvector at ``index[k]`` of ``frame``, so a
+    ladder is O(N) data.  ``energies`` are the h_k and ``start_index`` is n
+    of |e_0> = |n, +-> (1 on the upper branch, k0 on the lower), so
+    truncation needs are reported as photon cutoffs.  The dense dim x terms
+    ``embedding`` of the |e_k> is built on demand for the dense oracles.
     """
 
     family: WeightFamily
-    energies: np.ndarray
-    embedding: np.ndarray
+    frame: DressedFrame
+    index: np.ndarray
     label: str = ""
-    start_index: int = 0
 
     @property
     def terms(self) -> int:
-        return self.energies.size
+        return self.index.size
+
+    @property
+    def energies(self) -> np.ndarray:
+        return self.frame.energies[self.index]
+
+    @property
+    def start_index(self) -> int:
+        # (n, +) sits at 2n - 1 and (n, -) at 2n
+        return (int(self.index[0]) + 1) // 2
+
+    @property
+    def embedding(self) -> np.ndarray:
+        return self.frame.embed(self.index, np.eye(self.terms))
 
 
 def _coefficients(spec: GKFamilySpec, x: float, y: float) -> np.ndarray:
@@ -280,7 +292,7 @@ def gk_state(spec: GKFamilySpec, x: float, y: float,
     ``trunc.tail_tol`` or the error reports the photon cutoff that would.
     """
     _check_tail(spec, x, trunc)
-    return spec.embedding @ _coefficients(spec, x, y)
+    return spec.frame.embed(spec.index, _coefficients(spec, x, y))
 
 
 def jc_families(params: JCParams, k0: int, family1: WeightFamily,
@@ -301,17 +313,15 @@ def jc_families(params: JCParams, k0: int, family1: WeightFamily,
     for family, branch, start, label in (
             (family1, "plus", 1, "J"), (family2, "minus", k0, "S")):
         idx = dressed_index(branch, np.arange(start, trunc.n_fock + 1))
-        energies = frame.energies[idx]
-        gaps = np.diff(energies)
+        gaps = np.diff(frame.energies[idx])
         if gaps.size and gaps.min() <= 0:
             i = int(np.argmax(gaps <= 0))
             raise EnergyOrderError(
                 f"{label} ladder not strictly increasing: h[{i + 1}] - h[{i}] = "
                 f"{gaps[i]:.3e} (cut k0 = {k0} below the monotonicity threshold?)",
                 index=i, gap=float(gaps[i]))
-        specs.append(GKFamilySpec(family=family, energies=energies,
-                                  embedding=frame.columns(idx), label=label,
-                                  start_index=start))
+        specs.append(GKFamilySpec(family=family, frame=frame, index=idx,
+                                  label=label))
     return specs[0], specs[1]
 
 
@@ -356,10 +366,10 @@ def verify_resolution(spec: GKFamilySpec,
     ladder is strictly increasing), leaving diagonal weights
     d_k = int rho(x) x^k dx / c_k, which the x-quadrature must return as 1.
     The residual is the max entry of the reconstruction sum_k d_k |e_k><e_k|
-    minus the projector sum_k |e_k><e_k|, read block by block from
-    E diag(d - 1) E+.  ``max_diag_deviation`` is restricted to indices
-    within the rule's polynomial exactness degree; the full residual is
-    reported unrestricted.
+    minus the projector sum_k |e_k><e_k|, read off the frame's blocks with
+    weight d_k - 1 on |e_k>.  ``max_diag_deviation`` is restricted to
+    indices within the rule's polynomial exactness degree; the full
+    residual is reported unrestricted.
     """
     if rule is None:
         rule = spec.family.moment_rule()
@@ -367,35 +377,37 @@ def verify_resolution(spec: GKFamilySpec,
     diag = moment_diagonals(spec.family, ks, rule)
     degree_limit = 2 * rule.nodes.size - 1
     max_dev = float(np.abs(diag[ks <= degree_limit] - 1.0).max())
-    d, off = block_entries(spec.embedding, diag - 1.0)
+    weights = np.zeros(spec.frame.energies.size)
+    weights[spec.index] = diag - 1.0
+    d, off = spec.frame.block_entries(weights)
     residual = float(max(np.abs(d).max(), np.abs(off).max()))
     return ResolutionCheck(diagonals=diag, max_diag_deviation=max_dev,
                            residual=residual, degree_limit=degree_limit,
                            n_nodes=rule.nodes.size)
 
 
-def verify_temporal_stability(spec: GKFamilySpec, params: JCParams,
-                              xs: Sequence[float], ts: Sequence[float],
+def verify_temporal_stability(spec: GKFamilySpec, xs: Sequence[float],
+                              ts: Sequence[float],
                               trunc: TruncationConfig) -> np.ndarray:
     """|<x, t| U_t |x, 0>|^2 for every x in ``xs`` and t in ``ts``.
 
     Returns the (len(xs), len(ts)) array of fidelities, each equal to 1 up
     to rounding and truncation tail.  Every x's tail check, amplitudes and
-    |x, 0> are computed once; U_t |x, 0> is applied block by block in O(N),
-    never as a dense matrix.
+    |x, 0> are computed once; U_t |x, 0> is applied block by block on
+    ``spec.frame`` in O(N), never as a dense matrix.
     """
-    frame = dressed_frame(params, trunc)
     fids = np.empty((len(xs), len(ts)))
+    h = spec.energies
     for i, x in enumerate(xs):
         x = float(x)
         _check_tail(spec, x, trunc)
         amp = np.sqrt(spec.family.probabilities(x, spec.terms - 1))
         # the y = 0 phases, exactly as gk_state(spec, x, 0.0) builds them
-        v0 = spec.embedding @ (amp * np.exp(-1j * spec.energies * 0.0))
+        v0 = spec.frame.embed(spec.index, amp * np.exp(-1j * h * 0.0))
         for j, t in enumerate(ts):
             t = float(t)
-            vt = spec.embedding @ (amp * np.exp(-1j * spec.energies * t))
-            fids[i, j] = abs(np.vdot(vt, frame.evolve(v0, t))) ** 2
+            vt = spec.frame.embed(spec.index, amp * np.exp(-1j * h * t))
+            fids[i, j] = abs(np.vdot(vt, spec.frame.evolve(v0, t))) ** 2
     return fids
 
 
@@ -436,8 +448,9 @@ def dump_family(spec: GKFamilySpec, xs: Sequence[float],
                 ys: Sequence[float]) -> dict:
     """JSON-ready dump of the ladder and coherent-state coefficients.
 
-    An infinite convergence radius is encoded as null.  Coefficients are
-    listed for every (x, y) pair of the two grids.
+    An infinite convergence radius, and a weight c_k too large for a
+    double, are encoded as null.  Coefficients are listed for every (x, y)
+    pair of the two grids.
     """
     coeffs = []
     for x in xs:
@@ -451,7 +464,8 @@ def dump_family(spec: GKFamilySpec, xs: Sequence[float],
         "family": spec.family.name,
         "label": spec.label,
         "R": None if math.isinf(radius) else float(radius),
-        "weights": [spec.family.weight(k) for k in range(spec.terms)],
+        "weights": [w if math.isfinite(w) else None
+                    for w in map(spec.family.weight, range(spec.terms))],
         "h": [float(v) for v in spec.energies],
         "coefficients": coeffs,
     }

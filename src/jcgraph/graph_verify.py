@@ -28,10 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .code_construction import CodeSpec
+from .code_construction import CodeSpec, h3_index
 from .gk_states import GKFamilySpec, _coefficients, moment_diagonals
-from .hilbert import ValidationError, basis_index
-from .jc_spectrum import block_entries
+from .hilbert import QuadratureRule, ValidationError, basis_index
 
 
 class UnsupportedFamilyError(ValueError):
@@ -92,9 +91,6 @@ class VerificationReport:
     def add(self, record: CheckRecord) -> None:
         self.checks.append(record)
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
-
     def max_residual(self) -> float:
         return max((c.residual for c in self.checks), default=0.0)
 
@@ -119,7 +115,7 @@ def ladder_vector(spec: GKFamilySpec, x: float, t: float) -> np.ndarray:
     The truncated coefficients are renormalized so the generator is an
     exact projector for every x in [0, R), not only where the tail is small.
     """
-    v = spec.embedding @ _coefficients(spec, x, t)
+    v = spec.frame.embed(spec.index, _coefficients(spec, x, t))
     return v / np.linalg.norm(v)
 
 
@@ -197,7 +193,7 @@ def q_operator(x: float, families: Sequence[GKFamilySpec],
 
 
 def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
-                               nodes: int = 200) -> float:
+                               rules: Sequence[QuadratureRule] | None = None) -> float:
     """Max entrywise deviation of the reconstructed identity from I.
 
     The reconstruction is the radial integral of tau1(x) times the Bohr
@@ -205,11 +201,12 @@ def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
     (each ladder is strictly increasing, so only diagonal terms in its
     embedded basis survive), which turns the integral into moment form:
     the ladder diagonals become int rho_i(x) x^k dx / c_k under each
-    family's ``moment_rule(nodes)``, and the H3 term integrates
-    tau1(x)/(R tau1(x)) = 1/R on the same nodes.  Ladder vectors and the H3
-    basis are dressed vectors, so the result is read block by block.  The
-    decoupled |N, e> direction is excluded: no generator has support
-    there, so the reconstruction is structurally zero on that entry.
+    ladder's rule in ``rules`` (default: each family's ``moment_rule()``),
+    and the H3 term integrates tau1(x)/(R tau1(x)) = 1/R on the first
+    rule's nodes.  Both ladders and H3 sit on disjoint dressed indices, so
+    one dressed weight vector holds all three and the result is read off
+    the frame's blocks.  The decoupled |N, e> direction is excluded: no
+    generator has support there, so the reconstruction is zero there.
     """
     fam1 = families[0].family
     fam2 = families[1].family
@@ -219,21 +216,21 @@ def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
             f"got R1 = {fam1.radius}, R2 = {fam2.radius}")
     trunc = code.trunc
     for spec in families:
-        if spec.embedding.shape[0] != trunc.dim:
+        if spec.frame.energies.size != trunc.dim:
             raise FamilyMismatchError(
                 f"{spec.label or spec.family.name} ladder built on a dim "
-                f"{spec.embedding.shape[0]} space, the code on dim {trunc.dim}")
-    diag, off = 0.0, 0.0
-    rules = [spec.family.moment_rule(nodes) for spec in families]
+                f"{spec.frame.energies.size} space, the code on dim {trunc.dim}")
+    if rules is None:
+        rules = [spec.family.moment_rule() for spec in families]
+    weights = np.zeros(trunc.dim)
     for spec, rule in zip(families, rules):
-        moments = moment_diagonals(spec.family, np.arange(spec.terms), rule)
-        d, o = block_entries(spec.embedding, moments)
-        diag, off = diag + d, off + o
-    third = (rules[0].weights / fam1.rho(rules[0].nodes)).sum() / fam1.radius
-    d, o = block_entries(code.h3_basis, np.full(code.k0, third))
-    dev = np.abs(diag + d - 1.0)
+        weights[spec.index] = moment_diagonals(spec.family, np.arange(spec.terms), rule)
+    weights[h3_index(code.k0)] = (rules[0].weights
+                                  / fam1.rho(rules[0].nodes)).sum() / fam1.radius
+    diag, off = families[0].frame.block_entries(weights)
+    dev = np.abs(diag - 1.0)
     dev[basis_index(trunc.n_fock, "e", trunc)] = 0.0
-    return float(max(dev.max(), np.abs(off + o).max()))
+    return float(max(dev.max(), np.abs(off).max()))
 
 
 def knill_laflamme_check(p: np.ndarray, ops: Sequence, tol: float = 1e-8,

@@ -165,20 +165,6 @@ def dressed_index(branch: str, n):
     return 2 * n - (branch == "plus")
 
 
-def block_entries(c: np.ndarray, w: np.ndarray) -> tuple:
-    """Diagonal and in-block off-diagonal of C diag(w) C+, in O(dim k).
-
-    Each column of the dim x k matrix C must be a dressed vector, nonzero
-    only inside one block (2n - 1, 2n) or at index 0 or dim - 1; then
-    C diag(w) C+ is zero outside the blocks.  The second array holds the
-    (2n - 1, 2n) entries for n = 1..N; the (2n, 2n - 1) ones are their
-    conjugates.
-    """
-    diag = (np.abs(c) ** 2) @ w
-    off = (c[1:-1:2] * c[2:-1:2].conj()) @ w
-    return diag, off
-
-
 @dataclass(frozen=True)
 class DressedFrame:
     """The dressed eigenbasis as O(N) data: one 2x2 rotation per block.
@@ -210,12 +196,33 @@ class DressedFrame:
         out[2:-1:2] = c * ae - s * ag
         return out
 
-    def columns(self, idx) -> np.ndarray:
-        """Dressed eigenvectors at the dressed indices ``idx`` as columns."""
-        idx = np.asarray(idx)
-        unit = np.zeros((self.energies.size, idx.size), dtype=complex)
-        unit[idx, np.arange(idx.size)] = 1.0
-        return self.rotate(unit)
+    def embed(self, idx, a: np.ndarray) -> np.ndarray:
+        """sum_k a[k] |v_idx[k]> in the product basis, for dressed vectors v.
+
+        ``a`` is a vector or a matrix (one column per result);
+        ``embed(idx, np.eye(len(idx)))`` gives the vectors themselves.
+        """
+        a = np.asarray(a, dtype=complex)
+        dressed = np.zeros((self.energies.size,) + a.shape[1:], dtype=complex)
+        dressed[idx] = a
+        return self.rotate(dressed)
+
+    def block_entries(self, w: np.ndarray) -> tuple:
+        """Diagonal and in-block off-diagonal of V diag(w) V+, in O(N).
+
+        V holds the dressed eigenvectors as columns, ``w`` one weight per
+        dressed index.  Block n gives s^2 w+ + c^2 w- at |n-1, e>,
+        c^2 w+ + s^2 w- at |n, g> and sc(w+ - w-) at (2n - 1, 2n) and
+        (2n, 2n - 1), returned for n = 1..N; indices 0 and dim - 1 keep
+        their weights.  Every other entry is zero.
+        """
+        w = np.asarray(w, dtype=float)
+        wp, wm = w[1:-1:2], w[2:-1:2]
+        c2, s2 = self.cos ** 2, self.sin ** 2
+        diag = w.copy()
+        diag[1:-1:2] = s2 * wp + c2 * wm
+        diag[2:-1:2] = c2 * wp + s2 * wm
+        return diag, self.sin * self.cos * (wp - wm)
 
     def evolve(self, v: np.ndarray, t: float) -> np.ndarray:
         """U_t v = exp(-i H t) v in O(N), without building U_t.
@@ -259,7 +266,7 @@ class DressedBasis:
 def dressed_basis(params: JCParams, trunc: TruncationConfig) -> DressedBasis:
     """All dressed vectors and energies, plus the |N, e> leftover, as dense arrays."""
     frame = dressed_frame(params, trunc)
-    return DressedBasis(vectors=frame.columns(np.arange(trunc.dim)),
+    return DressedBasis(vectors=frame.rotate(np.eye(trunc.dim, dtype=complex)),
                         energies=frame.energies)
 
 

@@ -132,7 +132,7 @@ def test_criterion_5_gk_property_suite():
             worst_resolution = max(worst_resolution, check.residual)
             xmax = tail_safe_xmax(fam, spec.terms - 1, budget=1e-12)
             fids = verify_temporal_stability(
-                spec, HAROCHE, np.linspace(0.0, xmax, 10),
+                spec, np.linspace(0.0, xmax, 10),
                 np.linspace(0.0, 10.0 / HAROCHE.omega_f, 10), N60)
             worst_stability = max(worst_stability, float((1.0 - fids).max()))
     elapsed = time.perf_counter() - t0
@@ -149,14 +149,14 @@ def test_criterion_6_identity_membership():
     uni = builtin_family("uniform_moment")
     families = jc_families(GENERIC, 3, uni, uni, N60)
     code = decompose(GENERIC, 3, N60)
-    res200 = verify_identity_membership(code, families, nodes=200)
-    res100 = verify_identity_membership(code, families, nodes=100)
+    res200 = verify_identity_membership(code, families, [uni.moment_rule(200)] * 2)
+    res100 = verify_identity_membership(code, families, [uni.moment_rule(100)] * 2)
     floor = 1e-10
     doubling_ok = (res200 < res100 / 2.0) or (res100 < floor and res200 < floor)
     # with deliberately under-resolved rules the factor-2 gain is visible
-    res8 = verify_identity_membership(code, families, nodes=8)
-    res16 = verify_identity_membership(code, families, nodes=16)
-    res32 = verify_identity_membership(code, families, nodes=32)
+    res8 = verify_identity_membership(code, families, [uni.moment_rule(8)] * 2)
+    res16 = verify_identity_membership(code, families, [uni.moment_rule(16)] * 2)
+    res32 = verify_identity_membership(code, families, [uni.moment_rule(32)] * 2)
     genuine = res16 < res8 / 2.0 and res32 < res16 / 2.0
     elapsed = time.perf_counter() - t0
     ok = res200 < 1e-6 and doubling_ok and genuine and elapsed < 60.0

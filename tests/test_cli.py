@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface (in-process)."""
 import json
+import math
 import time
 
 import numpy as np
@@ -265,6 +266,20 @@ def test_gk_dump_schema(capsys):
     assert len(d["coefficients"]) == 4
     norms = np.array(d["coefficients"][0]["re"]) ** 2
     assert abs(norms.sum() - 1.0) < 1e-12  # x = 0 keeps everything in k = 0
+
+
+def test_gk_dump_is_strict_json(capsys):
+    """c_k = k! overflows a double beyond k = 170: those weights dump as null."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    rc, out, _ = run(["gk-dump", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+                      "--family1", "factorial", "--n-fock", "200"], capsys)
+    assert rc == 0
+    weights = json.loads(out, parse_constant=refuse)["weights"]
+    assert len(weights) == 200
+    assert weights[170] == float(math.factorial(170))
+    assert weights[171:] == [None] * 29
 
 
 def test_gk_dump_validation(capsys):

@@ -337,7 +337,7 @@ def test_temporal_stability_equals_kept_mass_squared():
     x = 0.3
     kept = 1.0 - geometric_tail(x, j.terms - 1)
     for t in (0.0, 1.7, 9.4):
-        fid = verify_temporal_stability(j, PARAMS, [x], [t], tr)[0, 0]
+        fid = verify_temporal_stability(j, [x], [t], tr)[0, 0]
         assert abs(fid - kept ** 2) < 1e-12
 
 

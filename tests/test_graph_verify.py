@@ -139,7 +139,7 @@ def test_identity_membership_rejects_families_of_another_cutoff():
 
 
 def test_identity_membership_residual_small():
-    res = verify_identity_membership(CODE, FAMILIES, nodes=200)
+    res = verify_identity_membership(CODE, FAMILIES, [UNI.moment_rule(200)] * 2)
     assert res < 1e-10
 
 
@@ -153,8 +153,8 @@ def test_identity_membership_excludes_decoupled_direction():
 
 def test_identity_membership_node_convergence():
     """Halving an under-resolved node count worsens the residual > 2x."""
-    r8 = verify_identity_membership(CODE, FAMILIES, nodes=8)
-    r16 = verify_identity_membership(CODE, FAMILIES, nodes=16)
+    r8 = verify_identity_membership(CODE, FAMILIES, [UNI.moment_rule(8)] * 2)
+    r16 = verify_identity_membership(CODE, FAMILIES, [UNI.moment_rule(16)] * 2)
     assert r16 < r8 / 2.0
 
 

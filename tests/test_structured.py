@@ -1,16 +1,18 @@
 """The O(N) structured paths of `verify` against their dense oracles.
 
-`verify` applies U_t block by block, checks Knill-Laflamme in the frame of
-the H3 basis, sends pure code states through the channel as vectors and
-reads the resolution and identity-membership reconstructions block by
-block.  Each is compared here with the dense dim x dim computation it
-replaces (`evolution_operator`, `knill_laflamme_check`, `channel_apply` +
-`eigvalsh` + `fidelity`, and the reconstructions `E diag(d) E+` below) at
-N <= 60, on both weight families, for positive, negative and zero
-detuning, with x up to the tail-safe radius.
+`verify` builds ladder states from dressed indices on one frame, applies
+U_t block by block, checks Knill-Laflamme in the frame of the H3 basis,
+sends pure code states through the channel as vectors and reads the
+resolution and identity-membership reconstructions block by block.  Each
+is compared here with the dense computation it replaces (closed-form
+`dressed_vector` columns, `evolution_operator`, `knill_laflamme_check`,
+`channel_apply` + `eigvalsh` + `fidelity`, and the reconstructions
+`E diag(d) E+` below) at N <= 60, on both weight families, for positive,
+negative and zero detuning, with x up to the tail-safe radius.
 """
 import functools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +38,8 @@ from jcgraph.graph_verify import (
     leak_probe,
     verify_identity_membership,
 )
-from jcgraph.hilbert import QuadratureRule, TruncationConfig, ValidationError, basis_index
+from jcgraph.hilbert import (QuadratureRule, TruncationConfig, ValidationError, basis_index,
+                             basis_vector)
 from jcgraph.jc_spectrum import (JCParams, dressed_basis, dressed_frame,
                                  dressed_index, dressed_vector, eigenenergy,
                                  evolution_operator)
@@ -111,7 +114,7 @@ def test_structured_evolution_matches_dense_operator(system, frac, t, seed):
         v0 = gk_state(spec, x, 0.0, trunc)
         vt = gk_state(spec, x, t, trunc)
         dense = float(abs(np.vdot(vt, u @ v0)) ** 2)
-        assert abs(verify_temporal_stability(spec, params, [x], [t], trunc)[0, 0]
+        assert abs(verify_temporal_stability(spec, [x], [t], trunc)[0, 0]
                    - dense) <= ORACLE_TOL
 
 
@@ -227,20 +230,62 @@ def dense_identity_residual(code, families, nodes):
     return float(diff[np.ix_(keep, keep)].max())
 
 
+def dense_dressed_vectors(params, trunc):
+    """All dressed eigenvectors from the closed forms, as columns in dressed order."""
+    cols = [dressed_vector(params, 0, "ground", trunc)]
+    cols += [dressed_vector(params, n, b, trunc) for n in range(1, trunc.n_fock + 1)
+             for b in ("plus", "minus")]
+    return np.column_stack(cols + [basis_vector(trunc.n_fock, "e", trunc)])
+
+
 @settings(max_examples=30, deadline=None)
 @given(systems(), st.integers(0, 2 ** 32 - 1))
 def test_block_entries_match_dense_product(system, seed):
     params, trunc, _ = system
     rng = np.random.default_rng(seed)
-    idx = rng.choice(trunc.dim, size=int(rng.integers(1, trunc.dim)), replace=False)
-    c = dressed_frame(params, trunc).columns(idx)
-    w = rng.normal(size=idx.size)
-    diag, off = jc_spectrum.block_entries(c, w)
+    w = rng.normal(size=trunc.dim)
+    w[rng.random(trunc.dim) < rng.random()] = 0.0  # vectors left out of the sum
+    diag, off = dressed_frame(params, trunc).block_entries(w)
     n = np.arange(1, trunc.n_fock + 1)
     rebuilt = np.diag(diag).astype(complex)
     rebuilt[2 * n - 1, 2 * n] = off
-    rebuilt[2 * n, 2 * n - 1] = off.conj()
-    assert np.abs(rebuilt - (c * w) @ c.conj().T).max() <= 1e-14
+    rebuilt[2 * n, 2 * n - 1] = off
+    v = dense_dressed_vectors(params, trunc)
+    assert np.abs(rebuilt - (v * w) @ v.conj().T).max() <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems(), st.floats(0.0, 1.0), st.floats(-20.0, 20.0))
+def test_index_form_states_match_dense_columns(system, frac, y):
+    """gk_state and ladder_vector against sum_k coeff_k |e_k> on closed-form columns."""
+    params, trunc, family = system
+    _, families = build(params, trunc, family)
+    for spec, branch in zip(families, ("plus", "minus")):
+        levels = range(spec.start_index, trunc.n_fock + 1)
+        e = np.column_stack([dressed_vector(params, n, branch, trunc) for n in levels])
+        assert spec.terms == e.shape[1]
+        np.testing.assert_array_equal(spec.energies,
+                                      [eigenenergy(params, n, branch) for n in levels])
+        x = frac * xmax(family, spec.terms, 1e-12)
+        dense = e @ gk_states._coefficients(spec, x, y)
+        np.testing.assert_allclose(gk_state(spec, x, y, trunc), dense,
+                                   atol=1e-15, rtol=0)
+        np.testing.assert_allclose(graph_verify.ladder_vector(spec, x, y),
+                                   dense / np.linalg.norm(dense), atol=1e-15, rtol=0)
+
+
+def test_ladders_hold_no_dense_embedding():
+    """Both ladders share one O(N) frame: at N = 2000 they hold well under 1 MB."""
+    fac = builtin_family("factorial")
+    tracemalloc.start()
+    try:
+        families = jc_families(JCParams(1.0, 0.8, 0.7), 3, fac, fac,
+                               TruncationConfig(2000))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+    assert families[0].frame is families[1].frame
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,10 +299,11 @@ def test_block_reconstructions_match_dense_oracles(system, nodes):
                    - dense_resolution_residual(spec, rule)) <= 1e-14
     if family == "factorial":  # infinite radius: membership needs uniform_moment
         with pytest.raises(UnsupportedFamilyError):
-            verify_identity_membership(code, families, nodes)
+            verify_identity_membership(code, families)
         uni = builtin_family("uniform_moment")
         families = jc_families(params, code.k0, uni, uni, trunc)
-    assert abs(verify_identity_membership(code, families, nodes)
+    rules = [spec.family.moment_rule(nodes) for spec in families]
+    assert abs(verify_identity_membership(code, families, rules)
                - dense_identity_residual(code, families, nodes)) <= 1e-14
 
 
@@ -291,6 +337,18 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, family):
     moments = _count_calls(monkeypatch, "moment_diagonals", gk_states)
     frames = _count_calls(monkeypatch, "dressed_frame")
     tails = _count_calls(monkeypatch, "tail_mass", gk_states)
+    rules = []
+
+    def counted_rule(name):
+        build_rule = getattr(QuadratureRule, name)
+
+        def build(*args):
+            rules.append(name)
+            return build_rule(*args)
+        return staticmethod(build)
+
+    for name in ("gauss_legendre", "gauss_laguerre"):
+        monkeypatch.setattr(QuadratureRule, name, counted_rule(name))
     rc = cli.main(["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
                    "--family1", family, "--family2", family, "--n-fock", "40"])
     capsys.readouterr()
@@ -300,10 +358,28 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, family):
     # one per ladder for the resolution (whose diagonals the moments check
     # reads) and one per ladder for identity membership
     assert len(moments) == 4
-    # the stability grid builds one frame per ladder and checks each x's
-    # tail once; the three tail-safe searches stop when the bracket does
-    assert 1 <= len(frames) <= 5
+    # one frame each for the spectrum check, the ladders (whose frame the
+    # stability grid uses) and the cut; each x's tail is checked once and
+    # the three tail-safe searches stop when the bracket does
+    assert 1 <= len(frames) <= 3
     assert 1 <= len(tails) <= 250
+    # one moment rule per family, shared by both ladders and identity membership
+    assert sorted(rules) == (["gauss_legendre"] if family == "uniform_moment"
+                             else ["gauss_laguerre", "gauss_legendre"])
+
+
+@pytest.mark.parametrize("command, families", [
+    ("verify", "factorial"), ("verify", "mixed"), ("demo", "uniform_moment")])
+def test_commands_never_read_a_dense_ladder(monkeypatch, capsys, command, families):
+    reads = []
+    monkeypatch.setattr(gk_states.GKFamilySpec, "embedding",
+                        property(lambda spec: reads.append(spec.label)))
+    fam1, fam2 = ("factorial", "uniform_moment") if families == "mixed" else (families,) * 2
+    rc = cli.main([command, "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+                   "--family1", fam1, "--family2", fam2, "--n-fock", "30"])
+    capsys.readouterr()
+    assert rc == 0
+    assert reads == []
 
 
 @pytest.mark.parametrize("command, bases", [("verify", 1), ("demo", 0)])
