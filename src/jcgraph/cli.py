@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -60,7 +61,8 @@ def _fmt(value: float) -> str:
 
 
 def load_config_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
+    # values are literal, as flags are: no '%' interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -446,9 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         values = _merged(args)
         out = values.get("out")

@@ -198,11 +198,12 @@ def tail_safe_xmax(family: WeightFamily, n_cut: int, budget: float = 1e-12) -> f
 
     if math.isfinite(family.radius):
         hi = family.radius * (1.0 - 1e-12)
+        hi_mass = bound(hi)
     else:
         hi = 1.0
-        while bound(hi) <= budget and hi < 1e6:
+        while (hi_mass := bound(hi)) <= budget and hi < 1e6:
             hi *= 2.0
-    if bound(hi) <= budget:
+    if hi_mass <= budget:
         return hi
     # bound(lo) <= budget < bound(hi) throughout; once the midpoint rounds
     # onto an end the bracket cannot move again, so lo is final.

@@ -9,7 +9,8 @@ Besides the indexing helpers this module provides the two averaging
 primitives used throughout the verification suite: the analytic Bohr mean
 of a quasi-periodic operator family (diagonal extraction) and its
 brute-force counterpart, a finite-time average, plus Gaussian quadrature
-rules for the radial integrals.
+rules for the radial integrals.  scipy is imported only when a rule is
+built, so the commands that build none never load it.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_laguerre, roots_legendre
 
 QUBIT_LEVELS = ("g", "e")
 _LEVEL_INDEX = {"g": 0, "e": 1, 0: 0, 1: 1}
@@ -170,6 +170,8 @@ class QuadratureRule:
     @staticmethod
     def gauss_legendre(a: float, b: float, n: int) -> "QuadratureRule":
         """Gauss-Legendre rule on [a, b]; exact for polynomials of degree 2n - 1."""
+        from scipy.special import roots_legendre
+
         x, w = roots_legendre(n)
         half = 0.5 * (b - a)
         return QuadratureRule(nodes=a + half * (x + 1.0), weights=half * w,
@@ -178,6 +180,8 @@ class QuadratureRule:
     @staticmethod
     def gauss_laguerre(n: int) -> "QuadratureRule":
         """Gauss-Laguerre rule: sum w_i f(x_i) ~ int_0^inf e^{-x} f(x) dx."""
+        from scipy.special import roots_laguerre
+
         x, w = roots_laguerre(n)
         return QuadratureRule(nodes=x, weights=w, kind="half_line_exp")
 

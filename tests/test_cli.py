@@ -1,11 +1,15 @@
 """End-to-end tests of the command line interface (in-process)."""
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from jcgraph import cli
 from jcgraph.cli import main
 
 WEAK = ["--gamma-f", "0.1", "--gamma-s", "0.1"]
@@ -320,6 +324,69 @@ def test_config_file_errors(tmp_path, capsys):
     rc, _, err = run(["mindim", "--config", str(weird),
                       "--omega-f", "1", "--omega-s", "1", "--kappa", "0.5"], capsys)
     assert rc == 2
+
+
+def test_config_values_are_literal(tmp_path, capsys):
+    """A '%' in a config value is kept as written, as it is in a flag."""
+    out = tmp_path / "res%1.txt"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[system]\ngamma_f = 8\ngamma_s = 8\n\n[run]\nout = {out}\n")
+    rc, stdout, _ = run(["mindim", "--config", str(cfg)], capsys)
+    assert rc == 0 and stdout == ""
+    assert json.loads(out.read_text())["m0"] == 4
+    cfg.write_text("[run]\nstate = 50%\n")
+    rc, _, err = run(["demo"] + SMALL + ["--config", str(cfg)], capsys)
+    assert rc == 2
+    assert "cannot parse state '50%'" in err
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys):
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser() is cli._parser()
+    rc, _, _ = run(["demo"] + SMALL + ["--allow-leak"], capsys)
+    assert rc == 1
+    rc, out, _ = run(["demo"] + SMALL, capsys)
+    assert rc == 0 and out == "1.000000000000\n"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[system]\ngamma_f = 8\ngamma_s = 8\n")
+    rc, out, _ = run(["mindim", "--config", str(cfg)], capsys)
+    assert rc == 0 and json.loads(out)["m0"] == 4
+    rc, _, err = run(["mindim"], capsys)
+    assert rc == 2
+    assert "system parameters required" in err
+    dest = tmp_path / "mindim.json"
+    rc, out, _ = run(["mindim"] + STRONG + ["--out", str(dest)], capsys)
+    assert rc == 0 and out == ""
+    rc, out, _ = run(["mindim"] + STRONG, capsys)
+    assert rc == 0 and out == dest.read_text()
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_RUN_AND_REPORT = """
+import sys
+from jcgraph import cli
+rc = cli.main(sys.argv[1:])
+sys.stderr.write(f"\\n{rc} {'scipy' in sys.modules}\\n")
+"""
+
+
+@pytest.mark.parametrize("argv, rc, loads_scipy", [
+    (["mindim"] + STRONG, 0, False),
+    (["sweep", "--resonant", "--gamma-f-min", "7", "--gamma-f-max", "8",
+      "--gamma-f-steps", "5"], 0, False),
+    (["demo"] + SMALL, 0, False),
+    (["demo"] + SMALL + ["--allow-leak"], 1, False),
+    (["gk-dump"] + SMALL, 0, False),
+    (["verify"] + SMALL, 0, True),
+], ids=["mindim", "sweep", "demo", "demo-leak", "gk-dump", "verify"])
+def test_only_quadrature_rules_load_scipy(argv, rc, loads_scipy):
+    """scipy costs about 0.3 s to import; only verify's moment rules need it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stderr.splitlines()[-1] == f"{rc} {loads_scipy}", done.stderr
 
 
 def test_usage_errors(capsys):

@@ -136,6 +136,20 @@ def test_tail_safe_xmax_is_sharp():
         tail_safe_xmax(builtin_family("factorial"), 10, budget=0.0)
 
 
+@pytest.mark.parametrize("name", ["factorial", "uniform_moment"])
+def test_tail_safe_xmax_bounds_the_upper_end_once(name):
+    """The bracket's upper end (the radius, or the last doubling) is bounded once."""
+    xs = []
+
+    def counted(family, x, n_cut):
+        xs.append(x)
+        return tail_mass(family, x, n_cut)
+
+    with mock.patch.object(gk_states, "tail_mass", counted):
+        tail_safe_xmax(builtin_family(name), 60, budget=1e-12)
+    assert xs.count(max(xs)) == 1
+
+
 def bisection_xmax(family, n_cut, budget):
     """The full 200-step bisection ``tail_safe_xmax`` stops short of."""
     def bound(x):
