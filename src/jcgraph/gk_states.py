@@ -196,18 +196,19 @@ def tail_safe_xmax(family: WeightFamily, n_cut: int, budget: float = 1e-12) -> f
         except TailBoundError:
             return math.inf
 
+    lo = 0.0
     if math.isfinite(family.radius):
         hi = family.radius * (1.0 - 1e-12)
         hi_mass = bound(hi)
     else:
+        # each doubled radius was within budget, so it is the bracket's lo
         hi = 1.0
         while (hi_mass := bound(hi)) <= budget and hi < 1e6:
-            hi *= 2.0
+            lo, hi = hi, 2.0 * hi
     if hi_mass <= budget:
         return hi
     # bound(lo) <= budget < bound(hi) throughout; once the midpoint rounds
     # onto an end the bracket cannot move again, so lo is final.
-    lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

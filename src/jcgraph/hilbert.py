@@ -9,11 +9,14 @@ Besides the indexing helpers this module provides the two averaging
 primitives used throughout the verification suite: the analytic Bohr mean
 of a quasi-periodic operator family (diagonal extraction) and its
 brute-force counterpart, a finite-time average, plus Gaussian quadrature
-rules for the radial integrals.  scipy is imported only when a rule is
-built, so the commands that build none never load it.
+rules for the radial integrals, built with numpy alone: Newton on the
+Legendre recurrence, and the Laguerre Jacobi matrix's eigenvalues polished
+by one Newton step, with weights formed in log space.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -170,20 +173,98 @@ class QuadratureRule:
     @staticmethod
     def gauss_legendre(a: float, b: float, n: int) -> "QuadratureRule":
         """Gauss-Legendre rule on [a, b]; exact for polynomials of degree 2n - 1."""
-        from scipy.special import roots_legendre
-
-        x, w = roots_legendre(n)
+        x, w = _legendre_rule(n)
         half = 0.5 * (b - a)
         return QuadratureRule(nodes=a + half * (x + 1.0), weights=half * w,
                               kind="interval")
 
     @staticmethod
     def gauss_laguerre(n: int) -> "QuadratureRule":
-        """Gauss-Laguerre rule: sum w_i f(x_i) ~ int_0^inf e^{-x} f(x) dx."""
-        from scipy.special import roots_laguerre
+        """Gauss-Laguerre rule: sum w_i f(x_i) ~ int_0^inf e^{-x} f(x) dx.
 
-        x, w = roots_laguerre(n)
+        Weights below the smallest double (nodes beyond about x = 745)
+        are 0.
+        """
+        x, w = _laguerre_rule(n)
         return QuadratureRule(nodes=x, weights=w, kind="half_line_exp")
+
+
+def _frozen(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _legendre_pair(n: int, x: np.ndarray) -> tuple:
+    """P_n(x) and P_{n-1}(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, p0
+
+
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(n: int) -> tuple:
+    """Read-only Gauss-Legendre nodes (increasing) and weights on [-1, 1].
+
+    Newton on the recurrence from Tricomi's guesses converges in two or
+    three steps; O(n^2) work and no eigensolver.
+    """
+    if n < 2:
+        raise ValueError("a quadrature rule needs at least 2 nodes")
+    k = np.arange(n, 0, -1)
+    x = ((1.0 - 1.0 / (8 * n ** 2) + 1.0 / (8 * n ** 3))
+         * np.cos(np.pi * (4 * k - 1) / (4 * n + 2)))
+    for _ in range(20):
+        p, q = _legendre_pair(n, x)
+        dx = p * (1.0 - x) * (1.0 + x) / (n * (q - x * p))
+        x = x - dx
+        if np.abs(dx).max() <= 1e-15:
+            break
+    p, q = _legendre_pair(n, x)
+    dp = n * (q - x * p) / ((1.0 - x) * (1.0 + x))
+    return _frozen(x, 2.0 / ((1.0 - x) * (1.0 + x) * dp ** 2))
+
+
+def _laguerre_scaled(n: int, x: np.ndarray) -> tuple:
+    """L_n(x) and D_n(x) = L_n(x) - L_{n-1}(x), as (l, d, log_scale).
+
+    L_n = l e^{log_scale} and D_n = d e^{log_scale}.  The three-term
+    recurrence runs in difference form, (k + 1) D_{k+1} = k D_k - x L_k,
+    which keeps small x accurate; each step divides the pair by a power of
+    two, exactly, so nothing overflows at large x.
+    """
+    p, d = 1.0 - x, -x
+    exps = np.zeros(x.shape, dtype=np.int64)
+    for k in range(1, n):
+        d = (k * d - x * p) / (k + 1)
+        p = p + d
+        _, e = np.frexp(np.maximum(np.abs(p), np.abs(d)))
+        p, d, exps = np.ldexp(p, -e), np.ldexp(d, -e), exps + e
+    return p, d, exps * math.log(2.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _laguerre_rule(n: int) -> tuple:
+    """Read-only Gauss-Laguerre nodes (increasing) and weights summing to 1.
+
+    Nodes are the eigenvalues of the Jacobi matrix (diagonal 2k + 1,
+    off-diagonal k), each polished by one Newton step on L_n, whose
+    derivative is L_n' = n D_n / x.  The weights w ~ 1 / (L_{n-1} L_n')
+    are normalized in log space before they are exponentiated.
+    """
+    if n < 2:
+        raise ValueError("a quadrature rule needs at least 2 nodes")
+    jacobi = np.diag(2.0 * np.arange(n) + 1.0) + np.diag(np.arange(1.0, n), -1)
+    x = np.linalg.eigvalsh(jacobi)
+    p, d, _ = _laguerre_scaled(n, x)
+    x = x - x * p / (n * d)
+    p, d, log_scale = _laguerre_scaled(n, x)
+    log_w = -np.log(np.abs(p - d)) - np.log(np.abs(n * d / x)) - 2.0 * log_scale
+    log_w -= log_w.max()
+    log_w -= math.log(np.exp(log_w).sum())
+    with np.errstate(under="ignore"):
+        return _frozen(x, np.exp(log_w))
 
 
 def quadrature_integrate(rule: QuadratureRule, g: Callable) -> np.ndarray | float:

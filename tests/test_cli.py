@@ -11,6 +11,7 @@ import pytest
 
 from jcgraph import cli
 from jcgraph.cli import main
+from jcgraph.hilbert import QuadratureRule
 
 WEAK = ["--gamma-f", "0.1", "--gamma-s", "0.1"]
 STRONG = ["--gamma-f", "8", "--gamma-s", "8"]
@@ -69,15 +70,13 @@ def test_mindim_needs_no_truncation_headroom(capsys):
     ["demo"] + SMALL + ["--seed", "-1"],
     ["verify"] + SMALL + ["--config", "SEED_CONFIG"],
     ["demo"] + SMALL + ["--config", "SEED_CONFIG"],
-    ["verify"] + SMALL + ["--family1", "factorial", "--family2", "factorial",
-                          "--nodes", "400"],
     ["verify"] + SMALL + ["--nodes", "4097"],
     ["demo"] + SMALL + ["--nodes", "100000"],
 ], ids=["omega-nan", "gamma-inf", "sweep-nan", "gamma-1e15", "gamma-1e160",
         "demo-t-nan", "demo-t-inf", "demo-x-nan", "demo-x-inf", "dump-y-nan",
         "dump-y-inf", "tol-nan", "tol-negative", "tol-inf", "verify-seed-negative",
         "demo-seed-negative", "verify-seed-config", "demo-seed-config",
-        "nodes-nan-rule", "nodes-cap", "demo-nodes-cap"])
+        "nodes-cap", "demo-nodes-cap"])
 def test_bad_rates_fail_fast(argv, capsys, tmp_path):
     config = tmp_path / "seed.ini"
     config.write_text("[run]\nseed = -1\n")
@@ -89,13 +88,39 @@ def test_bad_rates_fail_fast(argv, capsys, tmp_path):
     assert out == "" and err.startswith("error:")
 
 
-@pytest.mark.parametrize("family, nodes, limit", [("factorial", "400", "360"),
-                                                  ("uniform_moment", "5000", "4096")])
+@pytest.mark.parametrize("family, nodes, limit", [("uniform_moment", "5000", "4096")])
 def test_node_limits_are_named(capsys, family, nodes, limit):
     rc, _, err = run(["verify"] + SMALL + ["--family1", family, "--family2", family,
                                            "--nodes", nodes], capsys)
     assert rc == 2
     assert limit in err
+
+
+def test_verify_factorial_passes_with_400_nodes(capsys):
+    """The Gauss-Laguerre rule stays finite above 360 nodes."""
+    rc, out, _ = run(["verify"] + SMALL + ["--family1", "factorial", "--family2",
+                                           "factorial", "--nodes", "400"], capsys)
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["pass"] for c in checks)
+    assert rc == 0
+
+
+def test_non_finite_rule_is_a_usage_error(monkeypatch, capsys):
+    build_rule = QuadratureRule.gauss_laguerre
+
+    def broken_laguerre(n):
+        rule = build_rule(n)
+        weights = rule.weights.copy()
+        weights[-1] = math.nan
+        return QuadratureRule(nodes=rule.nodes, weights=weights, kind=rule.kind)
+
+    monkeypatch.setattr(QuadratureRule, "gauss_laguerre", staticmethod(broken_laguerre))
+    start = time.perf_counter()
+    rc, out, err = run(["verify"] + SMALL + ["--family1", "factorial", "--family2",
+                                             "factorial"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert out == "" and "non-finite nodes or weights" in err
 
 
 def test_sweep_resonant_csv_golden(capsys):
@@ -370,23 +395,23 @@ sys.stderr.write(f"\\n{rc} {'scipy' in sys.modules}\\n")
 """
 
 
-@pytest.mark.parametrize("argv, rc, loads_scipy", [
-    (["mindim"] + STRONG, 0, False),
+@pytest.mark.parametrize("argv, rc", [
+    (["mindim"] + STRONG, 0),
     (["sweep", "--resonant", "--gamma-f-min", "7", "--gamma-f-max", "8",
-      "--gamma-f-steps", "5"], 0, False),
-    (["demo"] + SMALL, 0, False),
-    (["demo"] + SMALL + ["--allow-leak"], 1, False),
-    (["gk-dump"] + SMALL, 0, False),
-    (["verify"] + SMALL, 0, True),
+      "--gamma-f-steps", "5"], 0),
+    (["demo"] + SMALL, 0),
+    (["demo"] + SMALL + ["--allow-leak"], 1),
+    (["gk-dump"] + SMALL, 0),
+    (["verify"] + SMALL, 0),
 ], ids=["mindim", "sweep", "demo", "demo-leak", "gk-dump", "verify"])
-def test_only_quadrature_rules_load_scipy(argv, rc, loads_scipy):
-    """scipy costs about 0.3 s to import; only verify's moment rules need it."""
+def test_no_command_loads_scipy(argv, rc):
+    """scipy costs about 0.3 s to import; the quadrature rules are numpy only."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert done.stderr.splitlines()[-1] == f"{rc} {loads_scipy}", done.stderr
+    assert done.stderr.splitlines()[-1] == f"{rc} False", done.stderr
 
 
 def test_usage_errors(capsys):

@@ -187,6 +187,51 @@ def test_tail_safe_xmax_matches_full_bisection(name, n_cut, budget):
         assert tail_safe_xmax(fam, n_cut, budget) == bisection_xmax(fam, n_cut, budget)
 
 
+def restarted_xmax(family, n_cut, budget):
+    """The search with its bisection restarted at 0 after the doubling."""
+    def bound(x):
+        try:
+            return gk_states.tail_mass(family, x, n_cut)
+        except TailBoundError:
+            return math.inf
+
+    hi = 1.0
+    while (hi_mass := bound(hi)) <= budget and hi < 1e6:
+        hi *= 2.0
+    if hi_mass <= budget:
+        return hi
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if bound(mid) <= budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("n_cut, budget", [(5, 1e-12), (5, 1e-3), (20, 1e-12),
+                                           (60, 1e-12), (60, 1e-6), (500, 1e-12)])
+def test_tail_safe_xmax_bisects_from_the_last_doubling(n_cut, budget):
+    """Same radius as a bisection from 0, one bound fewer when hi was doubled."""
+    fam = builtin_family("factorial")
+    xs = []
+
+    def counted(family, x, n_cut):
+        xs.append(x)
+        return tail_mass(family, x, n_cut)
+
+    with mock.patch.object(gk_states, "tail_mass", counted):
+        x = tail_safe_xmax(fam, n_cut, budget)
+        calls = len(xs)
+        assert x == restarted_xmax(fam, n_cut, budget)
+    restarted_calls = len(xs) - calls
+    doubled = tail_mass(fam, 1.0, n_cut) <= budget
+    assert calls == restarted_calls - (1 if doubled else 0)
+
+
 def loop_moment_diagonals(family, ks, rule):
     """moment_diagonals one k at a time."""
     with np.errstate(divide="ignore"):

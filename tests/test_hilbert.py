@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from jcgraph import hilbert
 from jcgraph.hilbert import (
     QuadratureRule,
     TruncationConfig,
@@ -162,3 +163,47 @@ def test_quadrature_nodes_interior():
     rule = QuadratureRule.gauss_legendre(0.0, 1.0, 50)
     assert rule.nodes.min() > 0.0
     assert rule.nodes.max() < 1.0
+
+
+RULE_SIZES = [2, 8, 200, 400, 1000]
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_gauss_legendre_rule_is_gaussian(n):
+    rule = QuadratureRule.gauss_legendre(0.0, 1.0, n)
+    x, w = rule.nodes, rule.weights
+    assert np.isfinite(w).all() and (w > 0).all()
+    assert (np.diff(x) > 0).all() and x[0] > 0.0 and x[-1] < 1.0
+    ks = np.arange(2 * n)
+    moments = (w * x ** ks[:, None]).sum(axis=1)
+    assert np.abs(moments - 1.0 / (ks + 1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_gauss_laguerre_rule_is_gaussian(n):
+    rule = QuadratureRule.gauss_laguerre(n)
+    x, w = rule.nodes, rule.weights
+    # w_i ~ e^{-x_i} is below the smallest double beyond x ~ 745
+    assert np.isfinite(w).all() and (w >= 0).all() and (w[x < 700] > 0).all()
+    assert (np.diff(x) > 0).all() and x[0] > 0.0
+    assert abs(w.sum() - 1.0) < 1e-13
+    # int e^{-x} x^k / k! = 1; from k ~ 570 on, part of that mass sits on
+    # the weights that underflowed
+    ks = np.arange(min(2 * n, 560))
+    log_fact = np.array([math.lgamma(k + 1.0) for k in ks])
+    pos = w > 0
+    terms = np.log(w[pos]) + ks[:, None] * np.log(x[pos]) - log_fact[:, None]
+    with np.errstate(under="ignore"):
+        moments = np.exp(terms).sum(axis=1)
+    assert np.abs(moments - 1.0).max() < 1e-11
+
+
+def test_rules_share_read_only_cached_arrays():
+    a, b = QuadratureRule.gauss_laguerre(8), QuadratureRule.gauss_laguerre(8)
+    assert a.nodes is b.nodes and a.weights is b.weights
+    ref = hilbert._legendre_rule(8)
+    assert all(p is q for p, q in zip(ref, hilbert._legendre_rule(8)))
+    for arr in (a.nodes, a.weights, *ref):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert abs(QuadratureRule.gauss_legendre(0.0, 1.0, 8).weights.sum() - 1.0) < 1e-14
