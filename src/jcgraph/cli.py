@@ -25,18 +25,16 @@ from . import code_construction as cc
 from . import gk_states as gk
 from . import graph_verify as gv
 from .hilbert import TruncationConfig
-from .jc_spectrum import JCParams, dressed_basis, hamiltonian_matrix
+from .jc_spectrum import (DegenerateLevelError, JCParams, dressed_basis,
+                          hamiltonian_matrix)
 
 _FLOAT_KEYS = {"omega_f", "omega_s", "kappa", "gamma_f", "gamma_s",
                "reference_omega_f", "tail_tol", "tol", "x", "t",
                "gamma_f_min", "gamma_f_max", "gamma_s_min", "gamma_s_max"}
-_INT_KEYS = {"k0", "n_fock", "nodes", "seed", "gamma_f_steps", "gamma_s_steps"}
+_INT_KEYS = {"k0", "n_fock", "seed", "gamma_f_steps", "gamma_s_steps"}
 _BOOL_KEYS = {"hz", "resonant", "allow_leak"}
 _STR_KEYS = {"family1", "family2", "state", "which", "xs", "ys", "out"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
-# At 4096 nodes the O(n^3) Gauss-Laguerre build takes 4.5-8.5 s and 290 MB
-# (2 vCPUs), the O(n^2) Gauss-Legendre build 0.3 s.
-_MAX_NODES = 4096
 
 
 class UsageError(Exception):
@@ -52,7 +50,6 @@ class RunConfig:
     trunc: TruncationConfig
     family1: gk.WeightFamily
     family2: gk.WeightFamily
-    nodes: int
     tol: float
     seed: int
 
@@ -143,9 +140,6 @@ def resolve_run_config(values: dict) -> RunConfig:
     k0 = values.get("k0", k0_star)
     if k0 < 1:
         raise UsageError(f"k0 must be >= 1, got {k0}")
-    nodes = values.get("nodes", 200)
-    if not 2 <= nodes <= _MAX_NODES:
-        raise UsageError(f"nodes must lie in 2..{_MAX_NODES}, got {nodes}")
     tol = values.get("tol", 1e-8)
     if not 0.0 < tol < math.inf:
         raise UsageError(f"tol must be positive and finite, got {tol}")
@@ -153,7 +147,7 @@ def resolve_run_config(values: dict) -> RunConfig:
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     return RunConfig(params=params, k0=k0, trunc=trunc, family1=fam1,
-                     family2=fam2, nodes=nodes, tol=tol, seed=seed)
+                     family2=fam2, tol=tol, seed=seed)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -235,15 +229,16 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     else:
         uni = gk.builtin_family("uniform_moment")
         mem_families = [replace(spec, family=uni) for spec in families]
-    # one moment rule per family, shared by the ladders and identity membership
+    # one moment rule per family, shared by the ladders and identity membership,
+    # exact for every moment of the longer (J) ladder
+    n_nodes = gk.rule_nodes(families[0].terms)
     rules = {}
     for fam in (spec.family for spec in (*families, *mem_families)):
         if fam.name in rules:
             continue
-        with np.errstate(all="ignore"):  # a broken rule is reported below
-            rule = rules[fam.name] = fam.moment_rule(cfg.nodes)
-        if not (np.isfinite(rule.nodes).all() and np.isfinite(rule.weights).all()):
-            raise UsageError(f"the {cfg.nodes}-node moment rule of family "
+        rule = rules[fam.name] = fam.moment_rule(n_nodes)
+        if not (np.isfinite(rule.nodes).all() and np.isfinite(rule.log_weights).all()):
+            raise UsageError(f"the {n_nodes}-node moment rule of family "
                              f"{fam.name!r} has non-finite nodes or weights, "
                              f"so no moment can be checked with it")
 
@@ -408,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     com.add_argument("--tail-tol", type=float, dest="tail_tol")
     com.add_argument("--family1")
     com.add_argument("--family2")
-    com.add_argument("--nodes", type=int)
     com.add_argument("--tol", type=float)
     com.add_argument("--seed", type=int)
     common.add_argument("--config", help="key = value config file")
@@ -483,7 +477,8 @@ def main(argv=None) -> int:
             _emit(json.dumps(cmd_gk_dump(cfg, values), indent=2, allow_nan=False)
                   + "\n", out)
             return 0
-    except UsageError as exc:
+    except (UsageError, DegenerateLevelError) as exc:
+        # a degenerate level has no dressed basis: no state can be built
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (cc.CutConstraintError, gk.EnergyOrderError, gk.DomainError,

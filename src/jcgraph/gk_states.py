@@ -15,6 +15,9 @@ under the generated time evolution: U_t |x, y><x, y| U_t+ = |x, y+t><x, y+t|.
 Two families are built in: "factorial" (c_k = k!, rho = e^{-x} on [0, inf),
 N^2 = e^x, tau = 1) and "uniform_moment" (c_k = 1/(k+1), rho = 1 on [0, 1),
 N^2 = tau = (1-x)^{-2}).  Truncated sums carry an explicitly bounded tail.
+
+Moments are integrated by a Gauss rule sized from its ladder, exact for x^k
+at every rung, with its weights kept as logs.
 """
 from __future__ import annotations
 
@@ -60,8 +63,8 @@ class EnergyOrderError(ValueError):
 class WeightFamily:
     """Moment data c_k of a density rho on [0, R), with closed forms.
 
-    ``weight``/``log_weight`` evaluate c_k and log c_k, ``rho``/``log_rho``
-    the density (vectorized over x), ``n_squared``/``log_n_squared`` the
+    ``weight``/``log_weight`` evaluate c_k and log c_k, ``log_rho`` the
+    log density (vectorized over x) and ``log_n_squared`` the log of the
     normalization sum.  The measure density is tau(x) = N^2(x) rho(x).
     """
 
@@ -69,34 +72,31 @@ class WeightFamily:
     radius: float
     weight: Callable[[int], float]
     log_weight: Callable[[int], float]
-    rho: Callable[[np.ndarray], np.ndarray]
     log_rho: Callable[[np.ndarray], np.ndarray]
-    n_squared: Callable[[float], float]
     log_n_squared: Callable[[float], float]
 
     def tau(self, x):
-        return self.n_squared(x) * self.rho(x)
+        return np.exp(self.log_n_squared(x) + self.log_rho(x))
 
     def weights_upto(self, k_max: int) -> np.ndarray:
         return np.array([self.weight(k) for k in range(k_max + 1)], dtype=float)
 
-    def moment_rule(self, n_nodes: int = 200) -> QuadratureRule:
+    def moment_rule(self, n_nodes: int) -> QuadratureRule:
         """Quadrature rule with sum w_i f(x_i) ~ int_0^R rho(x) f(x) dx.
 
         Finite radius: Gauss-Legendre on [0, R] (nodes are interior, so
-        the open right endpoint is never evaluated) with rho folded into
-        the weights.  Infinite radius: Gauss-Laguerre, whose native weight
-        e^{-x} is combined with rho in log space to avoid overflow.
+        the open right endpoint is never evaluated).  Infinite radius:
+        Gauss-Laguerre, whose native weight e^{-x} is divided out.  rho is
+        folded into the log weights either way.
         """
         if math.isfinite(self.radius):
             base = QuadratureRule.gauss_legendre(0.0, self.radius, n_nodes)
-            w = base.weights * np.asarray(self.rho(base.nodes), dtype=float)
-            return QuadratureRule(nodes=base.nodes, weights=w, kind="interval")
-        base = QuadratureRule.gauss_laguerre(n_nodes)
-        logs = np.asarray(self.log_rho(base.nodes), dtype=float) + base.nodes
-        with np.errstate(under="ignore"):
-            w = base.weights * np.exp(logs)
-        return QuadratureRule(nodes=base.nodes, weights=w, kind="half_line_exp")
+            log_rho = self.log_rho(base.nodes)
+        else:
+            base = QuadratureRule.gauss_laguerre(n_nodes)
+            log_rho = self.log_rho(base.nodes) + base.nodes
+        return QuadratureRule(nodes=base.nodes, log_weights=base.log_weights + log_rho,
+                              kind=base.kind)
 
     def probabilities(self, x: float, k_max: int) -> np.ndarray:
         """p_k = x^k / (c_k N^2(x)) for k = 0..k_max, summing to 1 - tail."""
@@ -128,9 +128,7 @@ def builtin_family(name: str) -> WeightFamily:
             name="factorial", radius=math.inf,
             weight=weight,
             log_weight=lambda k: math.lgamma(k + 1),
-            rho=lambda x: np.exp(-np.asarray(x, dtype=float)),
             log_rho=lambda x: -np.asarray(x, dtype=float),
-            n_squared=lambda x: math.exp(x),
             log_n_squared=lambda x: float(x),
         )
     if name == "uniform_moment":
@@ -138,9 +136,7 @@ def builtin_family(name: str) -> WeightFamily:
             name="uniform_moment", radius=1.0,
             weight=lambda k: 1.0 / (k + 1),
             log_weight=lambda k: -math.log(k + 1),
-            rho=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             log_rho=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            n_squared=lambda x: 1.0 / (1.0 - x) ** 2,
             log_n_squared=lambda x: -2.0 * math.log1p(-x),
         )
     raise ValueError(f"unknown weight family {name!r}; "
@@ -327,24 +323,26 @@ def jc_families(params: JCParams, k0: int, family1: WeightFamily,
     return specs[0], specs[1]
 
 
+def rule_nodes(terms: int) -> int:
+    """Nodes exact for x^k at every k < terms: n = ceil(terms / 2), degree 2n - 1."""
+    return max(2, (terms + 1) // 2)
+
+
 def moment_diagonals(family: WeightFamily, ks: Sequence[int],
                      rule: QuadratureRule | None = None) -> np.ndarray:
     """Quadrature values of int rho(x) x^k dx / c_k (exactly 1 for moments)."""
-    if rule is None:
-        rule = family.moment_rule()
-    with np.errstate(divide="ignore"):
-        log_w = np.where(rule.weights > 0, np.log(np.where(rule.weights > 0,
-                                                           rule.weights, 1.0)), -np.inf)
-        log_x = np.where(rule.nodes > 0, np.log(np.where(rule.nodes > 0,
-                                                         rule.nodes, 1.0)), -np.inf)
     ks = np.asarray(ks, dtype=np.int64)
+    if rule is None:
+        rule = family.moment_rule(rule_nodes(int(ks.max(initial=0)) + 1))
+    with np.errstate(divide="ignore"):
+        log_x = np.log(rule.nodes)
     log_c = np.array([family.log_weight(int(k)) for k in ks])
     out = np.empty(ks.size)
     rows = max(1, _MOMENT_BLOCK // log_x.size)
     for start in range(0, ks.size, rows):
         block = slice(start, start + rows)
         with np.errstate(under="ignore"):
-            out[block] = np.exp(log_w + ks[block, None] * log_x
+            out[block] = np.exp(rule.log_weights + ks[block, None] * log_x
                                 - log_c[block, None]).sum(axis=1)
     return out
 
@@ -374,7 +372,7 @@ def verify_resolution(spec: GKFamilySpec,
     residual is reported unrestricted.
     """
     if rule is None:
-        rule = spec.family.moment_rule()
+        rule = spec.family.moment_rule(rule_nodes(spec.terms))
     ks = np.arange(spec.terms)
     diag = moment_diagonals(spec.family, ks, rule)
     degree_limit = 2 * rule.nodes.size - 1

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .code_construction import CodeSpec, h3_index
-from .gk_states import GKFamilySpec, _coefficients, moment_diagonals
+from .gk_states import GKFamilySpec, _coefficients, moment_diagonals, rule_nodes
 from .hilbert import QuadratureRule, ValidationError, basis_index
 
 
@@ -201,9 +201,10 @@ def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
     (each ladder is strictly increasing, so only diagonal terms in its
     embedded basis survive), which turns the integral into moment form:
     the ladder diagonals become int rho_i(x) x^k dx / c_k under each
-    ladder's rule in ``rules`` (default: each family's ``moment_rule()``),
-    and the H3 term integrates tau1(x)/(R tau1(x)) = 1/R on the first
-    rule's nodes.  Both ladders and H3 sit on disjoint dressed indices, so
+    ladder's rule in ``rules`` (default: each family's moment rule, exact
+    for every moment of the longer ladder), and the H3 term integrates
+    tau1(x)/(R tau1(x)) = 1/R with the first rule's weights, rho divided
+    out.  Both ladders and H3 sit on disjoint dressed indices, so
     one dressed weight vector holds all three and the result is read off
     the frame's blocks.  The decoupled |N, e> direction is excluded: no
     generator has support there, so the reconstruction is zero there.
@@ -221,12 +222,13 @@ def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
                 f"{spec.label or spec.family.name} ladder built on a dim "
                 f"{spec.frame.energies.size} space, the code on dim {trunc.dim}")
     if rules is None:
-        rules = [spec.family.moment_rule() for spec in families]
+        n_nodes = rule_nodes(max(spec.terms for spec in families))
+        rules = [spec.family.moment_rule(n_nodes) for spec in families]
     weights = np.zeros(trunc.dim)
     for spec, rule in zip(families, rules):
         weights[spec.index] = moment_diagonals(spec.family, np.arange(spec.terms), rule)
-    weights[h3_index(code.k0)] = (rules[0].weights
-                                  / fam1.rho(rules[0].nodes)).sum() / fam1.radius
+    plain = np.exp(rules[0].log_weights - fam1.log_rho(rules[0].nodes))
+    weights[h3_index(code.k0)] = plain.sum() / fam1.radius
     diag, off = families[0].frame.block_entries(weights)
     dev = np.abs(diag - 1.0)
     dev[basis_index(trunc.n_fock, "e", trunc)] = 0.0

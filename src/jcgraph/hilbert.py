@@ -11,7 +11,7 @@ of a quasi-periodic operator family (diagonal extraction) and its
 brute-force counterpart, a finite-time average, plus Gaussian quadrature
 rules for the radial integrals, built with numpy alone: Newton on the
 Legendre recurrence, and the Laguerre Jacobi matrix's eigenvalues polished
-by one Newton step, with weights formed in log space.
+by one Newton step, with weights kept as logs.
 """
 from __future__ import annotations
 
@@ -151,42 +151,43 @@ def finite_time_mean(f: Callable[[float], np.ndarray], t_max: float,
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights approximating int f(x) w(x) dx over the support.
+    """Nodes and log weights approximating int f(x) w(x) dx over the support.
 
     ``kind`` records the support: "interval" for a plain rule on [a, b]
     (weight 1) or "half_line_exp" for Gauss-Laguerre, whose weights absorb
-    the factor e^{-x} on [0, inf).
+    the factor e^{-x} on [0, inf).  Weights are kept as logs: one below the
+    smallest double (Laguerre, x > ~745) still counts against a large x^k.
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
+    log_weights: np.ndarray
     kind: str = "interval"
 
     def __post_init__(self) -> None:
-        if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
+        if self.nodes.ndim != 1 or self.nodes.shape != self.log_weights.shape:
+            raise ValueError("nodes and log weights must be 1-d arrays of equal length")
         if self.nodes.size < 2:
             raise ValueError("a quadrature rule needs at least 2 nodes")
-        if np.any(self.weights < 0):
-            raise ValueError("quadrature weights must be nonnegative")
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The linear weights; those below the smallest double are 0."""
+        with np.errstate(under="ignore"):
+            return np.exp(self.log_weights)
 
     @staticmethod
     def gauss_legendre(a: float, b: float, n: int) -> "QuadratureRule":
         """Gauss-Legendre rule on [a, b]; exact for polynomials of degree 2n - 1."""
-        x, w = _legendre_rule(n)
+        x, log_w = _legendre_rule(n)
         half = 0.5 * (b - a)
-        return QuadratureRule(nodes=a + half * (x + 1.0), weights=half * w,
-                              kind="interval")
+        return QuadratureRule(nodes=a + half * (x + 1.0),
+                              log_weights=math.log(half) + log_w, kind="interval")
 
     @staticmethod
     def gauss_laguerre(n: int) -> "QuadratureRule":
-        """Gauss-Laguerre rule: sum w_i f(x_i) ~ int_0^inf e^{-x} f(x) dx.
-
-        Weights below the smallest double (nodes beyond about x = 745)
-        are 0.
-        """
-        x, w = _laguerre_rule(n)
-        return QuadratureRule(nodes=x, weights=w, kind="half_line_exp")
+        """Gauss-Laguerre rule: sum w_i f(x_i) ~ int_0^inf e^{-x} f(x) dx."""
+        x, log_w = _laguerre_rule(n)
+        return QuadratureRule(nodes=x, log_weights=log_w, kind="half_line_exp")
 
 
 def _frozen(*arrays: np.ndarray) -> tuple:
@@ -205,7 +206,7 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple:
 
 @functools.lru_cache(maxsize=8)
 def _legendre_rule(n: int) -> tuple:
-    """Read-only Gauss-Legendre nodes (increasing) and weights on [-1, 1].
+    """Read-only Gauss-Legendre nodes (increasing) and log weights on [-1, 1].
 
     Newton on the recurrence from Tricomi's guesses converges in two or
     three steps; O(n^2) work and no eigensolver.
@@ -223,7 +224,7 @@ def _legendre_rule(n: int) -> tuple:
             break
     p, q = _legendre_pair(n, x)
     dp = n * (q - x * p) / ((1.0 - x) * (1.0 + x))
-    return _frozen(x, 2.0 / ((1.0 - x) * (1.0 + x) * dp ** 2))
+    return _frozen(x, math.log(2.0) - np.log((1.0 - x) * (1.0 + x) * dp ** 2))
 
 
 def _laguerre_scaled(n: int, x: np.ndarray) -> tuple:
@@ -246,12 +247,12 @@ def _laguerre_scaled(n: int, x: np.ndarray) -> tuple:
 
 @functools.lru_cache(maxsize=8)
 def _laguerre_rule(n: int) -> tuple:
-    """Read-only Gauss-Laguerre nodes (increasing) and weights summing to 1.
+    """Read-only Gauss-Laguerre nodes (increasing) and log weights.
 
     Nodes are the eigenvalues of the Jacobi matrix (diagonal 2k + 1,
     off-diagonal k), each polished by one Newton step on L_n, whose
     derivative is L_n' = n D_n / x.  The weights w ~ 1 / (L_{n-1} L_n')
-    are normalized in log space before they are exponentiated.
+    are normalized to sum 1 in log space and never exponentiated.
     """
     if n < 2:
         raise ValueError("a quadrature rule needs at least 2 nodes")
@@ -263,8 +264,7 @@ def _laguerre_rule(n: int) -> tuple:
     log_w = -np.log(np.abs(p - d)) - np.log(np.abs(n * d / x)) - 2.0 * log_scale
     log_w -= log_w.max()
     log_w -= math.log(np.exp(log_w).sum())
-    with np.errstate(under="ignore"):
-        return _frozen(x, np.exp(log_w))
+    return _frozen(x, log_w)
 
 
 def quadrature_integrate(rule: QuadratureRule, g: Callable) -> np.ndarray | float:

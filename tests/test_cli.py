@@ -16,6 +16,8 @@ from jcgraph.hilbert import QuadratureRule
 WEAK = ["--gamma-f", "0.1", "--gamma-s", "0.1"]
 STRONG = ["--gamma-f", "8", "--gamma-s", "8"]
 SMALL = ["--omega-f", "1", "--omega-s", "1", "--kappa", "0.5", "--n-fock", "20"]
+# kappa = 0 at resonance: every level n >= 1 is degenerate
+DEGENERATE = ["--omega-f", "1", "--omega-s", "1", "--kappa", "0"]
 
 
 def run(argv, capsys):
@@ -70,13 +72,14 @@ def test_mindim_needs_no_truncation_headroom(capsys):
     ["demo"] + SMALL + ["--seed", "-1"],
     ["verify"] + SMALL + ["--config", "SEED_CONFIG"],
     ["demo"] + SMALL + ["--config", "SEED_CONFIG"],
-    ["verify"] + SMALL + ["--nodes", "4097"],
-    ["demo"] + SMALL + ["--nodes", "100000"],
+    ["verify"] + DEGENERATE,
+    ["demo"] + DEGENERATE,
+    ["gk-dump"] + DEGENERATE,
 ], ids=["omega-nan", "gamma-inf", "sweep-nan", "gamma-1e15", "gamma-1e160",
         "demo-t-nan", "demo-t-inf", "demo-x-nan", "demo-x-inf", "dump-y-nan",
         "dump-y-inf", "tol-nan", "tol-negative", "tol-inf", "verify-seed-negative",
         "demo-seed-negative", "verify-seed-config", "demo-seed-config",
-        "nodes-cap", "demo-nodes-cap"])
+        "verify-degenerate", "demo-degenerate", "dump-degenerate"])
 def test_bad_rates_fail_fast(argv, capsys, tmp_path):
     config = tmp_path / "seed.ini"
     config.write_text("[run]\nseed = -1\n")
@@ -88,20 +91,27 @@ def test_bad_rates_fail_fast(argv, capsys, tmp_path):
     assert out == "" and err.startswith("error:")
 
 
-@pytest.mark.parametrize("family, nodes, limit", [("uniform_moment", "5000", "4096")])
-def test_node_limits_are_named(capsys, family, nodes, limit):
-    rc, _, err = run(["verify"] + SMALL + ["--family1", family, "--family2", family,
-                                           "--nodes", nodes], capsys)
-    assert rc == 2
-    assert limit in err
+def test_degenerate_point_fails_only_where_states_are_built(capsys):
+    rc, _, err = run(["verify"] + DEGENERATE, capsys)
+    assert rc == 2 and "degenerate" in err
+    rc, out, _ = run(["mindim"] + DEGENERATE, capsys)
+    assert rc == 0
+    assert json.loads(out)["k0_star"] == 3
+    rc, out, _ = run(["sweep"] + DEGENERATE + ["--resonant", "--gamma-f-min", "7",
+                                               "--gamma-f-max", "8",
+                                               "--gamma-f-steps", "5"], capsys)
+    assert rc == 0
+    assert out.splitlines()[-1] == "8,8,4,4,3"
 
 
-def test_verify_factorial_passes_with_400_nodes(capsys):
-    """The Gauss-Laguerre rule stays finite above 360 nodes."""
-    rc, out, _ = run(["verify"] + SMALL + ["--family1", "factorial", "--family2",
-                                           "factorial", "--nodes", "400"], capsys)
+def test_verify_factorial_passes_at_960(capsys):
+    """The moment rule covers every rung: x^k/k! at k ~ 960 sits beyond x ~ 745."""
+    rc, out, _ = run(["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+                      "--n-fock", "960", "--family1", "factorial",
+                      "--family2", "factorial"], capsys)
     checks = json.loads(out)["checks"]
-    assert checks and all(c["pass"] for c in checks)
+    assert [(c["name"], c["tolerance"]) for c in checks] == _expected_checks("factorial")
+    assert all(c["pass"] and c["residual"] < c["tolerance"] for c in checks)
     assert rc == 0
 
 
@@ -110,9 +120,9 @@ def test_non_finite_rule_is_a_usage_error(monkeypatch, capsys):
 
     def broken_laguerre(n):
         rule = build_rule(n)
-        weights = rule.weights.copy()
-        weights[-1] = math.nan
-        return QuadratureRule(nodes=rule.nodes, weights=weights, kind=rule.kind)
+        log_weights = rule.log_weights.copy()
+        log_weights[-1] = math.nan
+        return QuadratureRule(nodes=rule.nodes, log_weights=log_weights, kind=rule.kind)
 
     monkeypatch.setattr(QuadratureRule, "gauss_laguerre", staticmethod(broken_laguerre))
     start = time.perf_counter()
@@ -414,7 +424,7 @@ def test_no_command_loads_scipy(argv, rc):
     assert done.stderr.splitlines()[-1] == f"{rc} False", done.stderr
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     # both parameter groups at once
     rc, _, _ = run(["mindim", "--omega-f", "1", "--omega-s", "1",
                     "--kappa", "0.5", "--gamma-f", "1"], capsys)
@@ -433,8 +443,16 @@ def test_usage_errors(capsys):
     rc, _, err = run(["verify"] + WEAK + ["--n-fock", "12"], capsys)
     assert rc == 2
     assert "headroom" in err
-    # nonsense node count and cut
-    rc, _, _ = run(["verify"] + WEAK + ["--nodes", "1"], capsys)
+    # the node count is no option: the rule is sized from the ladder
+    with pytest.raises(SystemExit) as exc:
+        run(["verify"] + WEAK + ["--nodes", "200"], capsys)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --nodes" in capsys.readouterr().err
+    cfg = tmp_path / "nodes.ini"
+    cfg.write_text("[run]\nnodes = 200\n")
+    rc, _, err = run(["verify"] + WEAK + ["--config", str(cfg)], capsys)
     assert rc == 2
+    assert "unknown config key 'nodes'" in err
+    # nonsense cut
     rc, _, _ = run(["mindim"] + WEAK + ["--k0", "0"], capsys)
     assert rc == 2

@@ -19,6 +19,7 @@ from jcgraph.gk_states import (
     gk_state,
     jc_families,
     moment_diagonals,
+    rule_nodes,
     tail_mass,
     tail_safe_xmax,
     verify_action_identity,
@@ -44,7 +45,7 @@ def test_factorial_family_basics():
     fam = builtin_family("factorial")
     assert fam.radius == math.inf
     assert list(fam.weights_upto(4)) == [1.0, 1.0, 2.0, 6.0, 24.0]
-    assert abs(fam.n_squared(2.0) - math.exp(2.0)) < 1e-12
+    assert abs(math.exp(fam.log_n_squared(2.0)) - math.exp(2.0)) < 1e-12
     assert fam.tau(5.0) == 1.0
 
 
@@ -52,7 +53,7 @@ def test_uniform_family_basics():
     fam = builtin_family("uniform_moment")
     assert fam.radius == 1.0
     assert fam.weight(3) == 0.25
-    assert abs(fam.n_squared(0.5) - 4.0) < 1e-14
+    assert abs(math.exp(fam.log_n_squared(0.5)) - 4.0) < 1e-14
     # for this family tau coincides with the squared normalization
     assert abs(fam.tau(0.5) - 4.0) < 1e-14
 
@@ -235,13 +236,11 @@ def test_tail_safe_xmax_bisects_from_the_last_doubling(n_cut, budget):
 def loop_moment_diagonals(family, ks, rule):
     """moment_diagonals one k at a time."""
     with np.errstate(divide="ignore"):
-        log_w = np.where(rule.weights > 0, np.log(np.where(rule.weights > 0,
-                                                           rule.weights, 1.0)), -np.inf)
         log_x = np.where(rule.nodes > 0, np.log(np.where(rule.nodes > 0,
                                                          rule.nodes, 1.0)), -np.inf)
     out = np.empty(len(ks))
     for j, k in enumerate(ks):
-        logs = log_w + k * log_x - family.log_weight(int(k))
+        logs = rule.log_weights + k * log_x - family.log_weight(int(k))
         with np.errstate(under="ignore"):
             out[j] = np.exp(logs).sum()
     return out
@@ -275,6 +274,16 @@ def test_moment_diagonals_are_unity():
     uni = builtin_family("uniform_moment")
     dev = np.abs(moment_diagonals(uni, ks, uni.moment_rule(200)) - 1.0)
     assert dev.max() < 1e-10
+
+
+@pytest.mark.parametrize("name", ["factorial", "uniform_moment"])
+@pytest.mark.parametrize("terms", [16, 161, 960, 2000])
+def test_ladder_sized_rule_reproduces_every_moment(name, terms):
+    """The default rule has ceil(terms / 2) nodes, exact for x^k at every k < terms."""
+    assert 2 * rule_nodes(terms) - 1 >= terms - 1
+    fam = builtin_family(name)
+    dev = np.abs(moment_diagonals(fam, np.arange(terms)) - 1.0)
+    assert dev.max() <= 1e-10
 
 
 def test_moment_diagonals_high_order_stay_finite():

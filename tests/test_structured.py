@@ -213,8 +213,7 @@ def dense_identity_reconstruction(code, families, rule):
     for spec in families:
         fam = spec.family
         eff = QuadratureRule(nodes=rule.nodes,
-                             weights=rule.weights * np.asarray(fam.rho(rule.nodes),
-                                                               dtype=float),
+                             log_weights=rule.log_weights + fam.log_rho(rule.nodes),
                              kind=rule.kind)
         diag = moment_diagonals(fam, np.arange(spec.terms), eff)
         recon += (spec.embedding * diag) @ spec.embedding.conj().T
