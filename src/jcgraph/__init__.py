@@ -7,153 +7,30 @@ numerically that the resulting operator graph admits the middle subspace
 as an anticlique, i.e. as a code passing every error-correction identity
 exactly.  All computations run on a truncated Fock space with certified
 truncation-tail bounds.
+
+The root re-exports the names of the README's library example and
+``QuadratureRule`` and ``dressed_basis``; every other name is imported
+from its own module.
 """
-from .hilbert import (
-    QuadratureRule,
-    TruncationConfig,
-    ValidationError,
-    basis_index,
-    basis_vector,
-    bohr_mean_diagonal,
-    conjugate,
-    finite_time_mean,
-    projector_onto,
-    quadrature_integrate,
-)
-from .jc_spectrum import (
-    DegenerateLevelError,
-    DressedBasis,
-    JCParams,
-    dressed_basis,
-    dressed_vector,
-    eigenenergy,
-    evolution_operator,
-    hamiltonian_matrix,
-    mixing_angle,
-)
-from .code_construction import (
-    CodeSpec,
-    CutConstraintError,
-    SweepRow,
-    decompose,
-    dmin_sweep,
-    minimal_k0,
-    minimal_m0,
-    minimal_m0_from_rates,
-    resonant_sweep,
-    s_sequence,
-)
-from .gk_states import (
-    ActionIdentityCheck,
-    DomainError,
-    EnergyOrderError,
-    GKFamilySpec,
-    ResolutionCheck,
-    TailBoundError,
-    TruncationTooSmallError,
-    WeightFamily,
-    builtin_family,
-    dump_family,
-    gk_state,
-    jc_families,
-    moment_diagonals,
-    tail_mass,
-    tail_safe_xmax,
-    verify_action_identity,
-    verify_resolution,
-    verify_temporal_stability,
-)
-from .graph_verify import (
-    Channel,
-    CheckRecord,
-    CodeLeakageError,
-    FamilyMismatchError,
-    GraphGenerator,
-    InvalidAnticliqueError,
-    InvalidDensityError,
-    UnsupportedFamilyError,
-    VerificationReport,
-    channel_apply,
-    dephasing_channel,
-    fidelity,
-    generator,
-    knill_laflamme_check,
-    leak_probe,
-    projective_channel,
-    q_operator,
-    transmit_demo,
-    verify_anticlique,
-    verify_identity_membership,
-)
+from .hilbert import QuadratureRule, TruncationConfig
+from .jc_spectrum import JCParams, dressed_basis
+from .code_construction import decompose, minimal_k0, minimal_m0
+from .gk_states import builtin_family, jc_families, verify_resolution
+from .graph_verify import frame_generator, knill_laflamme_frame
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionIdentityCheck",
-    "Channel",
-    "CheckRecord",
-    "CodeLeakageError",
-    "CodeSpec",
-    "CutConstraintError",
-    "DegenerateLevelError",
-    "DomainError",
-    "DressedBasis",
-    "EnergyOrderError",
-    "FamilyMismatchError",
-    "GKFamilySpec",
-    "GraphGenerator",
-    "InvalidAnticliqueError",
-    "InvalidDensityError",
     "JCParams",
     "QuadratureRule",
-    "ResolutionCheck",
-    "SweepRow",
-    "TailBoundError",
     "TruncationConfig",
-    "TruncationTooSmallError",
-    "UnsupportedFamilyError",
-    "ValidationError",
-    "VerificationReport",
-    "WeightFamily",
-    "basis_index",
-    "basis_vector",
-    "bohr_mean_diagonal",
     "builtin_family",
-    "channel_apply",
-    "conjugate",
     "decompose",
-    "dephasing_channel",
-    "dmin_sweep",
     "dressed_basis",
-    "dressed_vector",
-    "dump_family",
-    "eigenenergy",
-    "evolution_operator",
-    "fidelity",
-    "finite_time_mean",
-    "generator",
-    "gk_state",
-    "hamiltonian_matrix",
+    "frame_generator",
     "jc_families",
-    "knill_laflamme_check",
-    "leak_probe",
+    "knill_laflamme_frame",
     "minimal_k0",
     "minimal_m0",
-    "minimal_m0_from_rates",
-    "mixing_angle",
-    "moment_diagonals",
-    "projective_channel",
-    "projector_onto",
-    "q_operator",
-    "quadrature_integrate",
-    "resonant_sweep",
-    "s_sequence",
-    "tail_mass",
-    "tail_safe_xmax",
-    "transmit_demo",
-    "verify_action_identity",
-    "verify_anticlique",
-    "verify_identity_membership",
     "verify_resolution",
-    "verify_temporal_stability",
 ]

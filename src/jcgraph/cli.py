@@ -208,15 +208,14 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     report.add(gv.CheckRecord("spectrum.gram_identity", gram, 1e-10, gram < 1e-10))
 
     try:
-        families = gk.jc_families(params, cfg.k0, cfg.family1, cfg.family2, trunc)
-    except gk.EnergyOrderError as exc:
+        code = cc.decompose(params, cfg.k0, trunc)
+    except cc.EnergyOrderError as exc:
         report.add(gv.CheckRecord("gk.energy_order", abs(exc.gap), 0.0, False))
         return report
-    try:
-        code = cc.decompose(params, cfg.k0, trunc)
-    except (cc.CutConstraintError, ValueError) as exc:
+    except ValueError:
         report.add(gv.CheckRecord("code.cut_constraint", 1.0, 0.0, False))
         return report
+    families = gk.jc_families(code, cfg.family1, cfg.family2)
 
     gap_min = min(float(np.diff(spec.energies).min()) for spec in families)
     report.add(gv.CheckRecord("gk.ladder_increasing", max(0.0, -gap_min), 1e-12,
@@ -321,9 +320,8 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
 
 
 def cmd_demo(cfg: RunConfig, values: dict) -> tuple:
-    trunc = cfg.trunc
-    code = cc.decompose(cfg.params, cfg.k0, trunc)
-    families = gk.jc_families(cfg.params, cfg.k0, cfg.family1, cfg.family2, trunc)
+    code = cc.decompose(cfg.params, cfg.k0, cfg.trunc)
+    families = gk.jc_families(code, cfg.family1, cfg.family2)
     x = values.get("x", 0.5 * cfg.family1.radius
                    if math.isfinite(cfg.family1.radius) else 1.0)
     t = values.get("t", 1.0 / cfg.params.omega_f)
@@ -365,8 +363,8 @@ def cmd_demo(cfg: RunConfig, values: dict) -> tuple:
 
 
 def cmd_gk_dump(cfg: RunConfig, values: dict) -> dict:
-    families = gk.jc_families(cfg.params, cfg.k0, cfg.family1, cfg.family2,
-                              cfg.trunc)
+    code = cc.decompose(cfg.params, cfg.k0, cfg.trunc)
+    families = gk.jc_families(code, cfg.family1, cfg.family2)
     which = values.get("which", "J").upper()
     if which not in ("J", "S"):
         raise UsageError(f"--which must be J or S, got {which!r}")
@@ -481,7 +479,7 @@ def main(argv=None) -> int:
         # a degenerate level has no dressed basis: no state can be built
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (cc.CutConstraintError, gk.EnergyOrderError, gk.DomainError,
+    except (cc.CutConstraintError, gk.DomainError,
             gk.TruncationTooSmallError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

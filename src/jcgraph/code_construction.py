@@ -25,13 +25,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import TruncationConfig, ValidationError
-from .jc_spectrum import JCParams, dressed_frame, dressed_index, eigenenergy
+from .jc_spectrum import DressedFrame, JCParams, dressed_frame, eigenenergy
 
 _WALK_CAP = 64  # steps the closed-form start may move; rounding needs a few
 
 
 class CutConstraintError(ValueError):
     """The requested cut index violates k0 >= max(3, M0) or the cutoff."""
+
+
+class EnergyOrderError(CutConstraintError):
+    """A dressed ladder failed to increase strictly: the cut lies below M0."""
+
+    def __init__(self, message: str, index: int, gap: float = 0.0):
+        super().__init__(message)
+        self.index = index
+        self.gap = gap
 
 
 def s_sequence(params: JCParams, k: int) -> float:
@@ -55,9 +64,12 @@ def _first_gap_index(gamma_f: float, gamma_s: float, gap_holds) -> int:
 
     The gap condition holds exactly for m > m* = ((u - 1/u)/2)^2 - d^2 with
     u = gamma_f/2, and for all m when u < 1.  The start floor(m*) + 1 moves
-    only while the exact strict predicate says so, which keeps the resonant
-    jump at gamma = 2(2 + sqrt 3) exact.  ValueError when M0 is not
-    resolvable: past m* = 2^53 neighbouring m are not distinct doubles.
+    only while the predicate ``gap_holds``, evaluated in floating point,
+    says so.  That predicate can be off by one where m* lies within an ulp
+    of an integer: at the double nearest the jump 2(2 + sqrt 3) both forms
+    return 4, where exact arithmetic on that double gives m* = 3 - eps and
+    M0 = 3.  ValueError when M0 is not resolvable: past m* = 2^53
+    neighbouring m are not distinct doubles.
     """
     u = 0.5 * gamma_f
     if u < 1.0:
@@ -104,28 +116,35 @@ def minimal_k0(m0: int) -> int:
     return max(3, m0)
 
 
-def h3_index(k0: int) -> np.ndarray:
-    """Dressed indices of the H3 basis |0,g>, |1,->, ..., |k0-1,->: 0, 2, ..., 2(k0-1)."""
-    return np.concatenate(([0], dressed_index("minus", np.arange(1, k0))))
-
-
 @dataclass(frozen=True)
 class CodeSpec:
-    """Cut data: the H3 basis and the code basis as columns.
+    """The cut: the run's dressed frame, its index partition and the code.
 
-    ``h3_basis`` W holds the k0 dressed vectors |0,g>, |1,->, ...,
-    |k0-1,-> spanning H3, at the dressed indices ``h3_index(k0)``;
-    ``code_basis`` its first k0 - 1 columns, so
-    callers prepare code states directly.  The dense projectors ``p3`` =
-    W W+ and ``code_projector`` are built on demand for the dense oracles.
-    H1 and H2 are the ladders of ``gk_states.jc_families``.
+    The dressed indices 0..2N+1 of ``frame`` split into four sets: H3 =
+    ``h3_indices`` = {0, 2, ..., 2k0 - 2} (|0,g>, |1,->, ..., |k0-1,->), the
+    upper ladder J = ``j_indices`` = {1, 3, ..., 2N - 1} (|n,+>), the lower
+    ladder S = ``s_indices`` = {2k0, 2k0 + 2, ..., 2N} (|n,->, n >= k0) and the
+    decoupled |N, e> at ``decoupled_index`` = 2N + 1.  The ladders of
+    ``gk_states.jc_families`` and H3 are views of this partition.
+    ``h3_basis`` W holds the k0 H3 vectors as columns, ``code_basis`` its
+    first k0 - 1, so callers prepare code states directly.  The dense
+    projectors ``p3`` = W W+ and ``code_projector`` are built on demand for
+    the dense oracles.
     """
 
     trunc: TruncationConfig
     m0: int
     k0: int
+    frame: DressedFrame
+    h3_indices: np.ndarray
+    j_indices: np.ndarray
+    s_indices: np.ndarray
     h3_basis: np.ndarray
     code_basis: np.ndarray
+
+    @property
+    def decoupled_index(self) -> int:
+        return 2 * self.trunc.n_fock + 1
 
     @property
     def p3(self) -> np.ndarray:
@@ -137,29 +156,43 @@ class CodeSpec:
 
 
 def decompose(params: JCParams, k0: int, trunc: TruncationConfig) -> CodeSpec:
-    """Split the truncated space along the cut k0 and build the code.
+    """Build the run's dressed frame and split its indices along the cut k0.
 
-    Requires k0 >= max(3, M0) so that H2 carries a strictly increasing
-    energy ladder, and k0 < N so the cut lies inside the truncation.  H3 is
-    taken from the dressed frame by index, as ``jc_families`` takes H1 and
-    H2; the code spans its first k0 - 1 (always >= 2) basis vectors.
+    Requires 1 <= k0 < N so the cut lies inside the truncation, both
+    ladders strictly increasing (``EnergyOrderError`` names the first
+    offending step) and k0 >= max(3, M0), checked in that order.  The code
+    spans the first k0 - 1 (always >= 2) H3 vectors.
     """
+    n = trunc.n_fock
+    if not 1 <= k0 < n:
+        raise CutConstraintError(
+            f"k0 = {k0} must lie in 1..N-1 for the photon cutoff N = {n}")
+    frame = dressed_frame(params, trunc)
+    j_indices = np.arange(1, 2 * n, 2)  # |n,+> for n = 1..N
+    s_indices = np.arange(2 * k0, 2 * n + 1, 2)  # |n,-> for n = k0..N
+    for label, idx in (("J", j_indices), ("S", s_indices)):
+        gaps = np.diff(frame.energies[idx])
+        if gaps.size and gaps.min() <= 0:
+            i = int(np.argmax(gaps <= 0))
+            raise EnergyOrderError(
+                f"{label} ladder not strictly increasing: h[{i + 1}] - h[{i}] = "
+                f"{gaps[i]:.3e} (cut k0 = {k0} below the monotonicity threshold?)",
+                index=i, gap=float(gaps[i]))
     m0 = minimal_m0(params)
     k_min = minimal_k0(m0)
     if k0 < k_min:
         raise CutConstraintError(
             f"k0 = {k0} below the admissible minimum max(3, M0) = {k_min} (M0 = {m0})")
-    if k0 >= trunc.n_fock:
-        raise CutConstraintError(
-            f"k0 = {k0} must be smaller than the photon cutoff N = {trunc.n_fock}")
 
-    h3_basis = dressed_frame(params, trunc).embed(h3_index(k0), np.eye(k0))
+    h3_indices = np.arange(0, 2 * k0, 2)  # |0,g> and |n,-> for n = 1..k0-1
+    h3_basis = frame.embed(h3_indices, np.eye(k0))
     dev = np.abs(h3_basis.conj().T @ h3_basis - np.eye(k0))
     if dev.max() > 1e-10:
         i, j = np.unravel_index(int(dev.argmax()), dev.shape)
         raise ValidationError(f"H3 basis vectors {i} and {j} are not orthonormal")
-    return CodeSpec(trunc=trunc, m0=m0, k0=k0,
-                    h3_basis=h3_basis, code_basis=h3_basis[:, :k0 - 1])
+    return CodeSpec(trunc=trunc, m0=m0, k0=k0, frame=frame, h3_indices=h3_indices,
+                    j_indices=j_indices, s_indices=s_indices, h3_basis=h3_basis,
+                    code_basis=h3_basis[:, :k0 - 1])
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hilbert import QuadratureRule, TruncationConfig
-from .jc_spectrum import DressedFrame, JCParams, dressed_frame, dressed_index
+from .code_construction import CodeSpec
+from .jc_spectrum import DressedFrame
 
 _TAIL_ITER_CAP = 1_000_000
 _MOMENT_BLOCK = 1 << 18  # bounds the (k, node) temporaries of moment_diagonals
@@ -48,15 +49,6 @@ class TruncationTooSmallError(ValueError):
     def __init__(self, message: str, required_n: int | None = None):
         super().__init__(message)
         self.required_n = required_n
-
-
-class EnergyOrderError(ValueError):
-    """An embedded energy ladder failed to increase strictly."""
-
-    def __init__(self, message: str, index: int, gap: float = 0.0):
-        super().__init__(message)
-        self.index = index
-        self.gap = gap
 
 
 @dataclass(frozen=True)
@@ -221,9 +213,11 @@ class GKFamilySpec:
     """A weight family bound to a strictly increasing ladder of dressed states.
 
     |e_k> is the dressed eigenvector at ``index[k]`` of ``frame``, so a
-    ladder is O(N) data.  ``energies`` are the h_k and ``start_index`` is n
-    of |e_0> = |n, +-> (1 on the upper branch, k0 on the lower), so
-    truncation needs are reported as photon cutoffs.  The dense dim x terms
+    ladder is O(N) data.  ``jc_families`` takes both from a ``CodeSpec``:
+    a ladder is a view of the code's frame and index partition.
+    ``energies`` are the h_k and ``start_index`` is n of |e_0> = |n, +->
+    (1 on the upper branch, k0 on the lower), so truncation needs are
+    reported as photon cutoffs.  The dense dim x terms
     ``embedding`` of the |e_k> is built on demand for the dense oracles.
     """
 
@@ -293,34 +287,19 @@ def gk_state(spec: GKFamilySpec, x: float, y: float,
     return spec.frame.embed(spec.index, _coefficients(spec, x, y))
 
 
-def jc_families(params: JCParams, k0: int, family1: WeightFamily,
-                family2: WeightFamily, trunc: TruncationConfig) -> tuple:
-    """Bind weight families to the two increasing Jaynes-Cummings ladders.
+def jc_families(code: CodeSpec, family1: WeightFamily,
+                family2: WeightFamily) -> tuple:
+    """Bind weight families to the two increasing ladders of the code's cut.
 
-    The first family rides the upper branch, h_k = E_{k+1,+} embedded on
-    |k+1, +> for k = 0..N-1; the second rides the lower branch above the
-    cut, h_k = E_{k+k0,-} embedded on |k+k0, -> for k = 0..N-k0.  Both
-    ladders are checked to be strictly increasing; a violation names the
-    first offending index (it indicates a cut below the monotonicity
-    threshold M0).
+    The first family rides the upper ladder J, h_k = E_{k+1,+} on |k+1, +>
+    for k = 0..N-1; the second the lower ladder S above the cut,
+    h_k = E_{k+k0,-} on |k+k0, -> for k = 0..N-k0.  Both are views of
+    ``code.frame`` at the indices ``decompose`` split and ordered.
     """
-    if not 1 <= k0 < trunc.n_fock:
-        raise ValueError(f"k0 = {k0} outside 1..{trunc.n_fock - 1}")
-    frame = dressed_frame(params, trunc)
-    specs = []
-    for family, branch, start, label in (
-            (family1, "plus", 1, "J"), (family2, "minus", k0, "S")):
-        idx = dressed_index(branch, np.arange(start, trunc.n_fock + 1))
-        gaps = np.diff(frame.energies[idx])
-        if gaps.size and gaps.min() <= 0:
-            i = int(np.argmax(gaps <= 0))
-            raise EnergyOrderError(
-                f"{label} ladder not strictly increasing: h[{i + 1}] - h[{i}] = "
-                f"{gaps[i]:.3e} (cut k0 = {k0} below the monotonicity threshold?)",
-                index=i, gap=float(gaps[i]))
-        specs.append(GKFamilySpec(family=family, frame=frame, index=idx,
-                                  label=label))
-    return specs[0], specs[1]
+    return (GKFamilySpec(family=family1, frame=code.frame, index=code.j_indices,
+                         label="J"),
+            GKFamilySpec(family=family2, frame=code.frame, index=code.s_indices,
+                         label="S"))
 
 
 def rule_nodes(terms: int) -> int:

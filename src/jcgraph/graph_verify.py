@@ -28,17 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .code_construction import CodeSpec, h3_index
+from .code_construction import CodeSpec
 from .gk_states import GKFamilySpec, _coefficients, moment_diagonals, rule_nodes
-from .hilbert import QuadratureRule, ValidationError, basis_index
+from .hilbert import QuadratureRule, ValidationError
 
 
 class UnsupportedFamilyError(ValueError):
     """Identity membership requested with an unsuitable weight family."""
-
-
-class FamilyMismatchError(ValueError):
-    """The lower-branch family was built for a different cut than the code."""
 
 
 class InvalidAnticliqueError(ValueError):
@@ -133,7 +129,7 @@ def generator(code: CodeSpec, families: Sequence[GKFamilySpec],
     corresponding ladder at phase time t, using the covariance
     U_t P^j_x U_t+ = |x, t><x, t|.
     """
-    _check_generator_index(code, families, j)
+    _check_generator_index(j)
     if j == 3:
         op = code.p3.astype(complex)
     else:
@@ -141,14 +137,9 @@ def generator(code: CodeSpec, families: Sequence[GKFamilySpec],
     return GraphGenerator(j=j, x=x, t=t, operator=op)
 
 
-def _check_generator_index(code: CodeSpec, families: Sequence[GKFamilySpec],
-                           j: int) -> None:
+def _check_generator_index(j: int) -> None:
     if j not in (1, 2, 3):
         raise ValueError(f"generator index must be 1, 2 or 3, got {j}")
-    if families[1].start_index != code.k0:
-        raise FamilyMismatchError(
-            f"lower-branch family starts at {families[1].start_index}, "
-            f"code cut is k0 = {code.k0}")
 
 
 def frame_generator(code: CodeSpec, families: Sequence[GKFamilySpec],
@@ -158,7 +149,7 @@ def frame_generator(code: CodeSpec, families: Sequence[GKFamilySpec],
     W = code.h3_basis, so P3 = W W+.  A ladder generator |v><v| becomes
     u u+ with u = W+ v; P3 itself becomes (W+ W)^2.
     """
-    _check_generator_index(code, families, j)
+    _check_generator_index(j)
     w = code.h3_basis
     if j == 3:
         gram = w.conj().T @ w
@@ -204,9 +195,10 @@ def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
     ladder's rule in ``rules`` (default: each family's moment rule, exact
     for every moment of the longer ladder), and the H3 term integrates
     tau1(x)/(R tau1(x)) = 1/R with the first rule's weights, rho divided
-    out.  Both ladders and H3 sit on disjoint dressed indices, so
-    one dressed weight vector holds all three and the result is read off
-    the frame's blocks.  The decoupled |N, e> direction is excluded: no
+    out.  The ladders (from ``jc_families(code, ...)``) and H3 are views of
+    the code's partition of the dressed indices, so one dressed weight
+    vector holds all three and the result is read off the blocks of
+    ``code.frame``.  The decoupled |N, e> direction is excluded: no
     generator has support there, so the reconstruction is zero there.
     """
     fam1 = families[0].family
@@ -215,23 +207,17 @@ def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
         raise UnsupportedFamilyError(
             "identity membership needs matching finite convergence radii; "
             f"got R1 = {fam1.radius}, R2 = {fam2.radius}")
-    trunc = code.trunc
-    for spec in families:
-        if spec.frame.energies.size != trunc.dim:
-            raise FamilyMismatchError(
-                f"{spec.label or spec.family.name} ladder built on a dim "
-                f"{spec.frame.energies.size} space, the code on dim {trunc.dim}")
     if rules is None:
         n_nodes = rule_nodes(max(spec.terms for spec in families))
         rules = [spec.family.moment_rule(n_nodes) for spec in families]
-    weights = np.zeros(trunc.dim)
+    weights = np.zeros(code.trunc.dim)
     for spec, rule in zip(families, rules):
         weights[spec.index] = moment_diagonals(spec.family, np.arange(spec.terms), rule)
     plain = np.exp(rules[0].log_weights - fam1.log_rho(rules[0].nodes))
-    weights[h3_index(code.k0)] = plain.sum() / fam1.radius
-    diag, off = families[0].frame.block_entries(weights)
+    weights[code.h3_indices] = plain.sum() / fam1.radius
+    diag, off = code.frame.block_entries(weights)
     dev = np.abs(diag - 1.0)
-    dev[basis_index(trunc.n_fock, "e", trunc)] = 0.0
+    dev[code.decoupled_index] = 0.0
     return float(max(dev.max(), np.abs(off).max()))
 
 

@@ -5,13 +5,13 @@ is flattened to index 2n + s with g = 0 and e = 1, so the truncated space
 has dimension 2(N + 1).  States are complex vectors of that length and
 operators are complex matrices; both are plain numpy arrays.
 
-Besides the indexing helpers this module provides the two averaging
-primitives used throughout the verification suite: the analytic Bohr mean
-of a quasi-periodic operator family (diagonal extraction) and its
-brute-force counterpart, a finite-time average, plus Gaussian quadrature
-rules for the radial integrals, built with numpy alone: Newton on the
-Legendre recurrence, and the Laguerre Jacobi matrix's eigenvalues polished
-by one Newton step, with weights kept as logs.
+Besides the indexing helpers this module provides two averaging oracles
+that only the tests use: the analytic Bohr mean of a quasi-periodic
+operator family (diagonal extraction) and its brute-force counterpart, a
+finite-time average.  It also builds the Gaussian quadrature rules for the
+radial integrals with numpy alone: Newton on the Legendre recurrence, and
+the Laguerre Jacobi matrix's eigenvalues polished by one Newton step, with
+weights kept as logs.
 """
 from __future__ import annotations
 

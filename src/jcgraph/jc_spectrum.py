@@ -255,8 +255,8 @@ class DressedBasis:
     """Full eigenbasis of the truncated Hamiltonian.
 
     ``vectors`` holds the eigenvectors as columns, ordered ground,
-    (1,+), (1,-), ..., (N,+), (N,-), and finally the decoupled |N, e>;
-    ``dressed_index`` maps a level (branch, n) to its column.
+    (1,+), (1,-), ..., (N,+), (N,-), and finally the decoupled |N, e>; the
+    module function ``dressed_index`` gives the column of a level (branch, n).
     """
 
     vectors: np.ndarray

@@ -127,7 +127,7 @@ def test_criterion_5_gk_property_suite():
         rule = fam.moment_rule(200)
         worst_moment = max(worst_moment,
                            float(np.abs(moment_diagonals(fam, ks, rule) - 1.0).max()))
-        for spec in jc_families(HAROCHE, 3, fam, fam, N60):
+        for spec in jc_families(decompose(HAROCHE, 3, N60), fam, fam):
             check = verify_resolution(spec, rule)
             worst_resolution = max(worst_resolution, check.residual)
             xmax = tail_safe_xmax(fam, spec.terms - 1, budget=1e-12)
@@ -147,8 +147,8 @@ def test_criterion_5_gk_property_suite():
 def test_criterion_6_identity_membership():
     t0 = time.perf_counter()
     uni = builtin_family("uniform_moment")
-    families = jc_families(GENERIC, 3, uni, uni, N60)
     code = decompose(GENERIC, 3, N60)
+    families = jc_families(code, uni, uni)
     res200 = verify_identity_membership(code, families, [uni.moment_rule(200)] * 2)
     res100 = verify_identity_membership(code, families, [uni.moment_rule(100)] * 2)
     floor = 1e-10
@@ -170,8 +170,8 @@ def test_criterion_6_identity_membership():
 def test_criterion_7_anticlique():
     t0 = time.perf_counter()
     uni = builtin_family("uniform_moment")
-    families = jc_families(GENERIC, 3, uni, uni, N60)
     code = decompose(GENERIC, 3, N60)
+    families = jc_families(code, uni, uni)
     rng = np.random.default_rng(103)
     gens = []
     for _ in range(100):
@@ -214,8 +214,8 @@ def test_criterion_7_anticlique():
 def test_criterion_8_zero_error_transmission():
     t0 = time.perf_counter()
     uni = builtin_family("uniform_moment")
-    families = jc_families(GENERIC, 3, uni, uni, N60)
     code = decompose(GENERIC, 3, N60)
+    families = jc_families(code, uni, uni)
     rng = np.random.default_rng(107)
     states = []
     for _ in range(20):

@@ -295,6 +295,20 @@ def test_demo_inadmissible_cut_fails_as_check(capsys):
     assert "check failed" in err
 
 
+def test_demo_cut_below_m0_names_the_ladder_gap(capsys):
+    # decompose checks the ladders before the closed-form bound k0 >= max(3, M0)
+    rc, out, err = run(["demo"] + STRONG + ["--k0", "3", "--n-fock", "20"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("check failed: S ladder not strictly increasing")
+
+
+@pytest.mark.parametrize("k0", ["1", "2"])
+def test_gk_dump_inadmissible_cut_fails_as_check(capsys, k0):
+    rc, out, err = run(["gk-dump"] + SMALL + ["--k0", k0], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"check failed: k0 = {k0} below the admissible minimum")
+
+
 def test_gk_dump_schema(capsys):
     argv = ["gk-dump"] + SMALL + ["--which", "S", "--xs", "0,0.4", "--ys", "0,1"]
     rc, out, _ = run(argv, capsys)

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jcgraph import gk_states
+from jcgraph.code_construction import EnergyOrderError, decompose
 from jcgraph.hilbert import TruncationConfig
 from jcgraph.jc_spectrum import JCParams, eigenenergy, evolution_operator
 from jcgraph.gk_states import (
     DomainError,
-    EnergyOrderError,
     TailBoundError,
     TruncationTooSmallError,
     builtin_family,
@@ -296,7 +296,7 @@ def test_jc_families_layout():
     tr = TruncationConfig(30)
     uni = builtin_family("uniform_moment")
     fac = builtin_family("factorial")
-    j, s = jc_families(PARAMS, 3, uni, fac, tr)
+    j, s = jc_families(decompose(PARAMS, 3, tr), uni, fac)
     assert (j.label, s.label) == ("J", "S")
     assert (j.start_index, s.start_index) == (1, 3)
     assert j.terms == 30
@@ -311,33 +311,47 @@ def test_jc_families_layout():
     assert np.abs(j.embedding.conj().T @ s.embedding).max() < 1e-12
 
 
+def test_jc_families_are_views_of_the_code():
+    """Both ladders sit on the code's frame, at the J and S sets of its partition."""
+    tr = TruncationConfig(30)
+    uni = builtin_family("uniform_moment")
+    code = decompose(PARAMS, 3, tr)
+    j, s = jc_families(code, uni, uni)
+    assert j.frame is code.frame and s.frame is code.frame
+    assert j.index is code.j_indices and s.index is code.s_indices
+    # H3, J, S and the decoupled |N, e> partition the dressed indices
+    parts = np.concatenate([code.h3_indices, code.j_indices, code.s_indices,
+                            [code.decoupled_index]])
+    np.testing.assert_array_equal(np.sort(parts), np.arange(tr.dim))
+
+
 def test_jc_families_rejects_cut_below_threshold():
     """A cut below M0 leaves a decreasing stretch on the lower ladder."""
     tr = TruncationConfig(30)
     uni = builtin_family("uniform_moment")
     strong = JCParams.from_rates(8.0, 8.0)
     with pytest.raises(EnergyOrderError) as err:
-        jc_families(strong, 3, uni, uni, tr)
+        decompose(strong, 3, tr)
     assert err.value.index == 0
     assert err.value.gap <= 0
     # at the admissible cut the same parameters pass
-    j, s = jc_families(strong, 4, uni, uni, tr)
+    j, s = jc_families(decompose(strong, 4, tr), uni, uni)
     assert np.diff(s.energies).min() > 0
 
 
 def test_jc_families_k0_bounds():
+    # the cut is checked where the ladders are split, in decompose
     tr = TruncationConfig(10)
-    uni = builtin_family("uniform_moment")
     with pytest.raises(ValueError):
-        jc_families(PARAMS, 0, uni, uni, tr)
+        decompose(PARAMS, 0, tr)
     with pytest.raises(ValueError):
-        jc_families(PARAMS, 10, uni, uni, tr)
+        decompose(PARAMS, 10, tr)
 
 
 def test_gk_state_matches_direct_construction():
     tr = TruncationConfig(40)
     uni = builtin_family("uniform_moment")
-    j, _ = jc_families(PARAMS, 3, uni, uni, tr)
+    j, _ = jc_families(decompose(PARAMS, 3, tr), uni, uni)
     x, y = 0.25, 1.3
     v = gk_state(j, x, y, tr)
     # direct sum over the ladder: sqrt(p_k) e^{-i h_k y} on |k+1, +>
@@ -354,7 +368,7 @@ def test_gk_state_matches_direct_construction():
 def test_gk_state_truncation_error_reports_needed_cutoff():
     tr = TruncationConfig(20, tail_tol=1e-9)
     uni = builtin_family("uniform_moment")
-    j, _ = jc_families(PARAMS, 3, uni, uni, tr)
+    j, _ = jc_families(decompose(PARAMS, 3, tr), uni, uni)
     with pytest.raises(TruncationTooSmallError) as err:
         gk_state(j, 0.9, 0.0, tr)
     need = err.value.required_n
@@ -367,7 +381,7 @@ def test_gk_state_truncation_error_reports_needed_cutoff():
 def test_ladder_embeddings_are_orthonormal():
     tr = TruncationConfig(25)
     uni = builtin_family("uniform_moment")
-    j, s = jc_families(PARAMS, 3, uni, uni, tr)
+    j, s = jc_families(decompose(PARAMS, 3, tr), uni, uni)
     for spec in (j, s):
         e = spec.embedding
         assert np.abs(e.conj().T @ e - np.eye(spec.terms)).max() < 1e-12
@@ -378,7 +392,7 @@ def test_verify_resolution_reconstructs_projector():
     tr = TruncationConfig(40)
     for name in ("factorial", "uniform_moment"):
         fam = builtin_family(name)
-        j, s = jc_families(PARAMS, 3, fam, fam, tr)
+        j, s = jc_families(decompose(PARAMS, 3, tr), fam, fam)
         for spec in (j, s):
             check = verify_resolution(spec, fam.moment_rule(200))
             assert check.residual < 1e-6
@@ -392,7 +406,7 @@ def test_verify_resolution_converges_with_nodes():
     """Under-resolved quadrature shows real convergence as nodes double."""
     tr = TruncationConfig(40)
     uni = builtin_family("uniform_moment")
-    j, _ = jc_families(PARAMS, 3, uni, uni, tr)
+    j, _ = jc_families(decompose(PARAMS, 3, tr), uni, uni)
     residuals = [verify_resolution(j, uni.moment_rule(n)).residual
                  for n in (8, 16)]
     assert residuals[1] < residuals[0] / 2.0
@@ -401,7 +415,7 @@ def test_verify_resolution_converges_with_nodes():
 def test_temporal_stability_equals_kept_mass_squared():
     tr = TruncationConfig(40)
     uni = builtin_family("uniform_moment")
-    j, _ = jc_families(PARAMS, 3, uni, uni, tr)
+    j, _ = jc_families(decompose(PARAMS, 3, tr), uni, uni)
     x = 0.3
     kept = 1.0 - geometric_tail(x, j.terms - 1)
     for t in (0.0, 1.7, 9.4):
@@ -413,7 +427,7 @@ def test_temporal_stability_through_the_evolution_operator():
     # the phase path and the unitary path agree term by term
     tr = TruncationConfig(30)
     fac = builtin_family("factorial")
-    _, s = jc_families(PARAMS, 3, fac, fac, tr)
+    _, s = jc_families(decompose(PARAMS, 3, tr), fac, fac)
     t = 2.1
     v0 = gk_state(s, 1.5, 0.0, tr)
     vt = gk_state(s, 1.5, t, tr)
@@ -449,7 +463,7 @@ def test_dump_family_structure():
     tr = TruncationConfig(15)
     uni = builtin_family("uniform_moment")
     fac = builtin_family("factorial")
-    j, s = jc_families(PARAMS, 3, uni, fac, tr)
+    j, s = jc_families(decompose(PARAMS, 3, tr), uni, fac)
     d = dump_family(j, [0.0, 0.3], [0.0, 2.0])
     assert d["family"] == "uniform_moment"
     assert d["label"] == "J"

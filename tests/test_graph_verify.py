@@ -11,7 +11,6 @@ from jcgraph.gk_states import builtin_family, jc_families
 from jcgraph.graph_verify import (
     CheckRecord,
     CodeLeakageError,
-    FamilyMismatchError,
     InvalidAnticliqueError,
     InvalidDensityError,
     UnsupportedFamilyError,
@@ -32,8 +31,8 @@ from jcgraph.graph_verify import (
 PARAMS = JCParams(omega_f=1.0, omega_s=1.0, kappa=0.5)
 TRUNC = TruncationConfig(40)
 UNI = builtin_family("uniform_moment")
-FAMILIES = jc_families(PARAMS, 3, UNI, UNI, TRUNC)
 CODE = decompose(PARAMS, 3, TRUNC)
+FAMILIES = jc_families(CODE, UNI, UNI)
 
 
 def code_state(seed):
@@ -92,9 +91,6 @@ def test_generator_validation():
         generator(CODE, FAMILIES, 0, 0.1, 0.0)
     with pytest.raises(ValueError):
         generator(CODE, FAMILIES, 4, 0.1, 0.0)
-    mismatched = jc_families(PARAMS, 4, UNI, UNI, TRUNC)
-    with pytest.raises(FamilyMismatchError):
-        generator(CODE, mismatched, 1, 0.1, 0.0)
 
 
 def test_q_operator_weights():
@@ -113,7 +109,7 @@ def test_q_operator_weights():
 
 def test_q_operator_rejects_infinite_radius():
     fac = builtin_family("factorial")
-    fams = jc_families(PARAMS, 3, fac, UNI, TRUNC)
+    fams = jc_families(CODE, fac, UNI)
     with pytest.raises(UnsupportedFamilyError):
         q_operator(0.5, fams, CODE)
 
@@ -126,16 +122,9 @@ def test_q_operator_domain():
 
 
 def test_identity_membership_requires_matching_radii():
-    fams = jc_families(PARAMS, 3, UNI, builtin_family("factorial"), TRUNC)
+    fams = jc_families(CODE, UNI, builtin_family("factorial"))
     with pytest.raises(UnsupportedFamilyError, match="matching finite"):
         verify_identity_membership(CODE, fams)
-
-
-def test_identity_membership_rejects_families_of_another_cutoff():
-    code = decompose(PARAMS, 3, TruncationConfig(30))
-    with pytest.raises(FamilyMismatchError, match="dim 42 space, the code on dim 62"):
-        verify_identity_membership(code, jc_families(PARAMS, 3, UNI, UNI,
-                                                     TruncationConfig(20)))
 
 
 def test_identity_membership_residual_small():

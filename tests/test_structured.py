@@ -67,7 +67,8 @@ def systems(draw):
 def build(params, trunc, family):
     k0 = minimal_k0(minimal_m0(params))
     fam = builtin_family(family)
-    return decompose(params, k0, trunc), jc_families(params, k0, fam, fam, trunc)
+    code = decompose(params, k0, trunc)
+    return code, jc_families(code, fam, fam)
 
 
 def cli_x_range(families):
@@ -278,8 +279,8 @@ def test_ladders_hold_no_dense_embedding():
     fac = builtin_family("factorial")
     tracemalloc.start()
     try:
-        families = jc_families(JCParams(1.0, 0.8, 0.7), 3, fac, fac,
-                               TruncationConfig(2000))
+        code = decompose(JCParams(1.0, 0.8, 0.7), 3, TruncationConfig(2000))
+        families = jc_families(code, fac, fac)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -300,7 +301,7 @@ def test_block_reconstructions_match_dense_oracles(system, nodes):
         with pytest.raises(UnsupportedFamilyError):
             verify_identity_membership(code, families)
         uni = builtin_family("uniform_moment")
-        families = jc_families(params, code.k0, uni, uni, trunc)
+        families = jc_families(code, uni, uni)
     rules = [spec.family.moment_rule(nodes) for spec in families]
     assert abs(verify_identity_membership(code, families, rules)
                - dense_identity_residual(code, families, nodes)) <= 1e-14
@@ -357,14 +358,27 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, family):
     # one per ladder for the resolution (whose diagonals the moments check
     # reads) and one per ladder for identity membership
     assert len(moments) == 4
-    # one frame each for the spectrum check, the ladders (whose frame the
-    # stability grid uses) and the cut; each x's tail is checked once and
-    # the three tail-safe searches stop when the bracket does
+    # the spectrum check's frame and the cut's, which the ladders and the
+    # stability grid share (test_commands_build_the_cut_frame_once counts
+    # them); each x's tail is checked once and the three tail-safe searches
+    # stop when the bracket does
     assert 1 <= len(frames) <= 3
     assert 1 <= len(tails) <= 250
     # one moment rule per family, shared by both ladders and identity membership
     assert sorted(rules) == (["gauss_legendre"] if family == "uniform_moment"
                              else ["gauss_laguerre", "gauss_legendre"])
+
+
+@pytest.mark.parametrize("command, frames", [("verify", 2), ("demo", 1), ("gk-dump", 1)])
+def test_commands_build_the_cut_frame_once(monkeypatch, capsys, command, frames):
+    """decompose builds the run's frame; only verify's spectrum check builds another."""
+    built = _count_calls(monkeypatch, "dressed_frame")
+    rc = cli.main([command, "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+                   "--family1", "factorial", "--family2", "factorial",
+                   "--n-fock", "30"])
+    capsys.readouterr()
+    assert rc == 0
+    assert len(built) == frames
 
 
 @pytest.mark.parametrize("command, families", [
