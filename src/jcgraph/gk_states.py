@@ -21,6 +21,7 @@ at every rung, with its weights kept as logs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -98,9 +99,17 @@ class WeightFamily:
             p[0] = 1.0
             return p
         ks = np.arange(k_max + 1)
-        log_c = np.array([self.log_weight(int(k)) for k in ks])
         with np.errstate(under="ignore"):
-            return np.exp(ks * math.log(x) - log_c - self.log_n_squared(x))
+            return np.exp(ks * math.log(x) - _log_weights(self.log_weight, k_max)
+                          - self.log_n_squared(x))
+
+
+@functools.lru_cache(maxsize=8)
+def _log_weights(log_weight: Callable[[int], float], k_max: int) -> np.ndarray:
+    """log c_k for k = 0..k_max, built once per family and ladder length, read-only."""
+    log_c = np.array([log_weight(k) for k in range(k_max + 1)], dtype=float)
+    log_c.flags.writeable = False
+    return log_c
 
 
 def _check_domain(family: WeightFamily, x: float) -> None:
@@ -372,21 +381,22 @@ def verify_temporal_stability(spec: GKFamilySpec, xs: Sequence[float],
 
     Returns the (len(xs), len(ts)) array of fidelities, each equal to 1 up
     to rounding and truncation tail.  Every x's tail check, amplitudes and
-    |x, 0> are computed once; U_t |x, 0> is applied block by block on
-    ``spec.frame`` in O(N), never as a dense matrix.
+    |x, 0> are computed once; the t axis is batched: all |x, t> come from
+    one 2-D ``embed`` and all U_t |x, 0> from one ``evolve`` over the
+    times, one column per t, applied block by block on ``spec.frame`` in
+    O(N) per column, never as a dense matrix.
     """
-    fids = np.empty((len(xs), len(ts)))
-    h = spec.energies
+    ts = np.asarray(ts, dtype=float)
+    fids = np.empty((len(xs), ts.size))
+    frame, h = spec.frame, spec.energies
     for i, x in enumerate(xs):
         x = float(x)
         _check_tail(spec, x, trunc)
         amp = np.sqrt(spec.family.probabilities(x, spec.terms - 1))
         # the y = 0 phases, exactly as gk_state(spec, x, 0.0) builds them
-        v0 = spec.frame.embed(spec.index, amp * np.exp(-1j * h * 0.0))
-        for j, t in enumerate(ts):
-            t = float(t)
-            vt = spec.frame.embed(spec.index, amp * np.exp(-1j * h * t))
-            fids[i, j] = abs(np.vdot(vt, spec.frame.evolve(v0, t))) ** 2
+        v0 = frame.embed(spec.index, amp * np.exp(-1j * h * 0.0))
+        vt = frame.embed(spec.index, amp[:, None] * np.exp(-1j * np.outer(h, ts)))
+        fids[i] = np.abs((vt.conj() * frame.evolve(v0, ts)).sum(axis=0)) ** 2
     return fids
 
 

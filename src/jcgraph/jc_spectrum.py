@@ -25,7 +25,11 @@ exact eigenvector with its diagonal energy omega_f N + omega_s / 2.
 The block of level n sits on the neighbouring product indices 2n - 1
 (|n-1, e>) and 2n (|n, g>), so ``DressedFrame`` holds the whole dressed
 basis as two half-angle arrays and the energies, and applies U_t to a
-vector in O(N); the dense ``evolution_operator`` is kept as its reference.
+vector in O(N); ``spectrum_residuals`` checks it against H block by block.
+The dense ``hamiltonian_matrix``, ``dressed_basis`` and
+``evolution_operator`` are reference forms that the tests compare the frame
+against; no command calls them.  They stay in the package because
+perfbench's tracer wraps them by name.
 """
 from __future__ import annotations
 
@@ -143,7 +147,11 @@ def dressed_vector(params: JCParams, n: int, branch,
 
 
 def hamiltonian_matrix(params: JCParams, trunc: TruncationConfig) -> np.ndarray:
-    """Dense truncated Hamiltonian in the flattened product basis."""
+    """Dense truncated Hamiltonian in the flattened product basis.
+
+    A reference form: ``spectrum_residuals`` reads the same entries block
+    by block, and the tests compare the two.
+    """
     dim = trunc.dim
     h = np.zeros((dim, dim), dtype=complex)
     for n in range(trunc.n_fock + 1):
@@ -224,12 +232,16 @@ class DressedFrame:
         diag[2:-1:2] = c2 * wp + s2 * wm
         return diag, self.sin * self.cos * (wp - wm)
 
-    def evolve(self, v: np.ndarray, t: float) -> np.ndarray:
+    def evolve(self, v: np.ndarray, t) -> np.ndarray:
         """U_t v = exp(-i H t) v in O(N), without building U_t.
 
         Rotates into the dressed frame, applies the phases, rotates back.
+        For a 1-D array of times ``t`` the result holds one column U_t v
+        per t, from one rotation of v and one 2-D rotation back.
         """
-        return self.rotate(np.exp(-1j * self.energies * t) * self.rotate(v))
+        t = np.asarray(t, dtype=float)
+        phases = np.exp(-1j * np.multiply.outer(self.energies, t))
+        return self.rotate(phases * self.rotate(v).reshape((-1,) + (1,) * t.ndim))
 
 
 def dressed_frame(params: JCParams, trunc: TruncationConfig) -> DressedFrame:
@@ -250,13 +262,41 @@ def dressed_frame(params: JCParams, trunc: TruncationConfig) -> DressedFrame:
     return DressedFrame(cos=np.cos(half), sin=np.sin(half), energies=energies)
 
 
+def spectrum_residuals(params: JCParams, frame: DressedFrame) -> tuple:
+    """max_j |H v_j - E_j v_j| and max |V+ V - I| of a frame, in O(N).
+
+    H is block diagonal and each dressed vector lives in one block, so a
+    column's residual involves only its block's 2x2 entries:
+    <n-1, e|H|n-1, e> = omega_f (n-1) + omega_s/2, <n, g|H|n, g> =
+    omega_f n - omega_s/2 and the coupling kappa sqrt(n)/2.  The singletons
+    |0, g> and |N, e> are compared with their diagonal entries.  Columns of
+    different blocks share no support and the in-block cross term
+    s c - c s is exactly 0, so V+ V - I reduces to c^2 + s^2 - 1 per block.
+    """
+    c, s, e = frame.cos, frame.sin, frame.energies
+    n = np.arange(1, c.size + 1)
+    h_e = params.omega_f * (n - 1) + 0.5 * params.omega_s
+    h_g = params.omega_f * n - 0.5 * params.omega_s
+    g = 0.5 * params.kappa * np.sqrt(n)
+    ep, em = e[1:-1:2], e[2:-1:2]
+    # (n, +) = s |n-1, e> + c |n, g>,  (n, -) = c |n-1, e> - s |n, g>
+    plus = np.hypot(h_e * s + g * c - ep * s, g * s + h_g * c - ep * c)
+    minus = np.hypot(h_e * c - g * s - em * c, g * c - h_g * s + em * s)
+    singles = (abs(-0.5 * params.omega_s - e[0]),
+               abs(params.omega_f * c.size + 0.5 * params.omega_s - e[-1]))
+    eig = float(max(plus.max(), minus.max(), *singles))
+    gram = float(np.abs(c * c + s * s - 1.0).max())
+    return eig, gram
+
+
 @dataclass(frozen=True)
 class DressedBasis:
-    """Full eigenbasis of the truncated Hamiltonian.
+    """Full eigenbasis of the truncated Hamiltonian, as a dense reference.
 
     ``vectors`` holds the eigenvectors as columns, ordered ground,
     (1,+), (1,-), ..., (N,+), (N,-), and finally the decoupled |N, e>; the
     module function ``dressed_index`` gives the column of a level (branch, n).
+    No command builds it: the tests compare ``DressedFrame`` against it.
     """
 
     vectors: np.ndarray
@@ -264,7 +304,10 @@ class DressedBasis:
 
 
 def dressed_basis(params: JCParams, trunc: TruncationConfig) -> DressedBasis:
-    """All dressed vectors and energies, plus the |N, e> leftover, as dense arrays."""
+    """All dressed vectors and energies, plus the |N, e> leftover, as dense arrays.
+
+    A reference form of ``dressed_frame`` for the tests; O(dim^2) memory.
+    """
     frame = dressed_frame(params, trunc)
     return DressedBasis(vectors=frame.rotate(np.eye(trunc.dim, dtype=complex)),
                         energies=frame.energies)

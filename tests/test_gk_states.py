@@ -87,6 +87,21 @@ def test_probabilities_frozen_values():
     assert abs(q[3] - 0.125) < 1e-15
 
 
+def test_probabilities_share_one_read_only_log_weight_array():
+    for name, x in (("factorial", 37.0), ("uniform_moment", 0.9)):
+        fam = builtin_family(name)
+        ks = np.arange(161)
+        # the per-call list the shared array replaces, bit for bit
+        log_c = np.array([fam.log_weight(int(k)) for k in ks])
+        with np.errstate(under="ignore"):
+            loop = np.exp(ks * math.log(x) - log_c - fam.log_n_squared(x))
+        np.testing.assert_array_equal(fam.probabilities(x, 160), loop)
+        shared = gk_states._log_weights(fam.log_weight, 160)
+        assert gk_states._log_weights(fam.log_weight, 160) is shared
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+
+
 def test_probabilities_at_origin():
     for name in ("factorial", "uniform_moment"):
         p = builtin_family(name).probabilities(0.0, 7)

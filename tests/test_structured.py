@@ -1,18 +1,21 @@
 """The O(N) structured paths of `verify` against their dense oracles.
 
-`verify` builds ladder states from dressed indices on one frame, applies
-U_t block by block, checks Knill-Laflamme in the frame of the H3 basis,
-sends pure code states through the channel as vectors and reads the
-resolution and identity-membership reconstructions block by block.  Each
-is compared here with the dense computation it replaces (closed-form
-`dressed_vector` columns, `evolution_operator`, `knill_laflamme_check`,
-`channel_apply` + `eigvalsh` + `fidelity`, and the reconstructions
-`E diag(d) E+` below) at N <= 60, on both weight families, for positive,
-negative and zero detuning, with x up to the tail-safe radius.
+`verify` reads the spectrum residuals off the frame's 2x2 blocks, builds
+ladder states from dressed indices on one frame, applies U_t block by
+block, checks Knill-Laflamme in the frame of the H3 basis, sends pure code
+states through the channel as vectors and reads the resolution and
+identity-membership reconstructions block by block.  Each is compared here
+with the dense computation it replaces (`hamiltonian_matrix @
+dressed_basis` and its Gram matrix, closed-form `dressed_vector` columns,
+`evolution_operator`, `knill_laflamme_check`, `channel_apply` + `eigvalsh`
++ `fidelity`, and the reconstructions `E diag(d) E+` below) at N <= 60,
+on both weight families, for positive, negative and zero detuning, with x
+up to the tail-safe radius.
 """
 import functools
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +45,8 @@ from jcgraph.hilbert import (QuadratureRule, TruncationConfig, ValidationError, 
                              basis_vector)
 from jcgraph.jc_spectrum import (JCParams, dressed_basis, dressed_frame,
                                  dressed_index, dressed_vector, eigenenergy,
-                                 evolution_operator)
+                                 evolution_operator, hamiltonian_matrix,
+                                 spectrum_residuals)
 
 FAMILIES = ("uniform_moment", "factorial")
 ORACLE_TOL = 1e-12
@@ -94,6 +98,65 @@ def test_vectorized_basis_matches_closed_forms_column_by_column():
             assert basis.energies[i] == eigenenergy(params, n, branch)
 
 
+def dense_spectrum_residuals(params, trunc, vectors, energies):
+    """max column norm of H V - V diag(E) and max |V+ V - I|, the dense form."""
+    h = hamiltonian_matrix(params, trunc)
+    eig = np.linalg.norm(h @ vectors - vectors * energies, axis=0).max()
+    gram = np.abs(vectors.conj().T @ vectors - np.eye(trunc.dim)).max()
+    return float(eig), float(gram)
+
+
+SPECTRUM_POINTS = [
+    (JCParams(1.0, 0.8, 0.7), 40),  # delta > 0
+    (JCParams(1.0, 1.25, 0.7), 40),  # delta < 0
+    (JCParams(1.0, 1.0, 0.7), 40),  # resonance
+    (JCParams(1.0, 0.8, 0.0), 40),  # decoupled, delta > 0
+    (JCParams(1.0, 1.25, 0.0), 40),  # decoupled, delta < 0
+    # the README cavity point, in Hz: both forms exceed the absolute 1e-10
+    (JCParams(2 * np.pi * 51.1e9, 2 * np.pi * 51.1e9, 2 * np.pi * 47e3), 60),
+]
+
+
+@pytest.mark.parametrize("params, n_fock", SPECTRUM_POINTS)
+def test_block_spectrum_residuals_match_dense_form(params, n_fock):
+    trunc = TruncationConfig(n_fock)
+    basis = dressed_basis(params, trunc)
+    eig, gram = spectrum_residuals(params, dressed_frame(params, trunc))
+    dense_eig, dense_gram = dense_spectrum_residuals(params, trunc, basis.vectors,
+                                                     basis.energies)
+    ulps = 4 * np.finfo(float).eps
+    assert abs(eig - dense_eig) <= ulps * np.abs(basis.energies).max()
+    assert abs(gram - dense_gram) <= ulps
+    assert (eig > 1e-10, dense_eig > 1e-10) == ((True, True) if params.omega_f > 1e9
+                                                else (False, False))
+    assert gram < 1e-10
+
+
+def test_block_spectrum_residuals_catch_a_corrupted_frame():
+    params, trunc = JCParams(1.0, 0.8, 0.7), TruncationConfig(30)
+    frame = dressed_frame(params, trunc)
+
+    def corrupted(field, index, change):
+        values = getattr(frame, field).copy()
+        values[index] = change(values[index])
+        return replace(frame, **{field: values})
+
+    # (frame, eigen residual trips, Gram residual trips)
+    cases = [
+        (corrupted("sin", 7, np.negative), True, False),  # block n = 8 mixes wrongly
+        (corrupted("cos", 3, lambda c: c * (1.0 + 1e-6)), True, True),  # block 4 unnormalized
+        (corrupted("energies", 16, lambda e: e + 0.5), True, False),  # (8, -) only
+        (corrupted("energies", 0, lambda e: e + 0.5), True, False),  # |0, g>
+        (corrupted("energies", -1, lambda e: e + 0.5), True, False),  # |N, e>
+    ]
+    for bad, eig_trips, gram_trips in cases:
+        eig, gram = spectrum_residuals(params, bad)
+        dense = dense_spectrum_residuals(params, trunc, bad.rotate(np.eye(trunc.dim)),
+                                         bad.energies)
+        np.testing.assert_allclose((eig, gram), dense, rtol=1e-12, atol=1e-15)
+        assert (eig > 1e-10, gram > 1e-10) == (eig_trips, gram_trips)
+
+
 def test_frame_rejects_the_degenerate_point():
     with pytest.raises(jc_spectrum.DegenerateLevelError):
         dressed_frame(JCParams(1.0, 1.0, 0.0), TruncationConfig(5))
@@ -109,14 +172,20 @@ def test_structured_evolution_matches_dense_operator(system, frac, t, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
     v /= np.linalg.norm(v)
-    assert np.abs(dressed_frame(params, trunc).evolve(v, t) - u @ v).max() <= ORACLE_TOL
+    frame = dressed_frame(params, trunc)
+    assert np.abs(frame.evolve(v, t) - u @ v).max() <= ORACLE_TOL
+    # evolve and the stability grid batch t: each column against its own dense U_t
+    ts = (t, 0.0, -0.5 * t)
+    us = (u, np.eye(trunc.dim), evolution_operator(params, -0.5 * t, trunc))
+    assert np.abs(frame.evolve(v, ts)
+                  - np.column_stack([u_y @ v for u_y in us])).max() <= ORACLE_TOL
     for spec in families:
-        x = frac * xmax(family, spec.terms, 1e-12)
-        v0 = gk_state(spec, x, 0.0, trunc)
-        vt = gk_state(spec, x, t, trunc)
-        dense = float(abs(np.vdot(vt, u @ v0)) ** 2)
-        assert abs(verify_temporal_stability(spec, [x], [t], trunc)[0, 0]
-                   - dense) <= ORACLE_TOL
+        xs = (frac * xmax(family, spec.terms, 1e-12), 0.0)
+        dense = [[abs(np.vdot(gk_state(spec, x, y, trunc),
+                              u_y @ gk_state(spec, x, 0.0, trunc))) ** 2
+                  for y, u_y in zip(ts, us)] for x in xs]
+        np.testing.assert_allclose(verify_temporal_stability(spec, xs, ts, trunc),
+                                   dense, atol=ORACLE_TOL, rtol=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -334,6 +403,7 @@ def _count_calls(monkeypatch, name, home=jc_spectrum):
 def test_verify_builds_no_dense_evolution(monkeypatch, capsys, family):
     evolutions = _count_calls(monkeypatch, "evolution_operator")
     bases = _count_calls(monkeypatch, "dressed_basis")
+    hamiltonians = _count_calls(monkeypatch, "hamiltonian_matrix")
     moments = _count_calls(monkeypatch, "moment_diagonals", gk_states)
     frames = _count_calls(monkeypatch, "dressed_frame")
     tails = _count_calls(monkeypatch, "tail_mass", gk_states)
@@ -353,8 +423,7 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, family):
                    "--family1", family, "--family2", family, "--n-fock", "40"])
     capsys.readouterr()
     assert rc == 0
-    assert len(evolutions) == 0
-    assert 1 <= len(bases) <= 3  # at least the spectrum check's, so the wrap holds
+    assert (len(evolutions), len(bases), len(hamiltonians)) == (0, 0, 0)
     # one per ladder for the resolution (whose diagonals the moments check
     # reads) and one per ladder for identity membership
     assert len(moments) == 4
@@ -395,8 +464,8 @@ def test_commands_never_read_a_dense_ladder(monkeypatch, capsys, command, famili
     assert reads == []
 
 
-@pytest.mark.parametrize("command, bases", [("verify", 1), ("demo", 0)])
-def test_commands_build_no_dense_projector(monkeypatch, capsys, command, bases):
+@pytest.mark.parametrize("command", ["verify", "demo"])
+def test_commands_build_no_dense_projector(monkeypatch, capsys, command):
     projectors = _count_calls(monkeypatch, "projector_onto", hilbert)
     dressed = _count_calls(monkeypatch, "dressed_basis")
     rc = cli.main([command, "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
@@ -404,7 +473,7 @@ def test_commands_build_no_dense_projector(monkeypatch, capsys, command, bases):
                    "--n-fock", "30"])
     capsys.readouterr()
     assert rc == 0
-    assert (len(projectors), len(dressed)) == (0, bases)
+    assert (len(projectors), len(dressed)) == (0, 0)
 
 
 @pytest.mark.parametrize("extra", [[], ["--state", "basis1"], ["--allow-leak"]])
