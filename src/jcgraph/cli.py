@@ -29,9 +29,8 @@ from .hilbert import TruncationConfig
 from .jc_spectrum import (DegenerateLevelError, JCParams, dressed_basis,
                           dressed_frame, spectrum_residuals)
 
-_FLOAT_KEYS = {"omega_f", "omega_s", "kappa", "gamma_f", "gamma_s",
-               "reference_omega_f", "tail_tol", "tol", "x", "t",
-               "gamma_f_min", "gamma_f_max", "gamma_s_min", "gamma_s_max"}
+_FLOAT_KEYS = {"omega_f", "omega_s", "kappa", "gamma_f", "gamma_s", "reference_omega_f",
+               "tol", "x", "t", "gamma_f_min", "gamma_f_max", "gamma_s_min", "gamma_s_max"}
 _INT_KEYS = {"k0", "n_fock", "seed", "gamma_f_steps", "gamma_s_steps"}
 _BOOL_KEYS = {"hz", "resonant", "allow_leak"}
 _STR_KEYS = {"family1", "family2", "state", "which", "xs", "ys", "out"}
@@ -132,8 +131,7 @@ def resolve_run_config(values: dict) -> RunConfig:
             params = JCParams.from_rates(values["gamma_f"], values["gamma_s"],
                                          omega_f=values.get("reference_omega_f", 1.0))
         k0_star = cc.minimal_k0(cc.minimal_m0(params))
-        trunc = TruncationConfig(n_fock=values.get("n_fock", 60),
-                                 tail_tol=values.get("tail_tol", 1e-9))
+        trunc = TruncationConfig(n_fock=values.get("n_fock", 60))
         fam1 = gk.builtin_family(values.get("family1", "uniform_moment"))
         fam2 = gk.builtin_family(values.get("family2", "uniform_moment"))
     except ValueError as exc:
@@ -218,13 +216,9 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     report.add(gv.CheckRecord("gk.ladder_increasing", max(0.0, -gap_min), 1e-12,
                               gap_min > 0))
 
-    # Identity membership always runs on the finite-radius built-in family,
-    # on the same ladders.
-    if math.isfinite(cfg.family1.radius) and cfg.family2.radius == cfg.family1.radius:
-        mem_families = families
-    else:
-        uni = gk.builtin_family("uniform_moment")
-        mem_families = [replace(spec, family=uni) for spec in families]
+    # identity membership runs on the finite-radius built-in family, same ladders
+    mem_families = [replace(spec, family=gk.builtin_family("uniform_moment"))
+                    for spec in families]
     # one moment rule per family, shared by the ladders and identity membership,
     # exact for every moment of the longer (J) ladder
     n_nodes = gk.rule_nodes(families[0].terms)
@@ -395,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     com = common.add_argument_group("construction")
     com.add_argument("--k0", type=int)
     com.add_argument("--n-fock", type=int, dest="n_fock")
-    com.add_argument("--tail-tol", type=float, dest="tail_tol")
     com.add_argument("--family1")
     com.add_argument("--family2")
     com.add_argument("--tol", type=float)

@@ -71,9 +71,6 @@ class WeightFamily:
     def tau(self, x):
         return np.exp(self.log_n_squared(x) + self.log_rho(x))
 
-    def weights_upto(self, k_max: int) -> np.ndarray:
-        return np.array([self.weight(k) for k in range(k_max + 1)], dtype=float)
-
     def moment_rule(self, n_nodes: int) -> QuadratureRule:
         """Quadrature rule with sum w_i f(x_i) ~ int_0^R rho(x) f(x) dx.
 
@@ -106,7 +103,10 @@ class WeightFamily:
 
 @functools.lru_cache(maxsize=8)
 def _log_weights(log_weight: Callable[[int], float], k_max: int) -> np.ndarray:
-    """log c_k for k = 0..k_max, built once per family and ladder length, read-only."""
+    """log c_k for k = 0..k_max, built once per family and ladder length, read-only.
+
+    The built-in families are module values, so every command shares their tables.
+    """
     log_c = np.array([log_weight(k) for k in range(k_max + 1)], dtype=float)
     log_c.flags.writeable = False
     return log_c
@@ -119,29 +119,30 @@ def _check_domain(family: WeightFamily, x: float) -> None:
             f"{family.name!r}")
 
 
-def builtin_family(name: str) -> WeightFamily:
-    """Return one of the built-in weight families by name."""
-    if name == "factorial":
-        def weight(k: int) -> float:
-            return float(math.factorial(k)) if k <= 170 else math.inf
+_BUILTIN_FAMILIES = {
+    "factorial": WeightFamily(
+        name="factorial", radius=math.inf,
+        weight=lambda k: float(math.factorial(k)) if k <= 170 else math.inf,
+        log_weight=lambda k: math.lgamma(k + 1),
+        log_rho=lambda x: -np.asarray(x, dtype=float),
+        log_n_squared=lambda x: float(x),
+    ),
+    "uniform_moment": WeightFamily(
+        name="uniform_moment", radius=1.0,
+        weight=lambda k: 1.0 / (k + 1),
+        log_weight=lambda k: -math.log(k + 1),
+        log_rho=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        log_n_squared=lambda x: -2.0 * math.log1p(-x),
+    ),
+}
 
-        return WeightFamily(
-            name="factorial", radius=math.inf,
-            weight=weight,
-            log_weight=lambda k: math.lgamma(k + 1),
-            log_rho=lambda x: -np.asarray(x, dtype=float),
-            log_n_squared=lambda x: float(x),
-        )
-    if name == "uniform_moment":
-        return WeightFamily(
-            name="uniform_moment", radius=1.0,
-            weight=lambda k: 1.0 / (k + 1),
-            log_weight=lambda k: -math.log(k + 1),
-            log_rho=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            log_n_squared=lambda x: -2.0 * math.log1p(-x),
-        )
-    raise ValueError(f"unknown weight family {name!r}; "
-                     "built-ins are 'factorial' and 'uniform_moment'")
+
+def builtin_family(name: str) -> WeightFamily:
+    """The built-in family by name: a module value, shared across commands."""
+    if name not in _BUILTIN_FAMILIES:
+        raise ValueError(f"unknown weight family {name!r}; "
+                         "built-ins are 'factorial' and 'uniform_moment'")
+    return _BUILTIN_FAMILIES[name]
 
 
 def tail_mass(family: WeightFamily, x: float, n_cut: int) -> float:
@@ -233,7 +234,7 @@ class GKFamilySpec:
     family: WeightFamily
     frame: DressedFrame
     index: np.ndarray
-    label: str = ""
+    label: str
 
     @property
     def terms(self) -> int:
@@ -279,9 +280,8 @@ def _check_tail(spec: GKFamilySpec, x: float, trunc: TruncationConfig) -> None:
     if tail > trunc.tail_tol:
         need = _required_n(spec, x, trunc.tail_tol)
         raise TruncationTooSmallError(
-            f"tail mass {tail:.3e} at x = {x} exceeds tail_tol = "
-            f"{trunc.tail_tol:.1e}; the {spec.label or spec.family.name} ladder "
-            f"needs a photon cutoff N >= {need}", required_n=need)
+            f"tail mass {tail:.3e} at x = {x} exceeds tail_tol = {trunc.tail_tol:.1e}; "
+            f"the {spec.label} ladder needs a photon cutoff N >= {need}", required_n=need)
 
 
 def gk_state(spec: GKFamilySpec, x: float, y: float,
@@ -320,18 +320,20 @@ def moment_diagonals(family: WeightFamily, ks: Sequence[int],
                      rule: QuadratureRule | None = None) -> np.ndarray:
     """Quadrature values of int rho(x) x^k dx / c_k (exactly 1 for moments)."""
     ks = np.asarray(ks, dtype=np.int64)
+    if ks.min(initial=0) < 0:
+        raise ValueError(f"moment orders must be >= 0, got {int(ks.min())}")
+    log_c = _log_weights(family.log_weight, int(ks.max(initial=0)))
     if rule is None:
-        rule = family.moment_rule(rule_nodes(int(ks.max(initial=0)) + 1))
+        rule = family.moment_rule(rule_nodes(log_c.size))
     with np.errstate(divide="ignore"):
         log_x = np.log(rule.nodes)
-    log_c = np.array([family.log_weight(int(k)) for k in ks])
     out = np.empty(ks.size)
     rows = max(1, _MOMENT_BLOCK // log_x.size)
     for start in range(0, ks.size, rows):
         block = slice(start, start + rows)
         with np.errstate(under="ignore"):
             out[block] = np.exp(rule.log_weights + ks[block, None] * log_x
-                                - log_c[block, None]).sum(axis=1)
+                                - log_c[ks[block], None]).sum(axis=1)
     return out
 
 

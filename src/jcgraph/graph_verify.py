@@ -447,12 +447,12 @@ def transmit_demo(code: CodeSpec, families: Sequence[GKFamilySpec], x: float,
 
 
 def leak_probe(code: CodeSpec, families: Sequence[GKFamilySpec], x: float,
-               t: float, weight: float = 0.5) -> np.ndarray:
+               t: float) -> np.ndarray:
     """Deliberately leaked pure state: code vector mixed with a ladder state.
 
     Used as the negative control: the ladder component is measured out by
     the channel, so the transmission fidelity drops well below 1.
     """
     ladder = ladder_vector(families[0], x, t)
-    v = math.sqrt(1.0 - weight) * code.code_basis[:, 0] + math.sqrt(weight) * ladder
+    v = math.sqrt(1.0 - 0.5) * code.code_basis[:, 0] + math.sqrt(0.5) * ladder
     return v / np.linalg.norm(v)

@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-QUBIT_LEVELS = ("g", "e")
 _LEVEL_INDEX = {"g": 0, "e": 1, 0: 0, 1: 1}
 
 
@@ -66,13 +65,6 @@ def basis_index(n: int, s, trunc: TruncationConfig | None = None) -> int:
     return 2 * n + level
 
 
-def basis_vector(n: int, s, trunc: TruncationConfig) -> np.ndarray:
-    """Unit vector for |n, s> in the truncated space."""
-    v = np.zeros(trunc.dim, dtype=complex)
-    v[basis_index(n, s, trunc)] = 1.0
-    return v
-
-
 def projector_onto(vectors: Sequence[np.ndarray], dim: int | None = None,
                    tol: float = 1e-10) -> np.ndarray:
     """Orthogonal projector onto the span of pairwise orthonormal vectors.
@@ -98,16 +90,6 @@ def projector_onto(vectors: Sequence[np.ndarray], dim: int | None = None,
             f"vectors {i} and {j} are not orthonormal: <v{i}|v{j}> = {gram[i, j]:.3e}"
         )
     return v_mat @ v_mat.conj().T
-
-
-def conjugate(u: np.ndarray, a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Return U A U+ after checking that U is unitary within ``tol``."""
-    u = np.asarray(u, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if dev > tol:
-        raise ValidationError(f"operator is not unitary: max |U+U - I| = {dev:.3e}")
-    return u @ a @ u.conj().T
 
 
 def bohr_mean_diagonal(h: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -266,10 +248,3 @@ def _laguerre_rule(n: int) -> tuple:
     log_w -= math.log(np.exp(log_w).sum())
     return _frozen(x, log_w)
 
-
-def quadrature_integrate(rule: QuadratureRule, g: Callable) -> np.ndarray | float:
-    """Sum w_i g(x_i) for a scalar- or operator-valued integrand."""
-    acc = rule.weights[0] * g(rule.nodes[0])
-    for x, w in zip(rule.nodes[1:], rule.weights[1:]):
-        acc = acc + w * g(x)
-    return acc

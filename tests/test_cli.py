@@ -1,4 +1,5 @@
 """End-to-end tests of the command line interface (in-process)."""
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from jcgraph import cli
+from jcgraph import cli, gk_states
 from jcgraph.cli import main
 from jcgraph.hilbert import QuadratureRule
 
@@ -389,6 +390,36 @@ def test_config_values_are_literal(tmp_path, capsys):
     assert "cannot parse state '50%'" in err
 
 
+def test_config_keys_match_the_flags():
+    """Each config key set names exactly the flags of its kind, over all subcommands."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    kinds = {}
+    for action in (a for p in (parser, *sub.choices.values()) for a in p._actions):
+        if action.dest in ("help", "command", "config"):
+            continue
+        if isinstance(action, argparse._StoreConstAction):
+            kind = "store_const"
+        else:
+            kind = {float: "float", int: "int", None: "str"}[action.type]
+        assert kinds.setdefault(action.dest, kind) == kind, action.dest
+    key_sets = {"float": cli._FLOAT_KEYS, "int": cli._INT_KEYS,
+                "store_const": cli._BOOL_KEYS, "str": cli._STR_KEYS}
+    assert sum(map(len, key_sets.values())) == len(cli._ALL_KEYS)
+    assert kinds == {key: kind for kind, keys in key_sets.items() for key in keys}
+
+
+def test_demos_share_the_log_weight_tables(capsys):
+    """The built-in families are module values, so a second demo builds no table."""
+    argv = ["demo", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+            "--n-fock", "120"]
+    run(argv, capsys)
+    misses = gk_states._log_weights.cache_info().misses
+    rc, _, _ = run(argv, capsys)
+    assert rc == 0
+    assert gk_states._log_weights.cache_info().misses == misses
+
+
 def test_reused_parser_leaks_no_state(tmp_path, capsys):
     assert cli.build_parser() is not cli.build_parser()
     assert cli._parser() is cli._parser()
@@ -457,16 +488,19 @@ def test_usage_errors(capsys, tmp_path):
     rc, _, err = run(["verify"] + WEAK + ["--n-fock", "12"], capsys)
     assert rc == 2
     assert "headroom" in err
-    # the node count is no option: the rule is sized from the ladder
-    with pytest.raises(SystemExit) as exc:
-        run(["verify"] + WEAK + ["--nodes", "200"], capsys)
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --nodes" in capsys.readouterr().err
-    cfg = tmp_path / "nodes.ini"
-    cfg.write_text("[run]\nnodes = 200\n")
-    rc, _, err = run(["verify"] + WEAK + ["--config", str(cfg)], capsys)
-    assert rc == 2
-    assert "unknown config key 'nodes'" in err
+    # the node count is no option: the rule is sized from the ladder; nor is
+    # the tail tolerance: the library default holds
+    for flag, key, value in (("--nodes", "nodes", "200"),
+                             ("--tail-tol", "tail_tol", "1e-9")):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify"] + WEAK + [flag, value], capsys)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        cfg = tmp_path / f"{key}.ini"
+        cfg.write_text(f"[run]\n{key} = {value}\n")
+        rc, _, err = run(["verify"] + WEAK + ["--config", str(cfg)], capsys)
+        assert rc == 2
+        assert f"unknown config key '{key}'" in err
     # nonsense cut
     rc, _, _ = run(["mindim"] + WEAK + ["--k0", "0"], capsys)
     assert rc == 2

@@ -44,7 +44,7 @@ def geometric_tail(x, n_cut):
 def test_factorial_family_basics():
     fam = builtin_family("factorial")
     assert fam.radius == math.inf
-    assert list(fam.weights_upto(4)) == [1.0, 1.0, 2.0, 6.0, 24.0]
+    assert [fam.weight(k) for k in range(5)] == [1.0, 1.0, 2.0, 6.0, 24.0]
     assert abs(math.exp(fam.log_n_squared(2.0)) - math.exp(2.0)) < 1e-12
     assert fam.tau(5.0) == 1.0
 
@@ -100,6 +100,14 @@ def test_probabilities_share_one_read_only_log_weight_array():
         assert gk_states._log_weights(fam.log_weight, 160) is shared
         with pytest.raises(ValueError):
             shared[0] = 0.0
+
+
+def test_builtin_families_are_module_values():
+    for name in ("factorial", "uniform_moment"):
+        assert builtin_family(name) is builtin_family(name)
+        # the shared table would wrap k = -1 to its last entry
+        with pytest.raises(ValueError):
+            moment_diagonals(builtin_family(name), [-1])
 
 
 def test_probabilities_at_origin():

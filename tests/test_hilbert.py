@@ -10,12 +10,9 @@ from jcgraph.hilbert import (
     TruncationConfig,
     ValidationError,
     basis_index,
-    basis_vector,
     bohr_mean_diagonal,
-    conjugate,
     finite_time_mean,
     projector_onto,
-    quadrature_integrate,
 )
 
 
@@ -55,14 +52,6 @@ def test_basis_index_errors():
     assert basis_index(4, "e", TruncationConfig(4)) == 9
 
 
-def test_basis_vector_one_hot():
-    tr = TruncationConfig(3)
-    v = basis_vector(2, "e", tr)
-    assert v.shape == (tr.dim,)
-    assert v[basis_index(2, "e")] == 1.0
-    assert np.count_nonzero(v) == 1
-
-
 def test_projector_from_orthonormal_columns():
     rng = np.random.default_rng(11)
     q, _ = np.linalg.qr(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)))
@@ -83,21 +72,6 @@ def test_projector_empty_with_dim():
     p = projector_onto([], dim=4)
     assert p.shape == (4, 4)
     assert np.abs(p).max() == 0.0
-
-
-def test_conjugate_by_unitary():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    u, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-    b = conjugate(u, a)
-    # conjugation preserves the spectrum
-    np.testing.assert_allclose(np.sort_complex(np.linalg.eigvals(b)),
-                               np.sort_complex(np.linalg.eigvals(a)), atol=1e-9)
-
-
-def test_conjugate_rejects_nonunitary():
-    with pytest.raises(ValidationError):
-        conjugate(np.diag([1.0, 2.0]), np.eye(2))
 
 
 def test_bohr_mean_keeps_diagonal_only():
@@ -141,22 +115,22 @@ def test_finite_time_mean_matches_bohr_diagonal():
 
 def test_gauss_legendre_polynomial_exactness():
     rule = QuadratureRule.gauss_legendre(0.0, 1.0, 8)
-    assert abs(quadrature_integrate(rule, lambda x: x ** 3) - 0.25) < 1e-14
-    assert abs(quadrature_integrate(rule, lambda x: x ** 15) - 1.0 / 16) < 1e-14
+    assert abs(rule.weights @ rule.nodes ** 3 - 0.25) < 1e-14
+    assert abs(rule.weights @ rule.nodes ** 15 - 1.0 / 16) < 1e-14
     assert abs(rule.weights.sum() - 1.0) < 1e-14
 
 
 def test_gauss_legendre_general_interval():
     rule = QuadratureRule.gauss_legendre(-1.0, 3.0, 12)
-    assert abs(quadrature_integrate(rule, lambda x: x ** 2) - (27.0 + 1.0) / 3) < 1e-12
+    assert abs(rule.weights @ rule.nodes ** 2 - (27.0 + 1.0) / 3) < 1e-12
 
 
 def test_gauss_laguerre_absorbs_exponential_weight():
     """Weights include e^-x, so plain monomials integrate to factorials."""
     rule = QuadratureRule.gauss_laguerre(30)
     assert rule.kind == "half_line_exp"
-    assert abs(quadrature_integrate(rule, lambda x: x ** 3) - 6.0) < 1e-10
-    assert abs(quadrature_integrate(rule, lambda x: np.ones_like(x)) - 1.0) < 1e-12
+    assert abs(rule.weights @ rule.nodes ** 3 - 6.0) < 1e-10
+    assert abs(rule.weights @ np.ones_like(rule.nodes) - 1.0) < 1e-12
 
 
 def test_quadrature_nodes_interior():

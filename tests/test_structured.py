@@ -41,8 +41,7 @@ from jcgraph.graph_verify import (
     leak_probe,
     verify_identity_membership,
 )
-from jcgraph.hilbert import (QuadratureRule, TruncationConfig, ValidationError, basis_index,
-                             basis_vector)
+from jcgraph.hilbert import QuadratureRule, TruncationConfig, ValidationError, basis_index
 from jcgraph.jc_spectrum import (JCParams, dressed_basis, dressed_frame,
                                  dressed_index, dressed_vector, eigenenergy,
                                  evolution_operator, hamiltonian_matrix,
@@ -304,7 +303,7 @@ def dense_dressed_vectors(params, trunc):
     cols = [dressed_vector(params, 0, "ground", trunc)]
     cols += [dressed_vector(params, n, b, trunc) for n in range(1, trunc.n_fock + 1)
              for b in ("plus", "minus")]
-    return np.column_stack(cols + [basis_vector(trunc.n_fock, "e", trunc)])
+    return np.column_stack(cols + [np.eye(trunc.dim)[basis_index(trunc.n_fock, "e", trunc)]])
 
 
 @settings(max_examples=30, deadline=None)
