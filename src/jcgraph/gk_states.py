@@ -145,13 +145,25 @@ def builtin_family(name: str) -> WeightFamily:
     return _BUILTIN_FAMILIES[name]
 
 
+def _tail_stops(log_t: float, log_t_next: float) -> bool:
+    """The walk's stop predicate at a term t with successor ratio r."""
+    r = math.exp(log_t_next - log_t)
+    return r < 1.0 and (r < 0.5 or math.exp(log_t) < 1e-30)
+
+
 def tail_mass(family: WeightFamily, x: float, n_cut: int) -> float:
     """Certified upper bound on sum_{k > n_cut} p_k.
 
-    Terms are accumulated until consecutive ratios drop below 1/2 (or the
-    terms become negligible), then the remainder is closed with the
-    geometric bound t r / (1 - r); for the built-in families the term
-    ratios are non-increasing, which makes the bound valid.
+    Terms t_k = exp(log t_k) are accumulated until the ratio r to the next
+    term drops below 1/2 (or below 1 with t_k < 1e-30), then the remainder
+    is closed with the geometric bound t r / (1 - r).  For the built-in
+    families the term ratios are non-increasing, which makes the bound
+    valid; it also makes the stop predicate monotone in k (once it holds it
+    holds at every later term), so one O(1) test at the walk's last term,
+    k = n_cut + ``_TAIL_ITER_CAP``, tells in advance whether the walk would
+    run to its cap: then ``TailBoundError`` is raised at once.  Each term
+    is its own ``exp``, so a leading term that underflows does not zero the
+    ones after it.
     """
     _check_domain(family, x)
     if n_cut < 0:
@@ -160,29 +172,47 @@ def tail_mass(family: WeightFamily, x: float, n_cut: int) -> float:
         return 0.0
     lx = math.log(x)
     ln2 = family.log_n_squared(x)
+    log_weight = family.log_weight
 
     def log_term(k: int) -> float:
-        return k * lx - family.log_weight(k) - ln2
+        return k * lx - log_weight(k) - ln2
 
-    total = 0.0
-    k = n_cut + 1
-    t = math.exp(log_term(k))
-    for _ in range(_TAIL_ITER_CAP):
-        r = math.exp(log_term(k + 1) - log_term(k))
-        if r < 1.0 and (r < 0.5 or t < 1e-30):
-            return total + t + t * r / (1.0 - r)
-        total += t
-        t *= r
-        k += 1
-        if t == 0.0:
-            return total
+    last = n_cut + _TAIL_ITER_CAP
+    if _tail_stops(log_term(last), log_term(last + 1)):
+        total = 0.0
+        log_t = log_term(n_cut + 1)
+        for k in range(n_cut + 1, last + 1):
+            log_t_next = log_term(k + 1)
+            t, r = math.exp(log_t), math.exp(log_t_next - log_t)
+            # _tail_stops, inlined: a call per term costs 10-20 % of the walk
+            if r < 1.0 and (r < 0.5 or t < 1e-30):
+                return total + t + t * r / (1.0 - r)
+            total += t
+            log_t = log_t_next
     raise TailBoundError(
         f"tail terms of family {family.name!r} at x = {x} do not decay fast "
         f"enough beyond k = {n_cut} for a certified bound")
 
 
+def _falsi_weight(f_new: float, f_old: float) -> float:
+    """Anderson-Björck factor for the end a regula falsi step keeps again."""
+    m = 1.0 - f_new / f_old if f_old else 0.0
+    return m if m > 0.0 else 0.5
+
+
 def tail_safe_xmax(family: WeightFamily, n_cut: int, budget: float = 1e-12) -> float:
-    """Largest x (up to bisection width) whose truncation tail stays within budget."""
+    """Largest x, to one ulp, whose certified truncation tail stays within budget.
+
+    The bracket starts at [0, R(1 - 1e-12)] on a finite radius R and at the
+    last doubling of x = 1, 2, 4, ... (up to 1e6) that stayed within budget
+    otherwise.  A regula falsi on log(bound / budget) with the
+    Anderson-Björck weight (Illinois' halving where that weight is not
+    positive) narrows it, bisecting while an end's log is infinite (x = 0,
+    or no certified bound), and keeps bound(lo) <= budget < bound(hi) until
+    lo and hi are adjacent doubles.  The result x meets the crossing
+    contract bound(x) <= budget < bound(nextafter(x, inf)), or is the
+    bracket's upper end when that end is within budget.
+    """
     if budget <= 0:
         raise ValueError("budget must be positive")
 
@@ -194,7 +224,11 @@ def tail_safe_xmax(family: WeightFamily, n_cut: int, budget: float = 1e-12) -> f
         except TailBoundError:
             return math.inf
 
-    lo = 0.0
+    def excess(mass: float) -> float:
+        ratio = mass / budget
+        return math.log(ratio) if ratio > 0.0 else -math.inf
+
+    lo, lo_mass = 0.0, 0.0
     if math.isfinite(family.radius):
         hi = family.radius * (1.0 - 1e-12)
         hi_mass = bound(hi)
@@ -202,19 +236,28 @@ def tail_safe_xmax(family: WeightFamily, n_cut: int, budget: float = 1e-12) -> f
         # each doubled radius was within budget, so it is the bracket's lo
         hi = 1.0
         while (hi_mass := bound(hi)) <= budget and hi < 1e6:
-            lo, hi = hi, 2.0 * hi
+            lo, lo_mass, hi = hi, hi_mass, 2.0 * hi
     if hi_mass <= budget:
         return hi
-    # bound(lo) <= budget < bound(hi) throughout; once the midpoint rounds
-    # onto an end the bracket cannot move again, so lo is final.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if bound(mid) <= budget:
-            lo = mid
+    f_lo, f_hi = excess(lo_mass), excess(hi_mass)
+    kept = 0  # the end the last step kept: +1 hi, -1 lo, 0 none yet
+    while math.nextafter(lo, math.inf) < hi:
+        if 0.0 < f_hi - f_lo < math.inf:  # both ends finite and apart
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         else:
-            hi = mid
+            x = 0.5 * (lo + hi)
+        # strictly inside the bracket, so every step narrows it
+        x = min(max(x, math.nextafter(lo, math.inf)), math.nextafter(hi, -math.inf))
+        mass = bound(x)
+        f = excess(mass)
+        if mass <= budget:
+            if kept > 0:  # hi stays a second time: shrink its weight
+                f_hi *= _falsi_weight(f, f_lo)
+            lo, f_lo, kept = x, f, 1
+        else:
+            if kept < 0:
+                f_lo *= _falsi_weight(f, f_hi)
+            hi, f_hi, kept = x, f, -1
     return lo
 
 
@@ -382,23 +425,29 @@ def verify_temporal_stability(spec: GKFamilySpec, xs: Sequence[float],
     """|<x, t| U_t |x, 0>|^2 for every x in ``xs`` and t in ``ts``.
 
     Returns the (len(xs), len(ts)) array of fidelities, each equal to 1 up
-    to rounding and truncation tail.  Every x's tail check, amplitudes and
-    |x, 0> are computed once; the t axis is batched: all |x, t> come from
-    one 2-D ``embed`` and all U_t |x, 0> from one ``evolve`` over the
-    times, one column per t, applied block by block on ``spec.frame`` in
+    to rounding and truncation tail.  The ladder phases e^{-i h t} and the
+    frame phases e^{-i E t} depend on t only, so they are computed once per
+    call.  Every x's tail check, amplitudes and |x, 0> are computed once;
+    the t axis is batched: all |x, t> come from one 2-D ``embed`` and all
+    U_t |x, 0> from one rotation into the dressed frame, the phases, and
+    one 2-D rotation back, as ``frame.evolve`` does, one column per t and
     O(N) per column, never as a dense matrix.
     """
     ts = np.asarray(ts, dtype=float)
     fids = np.empty((len(xs), ts.size))
     frame, h = spec.frame, spec.energies
+    # the y = 0 phases, exactly as gk_state(spec, x, 0.0) builds them
+    phases0 = np.exp(-1j * h * 0.0)
+    ladder_phases = np.exp(-1j * np.outer(h, ts))
+    frame_phases = np.exp(-1j * np.multiply.outer(frame.energies, ts))
     for i, x in enumerate(xs):
         x = float(x)
         _check_tail(spec, x, trunc)
         amp = np.sqrt(spec.family.probabilities(x, spec.terms - 1))
-        # the y = 0 phases, exactly as gk_state(spec, x, 0.0) builds them
-        v0 = frame.embed(spec.index, amp * np.exp(-1j * h * 0.0))
-        vt = frame.embed(spec.index, amp[:, None] * np.exp(-1j * np.outer(h, ts)))
-        fids[i] = np.abs((vt.conj() * frame.evolve(v0, ts)).sum(axis=0)) ** 2
+        v0 = frame.embed(spec.index, amp * phases0)
+        vt = frame.embed(spec.index, amp[:, None] * ladder_phases)
+        evolved = frame.rotate(frame_phases * frame.rotate(v0)[:, None])
+        fids[i] = np.abs((vt.conj() * evolved).sum(axis=0)) ** 2
     return fids
 
 

@@ -29,8 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from .code_construction import CodeSpec
-from .gk_states import GKFamilySpec, _coefficients, moment_diagonals, rule_nodes
-from .hilbert import QuadratureRule, ValidationError
+from .gk_states import (GKFamilySpec, TruncationTooSmallError, _coefficients, _required_n,
+                        moment_diagonals, rule_nodes)
+from .hilbert import QuadratureRule, TruncationConfig, ValidationError
 
 
 class UnsupportedFamilyError(ValueError):
@@ -110,9 +111,18 @@ def ladder_vector(spec: GKFamilySpec, x: float, t: float) -> np.ndarray:
 
     The truncated coefficients are renormalized so the generator is an
     exact projector for every x in [0, R), not only where the tail is small.
+    Where every kept coefficient underflows there is nothing to renormalize:
+    ``TruncationTooSmallError`` reports the photon cutoff that would meet
+    the default tail tolerance.
     """
     v = spec.frame.embed(spec.index, _coefficients(spec, x, t))
-    return v / np.linalg.norm(v)
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        need = _required_n(spec, x, TruncationConfig.tail_tol)
+        raise TruncationTooSmallError(
+            f"the {spec.label} ladder keeps no coefficient mass at x = {x}; "
+            f"it needs a photon cutoff N >= {need}", required_n=need)
+    return v / norm
 
 
 def _ladder_projector(spec: GKFamilySpec, x: float, t: float) -> np.ndarray:

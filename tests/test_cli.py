@@ -19,6 +19,7 @@ STRONG = ["--gamma-f", "8", "--gamma-s", "8"]
 SMALL = ["--omega-f", "1", "--omega-s", "1", "--kappa", "0.5", "--n-fock", "20"]
 # kappa = 0 at resonance: every level n >= 1 is degenerate
 DEGENERATE = ["--omega-f", "1", "--omega-s", "1", "--kappa", "0"]
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(argv, capsys):
@@ -290,6 +291,21 @@ def test_demo_state_validation(capsys):
     assert "amplitudes" in err
 
 
+def test_demo_beyond_the_ladder_fails_as_check():
+    """Every kept coefficient underflows at x = 2000: one stderr line, no traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "jcgraph.cli", "demo", "--omega-f", "1", "--omega-s", "0.8",
+         "--kappa", "0.7", "--n-fock", "160", "--family1", "factorial",
+         "--family2", "factorial", "--x", "2000", "--t", "1"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("check failed: the J ladder keeps no coefficient mass")
+    assert done.stderr.count("\n") == 1
+
+
 def test_demo_inadmissible_cut_fails_as_check(capsys):
     rc, _, err = run(["demo"] + SMALL + ["--k0", "2"], capsys)
     assert rc == 1
@@ -441,7 +457,6 @@ def test_reused_parser_leaks_no_state(tmp_path, capsys):
     assert rc == 0 and out == dest.read_text()
 
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 _RUN_AND_REPORT = """
 import sys
 from jcgraph import cli

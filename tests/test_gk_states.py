@@ -1,5 +1,7 @@
 """Tests for weight families, tail bounds and generalized coherent states."""
+import bisect
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -174,13 +176,17 @@ def test_tail_safe_xmax_bounds_the_upper_end_once(name):
     assert xs.count(max(xs)) == 1
 
 
+def _bound_or_inf(family, x, n_cut):
+    try:
+        return tail_mass(family, x, n_cut)
+    except TailBoundError:
+        return math.inf
+
+
 def bisection_xmax(family, n_cut, budget):
-    """The full 200-step bisection ``tail_safe_xmax`` stops short of."""
+    """The 200-step bisection the root finder replaced, kept as an oracle."""
     def bound(x):
-        try:
-            return tail_mass(family, x, n_cut)
-        except TailBoundError:
-            return math.inf
+        return _bound_or_inf(family, x, n_cut)
 
     if math.isfinite(family.radius):
         hi = family.radius * (1.0 - 1e-12)
@@ -200,60 +206,144 @@ def bisection_xmax(family, n_cut, budget):
     return lo
 
 
+def walk_tail_mass(family, x, n_cut):
+    """The earlier ``tail_mass`` walk: a running product of term ratios.
+
+    Kept as an oracle.  A leading term that underflows makes it return 0.
+    """
+    if x == 0.0:
+        return 0.0
+    lx = math.log(x)
+    ln2 = family.log_n_squared(x)
+
+    def log_term(k):
+        return k * lx - family.log_weight(k) - ln2
+
+    total = 0.0
+    k = n_cut + 1
+    t = math.exp(log_term(k))
+    for _ in range(gk_states._TAIL_ITER_CAP):
+        r = math.exp(log_term(k + 1) - log_term(k))
+        if r < 1.0 and (r < 0.5 or t < 1e-30):
+            return total + t + t * r / (1.0 - r)
+        total += t
+        t *= r
+        k += 1
+        if t == 0.0:
+            return total
+    raise TailBoundError("no certified bound")
+
+
+XMAX_DOMAIN = (st.sampled_from(("factorial", "uniform_moment")), st.integers(5, 500),
+               st.sampled_from((1e-12, 1e-9, 1e-6)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(("factorial", "uniform_moment")), st.integers(5, 500),
-       st.sampled_from((1e-12, 1e-9, 1e-6)))
+@given(*XMAX_DOMAIN)
 def test_tail_safe_xmax_matches_full_bisection(name, n_cut, budget):
-    # Near the uniform_moment radius the bound runs to the term cap and
-    # gives up; a smaller cap gives up sooner, and both searches see it.
-    with mock.patch.object(gk_states, "_TAIL_ITER_CAP", 50_000):
-        fam = builtin_family(name)
-        assert tail_safe_xmax(fam, n_cut, budget) == bisection_xmax(fam, n_cut, budget)
+    """bound(x) <= budget < bound(next double), at the bisection's x to 1e-13."""
+    fam = builtin_family(name)
+    x = tail_safe_xmax(fam, n_cut, budget)
+    bracket_end = fam.radius * (1.0 - 1e-12) if math.isfinite(fam.radius) else None
+    assert _bound_or_inf(fam, x, n_cut) <= budget
+    assert (x == bracket_end
+            or _bound_or_inf(fam, math.nextafter(x, math.inf), n_cut) > budget)
+    assert abs(x - bisection_xmax(fam, n_cut, budget)) <= 1e-13 * x
 
 
-def restarted_xmax(family, n_cut, budget):
-    """The search with its bisection restarted at 0 after the doubling."""
-    def bound(x):
-        try:
-            return gk_states.tail_mass(family, x, n_cut)
-        except TailBoundError:
-            return math.inf
-
-    hi = 1.0
-    while (hi_mass := bound(hi)) <= budget and hi < 1e6:
-        hi *= 2.0
-    if hi_mass <= budget:
-        return hi
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if bound(mid) <= budget:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-@pytest.mark.parametrize("n_cut, budget", [(5, 1e-12), (5, 1e-3), (20, 1e-12),
-                                           (60, 1e-12), (60, 1e-6), (500, 1e-12)])
-def test_tail_safe_xmax_bisects_from_the_last_doubling(n_cut, budget):
-    """Same radius as a bisection from 0, one bound fewer when hi was doubled."""
-    fam = builtin_family("factorial")
-    xs = []
+@settings(max_examples=60, deadline=None)
+@given(*XMAX_DOMAIN)
+def test_tail_safe_xmax_bounds_at_most_32_times(name, n_cut, budget):
+    calls = []
 
     def counted(family, x, n_cut):
-        xs.append(x)
+        calls.append(x)
         return tail_mass(family, x, n_cut)
 
     with mock.patch.object(gk_states, "tail_mass", counted):
-        x = tail_safe_xmax(fam, n_cut, budget)
-        calls = len(xs)
-        assert x == restarted_xmax(fam, n_cut, budget)
-    restarted_calls = len(xs) - calls
-    doubled = tail_mass(fam, 1.0, n_cut) <= budget
-    assert calls == restarted_calls - (1 if doubled else 0)
+        tail_safe_xmax(builtin_family(name), n_cut, budget)
+    assert len(calls) <= 32
+
+
+@st.composite
+def tail_inputs(draw):
+    name = draw(st.sampled_from(("factorial", "uniform_moment")))
+    if name == "factorial":
+        x = draw(st.floats(0.0, 3000.0))
+    else:
+        # dense near the radius, where the walk runs to its cap
+        x = draw(st.floats(0.0, 1.0, exclude_max=True)
+                 | st.floats(0.0, 8.0).map(lambda u: 1.0 - 10.0 ** -u))
+    return builtin_family(name), x, draw(st.integers(0, 500))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tail_inputs())
+def test_tail_mass_matches_the_walk_oracle(args):
+    """Raises where the earlier walk raised, and returns its bound to 1e-12.
+
+    The O(1) cap test and the walk agree on where the bound gives up; the
+    per-term ``exp`` and the running product agree to rounding, except
+    where the leading term underflows and the product starts from 0.
+    """
+    family, x, n_cut = args
+    # a smaller cap keeps the oracle's walk to the cap short
+    with mock.patch.object(gk_states, "_TAIL_ITER_CAP", 50_000):
+        try:
+            expected = walk_tail_mass(family, x, n_cut)
+        except TailBoundError:
+            with pytest.raises(TailBoundError):
+                tail_mass(family, x, n_cut)
+            return
+        got = tail_mass(family, x, n_cut)
+    if x == 0.0:
+        assert got == expected == 0.0
+        return
+    lead = ((n_cut + 1) * math.log(x) - family.log_weight(n_cut + 1)
+            - family.log_n_squared(x))
+    if math.exp(lead) >= sys.float_info.min:
+        assert abs(got - expected) <= 1e-12 * got
+
+
+@pytest.mark.parametrize("name, x, n_cut", [("uniform_moment", 0.9, 5),
+                                              ("factorial", 300.0, 10)])
+def test_tail_mass_gives_up_exactly_where_the_walk_would_reach_its_cap(name, x, n_cut):
+    """The O(1) cap test and the walk's own cap agree to the term."""
+    family = builtin_family(name)
+
+    def bound(cap, tail):
+        with mock.patch.object(gk_states, "_TAIL_ITER_CAP", cap):
+            try:
+                return tail(family, x, n_cut)
+            except TailBoundError:
+                return None
+
+    # the smallest cap the oracle's walk stops within
+    need = bisect.bisect_left(range(10_000), True,
+                              key=lambda cap: bound(cap, walk_tail_mass) is not None)
+    assert 100 < need < 10_000
+    assert bound(need, tail_mass) == pytest.approx(bound(need, walk_tail_mass), rel=1e-12)
+    assert bound(need - 1, tail_mass) is None
+
+
+def test_tail_mass_does_not_stop_at_an_underflowed_term():
+    """At x = 2000 the first term past 159 is e^-1446 but the tail is about 1."""
+    fac = builtin_family("factorial")
+    assert walk_tail_mass(fac, 2000.0, 159) == 0.0
+    assert abs(tail_mass(fac, 2000.0, 159) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("x, need", [(1000.0, 1196), (2000.0, 2275)])
+def test_gk_state_beyond_the_ladder_reports_the_cutoff(x, need):
+    tr = TruncationConfig(160)
+    fac = builtin_family("factorial")
+    j, _ = jc_families(decompose(PARAMS, 3, tr), fac, fac)
+    with pytest.raises(TruncationTooSmallError) as err:
+        gk_state(j, x, 0.0, tr)
+    assert err.value.required_n == need
+    # the reported photon cutoff is minimal for the tail tolerance
+    assert tail_mass(fac, x, need - j.start_index) <= tr.tail_tol
+    assert tail_mass(fac, x, need - j.start_index - 1) > tr.tail_tol
 
 
 def loop_moment_diagonals(family, ks, rule):
