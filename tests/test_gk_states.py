@@ -265,6 +265,66 @@ def test_tail_safe_xmax_bounds_at_most_32_times(name, n_cut, budget):
     assert len(calls) <= 32
 
 
+def restarted_xmax(family, n_cut, budget):
+    """The search with its bisection restarted at 0 after the doubling."""
+    def bound(x):
+        try:
+            return gk_states.tail_mass(family, x, n_cut)
+        except TailBoundError:
+            return math.inf
+
+    hi = 1.0
+    while (hi_mass := bound(hi)) <= budget and hi < 1e6:
+        hi *= 2.0
+    if hi_mass <= budget:
+        return hi
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if bound(mid) <= budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("n_cut, budget", [(5, 1e-12), (5, 1e-3), (20, 1e-12),
+                                           (60, 1e-12), (60, 1e-6), (500, 1e-12)])
+def test_tail_safe_xmax_bisects_from_the_last_doubling(n_cut, budget):
+    """The search narrows [last doubling within budget, next doubling], not [0, hi].
+
+    Every bound after the doubling lies strictly inside that bracket, and
+    the result is a restarted-at-0 bisection's x to 1e-13, found with
+    fewer bounds.
+    """
+    fam = builtin_family("factorial")
+    xs = []
+
+    def counted(family, x, n_cut):
+        xs.append(x)
+        return tail_mass(family, x, n_cut)
+
+    with mock.patch.object(gk_states, "tail_mass", counted):
+        x = tail_safe_xmax(fam, n_cut, budget)
+        calls = len(xs)
+        reference = restarted_xmax(fam, n_cut, budget)
+    restarted_calls = len(xs) - calls
+    probes = xs[:calls]
+    doublings = 1
+    while doublings < calls and probes[doublings] == 2.0 * probes[doublings - 1]:
+        doublings += 1
+    hi = probes[doublings - 1]
+    lo = 0.5 * hi if hi > 1.0 else 0.0
+    assert tail_mass(fam, hi, n_cut) > budget
+    assert lo == 0.0 or tail_mass(fam, lo, n_cut) <= budget
+    assert all(lo < p < hi for p in probes[doublings:])
+    assert lo <= x < hi
+    assert abs(x - reference) <= 1e-13 * x
+    assert calls < restarted_calls
+
+
 @st.composite
 def tail_inputs(draw):
     name = draw(st.sampled_from(("factorial", "uniform_moment")))
