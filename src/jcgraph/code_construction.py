@@ -5,12 +5,14 @@ eventually strictly increasing.  M0 is the smallest index from which the
 consecutive gaps stay positive, characterized by the strict inequality
 
     1 / (sqrt(delta^2 + kappa^2 (M0+1)) + sqrt(delta^2 + kappa^2 M0))
-        < 2 omega_f / kappa^2,
+        < 2 omega_f / kappa^2.
 
-equivalently, in terms of the rates gamma_f = kappa/omega_f and
-gamma_s = kappa/omega_s,
+Scaled by kappa it reads in the rates gamma_f = kappa/omega_f and
+gamma_s = kappa/omega_s alone,
 
-    sqrt(d^2 + M0 + 1) + sqrt(d^2 + M0) > gamma_f / 2,   d = 1/gamma_f - 1/gamma_s.
+    sqrt(d^2 + M0 + 1) + sqrt(d^2 + M0) > gamma_f / 2,   d = 1/gamma_f - 1/gamma_s,
+
+and this is the form evaluated, so M0 does not depend on the frequency unit.
 
 A cut index k0 >= max(3, M0) splits the truncated space into the upper
 branch H1, the increasing part of the lower branch H2 = span{|n,->, n >= k0},
@@ -52,61 +54,55 @@ def s_sequence(params: JCParams, k: int) -> float:
     return eigenenergy(params, k, "minus")
 
 
-def _gap_condition(params: JCParams, m: int) -> bool:
-    # S_{m+1} - S_m > 0 written as the strict closed-form inequality.
-    lhs = 1.0 / (math.sqrt(params.delta ** 2 + params.kappa ** 2 * (m + 1))
-                 + math.sqrt(params.delta ** 2 + params.kappa ** 2 * m))
-    return lhs < 2.0 * params.omega_f / params.kappa ** 2
-
-
-def _first_gap_index(gamma_f: float, gamma_s: float, gap_holds) -> int:
-    """Smallest m >= 1 with ``gap_holds(m)``, started from the closed form.
+def _first_gap_index(gamma_f: float, gamma_s: float) -> int:
+    """Smallest m >= 1 with sqrt(d^2 + m + 1) + sqrt(d^2 + m) > gamma_f / 2.
 
     The gap condition holds exactly for m > m* = ((u - 1/u)/2)^2 - d^2 with
     u = gamma_f/2, and for all m when u < 1.  The start floor(m*) + 1 moves
-    only while the predicate ``gap_holds``, evaluated in floating point,
-    says so.  That predicate can be off by one where m* lies within an ulp
-    of an integer: at the double nearest the jump 2(2 + sqrt 3) both forms
-    return 4, where exact arithmetic on that double gives m* = 3 - eps and
-    M0 = 3.  ValueError when M0 is not resolvable: past m* = 2^53
-    neighbouring m are not distinct doubles.
+    only while the strict inequality, evaluated in floating point, says so.
+    That can be off by one where m* lies within an ulp of an integer: at
+    the double nearest the jump 2(2 + sqrt 3) it returns 4, where exact
+    arithmetic on that double gives m* = 3 - eps and M0 = 3.  ValueError
+    when M0 is not resolvable: past m* = 2^53 neighbouring m are not
+    distinct doubles.
     """
     u = 0.5 * gamma_f
     if u < 1.0:
         return 1
     d = 1.0 / gamma_f - 1.0 / gamma_s
+    d2 = d * d
     half = 0.5 * (u - 1.0 / u)
-    m_star = half * half - d * d
+    m_star = half * half - d2
+
+    def gap_holds(k):
+        return math.sqrt(d2 + k + 1) + math.sqrt(d2 + k) > u
+
     if m_star <= 2.0 ** 53:  # also false for NaN
         m = 1 if m_star < 1.0 else math.floor(m_star) + 1
-        try:
-            for _ in range(_WALK_CAP):
-                if m > 1 and gap_holds(m - 1):
-                    m -= 1
-                elif gap_holds(m):
-                    return m
-                else:
-                    m += 1
-        except OverflowError:  # the frequency form squares delta and kappa
-            pass
+        for _ in range(_WALK_CAP):
+            if m > 1 and gap_holds(m - 1):
+                m -= 1
+            elif gap_holds(m):
+                return m
+            else:
+                m += 1
     raise ValueError(f"M0 is not resolvable in double precision at gamma_f = "
                      f"{gamma_f}, gamma_s = {gamma_s} (m* = {m_star})")
 
 
 def minimal_m0(params: JCParams) -> int:
-    """Smallest M0 >= 1 from which the lower-branch gaps are all positive."""
-    return _first_gap_index(params.gamma_f, params.gamma_s,
-                            lambda m: _gap_condition(params, m))
+    """Smallest M0 >= 1 from which the lower-branch gaps are all positive.
+
+    Only the rates kappa/omega are read, at any scale; kappa = 0 gives 1.
+    """
+    return _first_gap_index(params.gamma_f, params.gamma_s)
 
 
 def minimal_m0_from_rates(gamma_f: float, gamma_s: float) -> int:
-    """Same threshold evaluated purely from the dimensionless rates."""
+    """Same threshold from the dimensionless rates, which must be positive."""
     if not (0 < gamma_f < math.inf and 0 < gamma_s < math.inf):
         raise ValueError("rates must be positive and finite")
-    d = 1.0 / gamma_f - 1.0 / gamma_s
-    return _first_gap_index(
-        gamma_f, gamma_s,
-        lambda m: math.sqrt(d * d + m + 1) + math.sqrt(d * d + m) > 0.5 * gamma_f)
+    return _first_gap_index(gamma_f, gamma_s)
 
 
 def minimal_k0(m0: int) -> int:

@@ -85,8 +85,7 @@ class WeightFamily:
         else:
             base = QuadratureRule.gauss_laguerre(n_nodes)
             log_rho = self.log_rho(base.nodes) + base.nodes
-        return QuadratureRule(nodes=base.nodes, log_weights=base.log_weights + log_rho,
-                              kind=base.kind)
+        return QuadratureRule(nodes=base.nodes, log_weights=base.log_weights + log_rho)
 
     def probabilities(self, x: float, k_max: int) -> np.ndarray:
         """p_k = x^k / (c_k N^2(x)) for k = 0..k_max, summing to 1 - tail."""
@@ -385,10 +384,7 @@ class ResolutionCheck:
     """Outcome of the resolution-of-identity reconstruction."""
 
     diagonals: np.ndarray
-    max_diag_deviation: float
     residual: float
-    degree_limit: int
-    n_nodes: int
 
 
 def verify_resolution(spec: GKFamilySpec,
@@ -400,23 +396,16 @@ def verify_resolution(spec: GKFamilySpec,
     d_k = int rho(x) x^k dx / c_k, which the x-quadrature must return as 1.
     The residual is the max entry of the reconstruction sum_k d_k |e_k><e_k|
     minus the projector sum_k |e_k><e_k|, read off the frame's blocks with
-    weight d_k - 1 on |e_k>.  ``max_diag_deviation`` is restricted to
-    indices within the rule's polynomial exactness degree; the full
-    residual is reported unrestricted.
+    weight d_k - 1 on |e_k>.
     """
     if rule is None:
         rule = spec.family.moment_rule(rule_nodes(spec.terms))
-    ks = np.arange(spec.terms)
-    diag = moment_diagonals(spec.family, ks, rule)
-    degree_limit = 2 * rule.nodes.size - 1
-    max_dev = float(np.abs(diag[ks <= degree_limit] - 1.0).max())
+    diag = moment_diagonals(spec.family, np.arange(spec.terms), rule)
     weights = np.zeros(spec.frame.energies.size)
     weights[spec.index] = diag - 1.0
     d, off = spec.frame.block_entries(weights)
     residual = float(max(np.abs(d).max(), np.abs(off).max()))
-    return ResolutionCheck(diagonals=diag, max_diag_deviation=max_dev,
-                           residual=residual, degree_limit=degree_limit,
-                           n_nodes=rule.nodes.size)
+    return ResolutionCheck(diagonals=diag, residual=residual)
 
 
 def verify_temporal_stability(spec: GKFamilySpec, xs: Sequence[float],

@@ -135,15 +135,12 @@ def finite_time_mean(f: Callable[[float], np.ndarray], t_max: float,
 class QuadratureRule:
     """Nodes and log weights approximating int f(x) w(x) dx over the support.
 
-    ``kind`` records the support: "interval" for a plain rule on [a, b]
-    (weight 1) or "half_line_exp" for Gauss-Laguerre, whose weights absorb
-    the factor e^{-x} on [0, inf).  Weights are kept as logs: one below the
-    smallest double (Laguerre, x > ~745) still counts against a large x^k.
+    Weights are kept as logs: one below the smallest double (Laguerre,
+    x > ~745) still counts against a large x^k.
     """
 
     nodes: np.ndarray
     log_weights: np.ndarray
-    kind: str = "interval"
 
     def __post_init__(self) -> None:
         if self.nodes.ndim != 1 or self.nodes.shape != self.log_weights.shape:
@@ -163,13 +160,13 @@ class QuadratureRule:
         x, log_w = _legendre_rule(n)
         half = 0.5 * (b - a)
         return QuadratureRule(nodes=a + half * (x + 1.0),
-                              log_weights=math.log(half) + log_w, kind="interval")
+                              log_weights=math.log(half) + log_w)
 
     @staticmethod
     def gauss_laguerre(n: int) -> "QuadratureRule":
         """Gauss-Laguerre rule: sum w_i f(x_i) ~ int_0^inf e^{-x} f(x) dx."""
         x, log_w = _laguerre_rule(n)
-        return QuadratureRule(nodes=x, log_weights=log_w, kind="half_line_exp")
+        return QuadratureRule(nodes=x, log_weights=log_w)
 
 
 def _frozen(*arrays: np.ndarray) -> tuple:

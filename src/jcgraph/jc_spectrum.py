@@ -168,8 +168,12 @@ def dressed_index(branch: str, n):
     """Position of the level (branch, n) in the dressed order, for n >= 1.
 
     (n, +) sits at 2n - 1 and (n, -) at 2n, the product indices of |n-1, e>
-    and |n, g>; ``n`` may be an integer array.
+    and |n, g>; ``n`` may be an integer array.  ``branch`` takes the names
+    of ``eigenenergy``; the ground level, at 0, is no doublet and raises.
     """
+    branch = _branch(branch)
+    if branch == "ground":
+        raise ValueError("dressed_index needs 'plus' or 'minus'; the ground level sits at 0")
     return 2 * n - (branch == "plus")
 
 

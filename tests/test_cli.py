@@ -40,6 +40,16 @@ def test_mindim_strong_coupling(capsys):
     assert json.loads(out) == {"m0": 4, "k0_star": 4, "d_min": 3, "dim_h3": 4}
 
 
+@pytest.mark.parametrize("exp", ["e-170", "e200"])
+def test_mindim_frequency_scale_does_not_matter(exp, capsys):
+    """kappa^2 underflows at 1e-170 and overflows at 1e200; M0 reads the rates."""
+    argv = ["mindim", "--omega-f", "1" + exp, "--omega-s", "1" + exp, "--kappa", "8" + exp]
+    rc, out, err = run(argv, capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["m0"] == 4
+    assert out == run(["mindim"] + STRONG, capsys)[1]
+
+
 def test_mindim_cavity_benchmark_frequencies(capsys):
     argv = ["mindim", "--omega-f", "51.1e9", "--omega-s", "51.1e9",
             "--kappa", "47e3", "--hz"]
@@ -124,7 +134,7 @@ def test_non_finite_rule_is_a_usage_error(monkeypatch, capsys):
         rule = build_rule(n)
         log_weights = rule.log_weights.copy()
         log_weights[-1] = math.nan
-        return QuadratureRule(nodes=rule.nodes, log_weights=log_weights, kind=rule.kind)
+        return QuadratureRule(nodes=rule.nodes, log_weights=log_weights)
 
     monkeypatch.setattr(QuadratureRule, "gauss_laguerre", staticmethod(broken_laguerre))
     start = time.perf_counter()

@@ -9,7 +9,6 @@ from jcgraph.gk_states import builtin_family, jc_families
 from jcgraph.hilbert import TruncationConfig, basis_index, projector_onto
 from jcgraph.code_construction import (
     CutConstraintError,
-    _gap_condition,
     decompose,
     dmin_sweep,
     minimal_k0,
@@ -26,13 +25,21 @@ HAROCHE = JCParams(omega_f=TWO_PI * 51.1e9, omega_s=TWO_PI * 51.1e9,
                    kappa=TWO_PI * 47e3)
 
 
-# Reference oracles: scan m = 1, 2, ... with each exact strict predicate.
+# Reference oracles: scan m = 1, 2, ... with each exact strict predicate, the
+# frequency form on a JCParams triple and the rates form the library evaluates.
 # They cost O(gamma_f^2), so they only run on moderate rates.
+def gap_condition(params, m):
+    """S_{m+1} - S_m > 0 written as the strict inequality in the frequencies."""
+    lhs = 1.0 / (math.sqrt(params.delta ** 2 + params.kappa ** 2 * (m + 1))
+                 + math.sqrt(params.delta ** 2 + params.kappa ** 2 * m))
+    return lhs < 2.0 * params.omega_f / params.kappa ** 2
+
+
 def scan_m0(params):
     if params.kappa == 0.0:
         return 1
     m = 1
-    while not _gap_condition(params, m):
+    while not gap_condition(params, m):
         m += 1
     return m
 
@@ -98,7 +105,7 @@ def test_minimal_m0_exact_at_the_double_nearest_the_jump():
     """The float gap predicate is off by one within an ulp of an integer m*.
 
     Exact arithmetic on this double (fractions.Fraction) gives m* = 3 - eps,
-    so the gap condition holds from m = 3 on and M0 = 3; both forms return 4.
+    so the gap condition holds from m = 3 on and M0 = 3; both functions return 4.
     """
     g = 7.464101615137754
     assert minimal_m0_from_rates(g, g) == 3
@@ -121,6 +128,14 @@ def test_minimal_m0_two_forms_agree():
         gf = float(rng.uniform(0.05, 16.0))
         gs = float(rng.uniform(0.05, 16.0))
         assert minimal_m0(JCParams.from_rates(gf, gs)) == minimal_m0_from_rates(gf, gs)
+
+
+def test_minimal_m0_does_not_depend_on_the_frequency_unit():
+    """kappa^2 underflows at 1e-170 and overflows at 1e200; the rates do not."""
+    for ratio, gamma, want in ((1.0, 8.0, 4), (0.8, 9.0, 5)):  # omega_s/omega_f
+        assert minimal_m0_from_rates(gamma, gamma / ratio) == want
+        for s in (1e-170, 1.0, 1e200):
+            assert minimal_m0(JCParams(s, ratio * s, gamma * s)) == want
 
 
 def test_minimal_m0_from_rates_validation():

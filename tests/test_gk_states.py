@@ -570,9 +570,7 @@ def test_verify_resolution_reconstructs_projector():
             check = verify_resolution(spec, fam.moment_rule(200))
             assert check.residual < 1e-6
             assert check.residual < 1e-10
-            assert check.max_diag_deviation < 1e-10
-            assert check.n_nodes == 200
-            assert check.degree_limit == 399
+            assert np.abs(check.diagonals - 1).max() < 1e-10
 
 
 def test_verify_resolution_converges_with_nodes():

@@ -195,6 +195,12 @@ def test_dressed_basis_layout_and_top_state():
     assert dressed_index("plus", 1) == 1
     assert dressed_index("minus", 1) == 2
     assert dressed_index("plus", 2) == 3
+    # the aliases of eigenenergy name the same levels
+    assert dressed_index("+", 3) == 5
+    assert dressed_index("-", 3) == 6
+    for bad in ("ground", "g", "up"):
+        with pytest.raises(ValueError):
+            dressed_index(bad, 3)
 
 
 def test_dressed_basis_is_orthonormal():

@@ -306,8 +306,7 @@ def dense_identity_reconstruction(code, families, rule):
     for spec in families:
         fam = spec.family
         eff = QuadratureRule(nodes=rule.nodes,
-                             log_weights=rule.log_weights + fam.log_rho(rule.nodes),
-                             kind=rule.kind)
+                             log_weights=rule.log_weights + fam.log_rho(rule.nodes))
         diag = moment_diagonals(fam, np.arange(spec.terms), eff)
         recon += (spec.embedding * diag) @ spec.embedding.conj().T
     return recon + (rule.weights.sum() / families[0].family.radius) * code.p3
