@@ -54,11 +54,6 @@ class RunConfig:
     seed: int
 
 
-def _fmt(value: float) -> str:
-    """12 significant digits, plain decimal point."""
-    return f"{value:.12g}"
-
-
 def load_config_file(path: str) -> dict:
     # values are literal, as flags are: no '%' interpolation
     parser = configparser.ConfigParser(interpolation=None)
@@ -185,8 +180,7 @@ def cmd_sweep(values: dict) -> str:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     lines = ["gamma_s,gamma_f,m0,k0_star,d_min"]
-    for r in rows:
-        lines.append(f"{_fmt(r.gamma_s)},{_fmt(r.gamma_f)},{r.m0},{r.k0_star},{r.d_min}")
+    lines += ["%.12g,%.12g,%d,%d,%d" % row for row in rows]
     return "\n".join(lines) + "\n"
 
 

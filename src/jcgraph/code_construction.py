@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .hilbert import TruncationConfig, ValidationError
 from .jc_spectrum import DressedFrame, JCParams, dressed_frame, eigenenergy
 
 _WALK_CAP = 64  # steps the closed-form start may move; rounding needs a few
+_MAX_SWEEP_ROWS = 10 ** 6  # a larger sweep is refused before it is allocated
 
 
 class CutConstraintError(ValueError):
@@ -191,8 +193,7 @@ def decompose(params: JCParams, k0: int, trunc: TruncationConfig) -> CodeSpec:
                     code_basis=h3_basis[:, :k0 - 1])
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid point of the minimal-dimension sweep."""
 
     gamma_s: float
@@ -202,17 +203,57 @@ class SweepRow:
     d_min: int
 
 
-def _row(gamma_f: float, gamma_s: float) -> SweepRow:
-    m0 = minimal_m0_from_rates(gamma_f, gamma_s)
-    k0_star = minimal_k0(m0)
-    return SweepRow(gamma_s=gamma_s, gamma_f=gamma_f, m0=m0,
-                    k0_star=k0_star, d_min=k0_star - 1)
+def _gap_indices(gamma_f: np.ndarray, gamma_s: np.ndarray) -> np.ndarray:
+    """``_first_gap_index`` over equal-length rate arrays, in one vector pass.
+
+    The closed-form start m is certified where the scalar walk would return
+    it at its first step: u < 1 (M0 = 1), or m* <= 2^53 with the gap failing
+    at m - 1 (or m = 1) and holding at m.  The operations and their order
+    are the scalar ones, and numpy rounds them alike, so a certified entry
+    is the scalar result.  The scalar walk settles every other point, in
+    order, so the first unresolvable one raises its ValueError.
+    """
+    u = 0.5 * gamma_f
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = 1.0 / gamma_f - 1.0 / gamma_s
+        d2 = d * d
+        half = 0.5 * (u - 1.0 / u)
+        m_star = half * half - d2
+        weak = u < 1.0
+        walkable = ~weak & (m_star <= 2.0 ** 53)  # also false for NaN
+        start = np.where(walkable & (m_star >= 1.0), m_star, 0.0)
+        m = np.floor(start).astype(np.int64) + 1
+
+        def gap_holds(k):
+            return np.sqrt(d2 + k + 1) + np.sqrt(d2 + k) > u
+
+        ok = weak | (walkable & ((m == 1) | ~gap_holds(m - 1)) & gap_holds(m))
+    for i in np.flatnonzero(~ok):
+        m[i] = _first_gap_index(float(gamma_f[i]), float(gamma_s[i]))
+    return m
+
+
+def _sweep_rows(gamma_f: np.ndarray, gamma_s: np.ndarray) -> list:
+    """One ``SweepRow`` per rate pair, in the arrays' order."""
+    m0 = _gap_indices(gamma_f, gamma_s)
+    k0_star = np.maximum(3, m0)
+    return list(map(SweepRow._make, zip(gamma_s.tolist(), gamma_f.tolist(),
+                                        m0.tolist(), k0_star.tolist(),
+                                        (k0_star - 1).tolist())))
+
+
+def _check_rows(*steps: int) -> None:
+    """Refuse a sweep before allocating it: >= 1 point per axis, <= the row cap."""
+    if min(steps) < 1:
+        raise ValueError("steps must be >= 1")
+    rows = math.prod(steps)
+    if rows > _MAX_SWEEP_ROWS:
+        raise ValueError(f"a sweep of {rows} rows exceeds the cap of "
+                         f"{_MAX_SWEEP_ROWS} rows")
 
 
 def _rate_axis(gamma_range: tuple, steps: int) -> np.ndarray:
     """``steps`` evenly spaced rates over a positive, finite, increasing range."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     lo, hi = gamma_range
     if not 0 < lo <= hi < math.inf:
         raise ValueError(f"rate range must be positive, finite and increasing, "
@@ -230,13 +271,16 @@ def dmin_sweep(gamma_f_range: tuple, gamma_s_range: tuple, steps) -> list:
         steps_f, steps_s = steps
     except TypeError:
         steps_f = steps_s = steps
+    _check_rows(steps_f, steps_s)
     gfs = _rate_axis(gamma_f_range, steps_f)
     gss = _rate_axis(gamma_s_range, steps_s)
-    return [_row(float(gf), float(gs)) for gf in gfs for gs in gss]
+    return _sweep_rows(np.repeat(gfs, steps_s), np.tile(gss, steps_f))
 
 
 def resonant_sweep(gamma_range: tuple, steps: int) -> list:
     """Sweep along the resonant line gamma_s = gamma_f."""
     if steps < 2:
         raise ValueError("a resonant sweep needs at least 2 points")
-    return [_row(float(gf), float(gf)) for gf in _rate_axis(gamma_range, steps)]
+    _check_rows(steps)
+    gammas = _rate_axis(gamma_range, steps)
+    return _sweep_rows(gammas, gammas)

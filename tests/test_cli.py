@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from jcgraph import cli, gk_states
+from jcgraph import cli, code_construction, gk_states
 from jcgraph.cli import main
 from jcgraph.hilbert import QuadratureRule
 
@@ -156,6 +156,49 @@ def test_sweep_resonant_csv_golden(capsys):
                    "7.5,7.5,4,4,3\n"
                    "7.75,7.75,4,4,3\n"
                    "8,8,4,4,3\n")
+
+
+def _reference_csv(points):
+    """The sweep CSV built row by row from the scalar M0, 12 significant digits."""
+    lines = ["gamma_s,gamma_f,m0,k0_star,d_min"]
+    for gf, gs in points:
+        m0 = code_construction.minimal_m0_from_rates(float(gf), float(gs))
+        k0 = max(3, m0)
+        lines.append(f"{gs:.12g},{gf:.12g},{m0},{k0},{k0 - 1}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("flags, points", [
+    (["--resonant", "--gamma-f-min", "7", "--gamma-f-max", "8",
+      "--gamma-f-steps", "5"],
+     [(g, g) for g in np.linspace(7.0, 8.0, 5)]),
+    (["--resonant", "--gamma-f-min", "0.5", "--gamma-f-max", "16",
+      "--gamma-f-steps", "1551"],
+     [(g, g) for g in np.linspace(0.5, 16.0, 1551)]),
+    (["--gamma-f-min", "2", "--gamma-f-max", "40", "--gamma-f-steps", "7",
+      "--gamma-s-min", "0.5", "--gamma-s-max", "80", "--gamma-s-steps", "9"],
+     [(gf, gs) for gf in np.linspace(2.0, 40.0, 7)
+      for gs in np.linspace(0.5, 80.0, 9)]),
+], ids=["readme", "resonant-1551-across-the-jump", "grid-detuned-both-ways"])
+def test_sweep_csv_matches_the_scalar_rows(flags, points, capsys):
+    rc, out, _ = run(["sweep"] + flags, capsys)
+    assert rc == 0
+    assert out == _reference_csv(points)
+
+
+@pytest.mark.parametrize("flags, rows", [
+    (["--resonant", "--gamma-f-steps", "1000000000000"], 10 ** 12),
+    (["--gamma-f-steps", "10000", "--gamma-s-min", "1", "--gamma-s-max", "2",
+      "--gamma-s-steps", "10000"], 10 ** 8),
+], ids=["resonant-1e12", "grid-1e4x1e4"])
+def test_sweep_row_cap_is_a_usage_error(flags, rows, monkeypatch, capsys):
+    def no_axis(*_):
+        raise AssertionError("the rate axis was built")
+    monkeypatch.setattr(code_construction, "_rate_axis", no_axis)
+    rc, out, err = run(["sweep", "--gamma-f-min", "1", "--gamma-f-max", "2"] + flags,
+                       capsys)
+    assert rc == 2 and out == ""
+    assert f"{rows} rows exceeds the cap of 1000000" in err
 
 
 def test_sweep_grid_row_order(capsys):

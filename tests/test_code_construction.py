@@ -9,6 +9,8 @@ from jcgraph.gk_states import builtin_family, jc_families
 from jcgraph.hilbert import TruncationConfig, basis_index, projector_onto
 from jcgraph.code_construction import (
     CutConstraintError,
+    _first_gap_index,
+    _gap_indices,
     decompose,
     dmin_sweep,
     minimal_k0,
@@ -280,6 +282,7 @@ def test_dmin_sweep_scalar_steps():
 def test_resonant_sweep_diagonal():
     rows = resonant_sweep((7.0, 8.0), 5)
     assert len(rows) == 5
+    assert rows[0] == (7.0, 7.0, 3, 3, 2)  # a row is a tuple
     assert all(r.gamma_s == r.gamma_f for r in rows)
     assert [r.m0 for r in rows] == [3, 3, 4, 4, 4]
     assert [r.d_min for r in rows] == [2, 2, 3, 3, 3]
@@ -295,3 +298,59 @@ def test_sweep_validation():
             dmin_sweep((0.5, 1.0), bad, 2)
         with pytest.raises(ValueError):
             resonant_sweep(bad, 2)
+
+
+def _resonant(m, ulps):
+    """The double ``ulps`` steps from 2(sqrt m + sqrt(m+1)), where m* = m."""
+    g = 2.0 * (math.sqrt(m) + math.sqrt(m + 1))
+    for _ in range(abs(ulps)):
+        g = math.nextafter(g, math.copysign(math.inf, ulps))
+    return g
+
+
+_log_rate = st.floats(-6.0, 7.0).map(lambda e: 10.0 ** e)
+_rate_pairs = st.one_of(
+    st.tuples(_log_rate, _log_rate),
+    st.builds(lambda m, k: (_resonant(m, k),) * 2,
+              st.integers(1, 10 ** 9), st.integers(-2, 2)),
+    st.just((7.464101615137754, 7.464101615137754)),  # the double at the jump
+    st.tuples(st.floats(1e-9, 1.99), _log_rate),  # u < 1
+    st.builds(lambda g, e: (g, g * 10.0 ** -e), _log_rate, st.floats(3.0, 12.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rate_pairs, min_size=1, max_size=40))
+def test_gap_indices_match_the_scalar_walk(pairs):
+    gf, gs = (np.array(col) for col in zip(*pairs))
+    want = [_first_gap_index(float(x), float(y)) for x, y in pairs]
+    assert _gap_indices(gf, gs).tolist() == want
+
+
+@pytest.mark.parametrize("sweep, gamma_f, gamma_s", [
+    (lambda: resonant_sweep((1.0, 1e9), 3), 500000000.5, 500000000.5),
+    (lambda: dmin_sweep((1.0, 1e9), (0.5, 2.0), (3, 2)), 500000000.5, 0.5),
+    # m* just above 2^53, where the float gap test would pass at the start
+    (lambda: resonant_sweep((379649350.0, 379649350.0), 2), 379649350.0,
+     379649350.0),
+], ids=["resonant", "grid", "just-past-2^53"])
+def test_sweeps_raise_the_scalar_message(sweep, gamma_f, gamma_s):
+    """The first unresolvable row raises the scalar ValueError word for word."""
+    with pytest.raises(ValueError) as scalar:
+        minimal_m0_from_rates(gamma_f, gamma_s)
+    assert "not resolvable" in str(scalar.value)
+    with pytest.raises(ValueError) as err:
+        sweep()
+    assert str(err.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("sweep, rows", [
+    (lambda: resonant_sweep((1.0, 2.0), 10 ** 12), 10 ** 12),
+    (lambda: dmin_sweep((1.0, 2.0), (1.0, 2.0), 10 ** 4), 10 ** 8),
+], ids=["resonant-1e12", "grid-1e4x1e4"])
+def test_sweep_row_cap_refuses_before_allocating(sweep, rows, monkeypatch):
+    def no_axis(*_):
+        raise AssertionError("the rate axis was built")
+    monkeypatch.setattr("jcgraph.code_construction._rate_axis", no_axis)
+    with pytest.raises(ValueError, match=f"{rows} rows exceeds the cap of 1000000"):
+        sweep()
