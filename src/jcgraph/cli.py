@@ -35,6 +35,7 @@ _INT_KEYS = {"k0", "n_fock", "seed", "gamma_f_steps", "gamma_s_steps"}
 _BOOL_KEYS = {"hz", "resonant", "allow_leak"}
 _STR_KEYS = {"family1", "family2", "state", "which", "xs", "ys", "out"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
+_SWEEP_CHUNK = 1 << 16  # CSV rows formatted per write: bounds a sweep's text in memory
 
 
 class UsageError(Exception):
@@ -46,6 +47,7 @@ class RunConfig:
     """Resolved run parameters shared by all subcommands."""
 
     params: JCParams
+    m0: int
     k0: int
     trunc: TruncationConfig
     family1: gk.WeightFamily
@@ -125,7 +127,8 @@ def resolve_run_config(values: dict) -> RunConfig:
         else:
             params = JCParams.from_rates(values["gamma_f"], values["gamma_s"],
                                          omega_f=values.get("reference_omega_f", 1.0))
-        k0_star = cc.minimal_k0(cc.minimal_m0(params))
+        m0 = cc.minimal_m0(params)  # the run's only M0: the commands read cfg.m0
+        k0_star = cc.minimal_k0(m0)
         trunc = TruncationConfig(n_fock=values.get("n_fock", 60))
         fam1 = gk.builtin_family(values.get("family1", "uniform_moment"))
         fam2 = gk.builtin_family(values.get("family2", "uniform_moment"))
@@ -140,52 +143,73 @@ def resolve_run_config(values: dict) -> RunConfig:
     seed = values.get("seed", 7)
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
-    return RunConfig(params=params, k0=k0, trunc=trunc, family1=fam1,
+    return RunConfig(params=params, m0=m0, k0=k0, trunc=trunc, family1=fam1,
                      family2=fam2, tol=tol, seed=seed)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text, out: str | None) -> None:
+    """Write a string, or an iterable of strings in turn, to ``out`` or stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_mindim(cfg: RunConfig) -> dict:
-    m0 = cc.minimal_m0(cfg.params)
-    k0_star = cc.minimal_k0(m0)
-    return {"m0": m0, "k0_star": k0_star, "d_min": k0_star - 1,
+    k0_star = cc.minimal_k0(cfg.m0)
+    return {"m0": cfg.m0, "k0_star": k0_star, "d_min": k0_star - 1,
             "dim_h3": k0_star}
 
 
-def cmd_sweep(values: dict) -> str:
+def cmd_sweep(values: dict, out: str | None) -> None:
+    """Write the sweep's CSV, formatting ``_SWEEP_CHUNK`` rows at a time.
+
+    Every M0 is computed, and every usage error raised, before the first
+    line is written, so a refused sweep writes nothing.
+    """
     needed = ("gamma_f_min", "gamma_f_max", "gamma_f_steps")
     if any(k not in values for k in needed):
         raise UsageError("sweep needs --gamma-f-min/--gamma-f-max/--gamma-f-steps")
     f_range = (values["gamma_f_min"], values["gamma_f_max"])
     try:
         if values.get("resonant"):
-            rows = cc.resonant_sweep(f_range, values["gamma_f_steps"])
+            rates = cc.resonant_rates(f_range, values["gamma_f_steps"])
         else:
             s_needed = ("gamma_s_min", "gamma_s_max", "gamma_s_steps")
             if any(k not in values for k in s_needed):
                 raise UsageError("grid sweep needs --gamma-s-min/--gamma-s-max/"
                                  "--gamma-s-steps (or --resonant)")
-            rows = cc.dmin_sweep(f_range,
-                                 (values["gamma_s_min"], values["gamma_s_max"]),
-                                 (values["gamma_f_steps"], values["gamma_s_steps"]))
+            rates = cc.grid_rates(f_range,
+                                  (values["gamma_s_min"], values["gamma_s_max"]),
+                                  (values["gamma_f_steps"], values["gamma_s_steps"]))
+        columns = cc.sweep_columns(*rates)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    lines = ["gamma_s,gamma_f,m0,k0_star,d_min"]
-    lines += ["%.12g,%.12g,%d,%d,%d" % row for row in rows]
-    return "\n".join(lines) + "\n"
+
+    def chunks():
+        yield "gamma_s,gamma_f,m0,k0_star,d_min\n"
+        for start in range(0, columns[0].size, _SWEEP_CHUNK):
+            rows = zip(*(c[start:start + _SWEEP_CHUNK].tolist() for c in columns))
+            yield "".join(["%.12g,%.12g,%d,%d,%d\n" % row for row in rows])
+    _emit(chunks(), out)
 
 
 def run_verification(cfg: RunConfig) -> gv.VerificationReport:
-    """The full numerical battery for one configuration."""
+    """The full numerical battery for one configuration.
+
+    The records come in a fixed order: spectrum, ladder order, per ladder
+    the moments, resolution and temporal stability, identity membership,
+    then the anticlique and channel checks.  Their random samples are all
+    drawn first, in the order of one sample at a time, so the seed fixes
+    them; then each ladder's generator samples are the columns of one
+    ``ladder_vector`` call, the frame generators one (40, k0, k0) stack
+    whose 8 random combinations are one ``tensordot``, and the 5 code
+    states plus the leak probe the columns of one ``dephase_pure_state``.
+    """
     report = gv.VerificationReport()
     params, trunc = cfg.params, cfg.trunc
     rng = np.random.default_rng(cfg.seed)
@@ -197,7 +221,7 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     report.add(gv.CheckRecord("spectrum.gram_identity", gram, 1e-10, gram < 1e-10))
 
     try:
-        code = cc.decompose(params, cfg.k0, trunc)
+        code = cc.decompose(params, cfg.k0, trunc, cfg.m0)
     except cc.EnergyOrderError as exc:
         report.add(gv.CheckRecord("gk.energy_order", abs(exc.gap), 0.0, False))
         return report
@@ -250,21 +274,31 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     xmax = gk.tail_safe_xmax(cfg.family1, families[0].terms - 1, budget=1e-6)
     # one range for both ladders, so a sample x is in both families' domains
     x_hi = min(xmax, 0.95 * cfg.family1.radius, 0.95 * cfg.family2.radius)
+    t_hi = 10.0 / params.omega_f
+    # Every draw first, in the order of one sample at a time: 40 generator
+    # samples (j, x, t), the coefficients of 8 combinations, then 5 code
+    # states with their (x, t).  The checks below take them as stacks.
+    js, kl_xs, kl_ts = [], [], []
+    for _ in range(40):
+        js.append(int(rng.integers(1, 4)))
+        kl_xs.append(float(rng.uniform(0.0, x_hi)))
+        kl_ts.append(float(rng.uniform(0.0, t_hi)))
+    coeffs = np.array([rng.normal(size=len(js)) for _ in range(8)])
+    dim_code = code.code_basis.shape[1]
+    amps, xs, ts = [], [], []
+    for _ in range(5):
+        a = rng.normal(size=dim_code) + 1j * rng.normal(size=dim_code)
+        amps.append(a / np.linalg.norm(a))
+        xs.append(float(rng.uniform(0.0, x_hi)))
+        ts.append(float(rng.uniform(0.0, t_hi)))
+
     # Knill-Laflamme in the k0-dimensional frame of W = h3_basis (P3 = W W+):
     # every operator A enters as W+ A W, the identity as W+ W.
-    js, frames = [], []
-    for _ in range(40):
-        j = int(rng.integers(1, 4))
-        x = float(rng.uniform(0.0, x_hi))
-        t = float(rng.uniform(0.0, 10.0 / params.omega_f))
-        js.append(j)
-        frames.append(gv.frame_generator(code, families, j, x, t))
-    combos = []
-    for _ in range(8):
-        coeffs = rng.normal(size=len(frames))
-        combos.append(sum(c * m for c, m in zip(coeffs, frames)))
+    frames = gv.frame_generator(code, families, js, kl_xs, kl_ts)
     w = code.h3_basis
-    kl = gv.knill_laflamme_frame(w, frames + combos + [w.conj().T @ w], tol=cfg.tol)
+    kl = gv.knill_laflamme_frame(
+        w, np.concatenate([frames, np.tensordot(coeffs, frames, axes=1),
+                           (w.conj().T @ w)[None]]), tol=cfg.tol)
     worst_kl = kl.max_residual()
     report.add(gv.CheckRecord("graph.anticlique", worst_kl, cfg.tol,
                               all(c.passed for c in kl.checks)))
@@ -275,24 +309,15 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     report.add(gv.CheckRecord("graph.anticlique_alpha_identity", alpha_id, 1e-10,
                               alpha_id < 1e-10, alpha=kl.checks[-1].alpha))
 
-    # The channel on pure code states, from the branches P_k v.
-    dim_code = code.code_basis.shape[1]
-    worst_fid, worst_tr, worst_neg = 0.0, 0.0, 0.0
-    leak_slack = 0.0
-    for i in range(5):
-        amps = rng.normal(size=dim_code) + 1j * rng.normal(size=dim_code)
-        amps /= np.linalg.norm(amps)
-        v = code.code_basis @ amps
-        x = float(rng.uniform(0.0, x_hi))
-        t = float(rng.uniform(0.0, 10.0 / params.omega_f))
-        out = gv.dephase_pure_state(families, x, t, v)
-        worst_tr = max(worst_tr, abs(out.trace - 1.0))
-        worst_neg = max(worst_neg, -out.min_eigenvalue)
-        worst_fid = max(worst_fid, 1.0 - out.fidelity)
-        if i == 0:
-            probe = gv.leak_probe(code, families, x, t)
-            f_leak = gv.dephase_pure_state(families, x, t, probe).fidelity
-            leak_slack = max(0.0, f_leak - (1.0 - 1e-3))
+    # The channel on pure code states, from the branches P_k v, and on the
+    # leak probe at the first state's (x, t): one column each.
+    probe = gv.leak_probe(code, families, xs[0], ts[0])
+    vs = np.column_stack([code.code_basis @ np.transpose(amps), probe])
+    out = gv.dephase_pure_state(families, xs + xs[:1], ts + ts[:1], vs)
+    worst_tr = max(0.0, *np.abs(out.trace[:-1] - 1.0).tolist())
+    worst_neg = max(0.0, *(-out.min_eigenvalue[:-1]).tolist())
+    worst_fid = max(0.0, *(1.0 - out.fidelity[:-1]).tolist())
+    leak_slack = max(0.0, float(out.fidelity[-1]) - (1.0 - 1e-3))
     report.add(gv.CheckRecord("channel.trace_preservation", worst_tr, 1e-10,
                               worst_tr < 1e-10))
     report.add(gv.CheckRecord("channel.positivity", worst_neg, 1e-9,
@@ -305,7 +330,7 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
 
 
 def cmd_demo(cfg: RunConfig, values: dict) -> tuple:
-    code = cc.decompose(cfg.params, cfg.k0, cfg.trunc)
+    code = cc.decompose(cfg.params, cfg.k0, cfg.trunc, cfg.m0)
     families = gk.jc_families(code, cfg.family1, cfg.family2)
     x = values.get("x", 0.5 * cfg.family1.radius
                    if math.isfinite(cfg.family1.radius) else 1.0)
@@ -348,7 +373,7 @@ def cmd_demo(cfg: RunConfig, values: dict) -> tuple:
 
 
 def cmd_gk_dump(cfg: RunConfig, values: dict) -> dict:
-    code = cc.decompose(cfg.params, cfg.k0, cfg.trunc)
+    code = cc.decompose(cfg.params, cfg.k0, cfg.trunc, cfg.m0)
     families = gk.jc_families(code, cfg.family1, cfg.family2)
     which = values.get("which", "J").upper()
     if which not in ("J", "S"):
@@ -437,7 +462,7 @@ def main(argv=None) -> int:
         values = _merged(args)
         out = values.get("out")
         if args.command == "sweep":
-            _emit(cmd_sweep(values), out)
+            cmd_sweep(values, out)
             return 0
         cfg = resolve_run_config(values)
         if args.command == "mindim":

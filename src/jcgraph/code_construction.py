@@ -153,13 +153,15 @@ class CodeSpec:
         return self.code_basis @ self.code_basis.conj().T
 
 
-def decompose(params: JCParams, k0: int, trunc: TruncationConfig) -> CodeSpec:
+def decompose(params: JCParams, k0: int, trunc: TruncationConfig,
+              m0: int | None = None) -> CodeSpec:
     """Build the run's dressed frame and split its indices along the cut k0.
 
     Requires 1 <= k0 < N so the cut lies inside the truncation, both
     ladders strictly increasing (``EnergyOrderError`` names the first
     offending step) and k0 >= max(3, M0), checked in that order.  The code
-    spans the first k0 - 1 (always >= 2) H3 vectors.
+    spans the first k0 - 1 (always >= 2) H3 vectors.  ``m0`` is
+    ``minimal_m0(params)``, computed here unless the caller passes it.
     """
     n = trunc.n_fock
     if not 1 <= k0 < n:
@@ -176,7 +178,8 @@ def decompose(params: JCParams, k0: int, trunc: TruncationConfig) -> CodeSpec:
                 f"{label} ladder not strictly increasing: h[{i + 1}] - h[{i}] = "
                 f"{gaps[i]:.3e} (cut k0 = {k0} below the monotonicity threshold?)",
                 index=i, gap=float(gaps[i]))
-    m0 = minimal_m0(params)
+    if m0 is None:
+        m0 = minimal_m0(params)
     k_min = minimal_k0(m0)
     if k0 < k_min:
         raise CutConstraintError(
@@ -233,13 +236,20 @@ def _gap_indices(gamma_f: np.ndarray, gamma_s: np.ndarray) -> np.ndarray:
     return m
 
 
-def _sweep_rows(gamma_f: np.ndarray, gamma_s: np.ndarray) -> list:
-    """One ``SweepRow`` per rate pair, in the arrays' order."""
+def sweep_columns(gamma_f: np.ndarray, gamma_s: np.ndarray) -> tuple:
+    """The sweep's columns gamma_s, gamma_f, m0, k0_star and d_min, as arrays.
+
+    One entry per rate pair, in the arrays' order: the fields of ``SweepRow``.
+    """
     m0 = _gap_indices(gamma_f, gamma_s)
     k0_star = np.maximum(3, m0)
-    return list(map(SweepRow._make, zip(gamma_s.tolist(), gamma_f.tolist(),
-                                        m0.tolist(), k0_star.tolist(),
-                                        (k0_star - 1).tolist())))
+    return gamma_s, gamma_f, m0, k0_star, k0_star - 1
+
+
+def _sweep_rows(gamma_f: np.ndarray, gamma_s: np.ndarray) -> list:
+    """One ``SweepRow`` per rate pair, in the arrays' order."""
+    columns = sweep_columns(gamma_f, gamma_s)
+    return list(map(SweepRow._make, zip(*(c.tolist() for c in columns))))
 
 
 def _check_rows(*steps: int) -> None:
@@ -261,12 +271,8 @@ def _rate_axis(gamma_range: tuple, steps: int) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def dmin_sweep(gamma_f_range: tuple, gamma_s_range: tuple, steps) -> list:
-    """Minimal code data over a rate grid, rows in row-major order.
-
-    ``steps`` is the number of grid points per axis (a single int applies
-    to both).  The outer loop runs over gamma_f, the inner over gamma_s.
-    """
+def grid_rates(gamma_f_range: tuple, gamma_s_range: tuple, steps) -> tuple:
+    """The rate pairs (gamma_f, gamma_s) of ``dmin_sweep``, as two arrays in its row order."""
     try:
         steps_f, steps_s = steps
     except TypeError:
@@ -274,13 +280,27 @@ def dmin_sweep(gamma_f_range: tuple, gamma_s_range: tuple, steps) -> list:
     _check_rows(steps_f, steps_s)
     gfs = _rate_axis(gamma_f_range, steps_f)
     gss = _rate_axis(gamma_s_range, steps_s)
-    return _sweep_rows(np.repeat(gfs, steps_s), np.tile(gss, steps_f))
+    return np.repeat(gfs, steps_s), np.tile(gss, steps_f)
 
 
-def resonant_sweep(gamma_range: tuple, steps: int) -> list:
-    """Sweep along the resonant line gamma_s = gamma_f."""
+def resonant_rates(gamma_range: tuple, steps: int) -> tuple:
+    """The rate pairs (gamma, gamma) of ``resonant_sweep``, as two arrays."""
     if steps < 2:
         raise ValueError("a resonant sweep needs at least 2 points")
     _check_rows(steps)
     gammas = _rate_axis(gamma_range, steps)
-    return _sweep_rows(gammas, gammas)
+    return gammas, gammas
+
+
+def dmin_sweep(gamma_f_range: tuple, gamma_s_range: tuple, steps) -> list:
+    """Minimal code data over a rate grid, rows in row-major order.
+
+    ``steps`` is the number of grid points per axis (a single int applies
+    to both).  The outer loop runs over gamma_f, the inner over gamma_s.
+    """
+    return _sweep_rows(*grid_rates(gamma_f_range, gamma_s_range, steps))
+
+
+def resonant_sweep(gamma_range: tuple, steps: int) -> list:
+    """Sweep along the resonant line gamma_s = gamma_f."""
+    return _sweep_rows(*resonant_rates(gamma_range, steps))

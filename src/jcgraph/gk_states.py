@@ -87,17 +87,33 @@ class WeightFamily:
             log_rho = self.log_rho(base.nodes) + base.nodes
         return QuadratureRule(nodes=base.nodes, log_weights=base.log_weights + log_rho)
 
-    def probabilities(self, x: float, k_max: int) -> np.ndarray:
-        """p_k = x^k / (c_k N^2(x)) for k = 0..k_max, summing to 1 - tail."""
-        _check_domain(self, x)
-        if x == 0.0:
-            p = np.zeros(k_max + 1)
-            p[0] = 1.0
-            return p
-        ks = np.arange(k_max + 1)
+    def probabilities(self, x, k_max: int) -> np.ndarray:
+        """p_k = x^k / (c_k N^2(x)) for k = 0..k_max, summing to 1 - tail.
+
+        ``x`` is a number, giving one row, or an array of them, giving one
+        row per x along a new last axis, all from one ``exp``.  log x and
+        log N^2(x) are taken per x, so a row is bit for bit the number's.
+        """
+        xs = np.asarray(x, dtype=float)
+        flat = xs.ravel().tolist()
+        logs = []
+        for xi in flat:
+            _check_domain(self, xi)
+            logs.append((math.log(xi) if xi > 0.0 else 0.0, self.log_n_squared(xi)))
+        if xs.ndim:  # log x and log N^2 as arrays with a k axis to broadcast on
+            logs = np.array(logs).reshape(xs.shape + (2,))
+            log_x, log_n2 = logs[..., :1], logs[..., 1:]
+        else:
+            (log_x, log_n2), = logs
         with np.errstate(under="ignore"):
-            return np.exp(ks * math.log(x) - _log_weights(self.log_weight, k_max)
-                          - self.log_n_squared(x))
+            p = np.exp(np.arange(k_max + 1) * log_x - _log_weights(self.log_weight, k_max)
+                       - log_n2)
+        if 0.0 in flat:
+            rows = p.reshape(len(flat), -1)
+            at_zero = [i for i, xi in enumerate(flat) if xi == 0.0]
+            rows[at_zero] = 0.0
+            rows[at_zero, 0] = 1.0
+        return p
 
 
 @functools.lru_cache(maxsize=8)
@@ -296,9 +312,14 @@ class GKFamilySpec:
         return self.frame.embed(self.index, np.eye(self.terms))
 
 
+def _phases(spec: GKFamilySpec, y) -> np.ndarray:
+    """e^{-i h_k y}, with the k axis last (one row per y for an array y)."""
+    return np.exp(-1j * spec.energies * np.asarray(y, dtype=float)[..., None])
+
+
 def _coefficients(spec: GKFamilySpec, x: float, y: float) -> np.ndarray:
     p = spec.family.probabilities(x, spec.terms - 1)
-    return np.sqrt(p) * np.exp(-1j * spec.energies * y)
+    return np.sqrt(p) * _phases(spec, y)
 
 
 def _required_n(spec: GKFamilySpec, x: float, tol: float) -> int | None:
@@ -416,12 +437,15 @@ def verify_temporal_stability(spec: GKFamilySpec, xs: Sequence[float],
     Returns the (len(xs), len(ts)) array of fidelities, each equal to 1 up
     to rounding and truncation tail.  The ladder phases e^{-i h t} and the
     frame phases e^{-i E t} depend on t only, so they are computed once per
-    call.  Every x's tail check, amplitudes and |x, 0> are computed once;
-    the t axis is batched: all |x, t> come from one 2-D ``embed`` and all
-    U_t |x, 0> from one rotation into the dressed frame, the phases, and
-    one 2-D rotation back, as ``frame.evolve`` does, one column per t and
-    O(N) per column, never as a dense matrix.
+    call.  Every x's tail is checked once, and all x's amplitudes come from
+    one ``probabilities`` call, all |x, 0> from one 2-D ``embed`` and one
+    rotation into the dressed frame.  Per x the t axis is batched: all
+    |x, t> come from one 2-D ``embed`` and all U_t |x, 0> from the phases
+    and one 2-D rotation back, as ``frame.evolve`` does, one column per t
+    and O(N) per column, never as a dense matrix.  (Batching x as well
+    makes (dim, len(xs), len(ts)) temporaries that fall out of cache.)
     """
+    xs = [float(x) for x in xs]
     ts = np.asarray(ts, dtype=float)
     fids = np.empty((len(xs), ts.size))
     frame, h = spec.frame, spec.energies
@@ -429,13 +453,14 @@ def verify_temporal_stability(spec: GKFamilySpec, xs: Sequence[float],
     phases0 = np.exp(-1j * h * 0.0)
     ladder_phases = np.exp(-1j * np.outer(h, ts))
     frame_phases = np.exp(-1j * np.multiply.outer(frame.energies, ts))
-    for i, x in enumerate(xs):
-        x = float(x)
+    for x in xs:
         _check_tail(spec, x, trunc)
-        amp = np.sqrt(spec.family.probabilities(x, spec.terms - 1))
-        v0 = frame.embed(spec.index, amp * phases0)
+    amps = np.sqrt(spec.family.probabilities(xs, spec.terms - 1))
+    # every |x, 0>, rotated into the dressed frame: one embed, one rotation
+    dressed0 = frame.rotate(frame.embed(spec.index, (amps * phases0).T))
+    for i, amp in enumerate(amps):
         vt = frame.embed(spec.index, amp[:, None] * ladder_phases)
-        evolved = frame.rotate(frame_phases * frame.rotate(v0)[:, None])
+        evolved = frame.rotate(frame_phases * dressed0[:, i, None])
         fids[i] = np.abs((vt.conj() * evolved).sum(axis=0)) ** 2
     return fids
 

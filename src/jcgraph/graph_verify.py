@@ -19,6 +19,13 @@ identity on the truncated space (minus the decoupled |N, e> direction).
 The third coefficient carries the extra 1/R so that its radial integral
 is exactly one; this requires a finite convergence radius, hence the
 built-in "uniform_moment" family.
+
+The sampled checks run on batches: ``ladder_vector``, ``frame_generator``
+and ``dephase_pure_state`` take 1-D arrays of samples as well as single
+ones, and return one column, one k0 x k0 matrix or one entry per sample,
+from a fixed number of array operations however many samples there are;
+``knill_laflamme_frame`` takes a stack of frame matrices.  A single sample
+runs the same code on 1-D arrays.
 """
 from __future__ import annotations
 
@@ -29,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .code_construction import CodeSpec
-from .gk_states import (GKFamilySpec, TruncationTooSmallError, _coefficients, _required_n,
+from .gk_states import (GKFamilySpec, TruncationTooSmallError, _phases, _required_n,
                         moment_diagonals, rule_nodes)
 from .hilbert import QuadratureRule, TruncationConfig, ValidationError
 
@@ -106,23 +113,28 @@ class GraphGenerator:
     operator: np.ndarray
 
 
-def ladder_vector(spec: GKFamilySpec, x: float, t: float) -> np.ndarray:
+def ladder_vector(spec: GKFamilySpec, x, t) -> np.ndarray:
     """Unit vector |x, t> of the ladder, spanning the generator U_t P^j_x U_t+.
 
-    The truncated coefficients are renormalized so the generator is an
-    exact projector for every x in [0, R), not only where the tail is small.
-    Where every kept coefficient underflows there is nothing to renormalize:
-    ``TruncationTooSmallError`` reports the photon cutoff that would meet
-    the default tail tolerance.
+    For 1-D arrays x and t the result is a dim x n matrix, one column per
+    pair (x[i], t[i]), from one ``probabilities`` call and one 2-D
+    ``embed``.  The truncated coefficients are renormalized so the
+    generator is an exact projector for every x in [0, R), not only where
+    the tail is small.  Where every kept coefficient underflows there is
+    nothing to renormalize: ``TruncationTooSmallError`` reports, for the
+    first such x, the photon cutoff that would meet the default tail
+    tolerance.
     """
-    v = spec.frame.embed(spec.index, _coefficients(spec, x, t))
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
+    p = spec.family.probabilities(x, spec.terms - 1)
+    # the squared norm of |x, t> is its kept mass: the frame is orthonormal
+    mass = p.sum(axis=-1, keepdims=True)
+    if not mass.all():
+        x = float(np.ravel(x)[np.flatnonzero(mass == 0.0)[0]])
         need = _required_n(spec, x, TruncationConfig.tail_tol)
         raise TruncationTooSmallError(
             f"the {spec.label} ladder keeps no coefficient mass at x = {x}; "
             f"it needs a photon cutoff N >= {need}", required_n=need)
-    return v / norm
+    return spec.frame.embed(spec.index, (np.sqrt(p / mass) * _phases(spec, t)).T)
 
 
 def _ladder_projector(spec: GKFamilySpec, x: float, t: float) -> np.ndarray:
@@ -153,19 +165,28 @@ def _check_generator_index(j: int) -> None:
 
 
 def frame_generator(code: CodeSpec, families: Sequence[GKFamilySpec],
-                    j: int, x: float, t: float) -> np.ndarray:
+                    j, x, t) -> np.ndarray:
     """The generator of ``generator`` seen in the H3 frame: W+ G W, k0 x k0.
 
     W = code.h3_basis, so P3 = W W+.  A ladder generator |v><v| becomes
-    u u+ with u = W+ v; P3 itself becomes (W+ W)^2.
+    u u+ with u = W+ v; P3 itself becomes (W+ W)^2.  For 1-D arrays j, x
+    and t the result is an (n, k0, k0) stack, one sample (j[i], x[i], t[i])
+    each, and each ladder's samples are the columns of one ``ladder_vector``.
     """
-    _check_generator_index(j)
-    w = code.h3_basis
-    if j == 3:
-        gram = w.conj().T @ w
-        return gram @ gram
-    u = w.conj().T @ ladder_vector(families[j - 1], x, t)
-    return np.outer(u, u.conj())
+    js, xs, ts = np.ravel(j), np.ravel(x), np.ravel(t)
+    for ji in js.tolist():
+        _check_generator_index(ji)
+    wh = code.h3_basis.conj().T
+    out = np.empty((js.size,) + (wh.shape[0],) * 2, dtype=complex)
+    for jl in (1, 2):
+        pick = js == jl
+        if pick.any():
+            u = (wh @ ladder_vector(families[jl - 1], xs[pick], ts[pick])).T
+            out[pick] = u[:, :, None] * u.conj()[:, None, :]
+    if (js == 3).any():
+        gram = wh @ code.h3_basis
+        out[js == 3] = gram @ gram
+    return out if np.ndim(j) else out[0]
 
 
 def q_operator(x: float, families: Sequence[GKFamilySpec],
@@ -257,13 +278,14 @@ def knill_laflamme_check(p: np.ndarray, ops: Sequence, tol: float = 1e-8,
     return report
 
 
-def knill_laflamme_frame(w: np.ndarray, ms: Sequence[np.ndarray],
-                         tol: float = 1e-8) -> VerificationReport:
+def knill_laflamme_frame(w: np.ndarray, ms, tol: float = 1e-8) -> VerificationReport:
     """``knill_laflamme_check`` for P = W W+, each A given as M = W+ A W.
 
+    ``ms`` is a list of k0 x k0 matrices or an (n, k0, k0) stack.
     P A P = W M W+, so alpha(A) = tr(M) / k0 and the residual
     max |P A P - alpha P| = max |W (M - alpha I) W+| is taken over the rows
     where W is nonzero; every other entry of both sides is exactly zero.
+    Every alpha and residual comes from one batched product.
     """
     w = np.asarray(w, dtype=complex)
     k0 = w.shape[1]
@@ -272,10 +294,12 @@ def knill_laflamme_frame(w: np.ndarray, ms: Sequence[np.ndarray],
         raise ValidationError(
             f"W W+ is not a projector: max |W+W - I| = {ortho:.3e}")
     ws = w[np.abs(w).max(axis=1) > 0]
+    ms = np.asarray(ms, dtype=complex).reshape(-1, k0, k0)
+    alphas = np.trace(ms, axis1=1, axis2=2) / k0
+    shifted = ms - alphas[:, None, None] * np.eye(k0)
+    residuals = np.abs(ws @ shifted @ ws.conj().T).max(axis=(1, 2))
     report = VerificationReport()
-    for i, m in enumerate(ms):
-        alpha = complex(np.trace(m)) / k0
-        residual = float(np.abs(ws @ (m - alpha * np.eye(k0)) @ ws.conj().T).max())
+    for i, (alpha, residual) in enumerate(zip(alphas.tolist(), residuals.tolist())):
         report.add(CheckRecord(name=f"op[{i}]", residual=residual, tolerance=tol,
                                passed=residual < tol, alpha=alpha))
     return report
@@ -364,49 +388,68 @@ class PureTransmission:
     """The dephasing channel's output on a pure input |v><v|.
 
     ``eigenvalues`` are the output's eigenvalues on its range, those of the
-    3 x 3 Gram matrix of the branches u_k = P_k v; the rest are zero.
+    3 x 3 Gram matrix of the branches u_k = P_k v; the rest are zero.  For
+    a batch of inputs every field holds one entry (one row of eigenvalues)
+    per input.
     """
 
-    trace: float
+    trace: float | np.ndarray
     eigenvalues: np.ndarray
-    fidelity: float
+    fidelity: float | np.ndarray
 
     @property
-    def min_eigenvalue(self) -> float:
-        return min(0.0, float(self.eigenvalues.min()))
+    def min_eigenvalue(self) -> float | np.ndarray:
+        return np.minimum(0.0, self.eigenvalues.min(axis=-1))[()]
 
 
-def dephase_pure_state(families: Sequence[GKFamilySpec], x: float, t: float,
+def dephase_pure_state(families: Sequence[GKFamilySpec], x, t,
                        v: np.ndarray) -> PureTransmission:
     """``dephasing_channel`` at (x, t) applied to |v><v|, in O(dim).
 
     With v1, v2 the ladder vectors, the Kraus projectors |v1><v1|,
     |v2><v2| and I - both are Hermitian, idempotent and complete exactly
     when ||v1|| = ||v2|| = 1 and <v1|v2> = 0, checked to 1e-9 as Channel
-    checks its projectors.  The output sum_k u_k u_k+ has trace
-    sum_k ||u_k||^2 and, v being pure, fidelity sum_k |<v|u_k>|^2.
+    checks its projectors.  The output sum_k u_k u_k+ of the branches
+    u_k = P_k v has trace sum_k ||u_k||^2 and, v being pure, fidelity
+    sum_k |<v|u_k>|^2.  Every O(dim) product is an entry of the 3 x 3 Gram
+    matrix of (v1, v2, v); the rest is 3 x 3 algebra.
+
+    For 1-D arrays x and t and a dim x n matrix v, column i is sent through
+    the channel at (x[i], t[i]): each ladder's vectors come from one
+    ``ladder_vector`` call, the Gram matrices form one (n, 3, 3) stack, one
+    batched ``eigvalsh`` takes their eigenvalues, and every field of the
+    result holds one entry per column.
     """
     v = np.asarray(v, dtype=complex)
-    tr = float(np.vdot(v, v).real)
-    if not abs(tr - 1.0) <= 1e-9:  # NaN fails every check here
-        raise InvalidDensityError(f"rho has trace {tr}, expected 1")
-    ladders = [ladder_vector(spec, x, t) for spec in families[:2]]
-    for i, vi in enumerate(ladders):
-        dev = abs(float(np.linalg.norm(vi)) - 1.0)
-        if not dev <= 1e-9:
+    # rows v1, v2, v: (3, dim), or (n, 3, dim) with one matrix per column of v
+    rows = np.array([ladder_vector(spec, x, t).T for spec in families[:2]]
+                    + [v.T]).swapaxes(0, -2)
+    g = rows.conj() @ rows.swapaxes(-1, -2)  # g[k, l] = <row k|row l>
+    for tr in g[..., 2, 2].real.ravel().tolist():
+        if not abs(tr - 1.0) <= 1e-9:  # NaN fails every check here
+            raise InvalidDensityError(f"rho has trace {tr}, expected 1")
+    for i in (0, 1):
+        for dev in np.abs(np.sqrt(g[..., i, i].real) - 1.0).ravel().tolist():
+            if not dev <= 1e-9:
+                raise ValidationError(f"channel projector {i} is not idempotent: "
+                                      f"| ||v|| - 1 | = {dev:.3e}")
+    for overlap in np.abs(g[..., 0, 1]).ravel().tolist():
+        if not overlap <= 1e-9:
             raise ValidationError(
-                f"channel projector {i} is not idempotent: | ||v|| - 1 | = {dev:.3e}")
-    overlap = abs(np.vdot(ladders[0], ladders[1]))
-    if not overlap <= 1e-9:
-        raise ValidationError(
-            f"channel projectors 0 and 1 overlap: |<v1|v2>| = {overlap:.3e}")
-    branches = [vi * np.vdot(vi, v) for vi in ladders]
-    u = np.stack(branches + [v - branches[0] - branches[1]])
-    gram = u.conj() @ u.T
-    fid = float((np.abs(u.conj() @ v) ** 2).sum())
-    return PureTransmission(trace=float(np.trace(gram).real),
+                f"channel projectors 0 and 1 overlap: |<v1|v2>| = {overlap:.3e}")
+    # u_m = sum_k (row k) c[k, m]: c1 v1, c2 v2 and v - c1 v1 - c2 v2 with
+    # c_k = <v_k|v>, so <u_l|u_m> = (c+ g c)[l, m] and <v|u_m> = (g c)[2, m]
+    c = np.zeros(g.shape, dtype=complex)
+    c[..., 0, 0] = g[..., 0, 2]
+    c[..., 1, 1] = g[..., 1, 2]
+    c[..., :2, 2] = -g[..., :2, 2]
+    c[..., 2, 2] = 1.0
+    gc = g @ c
+    gram = c.conj().swapaxes(-1, -2) @ gc
+    fid = (np.abs(gc[..., 2, :]) ** 2).sum(axis=-1)
+    return PureTransmission(trace=gram.trace(axis1=-2, axis2=-1).real[()],
                             eigenvalues=np.linalg.eigvalsh(gram),
-                            fidelity=min(1.0, fid))
+                            fidelity=np.minimum(1.0, fid)[()])
 
 
 def _sqrtm_psd(a: np.ndarray) -> np.ndarray:

@@ -198,15 +198,18 @@ class DressedFrame:
         Acts on axis 0 of a vector or matrix.  Every block rotation is a
         real symmetric reflection, so the map is its own inverse.
         """
-        a = np.asarray(a, dtype=complex)
+        return self._rotate_in_place(np.array(a, dtype=complex))
+
+    def _rotate_in_place(self, a: np.ndarray) -> np.ndarray:
+        """``rotate`` into ``a`` itself, a complex array the caller owns."""
         c, s = self.cos, self.sin
         if a.ndim == 2:
             c, s = c[:, None], s[:, None]
         ae, ag = a[1:-1:2], a[2:-1:2]
-        out = a.copy()
-        out[1:-1:2] = s * ae + c * ag
-        out[2:-1:2] = c * ae - s * ag
-        return out
+        e, g = s * ae + c * ag, c * ae - s * ag
+        ae[...] = e
+        ag[...] = g
+        return a
 
     def embed(self, idx, a: np.ndarray) -> np.ndarray:
         """sum_k a[k] |v_idx[k]> in the product basis, for dressed vectors v.
@@ -217,7 +220,7 @@ class DressedFrame:
         a = np.asarray(a, dtype=complex)
         dressed = np.zeros((self.energies.size,) + a.shape[1:], dtype=complex)
         dressed[idx] = a
-        return self.rotate(dressed)
+        return self._rotate_in_place(dressed)
 
     def block_entries(self, w: np.ndarray) -> tuple:
         """Diagonal and in-block off-diagonal of V diag(w) V+, in O(N).

@@ -186,6 +186,27 @@ def test_sweep_csv_matches_the_scalar_rows(flags, points, capsys):
     assert out == _reference_csv(points)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 1550, 1551, 1 << 16])
+def test_sweep_csv_is_the_same_in_every_chunk_size(chunk, monkeypatch, tmp_path, capsys):
+    """The CSV is written _SWEEP_CHUNK rows at a time, to stdout or --out alike."""
+    monkeypatch.setattr(cli, "_SWEEP_CHUNK", chunk)
+    flags = ["sweep", "--resonant", "--gamma-f-min", "0.5", "--gamma-f-max", "16",
+             "--gamma-f-steps", "1551"]
+    want = _reference_csv([(g, g) for g in np.linspace(0.5, 16.0, 1551)])
+    assert run(flags, capsys) == (0, want, "")
+    target = tmp_path / "rows.csv"
+    assert run(flags + ["--out", str(target)], capsys) == (0, "", "")
+    assert target.read_text() == want
+
+
+def test_sweep_with_an_unresolvable_row_writes_nothing(tmp_path, capsys):
+    target = tmp_path / "rows.csv"
+    rc, out, err = run(["sweep", "--resonant", "--gamma-f-min", "1", "--gamma-f-max",
+                        "1e9", "--gamma-f-steps", "3", "--out", str(target)], capsys)
+    assert rc == 2 and out == "" and "not resolvable" in err
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("flags, rows", [
     (["--resonant", "--gamma-f-steps", "1000000000000"], 10 ** 12),
     (["--gamma-f-steps", "10000", "--gamma-s-min", "1", "--gamma-s-max", "2",
@@ -535,6 +556,26 @@ def test_no_command_loads_scipy(argv, rc):
     done = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.stderr.splitlines()[-1] == f"{rc} False", done.stderr
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["mindim"] + STRONG, 0),
+    (["demo"] + SMALL, 0),
+    (["demo"] + SMALL + ["--allow-leak"], 1),
+    (["gk-dump"] + SMALL, 0),
+    (["verify"] + SMALL, 0),
+    (["verify", "--gamma-f", "8", "--gamma-s", "8", "--k0", "3", "--n-fock", "20"], 1),
+], ids=["mindim", "demo", "demo-leak", "gk-dump", "verify", "verify-cut-below-m0"])
+def test_every_command_evaluates_m0_once(argv, rc, monkeypatch, capsys):
+    calls = []
+    minimal_m0 = code_construction.minimal_m0
+
+    def counted(params):
+        calls.append(params)
+        return minimal_m0(params)
+    monkeypatch.setattr(code_construction, "minimal_m0", counted)
+    assert run(argv, capsys)[0] == rc
+    assert len(calls) == 1
 
 
 def test_usage_errors(capsys, tmp_path):

@@ -290,6 +290,92 @@ def test_pure_state_channel_validates_its_input():
     assert PureTransmission(1.0, np.array([1e-3, 0.2, 0.8]), 1.0).min_eigenvalue == 0.0
 
 
+@settings(max_examples=25, deadline=None)
+@given(systems(), st.integers(0, 2 ** 32 - 1))
+def test_batched_ladder_vectors_match_one_column_at_a_time(system, seed):
+    params, trunc, family = system
+    _, families = build(params, trunc, family)
+    rng = np.random.default_rng(seed)
+    xs = np.append(rng.uniform(0.0, cli_x_range(families), 6), 0.0)
+    ts = rng.uniform(-10.0, 10.0, xs.size)
+    for spec in families:
+        batch = graph_verify.ladder_vector(spec, xs, ts)
+        assert batch.shape == (trunc.dim, xs.size)
+        for i, (x, t) in enumerate(zip(xs, ts)):
+            np.testing.assert_allclose(batch[:, i], graph_verify.ladder_vector(spec, x, t),
+                                       atol=1e-15, rtol=0)
+
+
+def test_a_zero_ladder_column_reports_the_cutoff_of_the_first():
+    """Past x ~ 2000 every kept factorial coefficient of a 20-rung ladder underflows."""
+    _, families = build(JCParams(1.0, 0.8, 0.7), TruncationConfig(20), "factorial")
+    spec = families[0]
+    with pytest.raises(gk_states.TruncationTooSmallError) as one:
+        graph_verify.ladder_vector(spec, 2000.0, 1.0)
+    with pytest.raises(gk_states.TruncationTooSmallError) as batch:
+        graph_verify.ladder_vector(spec, [0.5, 2000.0, 3000.0], [0.0, 1.0, 2.0])
+    assert "x = 2000.0" in str(one.value)
+    assert str(batch.value) == str(one.value)
+    assert batch.value.required_n == one.value.required_n > 20
+
+
+@settings(max_examples=25, deadline=None)
+@given(systems(), st.integers(0, 2 ** 32 - 1))
+def test_stacked_knill_laflamme_matches_one_matrix_at_a_time(system, seed):
+    params, trunc, family = system
+    code, families = build(params, trunc, family)
+    rng = np.random.default_rng(seed)
+    n = 12
+    js = rng.integers(1, 4, n)
+    xs, ts = rng.uniform(0.0, cli_x_range(families), n), rng.uniform(0.0, 10.0, n)
+    stack = frame_generator(code, families, js, xs, ts)
+    assert stack.shape == (n, code.k0, code.k0)
+    for m, j, x, t in zip(stack, js.tolist(), xs.tolist(), ts.tolist()):
+        np.testing.assert_allclose(m, frame_generator(code, families, j, x, t),
+                                   atol=1e-15, rtol=0)
+    w = code.h3_basis
+    # a random Hermitian error is no scalar on H3: its residual is O(1)
+    a = rng.normal(size=(code.k0,) * 2) + 1j * rng.normal(size=(code.k0,) * 2)
+    ms = np.concatenate([stack, np.tensordot(rng.normal(size=(3, n)), stack, axes=1),
+                         (w.conj().T @ w)[None], (a + a.conj().T)[None]])
+    for report in (knill_laflamme_frame(w, ms), knill_laflamme_frame(w, list(ms))):
+        assert len(report.checks) == len(ms)
+        for i, (rec, m) in enumerate(zip(report.checks, ms)):
+            one = knill_laflamme_frame(w, [m]).checks[0]
+            assert rec.name == f"op[{i}]"
+            assert abs(rec.residual - one.residual) <= 1e-15 * max(1.0, one.residual)
+            assert abs(rec.alpha - one.alpha) <= 1e-15 * max(1.0, abs(one.alpha))
+            assert rec.passed == one.passed
+    assert not report.checks[-1].passed
+
+
+@settings(max_examples=25, deadline=None)
+@given(systems(), st.integers(0, 2 ** 32 - 1))
+def test_batched_channel_matches_one_state_at_a_time(system, seed):
+    params, trunc, family = system
+    code, families = build(params, trunc, family)
+    rng = np.random.default_rng(seed)
+    xs, ts = rng.uniform(0.0, cli_x_range(families), 4), rng.uniform(0.0, 10.0, 4)
+    dim_code = code.code_basis.shape[1]
+    amps = rng.normal(size=(dim_code, 2)) + 1j * rng.normal(size=(dim_code, 2))
+    # any unit vector: generic weights on both ladders and the complement
+    generic = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
+    generic = generic / np.linalg.norm(generic) + families[1].embedding[:, 0]
+    vs = np.column_stack([code.code_basis @ (amps / np.linalg.norm(amps, axis=0)),
+                          generic / np.linalg.norm(generic),
+                          leak_probe(code, families, xs[3], ts[3])])
+    out = dephase_pure_state(families, xs, ts, vs)
+    assert out.trace.shape == out.fidelity.shape == out.min_eigenvalue.shape == (4,)
+    assert out.eigenvalues.shape == (4, 3)
+    for i in range(4):
+        one = dephase_pure_state(families, xs[i], ts[i], vs[:, i])
+        assert abs(out.trace[i] - one.trace) <= 1e-15
+        assert abs(out.fidelity[i] - one.fidelity) <= 1e-15
+        assert abs(out.min_eigenvalue[i] - one.min_eigenvalue) <= 1e-15
+        np.testing.assert_allclose(out.eigenvalues[i], one.eigenvalues, atol=1e-15, rtol=0)
+    assert 1.0 - out.fidelity[3] > 1e-3  # the leaked probe loses its ladder part
+
+
 def dense_resolution_residual(spec, rule):
     """max |E diag(d) E+ - E E+|, the ladder projector and its reconstruction."""
     e = spec.embedding
@@ -459,6 +545,27 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, family):
     # one moment rule per family, shared by both ladders and identity membership
     assert sorted(rules) == (["gauss_legendre"] if family == "uniform_moment"
                              else ["gauss_laguerre", "gauss_legendre"])
+
+
+def test_verify_embeds_each_sample_batch_once(monkeypatch, capsys):
+    """One embed per batch of samples, not one per sample, in a factorial verify.
+
+    The H3 basis; per ladder one batch of |x,0> and ten of |x,t> for the
+    stability grid, one of Knill-Laflamme samples and one of channel
+    inputs; and the leak probe: 28 at N = 160.
+    """
+    embeds = []
+    embed = jc_spectrum.DressedFrame.embed
+
+    def counted(frame, idx, a):
+        embeds.append(np.shape(a))
+        return embed(frame, idx, a)
+    monkeypatch.setattr(jc_spectrum.DressedFrame, "embed", counted)
+    rc = cli.main(["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+                   "--family1", "factorial", "--family2", "factorial", "--n-fock", "160"])
+    capsys.readouterr()
+    assert rc == 0
+    assert len(embeds) <= 28
 
 
 @pytest.mark.parametrize("command, frames", [("verify", 2), ("demo", 1), ("gk-dump", 1)])
