@@ -475,6 +475,12 @@ def main(argv=None) -> int:
         if args.command == "verify":
             report = run_verification(cfg)
             _emit(json.dumps(report.to_dict(), indent=2) + "\n", out)
+            for c in report.checks:
+                if not c.passed:
+                    ratio = c.residual / c.tolerance if c.tolerance else math.inf
+                    print(f"check failed: {c.name}: residual {c.residual:.3e}, "
+                          f"tolerance {c.tolerance:.3e}, residual/tolerance {ratio:.3g}",
+                          file=sys.stderr)
             return 0 if report.overall_pass else 1
         if args.command == "demo":
             fid, rc = cmd_demo(cfg, values)

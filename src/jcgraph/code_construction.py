@@ -32,6 +32,7 @@ from .jc_spectrum import DressedFrame, JCParams, dressed_frame, eigenenergy
 
 _WALK_CAP = 64  # steps the closed-form start may move; rounding needs a few
 _MAX_SWEEP_ROWS = 10 ** 6  # a larger sweep is refused before it is allocated
+_GAP_BLOCK = 1 << 16  # rows per vector pass of _gap_indices: bounds its temporaries
 
 
 class CutConstraintError(ValueError):
@@ -207,15 +208,25 @@ class SweepRow(NamedTuple):
 
 
 def _gap_indices(gamma_f: np.ndarray, gamma_s: np.ndarray) -> np.ndarray:
-    """``_first_gap_index`` over equal-length rate arrays, in one vector pass.
+    """``_first_gap_index`` over equal-length rate arrays, ``_GAP_BLOCK`` rows a pass.
 
     The closed-form start m is certified where the scalar walk would return
     it at its first step: u < 1 (M0 = 1), or m* <= 2^53 with the gap failing
     at m - 1 (or m = 1) and holding at m.  The operations and their order
     are the scalar ones, and numpy rounds them alike, so a certified entry
     is the scalar result.  The scalar walk settles every other point, in
-    order, so the first unresolvable one raises its ValueError.
+    order, block after block, so the first unresolvable one raises its
+    ValueError.
     """
+    m = np.empty(gamma_f.size, dtype=np.int64)
+    for start in range(0, gamma_f.size, _GAP_BLOCK):
+        block = slice(start, start + _GAP_BLOCK)
+        m[block] = _gap_block(gamma_f[block], gamma_s[block])
+    return m
+
+
+def _gap_block(gamma_f: np.ndarray, gamma_s: np.ndarray) -> np.ndarray:
+    """One vector pass of ``_gap_indices``."""
     u = 0.5 * gamma_f
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d = 1.0 / gamma_f - 1.0 / gamma_s

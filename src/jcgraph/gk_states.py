@@ -435,34 +435,26 @@ def verify_temporal_stability(spec: GKFamilySpec, xs: Sequence[float],
     """|<x, t| U_t |x, 0>|^2 for every x in ``xs`` and t in ``ts``.
 
     Returns the (len(xs), len(ts)) array of fidelities, each equal to 1 up
-    to rounding and truncation tail.  The ladder phases e^{-i h t} and the
-    frame phases e^{-i E t} depend on t only, so they are computed once per
-    call.  Every x's tail is checked once, and all x's amplitudes come from
-    one ``probabilities`` call, all |x, 0> from one 2-D ``embed`` and one
-    rotation into the dressed frame.  Per x the t axis is batched: all
-    |x, t> come from one 2-D ``embed`` and all U_t |x, 0> from the phases
-    and one 2-D rotation back, as ``frame.evolve`` does, one column per t
-    and O(N) per column, never as a dense matrix.  (Batching x as well
-    makes (dim, len(xs), len(ts)) temporaries that fall out of cache.)
+    to rounding and truncation tail.  Both states are read in the dressed
+    frame, where they live on the ladder's indices: |x, t> has amplitudes
+    sqrt(p_k(x)) e^{-i h_k t}, with h the ladder's ``energies``, and U_t
+    |x, 0> has sqrt(p_k(x)) e^{-i E_k t}, with E the frame's energies at
+    the same indices.  The frame's block rotation is orthogonal (the
+    ``spectrum.*`` checks certify it), so each fidelity is
+    |sum_k p_k(x) e^{+i h_k t} e^{-i E_k t}|^2, and the grid is one
+    (len(xs), terms) @ (terms, len(ts)) product.  The two phase arrays are
+    separate reads, so a ladder whose energies disagree with its frame's
+    fails here.  Every x's tail is checked once, in order, and all
+    amplitudes come from one ``probabilities`` call.
     """
     xs = [float(x) for x in xs]
     ts = np.asarray(ts, dtype=float)
-    fids = np.empty((len(xs), ts.size))
-    frame, h = spec.frame, spec.energies
-    # the y = 0 phases, exactly as gk_state(spec, x, 0.0) builds them
-    phases0 = np.exp(-1j * h * 0.0)
-    ladder_phases = np.exp(-1j * np.outer(h, ts))
-    frame_phases = np.exp(-1j * np.multiply.outer(frame.energies, ts))
+    ladder_phases = np.exp(-1j * np.outer(spec.energies, ts))
+    frame_phases = np.exp(-1j * np.outer(spec.frame.energies[spec.index], ts))
     for x in xs:
         _check_tail(spec, x, trunc)
-    amps = np.sqrt(spec.family.probabilities(xs, spec.terms - 1))
-    # every |x, 0>, rotated into the dressed frame: one embed, one rotation
-    dressed0 = frame.rotate(frame.embed(spec.index, (amps * phases0).T))
-    for i, amp in enumerate(amps):
-        vt = frame.embed(spec.index, amp[:, None] * ladder_phases)
-        evolved = frame.rotate(frame_phases * dressed0[:, i, None])
-        fids[i] = np.abs((vt.conj() * evolved).sum(axis=0)) ** 2
-    return fids
+    p = spec.family.probabilities(xs, spec.terms - 1)
+    return np.abs(p @ (ladder_phases.conj() * frame_phases)) ** 2
 
 
 @dataclass(frozen=True)

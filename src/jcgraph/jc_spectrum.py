@@ -24,8 +24,8 @@ exact eigenvector with its diagonal energy omega_f N + omega_s / 2.
 
 The block of level n sits on the neighbouring product indices 2n - 1
 (|n-1, e>) and 2n (|n, g>), so ``DressedFrame`` holds the whole dressed
-basis as two half-angle arrays and the energies, and applies U_t to a
-vector in O(N); ``spectrum_residuals`` checks it against H block by block.
+basis as two half-angle arrays and the energies, and U_t is diagonal in
+it; ``spectrum_residuals`` checks it against H block by block.
 The dense ``hamiltonian_matrix``, ``dressed_basis`` and
 ``evolution_operator`` are reference forms that the tests compare the frame
 against; no command calls them.  They stay in the package because
@@ -239,17 +239,6 @@ class DressedFrame:
         diag[2:-1:2] = c2 * wp + s2 * wm
         return diag, self.sin * self.cos * (wp - wm)
 
-    def evolve(self, v: np.ndarray, t) -> np.ndarray:
-        """U_t v = exp(-i H t) v in O(N), without building U_t.
-
-        Rotates into the dressed frame, applies the phases, rotates back.
-        For a 1-D array of times ``t`` the result holds one column U_t v
-        per t, from one rotation of v and one 2-D rotation back.
-        """
-        t = np.asarray(t, dtype=float)
-        phases = np.exp(-1j * np.multiply.outer(self.energies, t))
-        return self.rotate(phases * self.rotate(v).reshape((-1,) + (1,) * t.ndim))
-
 
 def dressed_frame(params: JCParams, trunc: TruncationConfig) -> DressedFrame:
     """Half-angle arrays and all energies of the truncated Hamiltonian, in O(N)."""
@@ -322,7 +311,7 @@ def dressed_basis(params: JCParams, trunc: TruncationConfig) -> DressedBasis:
 
 def evolution_operator(params: JCParams, t: float,
                        trunc: TruncationConfig) -> np.ndarray:
-    """Dense U_t = exp(-i H t) assembled spectrally; a reference for DressedFrame.evolve."""
+    """Dense U_t = exp(-i H t) assembled spectrally; a reference for the tests."""
     basis = dressed_basis(params, trunc)
     phases = np.exp(-1j * basis.energies * t)
     return (basis.vectors * phases) @ basis.vectors.conj().T

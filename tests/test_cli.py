@@ -327,6 +327,25 @@ def test_verify_detects_bad_cut(capsys):
     assert bad["residual"] > 0
 
 
+def test_verify_names_each_failing_check_on_stderr(capsys):
+    rc, out, err = run(["verify"] + SMALL + ["--tol", "1e-40"], capsys)
+    assert rc == 1
+    checks = json.loads(out)["checks"]
+    failing = [c for c in checks if not c["pass"]]
+    assert "graph.anticlique" in [c["name"] for c in failing]
+    lines = err.splitlines()
+    assert len(lines) == len(failing)
+    for c, line in zip(failing, lines):
+        assert line.startswith(f"check failed: {c['name']}: residual ")
+        ratio = c["residual"] / c["tolerance"]
+        assert line.endswith(f"tolerance {c['tolerance']:.3e}, "
+                             f"residual/tolerance {ratio:.3g}")
+    # a passing run writes nothing to stderr, and lists the same checks
+    _, passing, err = run(["verify"] + SMALL, capsys)
+    assert err == ""
+    assert [c["name"] for c in json.loads(passing)["checks"]] == [c["name"] for c in checks]
+
+
 def test_verify_output_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify"] + SMALL + ["--seed", "5"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jcgraph import code_construction
 from jcgraph.gk_states import builtin_family, jc_families
 from jcgraph.hilbert import TruncationConfig, basis_index, projector_onto
 from jcgraph.code_construction import (
@@ -325,6 +326,24 @@ def test_gap_indices_match_the_scalar_walk(pairs):
     gf, gs = (np.array(col) for col in zip(*pairs))
     want = [_first_gap_index(float(x), float(y)) for x, y in pairs]
     assert _gap_indices(gf, gs).tolist() == want
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 1 << 16])
+def test_gap_indices_are_the_same_in_every_block_size(block, monkeypatch):
+    """Blocks of rows give the scalar M0s, and the first unresolvable row raises."""
+    monkeypatch.setattr(code_construction, "_GAP_BLOCK", block)
+    pairs = [(_resonant(m, k),) * 2 for m in (1, 3, 40, 10 ** 6) for k in (-1, 0, 1)]
+    pairs += [(7.464101615137754,) * 2, (0.5, 3.0), (1e3, 1e-3), (2.0, 2.0)]
+    gf, gs = (np.array(col) for col in zip(*pairs))
+    want = [_first_gap_index(float(x), float(y)) for x, y in pairs]
+    assert _gap_indices(gf, gs).tolist() == want
+    # rows 4 and 9 are unresolvable, with different messages: row 4's is raised
+    bad = [1.0] * 4 + [500000000.5] + [1.0] * 4 + [1e9] + [1.0] * 3
+    with pytest.raises(ValueError) as scalar:
+        _first_gap_index(500000000.5, 500000000.5)
+    with pytest.raises(ValueError) as err:
+        _gap_indices(np.array(bad), np.array(bad))
+    assert str(err.value) == str(scalar.value)
 
 
 @pytest.mark.parametrize("sweep, gamma_f, gamma_s", [

@@ -13,6 +13,7 @@ on both weight families, for positive, negative and zero detuning, with x
 up to the tail-safe radius.
 """
 import functools
+import json
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -172,11 +173,11 @@ def test_structured_evolution_matches_dense_operator(system, frac, t, seed):
     v = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
     v /= np.linalg.norm(v)
     frame = dressed_frame(params, trunc)
-    assert np.abs(frame.evolve(v, t) - u @ v).max() <= ORACLE_TOL
+    assert np.abs(evolve(frame, v, t) - u @ v).max() <= ORACLE_TOL
     # evolve and the stability grid batch t: each column against its own dense U_t
     ts = (t, 0.0, -0.5 * t)
     us = (u, np.eye(trunc.dim), evolution_operator(params, -0.5 * t, trunc))
-    assert np.abs(frame.evolve(v, ts)
+    assert np.abs(evolve(frame, v, ts)
                   - np.column_stack([u_y @ v for u_y in us])).max() <= ORACLE_TOL
     for spec in families:
         xs = (frac * xmax(family, spec.terms, 1e-12), 0.0)
@@ -185,6 +186,17 @@ def test_structured_evolution_matches_dense_operator(system, frac, t, seed):
                   for y, u_y in zip(ts, us)] for x in xs]
         np.testing.assert_allclose(verify_temporal_stability(spec, xs, ts, trunc),
                                    dense, atol=ORACLE_TOL, rtol=0)
+
+
+def evolve(frame, v, t):
+    """U_t v = exp(-i H t) v in O(N), without building U_t.
+
+    Rotates into the dressed frame, applies the phases, rotates back.  For
+    a 1-D array of times ``t`` the result holds one column U_t v per t.
+    """
+    t = np.asarray(t, dtype=float)
+    phases = np.exp(-1j * np.multiply.outer(frame.energies, t))
+    return frame.rotate(phases * frame.rotate(v).reshape((-1,) + (1,) * t.ndim))
 
 
 def per_x_stability(spec, xs, ts):
@@ -196,7 +208,7 @@ def per_x_stability(spec, xs, ts):
         amp = np.sqrt(spec.family.probabilities(float(x), spec.terms - 1))
         v0 = frame.embed(spec.index, amp * np.exp(-1j * h * 0.0))
         vt = frame.embed(spec.index, amp[:, None] * np.exp(-1j * np.outer(h, ts)))
-        fids[i] = np.abs((vt.conj() * frame.evolve(v0, ts)).sum(axis=0)) ** 2
+        fids[i] = np.abs((vt.conj() * evolve(frame, v0, ts)).sum(axis=0)) ** 2
     return fids
 
 
@@ -207,8 +219,43 @@ def test_stability_phases_built_once_match_the_per_x_form(system, ts):
     _, families = build(params, trunc, family)
     for spec in families:
         xs = np.linspace(0.0, xmax(family, spec.terms, 1e-12), 10)
-        assert np.array_equal(verify_temporal_stability(spec, xs, ts, trunc),
-                              per_x_stability(spec, xs, ts))
+        np.testing.assert_allclose(verify_temporal_stability(spec, xs, ts, trunc),
+                                   per_x_stability(spec, xs, ts), atol=1e-13, rtol=0)
+
+
+@pytest.mark.parametrize("mutation", ["scaled", "shifted"])
+def test_stability_fails_when_the_ladder_disagrees_with_its_frame(monkeypatch, capsys,
+                                                                  mutation):
+    """The dressed-coordinate grid still compares two energy reads, not only tails.
+
+    The residual grows as the square of the phase error: a relative shift
+    of 1e-6 in every rung's energy gives about 9e-9 at N = 160 (and 2e-10,
+    below the tolerance, at N = 30).
+    """
+    frame_energies = gk_states.GKFamilySpec.energies
+
+    def stability(energies=None):
+        with monkeypatch.context() as m:
+            if energies is not None:
+                m.setattr(gk_states.GKFamilySpec, "energies", property(energies))
+            rc = cli.main(["verify", "--omega-f", "1", "--omega-s", "0.8",
+                           "--kappa", "0.7", "--family1", "factorial",
+                           "--family2", "factorial", "--n-fock", "160"])
+        report = json.loads(capsys.readouterr().out)
+        return rc, {c["name"]: c for c in report["checks"]
+                    if c["name"].startswith("gk.temporal_stability.")}
+
+    energies = {"scaled": lambda spec: spec.frame.energies[spec.index] * (1 + 1e-6),
+                # each rung reads the frame's energy one index up
+                "shifted": lambda spec: spec.frame.energies[spec.index + 1]}[mutation]
+    rc, checks = stability(energies)
+    assert rc == 1 and sorted(checks) == ["gk.temporal_stability.J",
+                                          "gk.temporal_stability.S"]
+    assert all(c["residual"] > 1e-9 and not c["pass"] for c in checks.values())
+    assert gk_states.GKFamilySpec.energies is frame_energies
+    rc, checks = stability()
+    assert rc == 0 and len(checks) == 2
+    assert all(c["residual"] < 1e-9 and c["pass"] for c in checks.values())
 
 
 @settings(max_examples=25, deadline=None)
@@ -550,9 +597,9 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, family):
 def test_verify_embeds_each_sample_batch_once(monkeypatch, capsys):
     """One embed per batch of samples, not one per sample, in a factorial verify.
 
-    The H3 basis; per ladder one batch of |x,0> and ten of |x,t> for the
-    stability grid, one of Knill-Laflamme samples and one of channel
-    inputs; and the leak probe: 28 at N = 160.
+    The H3 basis; per ladder one batch of Knill-Laflamme samples and one of
+    channel inputs; and the leak probe: 6 at N = 160.  The stability grid
+    embeds nothing: it is read in dressed coordinates.
     """
     embeds = []
     embed = jc_spectrum.DressedFrame.embed
@@ -565,7 +612,7 @@ def test_verify_embeds_each_sample_batch_once(monkeypatch, capsys):
                    "--family1", "factorial", "--family2", "factorial", "--n-fock", "160"])
     capsys.readouterr()
     assert rc == 0
-    assert len(embeds) <= 28
+    assert len(embeds) <= 6
 
 
 @pytest.mark.parametrize("command, frames", [("verify", 2), ("demo", 1), ("gk-dump", 1)])
