@@ -203,12 +203,14 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
 
     The records come in a fixed order: spectrum, ladder order, per ladder
     the moments, resolution and temporal stability, identity membership,
-    then the anticlique and channel checks.  Their random samples are all
-    drawn first, in the order of one sample at a time, so the seed fixes
-    them; then each ladder's generator samples are the columns of one
-    ``ladder_vector`` call, the frame generators one (40, k0, k0) stack
-    whose 8 random combinations are one ``tensordot``, and the 5 code
-    states plus the leak probe the columns of one ``dephase_pure_state``.
+    then the anticlique and channel checks.  The moments, resolution and
+    membership records read prefixes of one moment table per family.  The
+    random samples are all drawn first, in the order of one sample at a
+    time, so the seed fixes them; then each ladder's generator samples are
+    the columns of one ``ladder_vector`` call, the frame generators one
+    (40, k0, k0) stack whose 8 random combinations are one ``tensordot``,
+    and the 5 code states plus the leak probe the columns of one
+    ``dephase_pure_state``.
     """
     report = gv.VerificationReport()
     params, trunc = cfg.params, cfg.trunc
@@ -237,10 +239,13 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     # identity membership runs on the finite-radius built-in family, same ladders
     mem_families = [replace(spec, family=gk.builtin_family("uniform_moment"))
                     for spec in families]
-    # one moment rule per family, shared by the ladders and identity membership,
-    # exact for every moment of the longer (J) ladder
-    n_nodes = gk.rule_nodes(families[0].terms)
-    rules = {}
+    # One moment table per family, d_k for every k < N (the longer, J,
+    # ladder's orders) under a rule exact for all of them.  moment_diagonals
+    # computes each k on its own, so a ladder's prefix of the table is the
+    # table of its own orders, bit for bit.
+    orders = np.arange(families[0].terms)
+    n_nodes = gk.rule_nodes(orders.size)
+    rules, tables = {}, {}
     for fam in (spec.family for spec in (*families, *mem_families)):
         if fam.name in rules:
             continue
@@ -249,16 +254,17 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
             raise UsageError(f"the {n_nodes}-node moment rule of family "
                              f"{fam.name!r} has non-finite nodes or weights, "
                              f"so no moment can be checked with it")
+        tables[fam.name] = gk.moment_diagonals(fam, orders, rule)
 
     for spec in families:
         fam = spec.family
-        res = gk.verify_resolution(spec, rules[fam.name])
-        # moment_diagonals treats each k alone: these are the first 41 it would return
-        dev = float(np.abs(res.diagonals[:41] - 1.0).max())
+        diag = tables[fam.name][:spec.terms]
+        dev = float(np.abs(diag[:41] - 1.0).max())
         report.add(gv.CheckRecord(f"gk.moments.{spec.label}.{fam.name}", dev, 1e-8,
                                   dev < 1e-8))
+        residual = gk.verify_resolution(spec, diag)
         report.add(gv.CheckRecord(f"gk.resolution.{spec.label}.{fam.name}",
-                                  res.residual, 1e-6, res.residual < 1e-6))
+                                  residual, 1e-6, residual < 1e-6))
         xmax = gk.tail_safe_xmax(fam, spec.terms - 1, budget=1e-12)
         fids = gk.verify_temporal_stability(
             spec, np.linspace(0.0, xmax, 10),
@@ -268,7 +274,8 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
                                   1e-9, worst < 1e-9))
 
     mem = gv.verify_identity_membership(
-        code, mem_families, [rules[spec.family.name] for spec in mem_families])
+        code, mem_families, rules[mem_families[0].family.name],
+        [tables[spec.family.name][:spec.terms] for spec in mem_families])
     report.add(gv.CheckRecord("graph.identity_membership", mem, 1e-6, mem < 1e-6))
 
     xmax = gk.tail_safe_xmax(cfg.family1, families[0].terms - 1, budget=1e-6)
@@ -337,6 +344,9 @@ def cmd_demo(cfg: RunConfig, values: dict) -> tuple:
     t = values.get("t", 1.0 / cfg.params.omega_f)
     if not (math.isfinite(x) and math.isfinite(t)):
         raise UsageError(f"x and t must be finite, got x = {x}, t = {t}")
+    radius = min(cfg.family1.radius, cfg.family2.radius)
+    if not 0.0 <= x < radius:
+        raise UsageError(f"x = {x} outside [0, {radius})")
     rng = np.random.default_rng(cfg.seed)
     state = values.get("state", "random")
     dim_code = code.code_basis.shape[1]

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -197,16 +196,6 @@ def decompose(params: JCParams, k0: int, trunc: TruncationConfig,
                     code_basis=h3_basis[:, :k0 - 1])
 
 
-class SweepRow(NamedTuple):
-    """One grid point of the minimal-dimension sweep."""
-
-    gamma_s: float
-    gamma_f: float
-    m0: int
-    k0_star: int
-    d_min: int
-
-
 def _gap_indices(gamma_f: np.ndarray, gamma_s: np.ndarray) -> np.ndarray:
     """``_first_gap_index`` over equal-length rate arrays, ``_GAP_BLOCK`` rows a pass.
 
@@ -250,17 +239,11 @@ def _gap_block(gamma_f: np.ndarray, gamma_s: np.ndarray) -> np.ndarray:
 def sweep_columns(gamma_f: np.ndarray, gamma_s: np.ndarray) -> tuple:
     """The sweep's columns gamma_s, gamma_f, m0, k0_star and d_min, as arrays.
 
-    One entry per rate pair, in the arrays' order: the fields of ``SweepRow``.
+    One entry per rate pair, in the arrays' order.
     """
     m0 = _gap_indices(gamma_f, gamma_s)
     k0_star = np.maximum(3, m0)
     return gamma_s, gamma_f, m0, k0_star, k0_star - 1
-
-
-def _sweep_rows(gamma_f: np.ndarray, gamma_s: np.ndarray) -> list:
-    """One ``SweepRow`` per rate pair, in the arrays' order."""
-    columns = sweep_columns(gamma_f, gamma_s)
-    return list(map(SweepRow._make, zip(*(c.tolist() for c in columns))))
 
 
 def _check_rows(*steps: int) -> None:
@@ -283,7 +266,11 @@ def _rate_axis(gamma_range: tuple, steps: int) -> np.ndarray:
 
 
 def grid_rates(gamma_f_range: tuple, gamma_s_range: tuple, steps) -> tuple:
-    """The rate pairs (gamma_f, gamma_s) of ``dmin_sweep``, as two arrays in its row order."""
+    """The rate pairs (gamma_f, gamma_s) of a grid sweep, two arrays in row-major order.
+
+    ``steps`` is the number of grid points per axis (a single int applies
+    to both).  The outer loop runs over gamma_f, the inner over gamma_s.
+    """
     try:
         steps_f, steps_s = steps
     except TypeError:
@@ -295,23 +282,9 @@ def grid_rates(gamma_f_range: tuple, gamma_s_range: tuple, steps) -> tuple:
 
 
 def resonant_rates(gamma_range: tuple, steps: int) -> tuple:
-    """The rate pairs (gamma, gamma) of ``resonant_sweep``, as two arrays."""
+    """The rate pairs (gamma, gamma) of a sweep along the resonant line, two arrays."""
     if steps < 2:
         raise ValueError("a resonant sweep needs at least 2 points")
     _check_rows(steps)
     gammas = _rate_axis(gamma_range, steps)
     return gammas, gammas
-
-
-def dmin_sweep(gamma_f_range: tuple, gamma_s_range: tuple, steps) -> list:
-    """Minimal code data over a rate grid, rows in row-major order.
-
-    ``steps`` is the number of grid points per axis (a single int applies
-    to both).  The outer loop runs over gamma_f, the inner over gamma_s.
-    """
-    return _sweep_rows(*grid_rates(gamma_f_range, gamma_s_range, steps))
-
-
-def resonant_sweep(gamma_range: tuple, steps: int) -> list:
-    """Sweep along the resonant line gamma_s = gamma_f."""
-    return _sweep_rows(*resonant_rates(gamma_range, steps))

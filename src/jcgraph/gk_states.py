@@ -400,33 +400,22 @@ def moment_diagonals(family: WeightFamily, ks: Sequence[int],
     return out
 
 
-@dataclass(frozen=True)
-class ResolutionCheck:
-    """Outcome of the resolution-of-identity reconstruction."""
-
-    diagonals: np.ndarray
-    residual: float
-
-
-def verify_resolution(spec: GKFamilySpec,
-                      rule: QuadratureRule | None = None) -> ResolutionCheck:
+def verify_resolution(spec: GKFamilySpec, diagonals: np.ndarray) -> float:
     """Reconstruct the ladder projector from the coherent-state resolution.
 
     The Bohr mean in y removes all off-diagonal terms analytically (the
     ladder is strictly increasing), leaving diagonal weights
     d_k = int rho(x) x^k dx / c_k, which the x-quadrature must return as 1.
-    The residual is the max entry of the reconstruction sum_k d_k |e_k><e_k|
-    minus the projector sum_k |e_k><e_k|, read off the frame's blocks with
-    weight d_k - 1 on |e_k>.
+    ``diagonals`` holds d_k for k = 0..terms-1, from ``moment_diagonals``
+    under the rule being checked.  The residual is the max entry of the
+    reconstruction sum_k d_k |e_k><e_k| minus the projector
+    sum_k |e_k><e_k|, read off the frame's blocks with weight d_k - 1 on
+    |e_k>.
     """
-    if rule is None:
-        rule = spec.family.moment_rule(rule_nodes(spec.terms))
-    diag = moment_diagonals(spec.family, np.arange(spec.terms), rule)
     weights = np.zeros(spec.frame.energies.size)
-    weights[spec.index] = diag - 1.0
+    weights[spec.index] = diagonals - 1.0
     d, off = spec.frame.block_entries(weights)
-    residual = float(max(np.abs(d).max(), np.abs(off).max()))
-    return ResolutionCheck(diagonals=diag, residual=residual)
+    return float(max(np.abs(d).max(), np.abs(off).max()))
 
 
 def verify_temporal_stability(spec: GKFamilySpec, xs: Sequence[float],

@@ -36,8 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .code_construction import CodeSpec
-from .gk_states import (GKFamilySpec, TruncationTooSmallError, _phases, _required_n,
-                        moment_diagonals, rule_nodes)
+from .gk_states import GKFamilySpec, TruncationTooSmallError, _phases, _required_n
 from .hilbert import QuadratureRule, TruncationConfig, ValidationError
 
 
@@ -215,22 +214,23 @@ def q_operator(x: float, families: Sequence[GKFamilySpec],
 
 
 def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
-                               rules: Sequence[QuadratureRule] | None = None) -> float:
+                               rule: QuadratureRule,
+                               diagonals: Sequence[np.ndarray]) -> float:
     """Max entrywise deviation of the reconstructed identity from I.
 
     The reconstruction is the radial integral of tau1(x) times the Bohr
     mean of U_t Q_x U_t+.  The Bohr mean is taken analytically per ladder
     (each ladder is strictly increasing, so only diagonal terms in its
     embedded basis survive), which turns the integral into moment form:
-    the ladder diagonals become int rho_i(x) x^k dx / c_k under each
-    ladder's rule in ``rules`` (default: each family's moment rule, exact
-    for every moment of the longer ladder), and the H3 term integrates
-    tau1(x)/(R tau1(x)) = 1/R with the first rule's weights, rho divided
-    out.  The ladders (from ``jc_families(code, ...)``) and H3 are views of
-    the code's partition of the dressed indices, so one dressed weight
-    vector holds all three and the result is read off the blocks of
-    ``code.frame``.  The decoupled |N, e> direction is excluded: no
-    generator has support there, so the reconstruction is zero there.
+    the ladder diagonals become int rho_i(x) x^k dx / c_k, given per ladder
+    in ``diagonals`` (from ``moment_diagonals`` over k = 0..terms-1), and
+    the H3 term integrates tau1(x)/(R tau1(x)) = 1/R with the weights of
+    the first family's ``rule``, rho divided out.  The ladders (from
+    ``jc_families(code, ...)``) and H3 are views of the code's partition of
+    the dressed indices, so one dressed weight vector holds all three and
+    the result is read off the blocks of ``code.frame``.  The decoupled
+    |N, e> direction is excluded: no generator has support there, so the
+    reconstruction is zero there.
     """
     fam1 = families[0].family
     fam2 = families[1].family
@@ -238,13 +238,10 @@ def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
         raise UnsupportedFamilyError(
             "identity membership needs matching finite convergence radii; "
             f"got R1 = {fam1.radius}, R2 = {fam2.radius}")
-    if rules is None:
-        n_nodes = rule_nodes(max(spec.terms for spec in families))
-        rules = [spec.family.moment_rule(n_nodes) for spec in families]
     weights = np.zeros(code.trunc.dim)
-    for spec, rule in zip(families, rules):
-        weights[spec.index] = moment_diagonals(spec.family, np.arange(spec.terms), rule)
-    plain = np.exp(rules[0].log_weights - fam1.log_rho(rules[0].nodes))
+    for spec, d in zip(families, diagonals):
+        weights[spec.index] = d
+    plain = np.exp(rule.log_weights - fam1.log_rho(rule.nodes))
     weights[code.h3_indices] = plain.sum() / fam1.radius
     diag, off = code.frame.block_entries(weights)
     dev = np.abs(diag - 1.0)

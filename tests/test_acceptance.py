@@ -12,11 +12,11 @@ from jcgraph.hilbert import TruncationConfig, bohr_mean_diagonal, finite_time_me
 from jcgraph.jc_spectrum import JCParams, dressed_basis, eigenenergy, hamiltonian_matrix
 from jcgraph.code_construction import (
     decompose,
-    dmin_sweep,
     minimal_k0,
     minimal_m0,
     minimal_m0_from_rates,
-    resonant_sweep,
+    resonant_rates,
+    sweep_columns,
 )
 from jcgraph.gk_states import (
     builtin_family,
@@ -62,8 +62,8 @@ def test_criterion_1_benchmark_minimal_dimension():
 
 def test_criterion_2_resonant_threshold_location():
     t0 = time.perf_counter()
-    rows = resonant_sweep((0.5, 16.0), 1551)  # grid step 0.01
-    jump = next(r.gamma_f for r in rows if r.d_min >= 3)
+    _, gamma_f, _, _, d_min = sweep_columns(*resonant_rates((0.5, 16.0), 1551))  # step 0.01
+    jump = next(g for g, d in zip(gamma_f.tolist(), d_min.tolist()) if d >= 3)
     elapsed = time.perf_counter() - t0
     target = 2.0 * (2.0 + math.sqrt(3.0))
     ok = abs(jump - target) <= 0.01 + 1e-12 and elapsed < 5.0
@@ -128,8 +128,8 @@ def test_criterion_5_gk_property_suite():
         worst_moment = max(worst_moment,
                            float(np.abs(moment_diagonals(fam, ks, rule) - 1.0).max()))
         for spec in jc_families(decompose(HAROCHE, 3, N60), fam, fam):
-            check = verify_resolution(spec, rule)
-            worst_resolution = max(worst_resolution, check.residual)
+            diagonals = moment_diagonals(fam, np.arange(spec.terms), rule)
+            worst_resolution = max(worst_resolution, verify_resolution(spec, diagonals))
             xmax = tail_safe_xmax(fam, spec.terms - 1, budget=1e-12)
             fids = verify_temporal_stability(
                 spec, np.linspace(0.0, xmax, 10),
@@ -149,14 +149,21 @@ def test_criterion_6_identity_membership():
     uni = builtin_family("uniform_moment")
     code = decompose(GENERIC, 3, N60)
     families = jc_families(code, uni, uni)
-    res200 = verify_identity_membership(code, families, [uni.moment_rule(200)] * 2)
-    res100 = verify_identity_membership(code, families, [uni.moment_rule(100)] * 2)
+
+    def membership(nodes):
+        rule = uni.moment_rule(nodes)
+        return verify_identity_membership(
+            code, families, rule,
+            [moment_diagonals(uni, np.arange(spec.terms), rule) for spec in families])
+
+    res200 = membership(200)
+    res100 = membership(100)
     floor = 1e-10
     doubling_ok = (res200 < res100 / 2.0) or (res100 < floor and res200 < floor)
     # with deliberately under-resolved rules the factor-2 gain is visible
-    res8 = verify_identity_membership(code, families, [uni.moment_rule(8)] * 2)
-    res16 = verify_identity_membership(code, families, [uni.moment_rule(16)] * 2)
-    res32 = verify_identity_membership(code, families, [uni.moment_rule(32)] * 2)
+    res8 = membership(8)
+    res16 = membership(16)
+    res32 = membership(32)
     genuine = res16 < res8 / 2.0 and res32 < res16 / 2.0
     elapsed = time.perf_counter() - t0
     ok = res200 < 1e-6 and doubling_ok and genuine and elapsed < 60.0

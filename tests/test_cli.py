@@ -75,6 +75,10 @@ def test_mindim_needs_no_truncation_headroom(capsys):
     ["demo"] + SMALL + ["--t", "inf"],
     ["demo"] + SMALL + ["--x", "nan"],
     ["demo"] + SMALL + ["--x=-inf", "--allow-leak"],
+    ["demo"] + SMALL + ["--x", "5"],
+    ["demo"] + SMALL + ["--x", "-1"],
+    ["demo"] + SMALL + ["--family1", "factorial", "--family2", "uniform_moment",
+                        "--x", "2"],
     ["gk-dump"] + SMALL + ["--ys", "0,nan"],
     ["gk-dump"] + SMALL + ["--ys", "inf"],
     ["verify"] + SMALL + ["--tol", "nan"],
@@ -88,7 +92,8 @@ def test_mindim_needs_no_truncation_headroom(capsys):
     ["demo"] + DEGENERATE,
     ["gk-dump"] + DEGENERATE,
 ], ids=["omega-nan", "gamma-inf", "sweep-nan", "gamma-1e15", "gamma-1e160",
-        "demo-t-nan", "demo-t-inf", "demo-x-nan", "demo-x-inf", "dump-y-nan",
+        "demo-t-nan", "demo-t-inf", "demo-x-nan", "demo-x-inf", "demo-x-above-radius",
+        "demo-x-negative", "demo-x-above-shared-radius", "dump-y-nan",
         "dump-y-inf", "tol-nan", "tol-negative", "tol-inf", "verify-seed-negative",
         "demo-seed-negative", "verify-seed-config", "demo-seed-config",
         "verify-degenerate", "demo-degenerate", "dump-degenerate"])

@@ -13,12 +13,13 @@ from jcgraph.code_construction import (
     _first_gap_index,
     _gap_indices,
     decompose,
-    dmin_sweep,
+    grid_rates,
     minimal_k0,
     minimal_m0,
     minimal_m0_from_rates,
-    resonant_sweep,
+    resonant_rates,
     s_sequence,
+    sweep_columns,
 )
 from jcgraph.jc_spectrum import JCParams, dressed_vector
 
@@ -263,40 +264,51 @@ def test_benchmark_code_subspace():
                                dressed_vector(HAROCHE, 1, "minus", tr), atol=1e-14)
 
 
+def grid_sweep(gamma_f_range, gamma_s_range, steps):
+    """The grid sweep's columns gamma_s, gamma_f, m0, k0_star, d_min, as lists."""
+    return [c.tolist() for c in sweep_columns(*grid_rates(gamma_f_range, gamma_s_range,
+                                                          steps))]
+
+
+def resonant_sweep(gamma_range, steps):
+    """The resonant sweep's columns gamma_s, gamma_f, m0, k0_star, d_min, as lists."""
+    return [c.tolist() for c in sweep_columns(*resonant_rates(gamma_range, steps))]
+
+
 def test_dmin_sweep_grid_order_and_values():
-    rows = dmin_sweep((0.5, 1.0), (0.5, 1.0), (2, 3))
-    assert len(rows) == 6
+    gamma_s, gamma_f, m0, k0_star, d_min = grid_sweep((0.5, 1.0), (0.5, 1.0), (2, 3))
+    assert len(gamma_f) == 6
     # gamma_f is the outer loop
-    assert [r.gamma_f for r in rows] == [0.5, 0.5, 0.5, 1.0, 1.0, 1.0]
-    assert [r.gamma_s for r in rows] == [0.5, 0.75, 1.0, 0.5, 0.75, 1.0]
-    for r in rows:
-        assert r.m0 == minimal_m0_from_rates(r.gamma_f, r.gamma_s)
-        assert r.k0_star == max(3, r.m0)
-        assert r.d_min == r.k0_star - 1
+    assert gamma_f == [0.5, 0.5, 0.5, 1.0, 1.0, 1.0]
+    assert gamma_s == [0.5, 0.75, 1.0, 0.5, 0.75, 1.0]
+    for gf, gs, m, k, d in zip(gamma_f, gamma_s, m0, k0_star, d_min):
+        assert m == minimal_m0_from_rates(gf, gs)
+        assert k == max(3, m)
+        assert d == k - 1
 
 
 def test_dmin_sweep_scalar_steps():
-    rows = dmin_sweep((1.0, 2.0), (1.0, 2.0), 3)
-    assert len(rows) == 9
+    columns = grid_sweep((1.0, 2.0), (1.0, 2.0), 3)
+    assert [len(c) for c in columns] == [9] * 5
 
 
 def test_resonant_sweep_diagonal():
-    rows = resonant_sweep((7.0, 8.0), 5)
-    assert len(rows) == 5
-    assert rows[0] == (7.0, 7.0, 3, 3, 2)  # a row is a tuple
-    assert all(r.gamma_s == r.gamma_f for r in rows)
-    assert [r.m0 for r in rows] == [3, 3, 4, 4, 4]
-    assert [r.d_min for r in rows] == [2, 2, 3, 3, 3]
+    gamma_s, gamma_f, m0, _, d_min = columns = resonant_sweep((7.0, 8.0), 5)
+    assert len(gamma_f) == 5
+    assert [c[0] for c in columns] == [7.0, 7.0, 3, 3, 2]  # the first row
+    assert gamma_s == gamma_f
+    assert m0 == [3, 3, 4, 4, 4]
+    assert d_min == [2, 2, 3, 3, 3]
 
 
 def test_sweep_validation():
     with pytest.raises(ValueError):
-        dmin_sweep((1.0, 0.5), (0.5, 1.0), 3)  # inverted range
+        grid_sweep((1.0, 0.5), (0.5, 1.0), 3)  # inverted range
     with pytest.raises(ValueError):
         resonant_sweep((0.5, 1.0), 1)  # fewer than two points
     for bad in ((math.nan, 1.0), (0.5, math.nan), (0.5, math.inf), (0.0, 1.0)):
         with pytest.raises(ValueError):
-            dmin_sweep((0.5, 1.0), bad, 2)
+            grid_sweep((0.5, 1.0), bad, 2)
         with pytest.raises(ValueError):
             resonant_sweep(bad, 2)
 
@@ -348,7 +360,7 @@ def test_gap_indices_are_the_same_in_every_block_size(block, monkeypatch):
 
 @pytest.mark.parametrize("sweep, gamma_f, gamma_s", [
     (lambda: resonant_sweep((1.0, 1e9), 3), 500000000.5, 500000000.5),
-    (lambda: dmin_sweep((1.0, 1e9), (0.5, 2.0), (3, 2)), 500000000.5, 0.5),
+    (lambda: grid_sweep((1.0, 1e9), (0.5, 2.0), (3, 2)), 500000000.5, 0.5),
     # m* just above 2^53, where the float gap test would pass at the start
     (lambda: resonant_sweep((379649350.0, 379649350.0), 2), 379649350.0,
      379649350.0),
@@ -365,7 +377,7 @@ def test_sweeps_raise_the_scalar_message(sweep, gamma_f, gamma_s):
 
 @pytest.mark.parametrize("sweep, rows", [
     (lambda: resonant_sweep((1.0, 2.0), 10 ** 12), 10 ** 12),
-    (lambda: dmin_sweep((1.0, 2.0), (1.0, 2.0), 10 ** 4), 10 ** 8),
+    (lambda: grid_sweep((1.0, 2.0), (1.0, 2.0), 10 ** 4), 10 ** 8),
 ], ids=["resonant-1e12", "grid-1e4x1e4"])
 def test_sweep_row_cap_refuses_before_allocating(sweep, rows, monkeypatch):
     def no_axis(*_):

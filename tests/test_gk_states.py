@@ -567,10 +567,11 @@ def test_verify_resolution_reconstructs_projector():
         fam = builtin_family(name)
         j, s = jc_families(decompose(PARAMS, 3, tr), fam, fam)
         for spec in (j, s):
-            check = verify_resolution(spec, fam.moment_rule(200))
-            assert check.residual < 1e-6
-            assert check.residual < 1e-10
-            assert np.abs(check.diagonals - 1).max() < 1e-10
+            diagonals = moment_diagonals(fam, np.arange(spec.terms), fam.moment_rule(200))
+            residual = verify_resolution(spec, diagonals)
+            assert residual < 1e-6
+            assert residual < 1e-10
+            assert np.abs(diagonals - 1).max() < 1e-10
 
 
 def test_verify_resolution_converges_with_nodes():
@@ -578,7 +579,8 @@ def test_verify_resolution_converges_with_nodes():
     tr = TruncationConfig(40)
     uni = builtin_family("uniform_moment")
     j, _ = jc_families(decompose(PARAMS, 3, tr), uni, uni)
-    residuals = [verify_resolution(j, uni.moment_rule(n)).residual
+    residuals = [verify_resolution(j, moment_diagonals(uni, np.arange(j.terms),
+                                                       uni.moment_rule(n)))
                  for n in (8, 16)]
     assert residuals[1] < residuals[0] / 2.0
 

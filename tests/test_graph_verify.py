@@ -7,7 +7,7 @@ import pytest
 from jcgraph.hilbert import TruncationConfig, ValidationError, basis_index
 from jcgraph.jc_spectrum import JCParams, evolution_operator
 from jcgraph.code_construction import decompose
-from jcgraph.gk_states import builtin_family, jc_families
+from jcgraph.gk_states import builtin_family, jc_families, moment_diagonals, rule_nodes
 from jcgraph.graph_verify import (
     CheckRecord,
     CodeLeakageError,
@@ -121,14 +121,25 @@ def test_q_operator_domain():
         q_operator(-0.2, FAMILIES, CODE)
 
 
+def membership(families, rule):
+    """verify_identity_membership on CODE with every ladder's diagonals under ``rule``."""
+    diagonals = [moment_diagonals(spec.family, np.arange(spec.terms), rule)
+                 for spec in families]
+    return verify_identity_membership(CODE, families, rule, diagonals)
+
+
+# exact for every moment of the longer (J) ladder
+LADDER_RULE = UNI.moment_rule(rule_nodes(FAMILIES[0].terms))
+
+
 def test_identity_membership_requires_matching_radii():
     fams = jc_families(CODE, UNI, builtin_family("factorial"))
     with pytest.raises(UnsupportedFamilyError, match="matching finite"):
-        verify_identity_membership(CODE, fams)
+        membership(fams, LADDER_RULE)
 
 
 def test_identity_membership_residual_small():
-    res = verify_identity_membership(CODE, FAMILIES, [UNI.moment_rule(200)] * 2)
+    res = membership(FAMILIES, UNI.moment_rule(200))
     assert res < 1e-10
 
 
@@ -137,13 +148,13 @@ def test_identity_membership_excludes_decoupled_direction():
     # nothing in the graph touches |N, e>: every E diag(d) E+ term is zero there
     for basis in (FAMILIES[0].embedding, FAMILIES[1].embedding, CODE.h3_basis):
         assert np.abs(basis[idx]).max() == 0.0
-    assert verify_identity_membership(CODE, FAMILIES) < 1e-10
+    assert membership(FAMILIES, LADDER_RULE) < 1e-10
 
 
 def test_identity_membership_node_convergence():
     """Halving an under-resolved node count worsens the residual > 2x."""
-    r8 = verify_identity_membership(CODE, FAMILIES, [UNI.moment_rule(8)] * 2)
-    r16 = verify_identity_membership(CODE, FAMILIES, [UNI.moment_rule(16)] * 2)
+    r8 = membership(FAMILIES, UNI.moment_rule(8))
+    r16 = membership(FAMILIES, UNI.moment_rule(16))
     assert r16 < r8 / 2.0
 
 

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from jcgraph import cli, gk_states, graph_verify, hilbert, jc_spectrum
 from jcgraph.code_construction import decompose, minimal_k0, minimal_m0
 from jcgraph.gk_states import (builtin_family, gk_state, jc_families, moment_diagonals,
-                               tail_safe_xmax, verify_resolution,
+                               rule_nodes, tail_safe_xmax, verify_resolution,
                                verify_temporal_stability)
 from jcgraph.graph_verify import (
     InvalidDensityError,
@@ -423,10 +423,15 @@ def test_batched_channel_matches_one_state_at_a_time(system, seed):
     assert 1.0 - out.fidelity[3] > 1e-3  # the leaked probe loses its ladder part
 
 
+def ladder_diagonals(spec, rule):
+    """The ladder's own moment diagonals d_k, k < terms, under ``rule``."""
+    return moment_diagonals(spec.family, np.arange(spec.terms), rule)
+
+
 def dense_resolution_residual(spec, rule):
     """max |E diag(d) E+ - E E+|, the ladder projector and its reconstruction."""
     e = spec.embedding
-    diag = moment_diagonals(spec.family, np.arange(spec.terms), rule)
+    diag = ladder_diagonals(spec, rule)
     return float(np.abs((e * diag) @ e.conj().T - e @ e.conj().T).max())
 
 
@@ -517,17 +522,19 @@ def test_ladders_hold_no_dense_embedding():
 def test_block_reconstructions_match_dense_oracles(system, nodes):
     params, trunc, family = system
     code, families = build(params, trunc, family)
-    for spec in families:
-        rule = spec.family.moment_rule(nodes)
-        assert abs(verify_resolution(spec, rule).residual
+    rule = families[0].family.moment_rule(nodes)  # both ladders carry one family
+    diagonals = [ladder_diagonals(spec, rule) for spec in families]
+    for spec, diag in zip(families, diagonals):
+        assert abs(verify_resolution(spec, diag)
                    - dense_resolution_residual(spec, rule)) <= 1e-14
     if family == "factorial":  # infinite radius: membership needs uniform_moment
         with pytest.raises(UnsupportedFamilyError):
-            verify_identity_membership(code, families)
+            verify_identity_membership(code, families, rule, diagonals)
         uni = builtin_family("uniform_moment")
         families = jc_families(code, uni, uni)
-    rules = [spec.family.moment_rule(nodes) for spec in families]
-    assert abs(verify_identity_membership(code, families, rules)
+        rule = uni.moment_rule(nodes)
+        diagonals = [ladder_diagonals(spec, rule) for spec in families]
+    assert abs(verify_identity_membership(code, families, rule, diagonals)
                - dense_identity_residual(code, families, nodes)) <= 1e-14
 
 
@@ -554,8 +561,12 @@ def _count_calls(monkeypatch, name, home=jc_spectrum):
     return calls
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_verify_builds_no_dense_evolution(monkeypatch, capsys, family):
+@pytest.mark.parametrize("pair, tables", [
+    pytest.param(("uniform_moment",) * 2, 1, id="uniform_moment"),
+    pytest.param(("factorial",) * 2, 2, id="factorial"),
+    pytest.param(("factorial", "uniform_moment"), 2, id="factorial-uniform_moment"),
+])
+def test_verify_builds_no_dense_evolution(monkeypatch, capsys, pair, tables):
     evolutions = _count_calls(monkeypatch, "evolution_operator")
     bases = _count_calls(monkeypatch, "dressed_basis")
     hamiltonians = _count_calls(monkeypatch, "hamiltonian_matrix")
@@ -575,13 +586,14 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, family):
     for name in ("gauss_legendre", "gauss_laguerre"):
         monkeypatch.setattr(QuadratureRule, name, counted_rule(name))
     rc = cli.main(["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
-                   "--family1", family, "--family2", family, "--n-fock", "40"])
+                   "--family1", pair[0], "--family2", pair[1], "--n-fock", "40"])
     capsys.readouterr()
     assert rc == 0
     assert (len(evolutions), len(bases), len(hamiltonians)) == (0, 0, 0)
-    # one per ladder for the resolution (whose diagonals the moments check
-    # reads) and one per ladder for identity membership
-    assert len(moments) == 4
+    # one table per family, over the J ladder's orders: the moments and
+    # resolution checks read each ladder's prefix, and identity membership
+    # reads the uniform_moment table's
+    assert len(moments) == tables
     # the spectrum check's frame and the cut's, which the ladders and the
     # stability grid share (test_commands_build_the_cut_frame_once counts
     # them); each x's tail is checked once, and with the three tail-safe
@@ -590,8 +602,43 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, family):
     assert 1 <= len(frames) <= 3
     assert 1 <= len(tails) <= 64
     # one moment rule per family, shared by both ladders and identity membership
-    assert sorted(rules) == (["gauss_legendre"] if family == "uniform_moment"
+    assert sorted(rules) == (["gauss_legendre"] if tables == 1
                              else ["gauss_laguerre", "gauss_legendre"])
+
+
+@pytest.mark.parametrize("pair", [("factorial",) * 2, ("uniform_moment",) * 2,
+                                  ("factorial", "uniform_moment"),
+                                  ("uniform_moment", "factorial")],
+                         ids=["factorial", "uniform_moment", "factorial-uniform_moment",
+                              "uniform_moment-factorial"])
+@pytest.mark.parametrize("n_fock", [30, 160])
+def test_verify_moment_records_equal_the_per_ladder_tables(pair, n_fock):
+    """The shared tables' records, bit for bit those of one table per ladder.
+
+    Each ladder gets its own ``moment_diagonals`` over its own orders under
+    its family's rule (sized from the J ladder), and identity membership one
+    per ladder under the uniform_moment rule.  At N = 30 the S ladder has
+    28 rungs, so a moments record that read past them would differ.
+    """
+    cfg = cli.resolve_run_config({"omega_f": 1.0, "omega_s": 0.8, "kappa": 0.7,
+                                  "n_fock": n_fock, "family1": pair[0],
+                                  "family2": pair[1]})
+    records = {c.name: c.residual for c in cli.run_verification(cfg).checks}
+    code = decompose(cfg.params, cfg.k0, cfg.trunc, cfg.m0)
+    families = jc_families(code, cfg.family1, cfg.family2)
+    n_nodes = rule_nodes(families[0].terms)
+    want = {}
+    for spec in families:
+        fam = spec.family
+        diag = ladder_diagonals(spec, fam.moment_rule(n_nodes))
+        want[f"gk.moments.{spec.label}.{fam.name}"] = float(np.abs(diag[:41] - 1.0).max())
+        want[f"gk.resolution.{spec.label}.{fam.name}"] = verify_resolution(spec, diag)
+    uni = builtin_family("uniform_moment")
+    rule = uni.moment_rule(n_nodes)
+    mem_families = jc_families(code, uni, uni)
+    want["graph.identity_membership"] = verify_identity_membership(
+        code, mem_families, rule, [ladder_diagonals(spec, rule) for spec in mem_families])
+    assert {name: records[name] for name in want} == want
 
 
 def test_verify_embeds_each_sample_batch_once(monkeypatch, capsys):
