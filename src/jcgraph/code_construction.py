@@ -21,6 +21,7 @@ hosts a code of dimension k0 - 1 (always at least 2).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -153,6 +154,7 @@ class CodeSpec:
         return self.code_basis @ self.code_basis.conj().T
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def decompose(params: JCParams, k0: int, trunc: TruncationConfig,
               m0: int | None = None) -> CodeSpec:
     """Build the run's dressed frame and split its indices along the cut k0.
@@ -162,6 +164,11 @@ def decompose(params: JCParams, k0: int, trunc: TruncationConfig,
     offending step) and k0 >= max(3, M0), checked in that order.  The code
     spans the first k0 - 1 (always >= 2) H3 vectors.  ``m0`` is
     ``minimal_m0(params)``, computed here unless the caller passes it.
+
+    The last 8 cuts are kept per process, so repeated calls at one
+    operating point share one ``CodeSpec``; its arrays are read-only.
+    Errors are not kept: an inadmissible cut raises on every call.
+    The cache is typed, so k0 = 3.0 does not share the entry of k0 = 3.
     """
     n = trunc.n_fock
     if not 1 <= k0 < n:
@@ -191,6 +198,9 @@ def decompose(params: JCParams, k0: int, trunc: TruncationConfig,
     if dev.max() > 1e-10:
         i, j = np.unravel_index(int(dev.argmax()), dev.shape)
         raise ValidationError(f"H3 basis vectors {i} and {j} are not orthonormal")
+    for a in (frame.cos, frame.sin, frame.energies, h3_indices, j_indices,
+              s_indices, h3_basis):
+        a.flags.writeable = False
     return CodeSpec(trunc=trunc, m0=m0, k0=k0, frame=frame, h3_indices=h3_indices,
                     j_indices=j_indices, s_indices=s_indices, h3_basis=h3_basis,
                     code_basis=h3_basis[:, :k0 - 1])

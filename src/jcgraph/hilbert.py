@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,6 +38,8 @@ class TruncationConfig:
     tail_tol: float = 1e-9
 
     def __post_init__(self) -> None:
+        # an integral cutoff only: 20.0 would equal 20 yet break the index arrays
+        object.__setattr__(self, "n_fock", operator.index(self.n_fock))
         if self.n_fock < 2:
             raise ValueError(f"n_fock must be >= 2, got {self.n_fock}")
         if not 0.0 < self.tail_tol < 1.0:

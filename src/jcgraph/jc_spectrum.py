@@ -64,6 +64,9 @@ class JCParams:
     kappa: float
 
     def __post_init__(self) -> None:
+        # -0.0 equals 0.0 but flips the sign of the kappa = 0 frame's sines:
+        # store +0.0 so equal parameters build equal frames
+        object.__setattr__(self, "kappa", self.kappa + 0.0)
         if self.omega_f <= 0 or self.omega_s <= 0:
             raise ValueError("omega_f and omega_s must be positive")
         if self.kappa < 0:
@@ -75,6 +78,11 @@ class JCParams:
     @property
     def delta(self) -> float:
         return self.omega_f - self.omega_s
+
+    @property
+    def delta_f(self) -> float:
+        """The detuning in units of omega_f, 1 - omega_s/omega_f."""
+        return 1.0 - self.omega_s / self.omega_f
 
     @property
     def gamma_f(self) -> float:
@@ -95,7 +103,10 @@ class JCParams:
 
 
 def mixing_angle(params: JCParams, n: int) -> float:
-    """theta_n = atan2(kappa sqrt(n), delta), continuous through delta = 0.
+    """theta_n = atan2(gamma_f sqrt(n), delta_f), continuous through delta = 0.
+
+    The same angle as atan2(kappa sqrt(n), delta), read off the rates, as
+    ``dressed_frame`` reads it.
 
     Lies in (0, pi) whenever kappa > 0 and equals pi/2 on resonance.  For
     kappa = 0 the angle degenerates to 0 or pi depending on the sign of
@@ -107,7 +118,7 @@ def mixing_angle(params: JCParams, n: int) -> float:
     if params.kappa == 0.0 and params.delta == 0.0:
         raise DegenerateLevelError(
             f"level n = {n} is exactly degenerate (kappa = 0, delta = 0)")
-    return math.atan2(params.kappa * math.sqrt(n), params.delta)
+    return math.atan2(params.gamma_f * math.sqrt(n), params.delta_f)
 
 
 def eigenenergy(params: JCParams, n: int, branch) -> float:
@@ -119,9 +130,9 @@ def eigenenergy(params: JCParams, n: int, branch) -> float:
         return -0.5 * params.omega_s
     if n < 1:
         raise ValueError(f"branch {b!r} needs n >= 1, got {n}")
-    rabi = math.sqrt(params.delta ** 2 + params.kappa ** 2 * n)
+    rabi = math.sqrt(params.delta_f ** 2 + params.gamma_f ** 2 * n)
     sign = 1.0 if b == "plus" else -1.0
-    return params.omega_f * (n - 0.5) + 0.5 * sign * rabi
+    return params.omega_f * ((n - 0.5) + 0.5 * sign * rabi)
 
 
 def dressed_vector(params: JCParams, n: int, branch,
@@ -241,19 +252,25 @@ class DressedFrame:
 
 
 def dressed_frame(params: JCParams, trunc: TruncationConfig) -> DressedFrame:
-    """Half-angle arrays and all energies of the truncated Hamiltonian, in O(N)."""
+    """Half-angle arrays and all energies of the truncated Hamiltonian, in O(N).
+
+    Computed in units of omega_f, from delta_f = 1 - omega_s/omega_f and
+    gamma_f = kappa/omega_f, with omega_f multiplied last: scaling the
+    triple scales the energies without over- or underflowing the
+    splitting, and at omega_f = 1 no bit differs from the raw-triple form.
+    """
     if params.kappa == 0.0 and params.delta == 0.0:
         raise DegenerateLevelError(
             "level n = 1 is exactly degenerate (kappa = 0, delta = 0)")
     n_max = trunc.n_fock
     n = np.arange(1, n_max + 1)
-    half = 0.5 * np.arctan2(params.kappa * np.sqrt(n), params.delta)
-    rabi = np.sqrt(params.delta ** 2 + params.kappa ** 2 * n)
-    centre = params.omega_f * (n - 0.5)
+    e, g = params.delta_f, params.gamma_f
+    half = 0.5 * np.arctan2(g * np.sqrt(n), e)
+    rabi = np.sqrt(e ** 2 + g ** 2 * n)
     energies = np.empty(trunc.dim)
     energies[0] = -0.5 * params.omega_s
-    energies[1:-1:2] = centre + 0.5 * rabi
-    energies[2:-1:2] = centre - 0.5 * rabi
+    energies[1:-1:2] = params.omega_f * ((n - 0.5) + 0.5 * rabi)
+    energies[2:-1:2] = params.omega_f * ((n - 0.5) - 0.5 * rabi)
     energies[-1] = params.omega_f * n_max + 0.5 * params.omega_s
     return DressedFrame(cos=np.cos(half), sin=np.sin(half), energies=energies)
 

@@ -50,6 +50,23 @@ def test_mindim_frequency_scale_does_not_matter(exp, capsys):
     assert out == run(["mindim"] + STRONG, capsys)[1]
 
 
+@pytest.mark.parametrize("exp", ["e-170", "e200"])
+@pytest.mark.parametrize("command", ["verify", "demo", "gk-dump"])
+def test_state_commands_answer_at_extreme_frequency_scales(command, exp, capsys):
+    """The frame reads the rates, so the triple times 1e-170 or 1e200 raises nothing.
+
+    At 1e200 ``delta ** 2`` used to raise OverflowError.  verify may still
+    fail its absolute spectrum tolerance there (exit 1), but with a report.
+    """
+    argv = [command, "--omega-f", "1" + exp, "--omega-s", "0.8" + exp,
+            "--kappa", "0.7" + exp, "--n-fock", "20"]
+    rc, out, _ = run(argv, capsys)
+    assert rc in (0, 1) and out
+    if command == "demo":  # x and the default t = 1/omega_f are unit-free
+        assert (rc, out) == run(["demo", "--omega-f", "1", "--omega-s", "0.8",
+                                 "--kappa", "0.7", "--n-fock", "20"], capsys)[:2]
+
+
 def test_mindim_cavity_benchmark_frequencies(capsys):
     argv = ["mindim", "--omega-f", "51.1e9", "--omega-s", "51.1e9",
             "--kappa", "47e3", "--hz"]

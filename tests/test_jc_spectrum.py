@@ -16,6 +16,7 @@ from jcgraph.jc_spectrum import (
     DegenerateLevelError,
     JCParams,
     dressed_basis,
+    dressed_frame,
     dressed_index,
     dressed_vector,
     eigenenergy,
@@ -233,3 +234,53 @@ def test_evolution_composes_in_time():
     u2 = evolution_operator(p, 1.7, tr)
     u3 = evolution_operator(p, 2.6, tr)
     assert np.abs(u1 @ u2 - u3).max() < 1e-12
+
+
+@pytest.mark.parametrize("omega_s, kappa", [(0.8, 0.7), (1.2, 0.7), (1.0, 0.7),
+                                            (0.3, 5.0), (1.2, 0.0)])
+def test_frame_at_unit_omega_f_is_the_raw_triple_formula(omega_s, kappa):
+    """At omega_f = 1 the rates are the raw triple: no bit of the frame moves."""
+    p = JCParams(1.0, omega_s, kappa)
+    frame = dressed_frame(p, TruncationConfig(40))
+    n = np.arange(1, 41)
+    half = 0.5 * np.arctan2(p.kappa * np.sqrt(n), p.delta)
+    rabi = np.sqrt(p.delta ** 2 + p.kappa ** 2 * n)
+    assert frame.cos.tobytes() == np.cos(half).tobytes()
+    assert frame.sin.tobytes() == np.sin(half).tobytes()
+    assert frame.energies[1:-1:2].tobytes() == ((n - 0.5) + 0.5 * rabi).tobytes()
+    assert frame.energies[2:-1:2].tobytes() == ((n - 0.5) - 0.5 * rabi).tobytes()
+    for k in (1, 7, 40):
+        assert mixing_angle(p, k) == 2.0 * float(half[k - 1])
+        assert eigenenergy(p, k, "plus") == frame.energies[2 * k - 1]
+        assert eigenenergy(p, k, "minus") == frame.energies[2 * k]
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-100, 1e100, 1e200])
+def test_frame_scales_with_the_triple(scale):
+    """delta^2 and kappa^2 n over- or underflow at these scales; the rates do not.
+
+    At 1e-170 the raw formula's Rabi splitting underflowed to 0, and at
+    1e200 ``eigenenergy`` raised OverflowError.
+    """
+    ref, trunc = JCParams(1.0, 0.8, 0.7), TruncationConfig(30)
+    p = JCParams(scale, 0.8 * scale, 0.7 * scale)
+    base, frame = dressed_frame(ref, trunc), dressed_frame(p, trunc)
+    np.testing.assert_allclose(frame.cos, base.cos, rtol=1e-14)
+    np.testing.assert_allclose(frame.sin, base.sin, rtol=1e-14)
+    np.testing.assert_allclose(frame.energies / scale, base.energies, rtol=1e-14)
+    split = frame.energies[1] - frame.energies[2]
+    assert split / scale == pytest.approx(math.sqrt(0.2 ** 2 + 0.7 ** 2), rel=1e-14)
+    for k in (1, 30):
+        for branch in ("plus", "minus"):
+            assert eigenenergy(p, k, branch) / scale == pytest.approx(
+                eigenenergy(ref, k, branch), rel=1e-14)
+        assert mixing_angle(p, k) == pytest.approx(mixing_angle(ref, k), rel=1e-14)
+
+
+def test_signed_zero_coupling_builds_one_frame():
+    """JCParams(.., 0.0) == JCParams(.., -0.0), so both must give the same frame."""
+    plus, minus = JCParams(1.0, 1.2, 0.0), JCParams(1.0, 1.2, -0.0)
+    assert plus == minus and math.copysign(1.0, minus.kappa) == 1.0
+    trunc = TruncationConfig(10)
+    a, b = dressed_frame(plus, trunc), dressed_frame(minus, trunc)
+    assert a.sin.tobytes() == b.sin.tobytes() and (a.sin == 1.0).all()
