@@ -198,153 +198,154 @@ def cmd_sweep(values: dict, out: str | None) -> None:
     _emit(chunks(), out)
 
 
-def run_verification(cfg: RunConfig) -> gv.VerificationReport:
-    """The full numerical battery for one configuration.
+def _below(name: str, residual, tolerance: float, **alpha) -> gv.CheckRecord:
+    """The record of a check that passes when its residual is below its tolerance."""
+    return gv.CheckRecord(name, residual, tolerance, residual < tolerance, **alpha)
 
-    The records come in a fixed order: spectrum, ladder order, per ladder
-    the moments, resolution and temporal stability, identity membership,
-    then the anticlique and channel checks.  The moments, resolution and
-    membership records read prefixes of one moment table per family.  The
-    random samples are all drawn first, in the order of one sample at a
-    time, so the seed fixes them; then each ladder's generator samples are
-    the columns of one ``ladder_vector`` call, the frame generators one
-    (40, k0, k0) stack whose 8 random combinations are one ``tensordot``,
-    and the 5 code states plus the leak probe the columns of one
-    ``dephase_pure_state``.
-    """
-    report = gv.VerificationReport()
-    params, trunc = cfg.params, cfg.trunc
-    rng = np.random.default_rng(cfg.seed)
 
-    # a frame of its own: these records precede decompose, whose errors end the report
-    eig_res, gram = spectrum_residuals(params, dressed_frame(params, trunc))
-    report.add(gv.CheckRecord("spectrum.eigen_residual", eig_res, 1e-10,
-                              eig_res < 1e-10))
-    report.add(gv.CheckRecord("spectrum.gram_identity", gram, 1e-10, gram < 1e-10))
+def _cut(cfg: RunConfig) -> tuple:
+    """The cut (None if refused), the spectrum records, then a refusal's record.
 
+    A refused cut has no frame, so the spectrum reads one built here; a
+    degenerate level raises again in that build, before any record."""
+    code = failure = None
     try:
-        code = cc.decompose(params, cfg.k0, trunc, cfg.m0)
+        code = cc.decompose(cfg.params, cfg.k0, cfg.trunc, cfg.m0)
     except cc.EnergyOrderError as exc:
-        report.add(gv.CheckRecord("gk.energy_order", abs(exc.gap), 0.0, False))
-        return report
+        failure = gv.CheckRecord("gk.energy_order", abs(exc.gap), 0.0, False)
     except ValueError:
-        report.add(gv.CheckRecord("code.cut_constraint", 1.0, 0.0, False))
-        return report
-    families = gk.jc_families(code, cfg.family1, cfg.family2)
+        failure = gv.CheckRecord("code.cut_constraint", 1.0, 0.0, False)
+    frame = dressed_frame(cfg.params, cfg.trunc) if code is None else code.frame
+    eig_res, gram = spectrum_residuals(cfg.params, frame)
+    return code, [_below("spectrum.eigen_residual", eig_res, 1e-10),
+                  _below("spectrum.gram_identity", gram, 1e-10), *filter(None, [failure])]
 
+
+def _ladder_order(families) -> gv.CheckRecord:
+    """Both ladders strictly increasing: a zero gap fails, whatever the tolerance."""
     gap_min = min(float(np.diff(spec.energies).min()) for spec in families)
-    report.add(gv.CheckRecord("gk.ladder_increasing", max(0.0, -gap_min), 1e-12,
-                              gap_min > 0))
+    return gv.CheckRecord("gk.ladder_increasing", max(0.0, -gap_min), 1e-12, gap_min > 0)
 
-    # identity membership runs on the finite-radius built-in family, same ladders
-    mem_families = [replace(spec, family=gk.builtin_family("uniform_moment"))
-                    for spec in families]
-    # One moment table per family, d_k for every k < N (the longer, J,
-    # ladder's orders) under a rule exact for all of them.  moment_diagonals
-    # computes each k on its own, so a ladder's prefix of the table is the
-    # table of its own orders, bit for bit.
+
+def _moment_tables(families) -> tuple:
+    """Rule and table of d_k, k < N, per family name and for uniform_moment; since
+    ``moment_diagonals`` takes each k alone, a ladder's prefix is its own table."""
     orders = np.arange(families[0].terms)
     n_nodes = gk.rule_nodes(orders.size)
     rules, tables = {}, {}
-    for fam in (spec.family for spec in (*families, *mem_families)):
-        if fam.name in rules:
-            continue
+    fams = (*(spec.family for spec in families), gk.builtin_family("uniform_moment"))
+    for fam in {f.name: f for f in fams}.values():  # built-ins: one object per name
         rule = rules[fam.name] = fam.moment_rule(n_nodes)
         if not (np.isfinite(rule.nodes).all() and np.isfinite(rule.log_weights).all()):
             raise UsageError(f"the {n_nodes}-node moment rule of family "
                              f"{fam.name!r} has non-finite nodes or weights, "
                              f"so no moment can be checked with it")
         tables[fam.name] = gk.moment_diagonals(fam, orders, rule)
+    return rules, tables
 
-    for spec in families:
-        fam = spec.family
-        diag = tables[fam.name][:spec.terms]
-        dev = float(np.abs(diag[:41] - 1.0).max())
-        report.add(gv.CheckRecord(f"gk.moments.{spec.label}.{fam.name}", dev, 1e-8,
-                                  dev < 1e-8))
-        residual = gk.verify_resolution(spec, diag)
-        report.add(gv.CheckRecord(f"gk.resolution.{spec.label}.{fam.name}",
-                                  residual, 1e-6, residual < 1e-6))
-        xmax = gk.tail_safe_xmax(fam, spec.terms - 1, budget=1e-12)
-        fids = gk.verify_temporal_stability(
-            spec, np.linspace(0.0, xmax, 10),
-            np.linspace(0.0, 10.0 / params.omega_f, 10), trunc)
-        worst = float(np.max(1.0 - fids, initial=0.0))
-        report.add(gv.CheckRecord(f"gk.temporal_stability.{spec.label}", worst,
-                                  1e-9, worst < 1e-9))
 
-    mem = gv.verify_identity_membership(
-        code, mem_families, rules[mem_families[0].family.name],
-        [tables[spec.family.name][:spec.terms] for spec in mem_families])
-    report.add(gv.CheckRecord("graph.identity_membership", mem, 1e-6, mem < 1e-6))
+def _ladder_records(spec, table, cfg: RunConfig) -> list:
+    """Moments and resolution off the ladder's prefix of its family's table,
+    then temporal stability on a 10 x 10 grid up to the tail-safe x."""
+    fam, diag = spec.family, table[:spec.terms]
+    moments = float(np.abs(diag[:41] - 1.0).max())
+    resolution = gk.verify_resolution(spec, diag)
+    xs = np.linspace(0.0, gk.tail_safe_xmax(fam, spec.terms - 1, budget=1e-12), 10)
+    ts = np.linspace(0.0, 10.0 / cfg.params.omega_f, 10)
+    fids = gk.verify_temporal_stability(spec, xs, ts, cfg.trunc)
+    return [_below(f"gk.moments.{spec.label}.{fam.name}", moments, 1e-8),
+            _below(f"gk.resolution.{spec.label}.{fam.name}", resolution, 1e-6),
+            _below(f"gk.temporal_stability.{spec.label}",
+                   float(np.max(1.0 - fids, initial=0.0)), 1e-9)]
 
+
+def _membership(code, families, rules: dict, tables: dict) -> gv.CheckRecord:
+    """Identity membership on the same ladders under uniform_moment (finite radius)."""
+    uni = gk.builtin_family("uniform_moment")
+    mem = [replace(spec, family=uni) for spec in families]
+    residual = gv.verify_identity_membership(
+        code, mem, rules[uni.name], [tables[uni.name][:spec.terms] for spec in mem])
+    return _below("graph.identity_membership", residual, 1e-6)
+
+
+def _draw(cfg: RunConfig, code, families) -> tuple:
+    """Every sample, one at a time in a fixed order: 40 generators (j, x, t), 8 x 40
+    combination coefficients, 5 unit code amplitudes with (x, t); x in both domains."""
     xmax = gk.tail_safe_xmax(cfg.family1, families[0].terms - 1, budget=1e-6)
-    # one range for both ladders, so a sample x is in both families' domains
     x_hi = min(xmax, 0.95 * cfg.family1.radius, 0.95 * cfg.family2.radius)
-    t_hi = 10.0 / params.omega_f
-    # Every draw first, in the order of one sample at a time: 40 generator
-    # samples (j, x, t), the coefficients of 8 combinations, then 5 code
-    # states with their (x, t).  The checks below take them as stacks.
-    js, kl_xs, kl_ts = [], [], []
-    for _ in range(40):
-        js.append(int(rng.integers(1, 4)))
-        kl_xs.append(float(rng.uniform(0.0, x_hi)))
-        kl_ts.append(float(rng.uniform(0.0, t_hi)))
-    coeffs = np.array([rng.normal(size=len(js)) for _ in range(8)])
-    dim_code = code.code_basis.shape[1]
-    amps, xs, ts = [], [], []
+    t_hi = 10.0 / cfg.params.omega_f
+    rng = np.random.default_rng(cfg.seed)
+    gens = [(int(rng.integers(1, 4)), float(rng.uniform(0.0, x_hi)),
+             float(rng.uniform(0.0, t_hi))) for _ in range(40)]
+    coeffs = np.array([rng.normal(size=len(gens)) for _ in range(8)])
+    dim_code, states = code.code_basis.shape[1], []
     for _ in range(5):
         a = rng.normal(size=dim_code) + 1j * rng.normal(size=dim_code)
-        amps.append(a / np.linalg.norm(a))
-        xs.append(float(rng.uniform(0.0, x_hi)))
-        ts.append(float(rng.uniform(0.0, t_hi)))
+        states.append((a / np.linalg.norm(a), float(rng.uniform(0.0, x_hi)),
+                       float(rng.uniform(0.0, t_hi))))
+    return [list(col) for col in zip(*gens)], coeffs, [list(col) for col in zip(*states)]
 
-    # Knill-Laflamme in the k0-dimensional frame of W = h3_basis (P3 = W W+):
-    # every operator A enters as W+ A W, the identity as W+ W.
-    frames = gv.frame_generator(code, families, js, kl_xs, kl_ts)
+
+def _anticlique(code, families, js, xs, ts, coeffs, tol: float) -> list:
+    """Knill-Laflamme in the k0-dim frame of W = h3_basis (P3 = W W+): each
+    operator A enters as W+ A W, the combinations as one tensordot, I as W+ W."""
+    frames = gv.frame_generator(code, families, js, xs, ts)
     w = code.h3_basis
     kl = gv.knill_laflamme_frame(
         w, np.concatenate([frames, np.tensordot(coeffs, frames, axes=1),
-                           (w.conj().T @ w)[None]]), tol=cfg.tol)
-    worst_kl = kl.max_residual()
-    report.add(gv.CheckRecord("graph.anticlique", worst_kl, cfg.tol,
-                              all(c.passed for c in kl.checks)))
+                           (w.conj().T @ w)[None]]), tol=tol)
     alpha_zero = max(abs(c.alpha) for c, j in zip(kl.checks, js) if j in (1, 2))
-    report.add(gv.CheckRecord("graph.anticlique_alpha_zero", alpha_zero, 1e-10,
-                              alpha_zero < 1e-10))
-    alpha_id = abs(kl.checks[-1].alpha - 1.0)
-    report.add(gv.CheckRecord("graph.anticlique_alpha_identity", alpha_id, 1e-10,
-                              alpha_id < 1e-10, alpha=kl.checks[-1].alpha))
+    alpha_id = kl.checks[-1].alpha
+    return [gv.CheckRecord("graph.anticlique", kl.max_residual(), tol, kl.overall_pass),
+            _below("graph.anticlique_alpha_zero", alpha_zero, 1e-10),
+            _below("graph.anticlique_alpha_identity", abs(alpha_id - 1.0), 1e-10,
+                   alpha=alpha_id)]
 
-    # The channel on pure code states, from the branches P_k v, and on the
-    # leak probe at the first state's (x, t): one column each.
+
+def _channel(code, families, amps, xs, ts) -> list:
+    """The channel on the code states, from the branches P_k v, and on the leak
+    probe at the first state's (x, t): one column each, one call."""
     probe = gv.leak_probe(code, families, xs[0], ts[0])
     vs = np.column_stack([code.code_basis @ np.transpose(amps), probe])
     out = gv.dephase_pure_state(families, xs + xs[:1], ts + ts[:1], vs)
-    worst_tr = max(0.0, *np.abs(out.trace[:-1] - 1.0).tolist())
-    worst_neg = max(0.0, *(-out.min_eigenvalue[:-1]).tolist())
-    worst_fid = max(0.0, *(1.0 - out.fidelity[:-1]).tolist())
-    leak_slack = max(0.0, float(out.fidelity[-1]) - (1.0 - 1e-3))
-    report.add(gv.CheckRecord("channel.trace_preservation", worst_tr, 1e-10,
-                              worst_tr < 1e-10))
-    report.add(gv.CheckRecord("channel.positivity", worst_neg, 1e-9,
-                              worst_neg < 1e-9))
-    report.add(gv.CheckRecord("channel.code_fidelity", worst_fid, 1e-8,
-                              worst_fid < 1e-8))
-    report.add(gv.CheckRecord("channel.leak_control", leak_slack, 1e-12,
-                              leak_slack < 1e-12))
-    return report
+    trace, low, fid = out.trace[:-1], out.min_eigenvalue[:-1], out.fidelity[:-1]
+    return [_below("channel.trace_preservation",
+                   max(0.0, *np.abs(trace - 1.0).tolist()), 1e-10),
+            _below("channel.positivity", max(0.0, *(-low).tolist()), 1e-9),
+            _below("channel.code_fidelity", max(0.0, *(1.0 - fid).tolist()), 1e-8),
+            _below("channel.leak_control",
+                   max(0.0, float(out.fidelity[-1]) - (1.0 - 1e-3)), 1e-12)]
+
+
+def run_verification(cfg: RunConfig) -> gv.VerificationReport:
+    """The full numerical battery for one configuration, one stage per layer.
+
+    Records come in stage order; a refused cut ends the report.  A record
+    passes when its residual is below its tolerance (``_below``), except the
+    ladder order, the anticlique and a refused cut."""
+    code, checks = _cut(cfg)
+    if code is None:
+        return gv.VerificationReport(checks)
+    families = gk.jc_families(code, cfg.family1, cfg.family2)
+    checks.append(_ladder_order(families))
+    rules, tables = _moment_tables(families)
+    for spec in families:
+        checks += _ladder_records(spec, tables[spec.family.name], cfg)
+    checks.append(_membership(code, families, rules, tables))
+    gens, coeffs, states = _draw(cfg, code, families)
+    checks += _anticlique(code, families, *gens, coeffs, cfg.tol)
+    checks += _channel(code, families, *states)
+    return gv.VerificationReport(checks)
 
 
 def cmd_demo(cfg: RunConfig, values: dict) -> tuple:
     code = cc.decompose(cfg.params, cfg.k0, cfg.trunc, cfg.m0)
     families = gk.jc_families(code, cfg.family1, cfg.family2)
-    x = values.get("x", 0.5 * cfg.family1.radius
-                   if math.isfinite(cfg.family1.radius) else 1.0)
+    radius = min(cfg.family1.radius, cfg.family2.radius)
+    x = values.get("x", 0.5 * radius if math.isfinite(radius) else 1.0)
     t = values.get("t", 1.0 / cfg.params.omega_f)
     if not (math.isfinite(x) and math.isfinite(t)):
         raise UsageError(f"x and t must be finite, got x = {x}, t = {t}")
-    radius = min(cfg.family1.radius, cfg.family2.radius)
     if not 0.0 <= x < radius:
         raise UsageError(f"x = {x} outside [0, {radius})")
     rng = np.random.default_rng(cfg.seed)
@@ -370,8 +371,7 @@ def cmd_demo(cfg: RunConfig, values: dict) -> tuple:
             except ValueError as exc:
                 raise UsageError(f"cannot parse state {state!r}: {exc}") from exc
             if amps.size != dim_code:
-                raise UsageError(
-                    f"state needs {dim_code} amplitudes, got {amps.size}")
+                raise UsageError(f"state needs {dim_code} amplitudes, got {amps.size}")
         norm = np.linalg.norm(amps)
         if norm == 0:
             raise UsageError("state must be nonzero")

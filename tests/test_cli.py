@@ -337,16 +337,23 @@ def test_verify_mixed_families_sample_both_domains(capsys):
     assert rc == 0
 
 
-def test_verify_detects_bad_cut(capsys):
-    rc, out, _ = run(["verify"] + STRONG + ["--k0", "3", "--n-fock", "20"], capsys)
+@pytest.mark.parametrize("argv, failure", [
+    (STRONG + ["--k0", "3", "--n-fock", "20"], "gk.energy_order"),
+    (["--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7", "--n-fock", "20",
+      "--k0", "2"], "code.cut_constraint"),
+], ids=["gk.energy_order", "code.cut_constraint"])
+def test_verify_detects_bad_cut(capsys, argv, failure):
+    """A refused cut ends the report: the spectrum records, then its failure."""
+    rc, out, err = run(["verify"] + argv, capsys)
     assert rc == 1
     report = json.loads(out)
     assert report["overall_pass"] is False
     names = [c["name"] for c in report["checks"]]
-    assert "gk.energy_order" in names
-    bad = next(c for c in report["checks"] if c["name"] == "gk.energy_order")
+    assert names == ["spectrum.eigen_residual", "spectrum.gram_identity", failure]
+    bad = report["checks"][-1]
     assert bad["pass"] is False
     assert bad["residual"] > 0
+    assert err.startswith(f"check failed: {failure}: residual ")
 
 
 def test_verify_names_each_failing_check_on_stderr(capsys):
@@ -378,9 +385,14 @@ def test_verify_output_is_deterministic(tmp_path, capsys):
 
 
 def test_demo_random_state(capsys):
-    rc, out, _ = run(["demo"] + SMALL, capsys)
-    assert rc == 0
-    assert out == "1.000000000000\n"
+    # the default x is half the radius both families share: with factorial
+    # (R = inf) on J and uniform_moment (R = 1) on S it is 0.5, not 1
+    mixed = ["--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7", "--n-fock", "20",
+             "--family1", "factorial", "--family2", "uniform_moment"]
+    for argv in (SMALL, mixed):
+        rc, out, _ = run(["demo"] + argv, capsys)
+        assert rc == 0
+        assert out == "1.000000000000\n"
 
 
 def test_demo_basis_and_amplitude_states(capsys):

@@ -594,12 +594,12 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, pair, tables):
     # resolution checks read each ladder's prefix, and identity membership
     # reads the uniform_moment table's
     assert len(moments) == tables
-    # the spectrum check's frame and the cut's, which the ladders and the
+    # the cut's frame, which the spectrum check, the ladders and the
     # stability grid share (test_commands_build_the_cut_frame_once counts
-    # them); each x's tail is checked once, and with the three tail-safe
+    # it); each x's tail is checked once, and with the three tail-safe
     # root searches this N = 40 run bounds 49 (uniform_moment) or 59
     # (factorial) tails
-    assert 1 <= len(frames) <= 3
+    assert len(frames) == 1
     assert 1 <= len(tails) <= 64
     # one moment rule per family, shared by both ladders and identity membership
     assert sorted(rules) == (["gauss_legendre"] if tables == 1
@@ -662,16 +662,28 @@ def test_verify_embeds_each_sample_batch_once(monkeypatch, capsys):
     assert len(embeds) <= 6
 
 
-@pytest.mark.parametrize("command, frames", [("verify", 2), ("demo", 1), ("gk-dump", 1)])
+_FRAME_POINT = ["--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+                "--family1", "factorial", "--family2", "factorial", "--n-fock", "30"]
+
+
+@pytest.mark.parametrize("command, frames", [("verify", 1), ("demo", 1), ("gk-dump", 1)])
 def test_commands_build_the_cut_frame_once(monkeypatch, capsys, command, frames):
-    """decompose builds the run's frame; only verify's spectrum check builds another."""
+    """decompose builds the run's only frame; verify's spectrum check reads it."""
     built = _count_calls(monkeypatch, "dressed_frame")
-    rc = cli.main([command, "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
-                   "--family1", "factorial", "--family2", "factorial",
-                   "--n-fock", "30"])
+    rc = cli.main([command] + _FRAME_POINT)
     capsys.readouterr()
     assert rc == 0
     assert len(built) == frames
+
+
+def test_warm_verify_builds_no_frame(monkeypatch, capsys):
+    """A second verify at the same point reads the kept cut's frame: 0 builds."""
+    assert cli.main(["verify"] + _FRAME_POINT) == 0
+    cold = capsys.readouterr().out
+    built = _count_calls(monkeypatch, "dressed_frame")
+    assert cli.main(["verify"] + _FRAME_POINT) == 0
+    assert capsys.readouterr().out == cold
+    assert built == []
 
 
 @pytest.mark.parametrize("command, families", [
