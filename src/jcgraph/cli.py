@@ -12,6 +12,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import bisect
 import configparser
 import functools
 import json
@@ -147,6 +148,12 @@ def resolve_run_config(values: dict) -> RunConfig:
                      family2=fam2, tol=tol, seed=seed)
 
 
+def _energies_overflow(params: JCParams, n: int) -> bool:
+    """Whether omega_f (n + 1/2 + R_n/2) >= |E| overflows; R_n, a hypot, cannot raise."""
+    rabi = math.hypot(params.delta_f, params.gamma_f * math.sqrt(n))
+    return not math.isfinite(params.omega_f * (n + 0.5 + 0.5 * rabi))
+
+
 def _emit(text, out: str | None) -> None:
     """Write a string, or an iterable of strings in turn, to ``out`` or stdout."""
     chunks = (text,) if isinstance(text, str) else text
@@ -204,21 +211,21 @@ def _below(name: str, residual, tolerance: float, **alpha) -> gv.CheckRecord:
 
 
 def _cut(cfg: RunConfig) -> tuple:
-    """The cut (None if refused), the spectrum records, then a refusal's record.
-
-    A refused cut has no frame, so the spectrum reads one built here; a
-    degenerate level raises again in that build, before any record."""
+    """The cut (None if refused), the spectrum residuals and records, then a refusal's
+    record with ``decompose``'s message.  A refused cut has no frame, so the spectrum
+    reads one built here; a degenerate level raises again there, before any record."""
     code = failure = None
     try:
         code = cc.decompose(cfg.params, cfg.k0, cfg.trunc, cfg.m0)
     except cc.EnergyOrderError as exc:
-        failure = gv.CheckRecord("gk.energy_order", abs(exc.gap), 0.0, False)
-    except ValueError:
-        failure = gv.CheckRecord("code.cut_constraint", 1.0, 0.0, False)
+        failure = gv.CheckRecord("gk.energy_order", abs(exc.gap), 0.0, False, reason=str(exc))
+    except ValueError as exc:
+        failure = gv.CheckRecord("code.cut_constraint", 1.0, 0.0, False, reason=str(exc))
     frame = dressed_frame(cfg.params, cfg.trunc) if code is None else code.frame
     eig_res, gram = spectrum_residuals(cfg.params, frame)
-    return code, [_below("spectrum.eigen_residual", eig_res, 1e-10),
-                  _below("spectrum.gram_identity", gram, 1e-10), *filter(None, [failure])]
+    return code, (eig_res, gram), [
+        _below("spectrum.eigen_residual", eig_res, 1e-10),
+        _below("spectrum.gram_identity", gram, 1e-10), *filter(None, [failure])]
 
 
 def _ladder_order(families) -> gv.CheckRecord:
@@ -244,19 +251,15 @@ def _moment_tables(families) -> tuple:
     return rules, tables
 
 
-def _ladder_records(spec, table, cfg: RunConfig) -> list:
-    """Moments and resolution off the ladder's prefix of its family's table,
-    then temporal stability on a 10 x 10 grid up to the tail-safe x."""
+def _ladder_records(spec, table, residuals, cfg: RunConfig) -> list:
+    """Moments and resolution off the ladder's prefix of its table, then stability."""
     fam, diag = spec.family, table[:spec.terms]
     moments = float(np.abs(diag[:41] - 1.0).max())
     resolution = gk.verify_resolution(spec, diag)
-    xs = np.linspace(0.0, gk.tail_safe_xmax(fam, spec.terms - 1, budget=1e-12), 10)
-    ts = np.linspace(0.0, 10.0 / cfg.params.omega_f, 10)
-    fids = gk.verify_temporal_stability(spec, xs, ts, cfg.trunc)
+    stability = gk.verify_temporal_stability(spec, *residuals, 10.0 / cfg.params.omega_f)
     return [_below(f"gk.moments.{spec.label}.{fam.name}", moments, 1e-8),
             _below(f"gk.resolution.{spec.label}.{fam.name}", resolution, 1e-6),
-            _below(f"gk.temporal_stability.{spec.label}",
-                   float(np.max(1.0 - fids, initial=0.0)), 1e-9)]
+            _below(f"gk.temporal_stability.{spec.label}", stability, 1e-9)]
 
 
 def _membership(code, families, rules: dict, tables: dict) -> gv.CheckRecord:
@@ -323,14 +326,14 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     Records come in stage order; a refused cut ends the report.  A record
     passes when its residual is below its tolerance (``_below``), except the
     ladder order, the anticlique and a refused cut."""
-    code, checks = _cut(cfg)
+    code, residuals, checks = _cut(cfg)
     if code is None:
         return gv.VerificationReport(checks)
     families = gk.jc_families(code, cfg.family1, cfg.family2)
     checks.append(_ladder_order(families))
     rules, tables = _moment_tables(families)
     for spec in families:
-        checks += _ladder_records(spec, tables[spec.family.name], cfg)
+        checks += _ladder_records(spec, tables[spec.family.name], residuals, cfg)
     checks.append(_membership(code, families, rules, tables))
     gens, coeffs, states = _draw(cfg, code, families)
     checks += _anticlique(code, families, *gens, coeffs, cfg.tol)
@@ -478,10 +481,14 @@ def main(argv=None) -> int:
         if args.command == "mindim":
             _emit(json.dumps(cmd_mindim(cfg), indent=2) + "\n", out)
             return 0
-        # mindim builds no state; every other command needs truncation headroom
-        if cfg.trunc.n_fock < cfg.k0 + 10:
-            raise UsageError(f"n_fock = {cfg.trunc.n_fock} leaves no truncation "
+        # mindim builds no state; every other command needs headroom and finite energies
+        n, overflows = cfg.trunc.n_fock, functools.partial(_energies_overflow, cfg.params)
+        if n < cfg.k0 + 10:
+            raise UsageError(f"n_fock = {n} leaves no truncation "
                              f"headroom; need N >= k0 + 10 = {cfg.k0 + 10}")
+        if overflows(n):
+            raise UsageError(f"energies overflow a double at n_fock = {n}; the largest usable"
+                             f" N is {bisect.bisect(range(n), False, key=overflows) - 1}")
         if args.command == "verify":
             report = run_verification(cfg)
             _emit(json.dumps(report.to_dict(), indent=2) + "\n", out)
@@ -489,8 +496,8 @@ def main(argv=None) -> int:
                 if not c.passed:
                     ratio = c.residual / c.tolerance if c.tolerance else math.inf
                     print(f"check failed: {c.name}: residual {c.residual:.3e}, "
-                          f"tolerance {c.tolerance:.3e}, residual/tolerance {ratio:.3g}",
-                          file=sys.stderr)
+                          f"tolerance {c.tolerance:.3e}, residual/tolerance {ratio:.3g}"
+                          + (f"; {c.reason}" if c.reason else ""), file=sys.stderr)
             return 0 if report.overall_pass else 1
         if args.command == "demo":
             fid, rc = cmd_demo(cfg, values)

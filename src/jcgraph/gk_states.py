@@ -338,15 +338,6 @@ def _required_n(spec: GKFamilySpec, x: float, tol: float) -> int | None:
     return lo + spec.start_index - 1
 
 
-def _check_tail(spec: GKFamilySpec, x: float, trunc: TruncationConfig) -> None:
-    tail = tail_mass(spec.family, x, spec.terms - 1)
-    if tail > trunc.tail_tol:
-        need = _required_n(spec, x, trunc.tail_tol)
-        raise TruncationTooSmallError(
-            f"tail mass {tail:.3e} at x = {x} exceeds tail_tol = {trunc.tail_tol:.1e}; "
-            f"the {spec.label} ladder needs a photon cutoff N >= {need}", required_n=need)
-
-
 def gk_state(spec: GKFamilySpec, x: float, y: float,
              trunc: TruncationConfig) -> np.ndarray:
     """Truncated Gazeau-Klauder state with the full-series normalization.
@@ -355,7 +346,12 @@ def gk_state(spec: GKFamilySpec, x: float, y: float,
     is 1 minus the neglected tail mass; the tail must fit within
     ``trunc.tail_tol`` or the error reports the photon cutoff that would.
     """
-    _check_tail(spec, x, trunc)
+    tail = tail_mass(spec.family, x, spec.terms - 1)
+    if tail > trunc.tail_tol:
+        need = _required_n(spec, x, trunc.tail_tol)
+        raise TruncationTooSmallError(
+            f"tail mass {tail:.3e} at x = {x} exceeds tail_tol = {trunc.tail_tol:.1e}; "
+            f"the {spec.label} ladder needs a photon cutoff N >= {need}", required_n=need)
     return spec.frame.embed(spec.index, _coefficients(spec, x, y))
 
 
@@ -418,32 +414,27 @@ def verify_resolution(spec: GKFamilySpec, diagonals: np.ndarray) -> float:
     return float(max(np.abs(d).max(), np.abs(off).max()))
 
 
-def verify_temporal_stability(spec: GKFamilySpec, xs: Sequence[float],
-                              ts: Sequence[float],
-                              trunc: TruncationConfig) -> np.ndarray:
-    """|<x, t| U_t |x, 0>|^2 for every x in ``xs`` and t in ``ts``.
+def verify_temporal_stability(spec: GKFamilySpec, eig_residual: float, gram: float,
+                              t_max: float) -> float:
+    """Bound on 1 - F, F = |<x, t| U_t |x, 0>|^2, over t in [0, t_max] and every x
+    whose tail is within beta = 1e-12 (x in [0, x_max]: both built-in tails grow).
 
-    Returns the (len(xs), len(ts)) array of fidelities, each equal to 1 up
-    to rounding and truncation tail.  Both states are read in the dressed
-    frame, where they live on the ladder's indices: |x, t> has amplitudes
-    sqrt(p_k(x)) e^{-i h_k t}, with h the ladder's ``energies``, and U_t
-    |x, 0> has sqrt(p_k(x)) e^{-i E_k t}, with E the frame's energies at
-    the same indices.  The frame's block rotation is orthogonal (the
-    ``spectrum.*`` checks certify it), so each fidelity is
-    |sum_k p_k(x) e^{+i h_k t} e^{-i E_k t}|^2, and the grid is one
-    (len(xs), terms) @ (terms, len(ts)) product.  The two phase arrays are
-    separate reads, so a ladder whose energies disagree with its frame's
-    fails here.  Every x's tail is checked once, in order, and all
-    amplitudes come from one ``probabilities`` call.
+    With the ladder's frame columns V, H V = V E + R: rho = ``eig_residual``
+    bounds each column of R, one per 2x2 block, so |R b| <= rho |b|; V+ V is
+    diagonal within gamma = ``gram`` of I.  |x, t> = V a_t, a_t = sqrt(p_k)
+    e^{-i E_k t}, m = |a|^2 >= 1 - beta.  Duhamel's formula bounds |U_t |x, 0>
+    - |x, t>| by t rho sqrt(m); with <x, t|x, t> >= m (1 - gamma) and | |x, t> |
+    <= sqrt(m (1 + gamma)), |<x, t| U_t |x, 0>| >= m (1 - eps), eps = gamma +
+    sqrt(1 + gamma) t rho, so 1 - F <= 2 beta + 2 eps.  Rounding (u = 2^-53,
+    M = max |E| >= every block entry): a residual component is three products
+    within M summed twice (3u (1 + sqrt 2) M) of entries each within 2u M
+    (2 sqrt 2 u M), so rho is within sqrt 2 * 10.2 u M = 14.4 u M of the
+    exact residual: rho + 20 u M.  c^2 + s^2 - 1 is within 3u: gamma + 4u.
     """
-    xs = [float(x) for x in xs]
-    ts = np.asarray(ts, dtype=float)
-    ladder_phases = np.exp(-1j * np.outer(spec.energies, ts))
-    frame_phases = np.exp(-1j * np.outer(spec.frame.energies[spec.index], ts))
-    for x in xs:
-        _check_tail(spec, x, trunc)
-    p = spec.family.probabilities(xs, spec.terms - 1)
-    return np.abs(p @ (ladder_phases.conj() * frame_phases)) ** 2
+    u = 2.0 ** -53
+    rho = eig_residual + 20.0 * u * float(np.abs(spec.frame.energies).max())
+    gamma = gram + 4.0 * u
+    return 2e-12 + 2.0 * gamma + 2.0 * math.sqrt(1.0 + gamma) * t_max * rho
 
 
 @dataclass(frozen=True)

@@ -62,13 +62,14 @@ class CodeLeakageError(ValueError):
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One named numerical check: residual against tolerance, optional alpha."""
+    """One named check: residual against tolerance, optional alpha, stderr-only reason."""
 
     name: str
     residual: float
     tolerance: float
     passed: bool
     alpha: complex | None = None
+    reason: str = ""
 
     def to_dict(self) -> dict:
         return {

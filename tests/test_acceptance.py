@@ -24,7 +24,6 @@ from jcgraph.gk_states import (
     moment_diagonals,
     tail_safe_xmax,
     verify_resolution,
-    verify_temporal_stability,
 )
 from jcgraph.graph_verify import (
     channel_apply,
@@ -36,6 +35,7 @@ from jcgraph.graph_verify import (
     verify_anticlique,
     verify_identity_membership,
 )
+from oracles import stability_grid
 
 TWO_PI = 2.0 * math.pi
 HAROCHE = JCParams(omega_f=TWO_PI * 51.1e9, omega_s=TWO_PI * 51.1e9,
@@ -131,7 +131,7 @@ def test_criterion_5_gk_property_suite():
             diagonals = moment_diagonals(fam, np.arange(spec.terms), rule)
             worst_resolution = max(worst_resolution, verify_resolution(spec, diagonals))
             xmax = tail_safe_xmax(fam, spec.terms - 1, budget=1e-12)
-            fids = verify_temporal_stability(
+            fids = stability_grid(
                 spec, np.linspace(0.0, xmax, 10),
                 np.linspace(0.0, 10.0 / HAROCHE.omega_f, 10), N60)
             worst_stability = max(worst_stability, float((1.0 - fids).max()))

@@ -67,6 +67,25 @@ def test_state_commands_answer_at_extreme_frequency_scales(command, exp, capsys)
                                  "--kappa", "0.7", "--n-fock", "20"], capsys)[:2]
 
 
+@pytest.mark.parametrize("command", ["verify", "demo", "gk-dump"])
+def test_state_commands_refuse_energies_beyond_doubles(command, capsys):
+    """At 1e306 the energies omega_f (N + 1/2 + R_N/2) overflow past N = 174: exit 2
+    before any state is built, naming that N, which still answers."""
+    point = ["--omega-f", "1e306", "--omega-s", "0.8e306", "--kappa", "0.7e306"]
+    rc, out, err = run([command] + point + ["--n-fock", "1000"], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: energies overflow") and "largest usable N is 174\n" in err
+    assert run([command] + point + ["--n-fock", "175"], capsys)[0] == 2
+    assert run([command] + point + ["--n-fock", "174"], capsys)[0] in (0, 1)
+
+
+def test_overflow_check_cannot_raise():
+    """R_N is a hypot: rate ratios and couplings near the double range give a
+    number or inf, never OverflowError."""
+    assert not cli._energies_overflow(cli.JCParams(1.0, 1e300, 1e300), 10 ** 6)
+    assert cli._energies_overflow(cli.JCParams(1.0, 1.0, 1e308), 10 ** 6)
+
+
 def test_mindim_cavity_benchmark_frequencies(capsys):
     argv = ["mindim", "--omega-f", "51.1e9", "--omega-s", "51.1e9",
             "--kappa", "47e3", "--hz"]
@@ -337,13 +356,16 @@ def test_verify_mixed_families_sample_both_domains(capsys):
     assert rc == 0
 
 
-@pytest.mark.parametrize("argv, failure", [
-    (STRONG + ["--k0", "3", "--n-fock", "20"], "gk.energy_order"),
+@pytest.mark.parametrize("argv, failure, reason", [
+    (STRONG + ["--k0", "3", "--n-fock", "20"], "gk.energy_order",
+     "; S ladder not strictly increasing: h[1] - h[0] = -"),
     (["--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7", "--n-fock", "20",
-      "--k0", "2"], "code.cut_constraint"),
+      "--k0", "2"], "code.cut_constraint",
+     "; k0 = 2 below the admissible minimum max(3, M0) = 3 (M0 = 1)\n"),
 ], ids=["gk.energy_order", "code.cut_constraint"])
-def test_verify_detects_bad_cut(capsys, argv, failure):
-    """A refused cut ends the report: the spectrum records, then its failure."""
+def test_verify_detects_bad_cut(capsys, argv, failure, reason):
+    """A refused cut ends the report: the spectrum records, then its failure,
+    whose stderr line ends with decompose's reason."""
     rc, out, err = run(["verify"] + argv, capsys)
     assert rc == 1
     report = json.loads(out)
@@ -354,6 +376,7 @@ def test_verify_detects_bad_cut(capsys, argv, failure):
     assert bad["pass"] is False
     assert bad["residual"] > 0
     assert err.startswith(f"check failed: {failure}: residual ")
+    assert reason in err and err.count("\n") == 1
 
 
 def test_verify_names_each_failing_check_on_stderr(capsys):

@@ -26,8 +26,8 @@ from jcgraph.gk_states import (
     tail_safe_xmax,
     verify_action_identity,
     verify_resolution,
-    verify_temporal_stability,
 )
+from oracles import stability_grid
 
 PARAMS = JCParams(omega_f=1.0, omega_s=1.0, kappa=0.5)
 
@@ -592,7 +592,7 @@ def test_temporal_stability_equals_kept_mass_squared():
     x = 0.3
     kept = 1.0 - geometric_tail(x, j.terms - 1)
     for t in (0.0, 1.7, 9.4):
-        fid = verify_temporal_stability(j, [x], [t], tr)[0, 0]
+        fid = stability_grid(j, [x], [t], tr)[0, 0]
         assert abs(fid - kept ** 2) < 1e-12
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcgraph import cli, gk_states, graph_verify, hilbert, jc_spectrum
+from jcgraph import cli, code_construction, gk_states, graph_verify, hilbert, jc_spectrum
 from jcgraph.code_construction import decompose, minimal_k0, minimal_m0
 from jcgraph.gk_states import (builtin_family, gk_state, jc_families, moment_diagonals,
                                rule_nodes, tail_safe_xmax, verify_resolution,
@@ -47,6 +47,7 @@ from jcgraph.jc_spectrum import (JCParams, dressed_basis, dressed_frame,
                                  dressed_index, dressed_vector, eigenenergy,
                                  evolution_operator, hamiltonian_matrix,
                                  spectrum_residuals)
+from oracles import stability_grid
 
 FAMILIES = ("uniform_moment", "factorial")
 ORACLE_TOL = 1e-12
@@ -184,7 +185,7 @@ def test_structured_evolution_matches_dense_operator(system, frac, t, seed):
         dense = [[abs(np.vdot(gk_state(spec, x, y, trunc),
                               u_y @ gk_state(spec, x, 0.0, trunc))) ** 2
                   for y, u_y in zip(ts, us)] for x in xs]
-        np.testing.assert_allclose(verify_temporal_stability(spec, xs, ts, trunc),
+        np.testing.assert_allclose(stability_grid(spec, xs, ts, trunc),
                                    dense, atol=ORACLE_TOL, rtol=0)
 
 
@@ -219,43 +220,103 @@ def test_stability_phases_built_once_match_the_per_x_form(system, ts):
     _, families = build(params, trunc, family)
     for spec in families:
         xs = np.linspace(0.0, xmax(family, spec.terms, 1e-12), 10)
-        np.testing.assert_allclose(verify_temporal_stability(spec, xs, ts, trunc),
+        np.testing.assert_allclose(stability_grid(spec, xs, ts, trunc),
                                    per_x_stability(spec, xs, ts), atol=1e-13, rtol=0)
+
+
+def _stability_checks(monkeypatch, capsys, family, n_fock, mutate=None):
+    """verify's exit code and its two stability records, on a cut whose frame
+    energies are ``mutate``d after ``decompose`` built them."""
+    def mutated_cut(*args):
+        code = decompose(*args)
+        frame = replace(code.frame, energies=mutate(code.frame.energies))
+        return replace(code, frame=frame)
+
+    with monkeypatch.context() as m:
+        if mutate is not None:
+            m.setattr(code_construction, "decompose", mutated_cut)
+        rc = cli.main(["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+                       "--family1", family, "--family2", family, "--n-fock", str(n_fock)])
+    report = json.loads(capsys.readouterr().out)
+    return rc, {c["name"]: c for c in report["checks"]
+                if c["name"].startswith("gk.temporal_stability.")}
 
 
 @pytest.mark.parametrize("mutation", ["scaled", "shifted"])
 def test_stability_fails_when_the_ladder_disagrees_with_its_frame(monkeypatch, capsys,
                                                                   mutation):
-    """The dressed-coordinate grid still compares two energy reads, not only tails.
+    """Energies that do not diagonalize H fail the stability bound.
 
-    The residual grows as the square of the phase error: a relative shift
-    of 1e-6 in every rung's energy gives about 9e-9 at N = 160 (and 2e-10,
-    below the tolerance, at N = 30).
+    The ladders are views of the frame, so the frame is what is mutated: the
+    bound reads the frame's eigen residual, which grows linearly with the
+    energy error (a relative 1e-6 gives residuals near 3e-3 at N = 160).
     """
-    frame_energies = gk_states.GKFamilySpec.energies
-
-    def stability(energies=None):
-        with monkeypatch.context() as m:
-            if energies is not None:
-                m.setattr(gk_states.GKFamilySpec, "energies", property(energies))
-            rc = cli.main(["verify", "--omega-f", "1", "--omega-s", "0.8",
-                           "--kappa", "0.7", "--family1", "factorial",
-                           "--family2", "factorial", "--n-fock", "160"])
-        report = json.loads(capsys.readouterr().out)
-        return rc, {c["name"]: c for c in report["checks"]
-                    if c["name"].startswith("gk.temporal_stability.")}
-
-    energies = {"scaled": lambda spec: spec.frame.energies[spec.index] * (1 + 1e-6),
-                # each rung reads the frame's energy one index up
-                "shifted": lambda spec: spec.frame.energies[spec.index + 1]}[mutation]
-    rc, checks = stability(energies)
+    mutate = {"scaled": lambda e: e * (1 + 1e-6),
+              # each dressed index reads the energy one index up
+              "shifted": lambda e: np.append(e[1:], e[-1])}[mutation]
+    rc, checks = _stability_checks(monkeypatch, capsys, "factorial", 160, mutate)
     assert rc == 1 and sorted(checks) == ["gk.temporal_stability.J",
                                           "gk.temporal_stability.S"]
     assert all(c["residual"] > 1e-9 and not c["pass"] for c in checks.values())
-    assert gk_states.GKFamilySpec.energies is frame_energies
-    rc, checks = stability()
+    assert code_construction.decompose is decompose
+    rc, checks = _stability_checks(monkeypatch, capsys, "factorial", 160)
     assert rc == 0 and len(checks) == 2
     assert all(c["residual"] < 1e-9 and c["pass"] for c in checks.values())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stability_fails_on_a_frame_one_ppm_off_at_small_cutoff(monkeypatch, capsys,
+                                                                family):
+    """Energies scaled by 1 + 1e-6 at N = 30 fail both records.
+
+    The oracle grid reads the ladder's and the frame's energies from one
+    array, so it cannot see a frame whose energies are off; the bound reads
+    the frame's eigen residual, which grows linearly with the error.
+    """
+    rc, checks = _stability_checks(monkeypatch, capsys, family, 30,
+                                   lambda e: e * (1 + 1e-6))
+    assert rc == 1 and len(checks) == 2
+    assert all(c["residual"] > 1e-9 and not c["pass"] for c in checks.values())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n_fock", [30, 160, 2000])
+def test_stability_grid_lies_under_the_bound(family, n_fock):
+    """The oracle grid's 1 - F, on both ladders, below what verify reports.
+
+    x runs to the largest x whose certified tail is within the bound's
+    beta = 1e-12, t to 10/omega_f, as verify's grid did.
+    """
+    params, trunc = JCParams(1.0, 0.8, 0.7), TruncationConfig(n_fock)
+    code, families = build(params, trunc, family)
+    residuals = spectrum_residuals(params, code.frame)
+    t_max = 10.0 / params.omega_f
+    for spec in families:
+        bound = verify_temporal_stability(spec, *residuals, t_max)
+        xs = np.linspace(0.0, xmax(family, spec.terms, 1e-12), 10)
+        grid = stability_grid(spec, xs, np.linspace(0.0, t_max, 10), trunc)
+        assert 0.0 < float((1.0 - grid).max()) < bound < 1e-9
+
+
+def test_verify_searches_one_tail_and_builds_no_stability_grid(monkeypatch, capsys):
+    """One tail-safe search (the samples' x range) and one spectrum residual per
+    verify; no stage builds a (terms, times) array of phases."""
+    searches = _count_calls(monkeypatch, "tail_safe_xmax", gk_states)
+    spectra = _count_calls(monkeypatch, "spectrum_residuals")
+    shapes, exp = [], np.exp
+
+    def recorded_exp(*args, **kwargs):
+        out = exp(*args, **kwargs)
+        if np.iscomplexobj(out):
+            shapes.append(np.shape(out))
+        return out
+    monkeypatch.setattr(np, "exp", recorded_exp)
+    rc = cli.main(["verify"] + _FRAME_POINT)
+    capsys.readouterr()
+    assert rc == 0
+    assert (len(searches), len(spectra)) == (1, 1)
+    # J has 30 rungs and S 28: the sampled states put their rungs last
+    assert shapes and not [s for s in shapes if len(s) == 2 and s[0] in (28, 30)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -594,11 +655,10 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, pair, tables):
     # resolution checks read each ladder's prefix, and identity membership
     # reads the uniform_moment table's
     assert len(moments) == tables
-    # the cut's frame, which the spectrum check, the ladders and the
-    # stability grid share (test_commands_build_the_cut_frame_once counts
-    # it); each x's tail is checked once, and with the three tail-safe
-    # root searches this N = 40 run bounds 49 (uniform_moment) or 59
-    # (factorial) tails
+    # the cut's frame, which the spectrum check and the ladders share
+    # (test_commands_build_the_cut_frame_once counts it); the one tail-safe
+    # root search, for the samples' x range, bounds 9 (uniform_moment) or
+    # 12 (factorial) tails in this N = 40 run
     assert len(frames) == 1
     assert 1 <= len(tails) <= 64
     # one moment rule per family, shared by both ladders and identity membership
