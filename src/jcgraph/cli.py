@@ -487,8 +487,10 @@ def main(argv=None) -> int:
             raise UsageError(f"n_fock = {n} leaves no truncation "
                              f"headroom; need N >= k0 + 10 = {cfg.k0 + 10}")
         if overflows(n):
-            raise UsageError(f"energies overflow a double at n_fock = {n}; the largest usable"
-                             f" N is {bisect.bisect(range(n), False, key=overflows) - 1}")
+            top = bisect.bisect(range(n), False, key=overflows) - 1
+            raise UsageError(f"energies overflow a double at n_fock = {n}; " + (
+                f"the largest usable N is {top}" if top >= cfg.k0 + 10 else
+                f"no N >= k0 + 10 = {cfg.k0 + 10} is usable at this point"))
         if args.command == "verify":
             report = run_verification(cfg)
             _emit(json.dumps(report.to_dict(), indent=2) + "\n", out)

@@ -419,22 +419,20 @@ def verify_temporal_stability(spec: GKFamilySpec, eig_residual: float, gram: flo
     """Bound on 1 - F, F = |<x, t| U_t |x, 0>|^2, over t in [0, t_max] and every x
     whose tail is within beta = 1e-12 (x in [0, x_max]: both built-in tails grow).
 
-    With the ladder's frame columns V, H V = V E + R: rho = ``eig_residual``
-    bounds each column of R, one per 2x2 block, so |R b| <= rho |b|; V+ V is
-    diagonal within gamma = ``gram`` of I.  |x, t> = V a_t, a_t = sqrt(p_k)
-    e^{-i E_k t}, m = |a|^2 >= 1 - beta.  Duhamel's formula bounds |U_t |x, 0>
-    - |x, t>| by t rho sqrt(m); with <x, t|x, t> >= m (1 - gamma) and | |x, t> |
-    <= sqrt(m (1 + gamma)), |<x, t| U_t |x, 0>| >= m (1 - eps), eps = gamma +
-    sqrt(1 + gamma) t rho, so 1 - F <= 2 beta + 2 eps.  Rounding (u = 2^-53,
-    M = max |E| >= every block entry): a residual component is three products
-    within M summed twice (3u (1 + sqrt 2) M) of entries each within 2u M
-    (2 sqrt 2 u M), so rho is within sqrt 2 * 10.2 u M = 14.4 u M of the
-    exact residual: rho + 20 u M.  c^2 + s^2 - 1 is within 3u: gamma + 4u.
+    With the ladder's frame columns V, H V = V E + R: rho = ``eig_residual`` bounds
+    each column of R, one per 2x2 block, so |R b| <= rho |b|; V+ V is diagonal within
+    gamma = ``gram`` of I.  v = |x, t> = V a_t, a_t = sqrt(p_k) e^{-i E_k t},
+    m = |a|^2 >= 1 - beta, w = U_t |x, 0>: Duhamel's formula gives |w - v| <=
+    t rho sqrt(m), and |<v, w>|^2 >= |v|^2 (|w|^2 - |w - v|^2) with |v|^2, |w|^2 >=
+    m (1 - gamma), so 1 - F <= 2 beta + 2 gamma + t^2 rho^2.  Rounding (u = 2^-53,
+    M = max |E| >= every block entry): a residual component is three products within
+    M summed twice (3u (1 + sqrt 2) M) of entries each within 2u M (2 sqrt 2 u M), so
+    rho is within sqrt 2 * 10.2 u M = 14.4 u M of the exact residual: rho + 20 u M.
+    c^2 + s^2 - 1 is within 3u: gamma + 4u.
     """
     u = 2.0 ** -53
     rho = eig_residual + 20.0 * u * float(np.abs(spec.frame.energies).max())
-    gamma = gram + 4.0 * u
-    return 2e-12 + 2.0 * gamma + 2.0 * math.sqrt(1.0 + gamma) * t_max * rho
+    return 2e-12 + 2.0 * (gram + 4.0 * u) + (t_max * rho) ** 2
 
 
 @dataclass(frozen=True)

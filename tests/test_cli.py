@@ -77,6 +77,12 @@ def test_state_commands_refuse_energies_beyond_doubles(command, capsys):
     assert err.startswith("error: energies overflow") and "largest usable N is 174\n" in err
     assert run([command] + point + ["--n-fock", "175"], capsys)[0] == 2
     assert run([command] + point + ["--n-fock", "174"], capsys)[0] in (0, 1)
+    # at 1e308 the bisection lands below the headroom N >= k0 + 10: no N is named
+    point = ["--omega-f", "1e308", "--omega-s", "0.8e308", "--kappa", "0.7e308"]
+    rc, out, err = run([command] + point + ["--n-fock", "1000"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("error: energies overflow a double at n_fock = 1000; "
+                   "no N >= k0 + 10 = 13 is usable at this point\n")
 
 
 def test_overflow_check_cannot_raise():

@@ -249,7 +249,7 @@ def test_stability_fails_when_the_ladder_disagrees_with_its_frame(monkeypatch, c
 
     The ladders are views of the frame, so the frame is what is mutated: the
     bound reads the frame's eigen residual, which grows linearly with the
-    energy error (a relative 1e-6 gives residuals near 3e-3 at N = 160).
+    energy error (a relative 1e-6 gives bounds near 2.6e-6 at N = 160).
     """
     mutate = {"scaled": lambda e: e * (1 + 1e-6),
               # each dressed index reads the energy one index up
@@ -271,12 +271,25 @@ def test_stability_fails_on_a_frame_one_ppm_off_at_small_cutoff(monkeypatch, cap
 
     The oracle grid reads the ladder's and the frame's energies from one
     array, so it cannot see a frame whose energies are off; the bound reads
-    the frame's eigen residual, which grows linearly with the error.
+    the frame's eigen residual, which grows linearly with the error, and the
+    bound with its square (about 9e-8 here).
     """
     rc, checks = _stability_checks(monkeypatch, capsys, family, 30,
                                    lambda e: e * (1 + 1e-6))
     assert rc == 1 and len(checks) == 2
     assert all(c["residual"] > 1e-9 and not c["pass"] for c in checks.values())
+
+
+def test_stability_passes_a_correct_frame_with_large_energies(capsys):
+    """At omega_s = 10^5 omega_f the rounding allowance 20 u max|E| alone would
+    put a bound first order in T rho at about 2.5e-9; the second-order bound
+    passes, as the oracle grid did."""
+    rc = cli.main(["verify", "--omega-f", "1", "--omega-s", "1e5", "--kappa", "0.7",
+                   "--n-fock", "20"])
+    report = json.loads(capsys.readouterr().out)
+    checks = [c for c in report["checks"] if c["name"].startswith("gk.temporal_stability.")]
+    assert rc == 0 and len(checks) == 2
+    assert all(c["residual"] < 1e-9 and c["pass"] for c in checks)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -285,17 +298,30 @@ def test_stability_grid_lies_under_the_bound(family, n_fock):
     """The oracle grid's 1 - F, on both ladders, below what verify reports.
 
     x runs to the largest x whose certified tail is within the bound's
-    beta = 1e-12, t to 10/omega_f, as verify's grid did.
+    beta = 1e-12, t to 10/omega_f, as verify's grid did.  The bound is for
+    exact amplitudes; the oracle's p_k = exp(k log x - log c_k - log N^2) each
+    carry about u times the magnitudes of those parts (u = 2^-53), so its
+    kept mass, and with it 1 - F twice over, may be off by their p-weighted
+    sum plus (terms + 1) u for the exp and the sum.  At factorial N = 2000
+    the kept mass reads 1 - 1.6e-12 against an exact tail of 1e-12.
     """
     params, trunc = JCParams(1.0, 0.8, 0.7), TruncationConfig(n_fock)
     code, families = build(params, trunc, family)
     residuals = spectrum_residuals(params, code.frame)
-    t_max = 10.0 / params.omega_f
+    t_max, u = 10.0 / params.omega_f, 2.0 ** -53
     for spec in families:
         bound = verify_temporal_stability(spec, *residuals, t_max)
         xs = np.linspace(0.0, xmax(family, spec.terms, 1e-12), 10)
         grid = stability_grid(spec, xs, np.linspace(0.0, t_max, 10), trunc)
-        assert 0.0 < float((1.0 - grid).max()) < bound < 1e-9
+        k = np.arange(spec.terms)
+        log_c = np.abs([spec.family.log_weight(int(j)) for j in k])
+        parts = [k * abs(np.log(x)) + log_c + abs(spec.family.log_n_squared(x))
+                 if x > 0.0 else 0.0 * k for x in xs]  # p at x = 0 is exact
+        slack = u * ((spec.family.probabilities(xs, spec.terms - 1) * parts).sum(axis=1)
+                     + spec.terms + 1)
+        loss = (1.0 - grid).max(axis=1)
+        assert 0.0 < loss.max() and bound < 1e-9
+        assert (loss < bound + 2.0 * slack).all()
 
 
 def test_verify_searches_one_tail_and_builds_no_stability_grid(monkeypatch, capsys):
