@@ -234,20 +234,29 @@ def _ladder_order(families) -> gv.CheckRecord:
     return gv.CheckRecord("gk.ladder_increasing", max(0.0, -gap_min), 1e-12, gap_min > 0)
 
 
+@functools.lru_cache(maxsize=8)
+def _moment_table(fam: gk.WeightFamily, terms: int) -> tuple:
+    """The family's moment rule for ``terms`` rungs and its table of d_k, k < terms,
+    built once per process and read-only; a non-finite rule raises on every call."""
+    n_nodes = gk.rule_nodes(terms)
+    rule = fam.moment_rule(n_nodes)
+    if not (np.isfinite(rule.nodes).all() and np.isfinite(rule.log_weights).all()):
+        raise UsageError(f"the {n_nodes}-node moment rule of family "
+                         f"{fam.name!r} has non-finite nodes or weights, "
+                         f"so no moment can be checked with it")
+    table = gk.moment_diagonals(fam, np.arange(terms), rule)
+    for a in (rule.nodes, rule.log_weights, table):
+        a.flags.writeable = False
+    return rule, table
+
+
 def _moment_tables(families) -> tuple:
     """Rule and table of d_k, k < N, per family name and for uniform_moment; since
     ``moment_diagonals`` takes each k alone, a ladder's prefix is its own table."""
-    orders = np.arange(families[0].terms)
-    n_nodes = gk.rule_nodes(orders.size)
     rules, tables = {}, {}
     fams = (*(spec.family for spec in families), gk.builtin_family("uniform_moment"))
     for fam in {f.name: f for f in fams}.values():  # built-ins: one object per name
-        rule = rules[fam.name] = fam.moment_rule(n_nodes)
-        if not (np.isfinite(rule.nodes).all() and np.isfinite(rule.log_weights).all()):
-            raise UsageError(f"the {n_nodes}-node moment rule of family "
-                             f"{fam.name!r} has non-finite nodes or weights, "
-                             f"so no moment can be checked with it")
-        tables[fam.name] = gk.moment_diagonals(fam, orders, rule)
+        rules[fam.name], tables[fam.name] = _moment_table(fam, families[0].terms)
     return rules, tables
 
 
@@ -271,21 +280,27 @@ def _membership(code, families, rules: dict, tables: dict) -> gv.CheckRecord:
     return _below("graph.identity_membership", residual, 1e-6)
 
 
+def _x_range(families) -> float:
+    """The samples' largest x: within 0.95 R and tail-safe to 1e-6 on both ladders.
+    A family's tail grows as its ladder shortens, so S alone sizes a shared family."""
+    specs = families[1:] if families[0].family == families[1].family else families
+    return min(min(gk.tail_safe_xmax(spec.family, spec.terms - 1, budget=1e-6),
+                   0.95 * spec.family.radius) for spec in specs)
+
+
 def _draw(cfg: RunConfig, code, families) -> tuple:
     """Every sample, one at a time in a fixed order: 40 generators (j, x, t), 8 x 40
     combination coefficients, 5 unit code amplitudes with (x, t); x in both domains."""
-    xmax = gk.tail_safe_xmax(cfg.family1, families[0].terms - 1, budget=1e-6)
-    x_hi = min(xmax, 0.95 * cfg.family1.radius, 0.95 * cfg.family2.radius)
-    t_hi = 10.0 / cfg.params.omega_f
+    x_hi, t_hi = _x_range(families), 10.0 / cfg.params.omega_f
     rng = np.random.default_rng(cfg.seed)
-    gens = [(int(rng.integers(1, 4)), float(rng.uniform(0.0, x_hi)),
-             float(rng.uniform(0.0, t_hi))) for _ in range(40)]
+    # h * random() is uniform(0, h) bit for bit: numpy forms 0 + h * random()
+    gens = [(int(rng.integers(1, 4)), x_hi * rng.random(), t_hi * rng.random())
+            for _ in range(40)]
     coeffs = np.array([rng.normal(size=len(gens)) for _ in range(8)])
     dim_code, states = code.code_basis.shape[1], []
     for _ in range(5):
         a = rng.normal(size=dim_code) + 1j * rng.normal(size=dim_code)
-        states.append((a / np.linalg.norm(a), float(rng.uniform(0.0, x_hi)),
-                       float(rng.uniform(0.0, t_hi))))
+        states.append((a / np.linalg.norm(a), x_hi * rng.random(), t_hi * rng.random()))
     return [list(col) for col in zip(*gens)], coeffs, [list(col) for col in zip(*states)]
 
 

@@ -215,8 +215,13 @@ def _falsi_weight(f_new: float, f_old: float) -> float:
     return m if m > 0.0 else 0.5
 
 
+@functools.lru_cache(maxsize=32, typed=True)
 def tail_safe_xmax(family: WeightFamily, n_cut: int, budget: float = 1e-12) -> float:
     """Largest x, to one ulp, whose certified truncation tail stays within budget.
+
+    The last 32 searches are kept per process: x depends on the family, the
+    ladder length and the budget alone.  The cache is typed, so n_cut = 159.0
+    raises as it does uncached instead of sharing the entry of 159.
 
     The bracket starts at [0, R(1 - 1e-12)] on a finite radius R and at the
     last doubling of x = 1, 2, 4, ... (up to 1e6) that stayed within budget

@@ -121,6 +121,18 @@ def mixing_angle(params: JCParams, n: int) -> float:
     return math.atan2(params.gamma_f * math.sqrt(n), params.delta_f)
 
 
+def _rescaled(params: JCParams) -> tuple:
+    """(delta_f / s, gamma_f / s, s) for the power of two s <= max(|delta_f|, gamma_f) < 2s.
+
+    The Rabi splitting s sqrt((e/s)^2 + (g/s)^2 n) cannot overflow before its
+    last product, and dividing by s is exact, so no bit differs from
+    sqrt(e^2 + g^2 n) where that form neither over- nor underflows.
+    """
+    e, g = params.delta_f, params.gamma_f
+    scale = math.ldexp(1.0, math.frexp(max(abs(e), g))[1] - 1)
+    return e / scale, g / scale, scale
+
+
 def eigenenergy(params: JCParams, n: int, branch) -> float:
     """Closed-form eigenvalue for |n, +->, or the |0, g> ground energy."""
     b = _branch(branch)
@@ -130,7 +142,8 @@ def eigenenergy(params: JCParams, n: int, branch) -> float:
         return -0.5 * params.omega_s
     if n < 1:
         raise ValueError(f"branch {b!r} needs n >= 1, got {n}")
-    rabi = math.sqrt(params.delta_f ** 2 + params.gamma_f ** 2 * n)
+    e, g, scale = _rescaled(params)
+    rabi = scale * math.sqrt(e ** 2 + g ** 2 * n)
     sign = 1.0 if b == "plus" else -1.0
     return params.omega_f * ((n - 0.5) + 0.5 * sign * rabi)
 
@@ -264,9 +277,9 @@ def dressed_frame(params: JCParams, trunc: TruncationConfig) -> DressedFrame:
             "level n = 1 is exactly degenerate (kappa = 0, delta = 0)")
     n_max = trunc.n_fock
     n = np.arange(1, n_max + 1)
-    e, g = params.delta_f, params.gamma_f
-    half = 0.5 * np.arctan2(g * np.sqrt(n), e)
-    rabi = np.sqrt(e ** 2 + g ** 2 * n)
+    half = 0.5 * np.arctan2(params.gamma_f * np.sqrt(n), params.delta_f)
+    e, g, scale = _rescaled(params)
+    rabi = scale * np.sqrt(e ** 2 + g ** 2 * n)
     energies = np.empty(trunc.dim)
     energies[0] = -0.5 * params.omega_s
     energies[1:-1:2] = params.omega_f * ((n - 0.5) + 0.5 * rabi)

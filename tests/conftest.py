@@ -1,15 +1,23 @@
-"""Every test starts and ends with a cold ``decompose`` cache.
+"""Every test starts and ends with cold per-process caches.
 
-``decompose`` keeps its last cuts per process.  Tests that count the frames
-a command builds, or that patch the frame, need it to build anew.
+``decompose`` keeps its last cuts, ``tail_safe_xmax`` its last searches and
+``cli._moment_table`` each family's moment rule and table.  Tests that count
+the frames, tail bounds or tables a command builds, or that patch what they
+read, need them built anew.
 """
 import pytest
 
+from jcgraph import cli
 from jcgraph.code_construction import decompose
+from jcgraph.gk_states import tail_safe_xmax
+
+CACHES = (decompose, tail_safe_xmax, cli._moment_table)
 
 
 @pytest.fixture(autouse=True)
-def cold_cut_cache():
-    decompose.cache_clear()
+def cold_caches():
+    for cache in CACHES:
+        cache.cache_clear()
     yield
-    decompose.cache_clear()
+    for cache in CACHES:
+        cache.cache_clear()

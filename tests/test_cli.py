@@ -68,6 +68,17 @@ def test_state_commands_answer_at_extreme_frequency_scales(command, exp, capsys)
 
 
 @pytest.mark.parametrize("command", ["verify", "demo", "gk-dump"])
+def test_state_commands_answer_at_a_large_rate_ratio(command, capsys):
+    """omega_s = 1e200 omega_f: ``delta_f ** 2`` used to raise OverflowError in the
+    frame.  The splitting now is finite and swamps omega_f, so the J ladder's gaps
+    round to 0 and the cut is refused: exit 1 with the reason."""
+    argv = [command, "--omega-f", "1", "--omega-s", "1e200", "--kappa", "1",
+            "--n-fock", "20"]
+    rc, _, err = run(argv, capsys)
+    assert rc == 1 and "J ladder not strictly increasing" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "demo", "gk-dump"])
 def test_state_commands_refuse_energies_beyond_doubles(command, capsys):
     """At 1e306 the energies omega_f (N + 1/2 + R_N/2) overflow past N = 174: exit 2
     before any state is built, naming that N, which still answers."""

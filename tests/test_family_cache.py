@@ -1,0 +1,136 @@
+"""Per-family tables of ``verify``: built once per process, at any JC point.
+
+A Gazeau-Klauder state depends on its weight family and its ladder length,
+not on the JC point, so ``tail_safe_xmax`` and ``cli._moment_table`` keep
+what they build.  A warm ``verify`` at a new point must search no tail and
+build no moment table or rule, and print what a cold one prints.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from jcgraph import cli, gk_states
+from jcgraph.code_construction import decompose
+from jcgraph.gk_states import builtin_family, jc_families, tail_mass, tail_safe_xmax
+from jcgraph.hilbert import QuadratureRule
+
+PAIRS = [("factorial",) * 2, ("uniform_moment",) * 2, ("factorial", "uniform_moment"),
+         ("uniform_moment", "factorial")]
+PAIR_IDS = ["factorial", "uniform_moment", "factorial-uniform_moment",
+            "uniform_moment-factorial"]
+
+
+def _cold():
+    for cache in (decompose, tail_safe_xmax, cli._moment_table):
+        cache.cache_clear()
+
+
+def _count(monkeypatch, name):
+    calls, original = [], getattr(gk_states, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(gk_states, name, counted)
+    return calls
+
+
+def _verify(argv, capsys):
+    rc = cli.main(argv)
+    return (rc, *capsys.readouterr())
+
+
+def _families(pair, n_fock):
+    cfg = cli.resolve_run_config({"omega_f": 1.0, "omega_s": 0.8, "kappa": 0.7,
+                                  "n_fock": n_fock, "family1": pair[0],
+                                  "family2": pair[1]})
+    code = decompose(cfg.params, cfg.k0, cfg.trunc, cfg.m0)
+    return cfg, code, jc_families(code, cfg.family1, cfg.family2)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)
+def test_a_warm_verify_searches_no_tail_and_builds_no_table(pair, monkeypatch, capsys):
+    """The second point shares N and the families with the first: no tail bound,
+    moment table or rule is built for it, and it prints what a cold run prints."""
+    families = ["--family1", pair[0], "--family2", pair[1], "--n-fock", "40"]
+    first = ["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7", *families]
+    second = ["verify", "--omega-f", "1", "--omega-s", "0.81", "--kappa", "0.69", *families]
+    _verify(first, capsys)
+    tails = _count(monkeypatch, "tail_mass")
+    moments = _count(monkeypatch, "moment_diagonals")
+    rules = []
+    for name in ("gauss_legendre", "gauss_laguerre"):
+        build = getattr(QuadratureRule, name)
+        monkeypatch.setattr(QuadratureRule, name, staticmethod(
+            lambda *args, build=build, name=name: rules.append(name) or build(*args)))
+    warm = _verify(second, capsys)
+    assert (len(tails), len(moments), len(rules)) == (0, 0, 0)
+    _cold()
+    cold = _verify(second, capsys)
+    assert tails and moments and rules
+    assert warm == cold and warm[0] == 0
+
+
+def test_cached_tables_are_read_only():
+    rule, table = cli._moment_table(builtin_family("factorial"), 40)
+    for a in (rule.nodes, rule.log_weights, table):
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+
+
+def test_a_non_finite_rule_raises_on_every_call():
+    nan_rho = dataclasses.replace(builtin_family("uniform_moment"), name="nan_rho",
+                                  log_rho=lambda x: np.full(np.shape(x), np.nan))
+    for _ in range(2):
+        with pytest.raises(cli.UsageError, match="non-finite nodes or weights"):
+            cli._moment_table(nan_rho, 40)
+    assert cli._moment_table.cache_info().currsize == 0
+
+
+def test_a_float_cutoff_does_not_share_a_search():
+    fam = builtin_family("factorial")
+    tail_safe_xmax(fam, 159, 1e-6)
+    with pytest.raises(TypeError):
+        tail_safe_xmax(fam, 159.0, 1e-6)
+
+
+@pytest.mark.parametrize("n_fock", [60, 160])
+@pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)
+def test_the_sample_x_range_is_tail_safe_on_both_ladders(pair, n_fock):
+    """x_hi is the smallest of both ladders' tail-safe x (and of 0.95 R), so the
+    samples' states drop at most 1e-6 of their mass on either ladder."""
+    _, _, families = _families(pair, n_fock)
+    x_hi = cli._x_range(families)
+    assert x_hi == min(min(tail_safe_xmax(spec.family, spec.terms - 1, 1e-6),
+                           0.95 * spec.family.radius) for spec in families)
+    for spec in families:
+        assert tail_mass(spec.family, x_hi, spec.terms - 1) <= 1e-6
+
+
+def _uniform_draw(cfg, code, families):
+    """``_draw`` as written with ``rng.uniform(0, h)``, kept as an oracle."""
+    x_hi, t_hi = cli._x_range(families), 10.0 / cfg.params.omega_f
+    rng = np.random.default_rng(cfg.seed)
+    gens = [(int(rng.integers(1, 4)), float(rng.uniform(0.0, x_hi)),
+             float(rng.uniform(0.0, t_hi))) for _ in range(40)]
+    coeffs = np.array([rng.normal(size=len(gens)) for _ in range(8)])
+    dim_code, states = code.code_basis.shape[1], []
+    for _ in range(5):
+        a = rng.normal(size=dim_code) + 1j * rng.normal(size=dim_code)
+        states.append((a / np.linalg.norm(a), float(rng.uniform(0.0, x_hi)),
+                       float(rng.uniform(0.0, t_hi))))
+    return [list(col) for col in zip(*gens)], coeffs, [list(col) for col in zip(*states)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 63), pair=st.sampled_from(PAIRS))
+def test_draw_takes_the_uniform_samples(seed, pair):
+    cfg, code, families = _families(pair, 30)
+    cfg = dataclasses.replace(cfg, seed=seed)
+    got, want = cli._draw(cfg, code, families), _uniform_draw(cfg, code, families)
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2][1:] == want[2][1:]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got[2][0], want[2][0]))

@@ -277,6 +277,21 @@ def test_frame_scales_with_the_triple(scale):
         assert mixing_angle(p, k) == pytest.approx(mixing_angle(ref, k), rel=1e-14)
 
 
+@pytest.mark.parametrize("omega_s, kappa", [(1e200, 1.0), (1e300, 1e300), (1.0, 1e300),
+                                            (1.7e308, 1e100)])
+def test_rabi_splitting_cannot_overflow_at_large_rate_ratios(omega_s, kappa):
+    """delta_f ** 2 or gamma_f ** 2 overflowed a Python float here (OverflowError);
+    formed at a power-of-two scale, the splitting is the hypot of the rates."""
+    p, n = JCParams(1.0, omega_s, kappa), np.arange(1, 21)
+    frame = dressed_frame(p, TruncationConfig(20))
+    rabi = np.hypot(p.delta_f, p.gamma_f * np.sqrt(n))
+    np.testing.assert_allclose(frame.energies[1:-1:2], (n - 0.5) + 0.5 * rabi, rtol=1e-15)
+    np.testing.assert_allclose(frame.energies[2:-1:2], (n - 0.5) - 0.5 * rabi, rtol=1e-15)
+    for k in (1, 20):
+        assert eigenenergy(p, k, "plus") == frame.energies[2 * k - 1]
+        assert eigenenergy(p, k, "minus") == frame.energies[2 * k]
+
+
 def test_signed_zero_coupling_builds_one_frame():
     """JCParams(.., 0.0) == JCParams(.., -0.0), so both must give the same frame."""
     plus, minus = JCParams(1.0, 1.2, 0.0), JCParams(1.0, 1.2, -0.0)
