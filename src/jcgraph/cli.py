@@ -64,6 +64,8 @@ def load_config_file(path: str) -> dict:
         read = parser.read(path)
     except configparser.Error as exc:
         raise UsageError(f"cannot parse config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not read:
         raise UsageError(f"config file not found: {path}")
     values: dict = {}
@@ -158,7 +160,11 @@ def _emit(text, out: str | None) -> None:
     """Write a string, or an iterable of strings in turn, to ``out`` or stdout."""
     chunks = (text,) if isinstance(text, str) else text
     if out:
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot open output file {out}: {exc.strerror}") from exc
+        with fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)

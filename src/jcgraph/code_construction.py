@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import TruncationConfig, ValidationError
-from .jc_spectrum import DressedFrame, JCParams, dressed_frame, eigenenergy
+from .jc_spectrum import DressedFrame, JCParams, dressed_frame
 
 _WALK_CAP = 64  # steps the closed-form start may move; rounding needs a few
 _MAX_SWEEP_ROWS = 10 ** 6  # a larger sweep is refused before it is allocated
@@ -46,15 +46,6 @@ class EnergyOrderError(CutConstraintError):
         super().__init__(message)
         self.index = index
         self.gap = gap
-
-
-def s_sequence(params: JCParams, k: int) -> float:
-    """Lower-branch energy ladder: S_0 = E_{0,g}, S_k = E_{k,-} for k >= 1."""
-    if k < 0:
-        raise ValueError(f"sequence index must be >= 0, got {k}")
-    if k == 0:
-        return eigenenergy(params, 0, "ground")
-    return eigenenergy(params, k, "minus")
 
 
 def _first_gap_index(gamma_f: float, gamma_s: float) -> int:

@@ -68,9 +68,6 @@ class WeightFamily:
     log_rho: Callable[[np.ndarray], np.ndarray]
     log_n_squared: Callable[[float], float]
 
-    def tau(self, x):
-        return np.exp(self.log_n_squared(x) + self.log_rho(x))
-
     def moment_rule(self, n_nodes: int) -> QuadratureRule:
         """Quadrature rule with sum w_i f(x_i) ~ int_0^R rho(x) f(x) dx.
 
@@ -290,8 +287,7 @@ class GKFamilySpec:
     a ladder is a view of the code's frame and index partition.
     ``energies`` are the h_k and ``start_index`` is n of |e_0> = |n, +->
     (1 on the upper branch, k0 on the lower), so truncation needs are
-    reported as photon cutoffs.  The dense dim x terms
-    ``embedding`` of the |e_k> is built on demand for the dense oracles.
+    reported as photon cutoffs.
     """
 
     family: WeightFamily
@@ -311,10 +307,6 @@ class GKFamilySpec:
     def start_index(self) -> int:
         # (n, +) sits at 2n - 1 and (n, -) at 2n
         return (int(self.index[0]) + 1) // 2
-
-    @property
-    def embedding(self) -> np.ndarray:
-        return self.frame.embed(self.index, np.eye(self.terms))
 
 
 def _phases(spec: GKFamilySpec, y) -> np.ndarray:
@@ -438,39 +430,6 @@ def verify_temporal_stability(spec: GKFamilySpec, eig_residual: float, gram: flo
     u = 2.0 ** -53
     rho = eig_residual + 20.0 * u * float(np.abs(spec.frame.energies).max())
     return 2e-12 + 2.0 * (gram + 4.0 * u) + (t_max * rho) ** 2
-
-
-@dataclass(frozen=True)
-class ActionIdentityCheck:
-    """Expectation of the ladder generator in |x, 0>, with its guarantee flag."""
-
-    value: float
-    guaranteed: bool
-    terms: int
-
-
-def verify_action_identity(family: WeightFamily, x: float,
-                           energies: np.ndarray | None = None,
-                           n_terms: int = 400) -> ActionIdentityCheck:
-    """<x, 0| G |x, 0> for G = sum_k h_k |e_k><e_k|.
-
-    The expectation equals x exactly when h_0 = 0 and h_k = c_k / c_{k-1}
-    (the canonical ladder h_k = k with the factorial family); otherwise the
-    value is still returned but flagged as not guaranteed.
-    """
-    if energies is None:
-        h = np.arange(n_terms, dtype=float)
-    else:
-        h = np.asarray(energies, dtype=float)
-    p = family.probabilities(x, h.size - 1)
-    value = float((h * p).sum())
-    guaranteed = h[0] == 0.0
-    if guaranteed:
-        ks = np.arange(1, min(h.size, 60))
-        ratios = np.array([math.exp(family.log_weight(int(k))
-                                    - family.log_weight(int(k) - 1)) for k in ks])
-        guaranteed = bool(np.abs(h[ks] - ratios).max() < 1e-9)
-    return ActionIdentityCheck(value=value, guaranteed=guaranteed, terms=h.size)
 
 
 def dump_family(spec: GKFamilySpec, xs: Sequence[float],

@@ -44,10 +44,6 @@ class UnsupportedFamilyError(ValueError):
     """Identity membership requested with an unsuitable weight family."""
 
 
-class InvalidAnticliqueError(ValueError):
-    """Anticlique verification needs a projector of rank at least 2."""
-
-
 class InvalidDensityError(ValueError):
     """Channel input is not a density operator within tolerance."""
 
@@ -189,31 +185,6 @@ def frame_generator(code: CodeSpec, families: Sequence[GKFamilySpec],
     return out if np.ndim(j) else out[0]
 
 
-def q_operator(x: float, families: Sequence[GKFamilySpec],
-               code: CodeSpec) -> np.ndarray:
-    """Weighted graph element Q_x combining both ladders and the H3 block.
-
-    Coefficients: 1 on the first ladder projector, tau2/tau1 on the
-    second, 1/(R tau1(x)) on P3.  Requires the first family to have a
-    finite convergence radius R (otherwise the H3 coefficient vanishes
-    identically and membership fails).
-    """
-    fam1 = families[0].family
-    fam2 = families[1].family
-    if not math.isfinite(fam1.radius):
-        raise UnsupportedFamilyError(
-            f"family {fam1.name!r} has infinite convergence radius; identity "
-            "membership needs a finite-radius family such as 'uniform_moment'")
-    if not 0.0 <= x < min(fam1.radius, fam2.radius):
-        raise ValueError(f"x = {x} outside both family domains")
-    tau1 = float(fam1.tau(x))
-    ratio = float(fam2.tau(x)) / tau1
-    third = 1.0 / (fam1.radius * tau1)
-    return (_ladder_projector(families[0], x, 0.0)
-            + ratio * _ladder_projector(families[1], x, 0.0)
-            + third * code.p3)
-
-
 def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
                                rule: QuadratureRule,
                                diagonals: Sequence[np.ndarray]) -> float:
@@ -301,27 +272,6 @@ def knill_laflamme_frame(w: np.ndarray, ms, tol: float = 1e-8) -> VerificationRe
         report.add(CheckRecord(name=f"op[{i}]", residual=residual, tolerance=tol,
                                passed=residual < tol, alpha=alpha))
     return report
-
-
-def verify_anticlique(code: CodeSpec, generators: Sequence, tol: float = 1e-8,
-                      projector: np.ndarray | None = None) -> VerificationReport:
-    """Knill-Laflamme verification of the H3 block (or a sub-projector of it).
-
-    Accepts GraphGenerator samples or raw operators; linear combinations
-    of generators may be included directly since the condition is linear.
-    """
-    p = code.p3 if projector is None else np.asarray(projector, dtype=complex)
-    rank = round(float(np.trace(p).real))
-    if rank < 2:
-        raise InvalidAnticliqueError(
-            f"anticlique projector must have rank >= 2, got rank {rank}")
-    names = []
-    for i, g in enumerate(generators):
-        if isinstance(g, GraphGenerator):
-            names.append(f"generator[j={g.j},x={g.x:.6g},t={g.t:.6g}]")
-        else:
-            names.append(f"sample[{i}]")
-    return knill_laflamme_check(p, generators, tol=tol, names=names)
 
 
 @dataclass(frozen=True)

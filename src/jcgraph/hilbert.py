@@ -5,13 +5,10 @@ is flattened to index 2n + s with g = 0 and e = 1, so the truncated space
 has dimension 2(N + 1).  States are complex vectors of that length and
 operators are complex matrices; both are plain numpy arrays.
 
-Besides the indexing helpers this module provides two averaging oracles
-that only the tests use: the analytic Bohr mean of a quasi-periodic
-operator family (diagonal extraction) and its brute-force counterpart, a
-finite-time average.  It also builds the Gaussian quadrature rules for the
-radial integrals with numpy alone: Newton on the Legendre recurrence, and
-the Laguerre Jacobi matrix's eigenvalues polished by one Newton step, with
-weights kept as logs.
+Besides the indexing helpers this module builds the Gaussian quadrature
+rules for the radial integrals with numpy alone: Newton on the Legendre
+recurrence, and the Laguerre Jacobi matrix's eigenvalues polished by one
+Newton step, with weights kept as logs.
 """
 from __future__ import annotations
 
@@ -19,7 +16,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -32,18 +29,16 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Photon cutoff N together with the admissible neglected tail mass."""
+    """Photon cutoff N; every state's neglected tail mass is held to ``tail_tol``."""
 
     n_fock: int
-    tail_tol: float = 1e-9
+    tail_tol: ClassVar[float] = 1e-9
 
     def __post_init__(self) -> None:
         # an integral cutoff only: 20.0 would equal 20 yet break the index arrays
         object.__setattr__(self, "n_fock", operator.index(self.n_fock))
         if self.n_fock < 2:
             raise ValueError(f"n_fock must be >= 2, got {self.n_fock}")
-        if not 0.0 < self.tail_tol < 1.0:
-            raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
 
     @property
     def dim(self) -> int:
@@ -95,45 +90,6 @@ def projector_onto(vectors: Sequence[np.ndarray], dim: int | None = None,
     return v_mat @ v_mat.conj().T
 
 
-def bohr_mean_diagonal(h: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Exact Bohr mean of t -> e^{-iHt} M e^{iHt} for H = diag(h).
-
-    With strictly increasing h every off-diagonal phase e^{-i(h_j - h_k)t}
-    averages to zero, so the mean is the diagonal part of M.  Repeated
-    h values would leave surviving off-diagonal terms, so they are rejected.
-    """
-    h = np.asarray(h, dtype=float)
-    m = np.asarray(m, dtype=complex)
-    if h.ndim != 1 or m.shape != (h.size, h.size):
-        raise ValueError("shape mismatch between h and M")
-    gaps = np.diff(h)
-    if h.size > 1 and gaps.min() <= 0:
-        i = int(np.argmin(gaps))
-        raise ValidationError(
-            f"h must be strictly increasing; h[{i + 1}] - h[{i}] = {gaps[i]:.3e}"
-        )
-    return np.diag(np.diag(m)).astype(complex)
-
-
-def finite_time_mean(f: Callable[[float], np.ndarray], t_max: float,
-                     samples: int) -> np.ndarray:
-    """Brute-force average (1/2T) int_{-T}^{T} f(y) dy by the trapezoid rule.
-
-    ``f`` maps a scalar time to an operator.  Convergence to the Bohr mean
-    is O(1/(T * gap)) for quasi-periodic families, so this is only a
-    cross-check oracle, never the production path.
-    """
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
-    ys = np.linspace(-t_max, t_max, samples)
-    acc = 0.5 * (np.asarray(f(ys[0]), dtype=complex) + np.asarray(f(ys[-1]), dtype=complex))
-    for y in ys[1:-1]:
-        acc = acc + f(y)
-    return acc * ((ys[1] - ys[0]) / (2.0 * t_max))
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and log weights approximating int f(x) w(x) dx over the support.
@@ -150,12 +106,6 @@ class QuadratureRule:
             raise ValueError("nodes and log weights must be 1-d arrays of equal length")
         if self.nodes.size < 2:
             raise ValueError("a quadrature rule needs at least 2 nodes")
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The linear weights; those below the smallest double are 0."""
-        with np.errstate(under="ignore"):
-            return np.exp(self.log_weights)
 
     @staticmethod
     def gauss_legendre(a: float, b: float, n: int) -> "QuadratureRule":

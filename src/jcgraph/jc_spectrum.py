@@ -25,11 +25,12 @@ exact eigenvector with its diagonal energy omega_f N + omega_s / 2.
 The block of level n sits on the neighbouring product indices 2n - 1
 (|n-1, e>) and 2n (|n, g>), so ``DressedFrame`` holds the whole dressed
 basis as two half-angle arrays and the energies, and U_t is diagonal in
-it; ``spectrum_residuals`` checks it against H block by block.
-The dense ``hamiltonian_matrix``, ``dressed_basis`` and
-``evolution_operator`` are reference forms that the tests compare the frame
-against; no command calls them.  They stay in the package because
-perfbench's tracer wraps them by name.
+it; ``spectrum_residuals`` checks it against H block by block.  The
+level-by-level closed forms (mixing angle, eigenenergy, dressed vector)
+are test oracles in ``tests/oracles.py``.  The dense
+``hamiltonian_matrix``, ``dressed_basis`` and ``evolution_operator`` are
+reference forms too, and no command calls them; they stay in the package
+because perfbench's tracer wraps them by name.
 """
 from __future__ import annotations
 
@@ -40,19 +41,8 @@ import numpy as np
 
 from .hilbert import TruncationConfig, basis_index
 
-_BRANCH_ALIASES = {"plus": "plus", "+": "plus", "minus": "minus", "-": "minus",
-                   "ground": "ground", "g": "ground"}
-
-
 class DegenerateLevelError(ValueError):
     """Mixing angle requested for an exactly degenerate uncoupled level."""
-
-
-def _branch(name) -> str:
-    try:
-        return _BRANCH_ALIASES[name]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown branch {name!r}; expected 'plus', 'minus' or 'ground'") from None
 
 
 @dataclass(frozen=True)
@@ -102,25 +92,6 @@ class JCParams:
         return cls(omega_f=omega_f, omega_s=kappa / gamma_s, kappa=kappa)
 
 
-def mixing_angle(params: JCParams, n: int) -> float:
-    """theta_n = atan2(gamma_f sqrt(n), delta_f), continuous through delta = 0.
-
-    The same angle as atan2(kappa sqrt(n), delta), read off the rates, as
-    ``dressed_frame`` reads it.
-
-    Lies in (0, pi) whenever kappa > 0 and equals pi/2 on resonance.  For
-    kappa = 0 the angle degenerates to 0 or pi depending on the sign of
-    the detuning; with delta = 0 as well the doublet is exactly degenerate
-    and no angle exists.
-    """
-    if n < 1:
-        raise ValueError(f"mixing angle needs n >= 1, got {n}")
-    if params.kappa == 0.0 and params.delta == 0.0:
-        raise DegenerateLevelError(
-            f"level n = {n} is exactly degenerate (kappa = 0, delta = 0)")
-    return math.atan2(params.gamma_f * math.sqrt(n), params.delta_f)
-
-
 def _rescaled(params: JCParams) -> tuple:
     """(delta_f / s, gamma_f / s, s) for the power of two s <= max(|delta_f|, gamma_f) < 2s.
 
@@ -131,43 +102,6 @@ def _rescaled(params: JCParams) -> tuple:
     e, g = params.delta_f, params.gamma_f
     scale = math.ldexp(1.0, math.frexp(max(abs(e), g))[1] - 1)
     return e / scale, g / scale, scale
-
-
-def eigenenergy(params: JCParams, n: int, branch) -> float:
-    """Closed-form eigenvalue for |n, +->, or the |0, g> ground energy."""
-    b = _branch(branch)
-    if b == "ground":
-        if n != 0:
-            raise ValueError("the ground branch has n = 0")
-        return -0.5 * params.omega_s
-    if n < 1:
-        raise ValueError(f"branch {b!r} needs n >= 1, got {n}")
-    e, g, scale = _rescaled(params)
-    rabi = scale * math.sqrt(e ** 2 + g ** 2 * n)
-    sign = 1.0 if b == "plus" else -1.0
-    return params.omega_f * ((n - 0.5) + 0.5 * sign * rabi)
-
-
-def dressed_vector(params: JCParams, n: int, branch,
-                   trunc: TruncationConfig) -> np.ndarray:
-    """Dressed eigenvector of the truncated Hamiltonian as a dense vector."""
-    b = _branch(branch)
-    v = np.zeros(trunc.dim, dtype=complex)
-    if b == "ground":
-        if n != 0:
-            raise ValueError("the ground branch has n = 0")
-        v[basis_index(0, "g", trunc)] = 1.0
-        return v
-    if not 1 <= n <= trunc.n_fock:
-        raise ValueError(
-            f"dressed level n = {n} outside the truncated range 1..{trunc.n_fock}")
-    half = 0.5 * mixing_angle(params, n)
-    ce, cg = math.sin(half), math.cos(half)
-    if b == "minus":
-        ce, cg = cg, -ce
-    v[basis_index(n - 1, "e", trunc)] = ce
-    v[basis_index(n, "g", trunc)] = cg
-    return v
 
 
 def hamiltonian_matrix(params: JCParams, trunc: TruncationConfig) -> np.ndarray:
@@ -186,19 +120,6 @@ def hamiltonian_matrix(params: JCParams, trunc: TruncationConfig) -> np.ndarray:
         h[basis_index(n - 1, "e"), basis_index(n, "g")] = g
         h[basis_index(n, "g"), basis_index(n - 1, "e")] = g
     return h
-
-
-def dressed_index(branch: str, n):
-    """Position of the level (branch, n) in the dressed order, for n >= 1.
-
-    (n, +) sits at 2n - 1 and (n, -) at 2n, the product indices of |n-1, e>
-    and |n, g>; ``n`` may be an integer array.  ``branch`` takes the names
-    of ``eigenenergy``; the ground level, at 0, is no doublet and raises.
-    """
-    branch = _branch(branch)
-    if branch == "ground":
-        raise ValueError("dressed_index needs 'plus' or 'minus'; the ground level sits at 0")
-    return 2 * n - (branch == "plus")
 
 
 @dataclass(frozen=True)
@@ -320,8 +241,8 @@ class DressedBasis:
     """Full eigenbasis of the truncated Hamiltonian, as a dense reference.
 
     ``vectors`` holds the eigenvectors as columns, ordered ground,
-    (1,+), (1,-), ..., (N,+), (N,-), and finally the decoupled |N, e>; the
-    module function ``dressed_index`` gives the column of a level (branch, n).
+    (1,+), (1,-), ..., (N,+), (N,-), and finally the decoupled |N, e>, so
+    (n, +) sits in column 2n - 1 and (n, -) in column 2n.
     No command builds it: the tests compare ``DressedFrame`` against it.
     """
 

@@ -8,8 +8,8 @@ import time
 
 import numpy as np
 
-from jcgraph.hilbert import TruncationConfig, bohr_mean_diagonal, finite_time_mean
-from jcgraph.jc_spectrum import JCParams, dressed_basis, eigenenergy, hamiltonian_matrix
+from jcgraph.hilbert import TruncationConfig
+from jcgraph.jc_spectrum import JCParams, dressed_basis, hamiltonian_matrix
 from jcgraph.code_construction import (
     decompose,
     minimal_k0,
@@ -32,10 +32,10 @@ from jcgraph.graph_verify import (
     generator,
     knill_laflamme_check,
     leak_probe,
-    verify_anticlique,
     verify_identity_membership,
 )
-from oracles import stability_grid
+from oracles import (bohr_mean_diagonal, eigenenergy, finite_time_mean, stability_grid,
+                     verify_anticlique)
 
 TWO_PI = 2.0 * math.pi
 HAROCHE = JCParams(omega_f=TWO_PI * 51.1e9, omega_s=TWO_PI * 51.1e9,

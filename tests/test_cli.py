@@ -292,6 +292,21 @@ def test_sweep_grid_row_order(capsys):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["0.5", "1", "0.5", "1"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["mindim"] + STRONG,
+    ["sweep", "--resonant", "--gamma-f-min", "1", "--gamma-f-max", "2",
+     "--gamma-f-steps", "3"],
+    ["verify"] + SMALL,
+], ids=["mindim", "sweep", "verify"])
+@pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["no-dir", "a-dir"])
+def test_unwritable_out_is_a_usage_error(argv, target, tmp_path, capsys):
+    path = tmp_path / target
+    rc, out, err = run(argv + ["--out", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot open output file {path}: ")
+    assert not any(tmp_path.iterdir())  # a refused command writes nothing
+
+
 def test_sweep_to_file(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     argv = ["sweep", "--gamma-f-min", "1", "--gamma-f-max", "2",
@@ -557,6 +572,11 @@ def test_config_file_errors(tmp_path, capsys):
     rc, _, err = run(["mindim", "--config", str(weird),
                       "--omega-f", "1", "--omega-s", "1", "--kappa", "0.5"], capsys)
     assert rc == 2
+    # bytes that are not UTF-8
+    bad.write_bytes(b"\xff\xfe\x00bad = \xff")
+    rc, out, err = run(["mindim"] + STRONG + ["--config", str(bad)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot read config file {bad}")
 
 
 def test_config_values_are_literal(tmp_path, capsys):

@@ -44,10 +44,10 @@ from jcgraph.graph_verify import (
 )
 from jcgraph.hilbert import QuadratureRule, TruncationConfig, ValidationError, basis_index
 from jcgraph.jc_spectrum import (JCParams, dressed_basis, dressed_frame,
-                                 dressed_index, dressed_vector, eigenenergy,
                                  evolution_operator, hamiltonian_matrix,
                                  spectrum_residuals)
-from oracles import stability_grid
+from oracles import (dressed_index, dressed_vector, eigenenergy, embedding,
+                     stability_grid, weights)
 
 FAMILIES = ("uniform_moment", "factorial")
 ORACLE_TOL = 1e-12
@@ -74,13 +74,6 @@ def build(params, trunc, family):
     fam = builtin_family(family)
     code = decompose(params, k0, trunc)
     return code, jc_families(code, fam, fam)
-
-
-def cli_x_range(families):
-    """x_hi as `verify` draws it for the graph samples and the channel."""
-    spec = families[0]
-    hi = xmax(spec.family.name, spec.terms, 1e-6)
-    return min(hi, 0.95 * spec.family.radius) if spec.family.radius < np.inf else hi
 
 
 def test_vectorized_basis_matches_closed_forms_column_by_column():
@@ -351,7 +344,7 @@ def test_frame_knill_laflamme_matches_dense_check(system, seed):
     params, trunc, family = system
     code, families = build(params, trunc, family)
     rng = np.random.default_rng(seed)
-    x_hi = cli_x_range(families)
+    x_hi = cli._x_range(families)
     draws = [(j, float(rng.uniform(0.0, x_hi)), float(rng.uniform(0.0, 10.0)))
              for j in (1, 2, 3, 1, 2, 1, 2)]
     ops = [generator(code, families, j, x, t).operator
@@ -384,14 +377,14 @@ def test_pure_state_channel_matches_dense_channel(system, seed):
     params, trunc, family = system
     code, families = build(params, trunc, family)
     rng = np.random.default_rng(seed)
-    x = float(rng.uniform(0.0, cli_x_range(families)))
+    x = float(rng.uniform(0.0, cli._x_range(families)))
     t = float(rng.uniform(0.0, 10.0))
     amps = rng.normal(size=code.code_basis.shape[1]) \
         + 1j * rng.normal(size=code.code_basis.shape[1])
     code_state = code.code_basis @ (amps / np.linalg.norm(amps))
     # any unit vector: generic weights on both ladders and the complement
     generic = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
-    generic = generic / np.linalg.norm(generic) + families[1].embedding[:, 0]
+    generic = generic / np.linalg.norm(generic) + embedding(families[1])[:, 0]
     generic /= np.linalg.norm(generic)
     channel = dephasing_channel(families, x, t)
     for v in (code_state, generic, leak_probe(code, families, x, t)):
@@ -430,7 +423,7 @@ def test_batched_ladder_vectors_match_one_column_at_a_time(system, seed):
     params, trunc, family = system
     _, families = build(params, trunc, family)
     rng = np.random.default_rng(seed)
-    xs = np.append(rng.uniform(0.0, cli_x_range(families), 6), 0.0)
+    xs = np.append(rng.uniform(0.0, cli._x_range(families), 6), 0.0)
     ts = rng.uniform(-10.0, 10.0, xs.size)
     for spec in families:
         batch = graph_verify.ladder_vector(spec, xs, ts)
@@ -461,7 +454,7 @@ def test_stacked_knill_laflamme_matches_one_matrix_at_a_time(system, seed):
     rng = np.random.default_rng(seed)
     n = 12
     js = rng.integers(1, 4, n)
-    xs, ts = rng.uniform(0.0, cli_x_range(families), n), rng.uniform(0.0, 10.0, n)
+    xs, ts = rng.uniform(0.0, cli._x_range(families), n), rng.uniform(0.0, 10.0, n)
     stack = frame_generator(code, families, js, xs, ts)
     assert stack.shape == (n, code.k0, code.k0)
     for m, j, x, t in zip(stack, js.tolist(), xs.tolist(), ts.tolist()):
@@ -489,12 +482,12 @@ def test_batched_channel_matches_one_state_at_a_time(system, seed):
     params, trunc, family = system
     code, families = build(params, trunc, family)
     rng = np.random.default_rng(seed)
-    xs, ts = rng.uniform(0.0, cli_x_range(families), 4), rng.uniform(0.0, 10.0, 4)
+    xs, ts = rng.uniform(0.0, cli._x_range(families), 4), rng.uniform(0.0, 10.0, 4)
     dim_code = code.code_basis.shape[1]
     amps = rng.normal(size=(dim_code, 2)) + 1j * rng.normal(size=(dim_code, 2))
     # any unit vector: generic weights on both ladders and the complement
     generic = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
-    generic = generic / np.linalg.norm(generic) + families[1].embedding[:, 0]
+    generic = generic / np.linalg.norm(generic) + embedding(families[1])[:, 0]
     vs = np.column_stack([code.code_basis @ (amps / np.linalg.norm(amps, axis=0)),
                           generic / np.linalg.norm(generic),
                           leak_probe(code, families, xs[3], ts[3])])
@@ -517,7 +510,7 @@ def ladder_diagonals(spec, rule):
 
 def dense_resolution_residual(spec, rule):
     """max |E diag(d) E+ - E E+|, the ladder projector and its reconstruction."""
-    e = spec.embedding
+    e = embedding(spec)
     diag = ladder_diagonals(spec, rule)
     return float(np.abs((e * diag) @ e.conj().T - e @ e.conj().T).max())
 
@@ -533,8 +526,8 @@ def dense_identity_reconstruction(code, families, rule):
         eff = QuadratureRule(nodes=rule.nodes,
                              log_weights=rule.log_weights + fam.log_rho(rule.nodes))
         diag = moment_diagonals(fam, np.arange(spec.terms), eff)
-        recon += (spec.embedding * diag) @ spec.embedding.conj().T
-    return recon + (rule.weights.sum() / families[0].family.radius) * code.p3
+        recon += (embedding(spec) * diag) @ embedding(spec).conj().T
+    return recon + (weights(rule).sum() / families[0].family.radius) * code.p3
 
 
 def dense_identity_residual(code, families, nodes):
@@ -775,9 +768,15 @@ def test_warm_verify_builds_no_frame(monkeypatch, capsys):
 @pytest.mark.parametrize("command, families", [
     ("verify", "factorial"), ("verify", "mixed"), ("demo", "uniform_moment")])
 def test_commands_never_read_a_dense_ladder(monkeypatch, capsys, command, families):
+    """No embed takes a whole ladder's identity: at N = 30, J has 30 rungs and S 28."""
     reads = []
-    monkeypatch.setattr(gk_states.GKFamilySpec, "embedding",
-                        property(lambda spec: reads.append(spec.label)))
+    embed = jc_spectrum.DressedFrame.embed
+
+    def counted(frame, idx, a):
+        if np.shape(a) == (len(idx),) * 2 and len(idx) in (28, 30):
+            reads.append(len(idx))
+        return embed(frame, idx, a)
+    monkeypatch.setattr(jc_spectrum.DressedFrame, "embed", counted)
     fam1, fam2 = ("factorial", "uniform_moment") if families == "mixed" else (families,) * 2
     rc = cli.main([command, "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
                    "--family1", fam1, "--family2", fam2, "--n-fock", "30"])
