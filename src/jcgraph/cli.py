@@ -234,42 +234,21 @@ def _cut(cfg: RunConfig) -> tuple:
         _below("spectrum.gram_identity", gram, 1e-10), *filter(None, [failure])]
 
 
-def _ladder_order(families) -> gv.CheckRecord:
-    """Both ladders strictly increasing: a zero gap fails, whatever the tolerance."""
-    gap_min = min(float(np.diff(spec.energies).min()) for spec in families)
-    return gv.CheckRecord("gk.ladder_increasing", max(0.0, -gap_min), 1e-12, gap_min > 0)
-
-
 @functools.lru_cache(maxsize=8)
-def _moment_table(fam: gk.WeightFamily, terms: int) -> tuple:
-    """The family's moment rule for ``terms`` rungs and its table of d_k, k < terms,
-    built once per process and read-only; a non-finite rule raises on every call."""
-    n_nodes = gk.rule_nodes(terms)
-    rule = fam.moment_rule(n_nodes)
-    if not (np.isfinite(rule.nodes).all() and np.isfinite(rule.log_weights).all()):
-        raise UsageError(f"the {n_nodes}-node moment rule of family "
-                         f"{fam.name!r} has non-finite nodes or weights, "
-                         f"so no moment can be checked with it")
-    table = gk.moment_diagonals(fam, np.arange(terms), rule)
-    for a in (rule.nodes, rule.log_weights, table):
-        a.flags.writeable = False
-    return rule, table
+def _ladder_moments(fam: gk.WeightFamily, terms: int) -> tuple:
+    """A ladder's d_k, k < terms, from the family's closed forms, read-only, and the
+    ``gk.moments`` residual of its 21-node rule on k < min(41, terms), which that
+    rule integrates exactly; built once per process for each (family, terms)."""
+    diag = gk.closed_form_diagonals(fam, terms)
+    diag.flags.writeable = False
+    spot = gk.moment_diagonals(fam, np.arange(min(41, terms)), fam.moment_rule(21))
+    return diag, float(np.abs(spot - 1.0).max())
 
 
-def _moment_tables(families) -> tuple:
-    """Rule and table of d_k, k < N, per family name and for uniform_moment; since
-    ``moment_diagonals`` takes each k alone, a ladder's prefix is its own table."""
-    rules, tables = {}, {}
-    fams = (*(spec.family for spec in families), gk.builtin_family("uniform_moment"))
-    for fam in {f.name: f for f in fams}.values():  # built-ins: one object per name
-        rules[fam.name], tables[fam.name] = _moment_table(fam, families[0].terms)
-    return rules, tables
-
-
-def _ladder_records(spec, table, residuals, cfg: RunConfig) -> list:
-    """Moments and resolution off the ladder's prefix of its table, then stability."""
-    fam, diag = spec.family, table[:spec.terms]
-    moments = float(np.abs(diag[:41] - 1.0).max())
+def _ladder_records(spec, residuals, cfg: RunConfig) -> list:
+    """Moments and resolution off the ladder's closed-form d_k, then stability."""
+    fam = spec.family
+    diag, moments = _ladder_moments(fam, spec.terms)
     resolution = gk.verify_resolution(spec, diag)
     stability = gk.verify_temporal_stability(spec, *residuals, 10.0 / cfg.params.omega_f)
     return [_below(f"gk.moments.{spec.label}.{fam.name}", moments, 1e-8),
@@ -277,12 +256,12 @@ def _ladder_records(spec, table, residuals, cfg: RunConfig) -> list:
             _below(f"gk.temporal_stability.{spec.label}", stability, 1e-9)]
 
 
-def _membership(code, families, rules: dict, tables: dict) -> gv.CheckRecord:
+def _membership(code, families) -> gv.CheckRecord:
     """Identity membership on the same ladders under uniform_moment (finite radius)."""
     uni = gk.builtin_family("uniform_moment")
     mem = [replace(spec, family=uni) for spec in families]
     residual = gv.verify_identity_membership(
-        code, mem, rules[uni.name], [tables[uni.name][:spec.terms] for spec in mem])
+        code, mem, [_ladder_moments(uni, spec.terms)[0] for spec in mem])
     return _below("graph.identity_membership", residual, 1e-6)
 
 
@@ -346,16 +325,14 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
 
     Records come in stage order; a refused cut ends the report.  A record
     passes when its residual is below its tolerance (``_below``), except the
-    ladder order, the anticlique and a refused cut."""
+    anticlique and a refused cut."""
     code, residuals, checks = _cut(cfg)
     if code is None:
         return gv.VerificationReport(checks)
     families = gk.jc_families(code, cfg.family1, cfg.family2)
-    checks.append(_ladder_order(families))
-    rules, tables = _moment_tables(families)
     for spec in families:
-        checks += _ladder_records(spec, tables[spec.family.name], residuals, cfg)
-    checks.append(_membership(code, families, rules, tables))
+        checks += _ladder_records(spec, residuals, cfg)
+    checks.append(_membership(code, families))
     gens, coeffs, states = _draw(cfg, code, families)
     checks += _anticlique(code, families, *gens, coeffs, cfg.tol)
     checks += _channel(code, families, *states)

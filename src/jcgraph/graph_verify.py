@@ -37,7 +37,7 @@ import numpy as np
 
 from .code_construction import CodeSpec
 from .gk_states import GKFamilySpec, TruncationTooSmallError, _phases, _required_n
-from .hilbert import QuadratureRule, TruncationConfig, ValidationError
+from .hilbert import TruncationConfig, ValidationError
 
 
 class UnsupportedFamilyError(ValueError):
@@ -186,7 +186,6 @@ def frame_generator(code: CodeSpec, families: Sequence[GKFamilySpec],
 
 
 def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
-                               rule: QuadratureRule,
                                diagonals: Sequence[np.ndarray]) -> float:
     """Max entrywise deviation of the reconstructed identity from I.
 
@@ -195,14 +194,13 @@ def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
     (each ladder is strictly increasing, so only diagonal terms in its
     embedded basis survive), which turns the integral into moment form:
     the ladder diagonals become int rho_i(x) x^k dx / c_k, given per ladder
-    in ``diagonals`` (from ``moment_diagonals`` over k = 0..terms-1), and
-    the H3 term integrates tau1(x)/(R tau1(x)) = 1/R with the weights of
-    the first family's ``rule``, rho divided out.  The ladders (from
-    ``jc_families(code, ...)``) and H3 are views of the code's partition of
-    the dressed indices, so one dressed weight vector holds all three and
-    the result is read off the blocks of ``code.frame``.  The decoupled
-    |N, e> direction is excluded: no generator has support there, so the
-    reconstruction is zero there.
+    in ``diagonals`` (k = 0..terms-1, as ``verify_resolution`` takes them),
+    and the H3 term int_0^R tau1(x) / (R tau1(x)) dx is exactly 1.  The
+    ladders (from ``jc_families(code, ...)``) and H3 are views of the code's
+    partition of the dressed indices, so one dressed weight vector holds all
+    three and the result is read off the blocks of ``code.frame``.  The
+    decoupled |N, e> direction is excluded: no generator has support there,
+    so the reconstruction is zero there.
     """
     fam1 = families[0].family
     fam2 = families[1].family
@@ -213,8 +211,7 @@ def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
     weights = np.zeros(code.trunc.dim)
     for spec, d in zip(families, diagonals):
         weights[spec.index] = d
-    plain = np.exp(rule.log_weights - fam1.log_rho(rule.nodes))
-    weights[code.h3_indices] = plain.sum() / fam1.radius
+    weights[code.h3_indices] = 1.0
     diag, off = code.frame.block_entries(weights)
     dev = np.abs(diag - 1.0)
     dev[code.decoupled_index] = 0.0

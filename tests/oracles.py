@@ -9,8 +9,9 @@ tests can compare the two.
 - The dressed spectrum level by level: mixing angle, eigenenergy, dense
   eigenvector and its position in the dressed order, and the lower-branch
   ladder S_k.
-- Gazeau-Klauder data: a rule's linear weights, a ladder's dense
-  embedding, the measure density tau and the action identity.
+- Gazeau-Klauder data: a rule's linear weights, the moment table of a
+  ladder-sized Gauss rule, a ladder's dense embedding, the measure density
+  tau and the action identity.
 - The operator graph: the weighted element Q_x and the dense
   Knill-Laflamme check of H3 against sampled generators.
 - The temporal-stability grid under the closed-form bound that `verify`
@@ -21,7 +22,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from jcgraph.gk_states import tail_mass
+from jcgraph.gk_states import moment_diagonals, tail_mass
 from jcgraph.graph_verify import GraphGenerator, knill_laflamme_check, ladder_vector
 from jcgraph.hilbert import ValidationError, basis_index
 from jcgraph.jc_spectrum import DegenerateLevelError, _rescaled
@@ -100,6 +101,25 @@ def weights(rule) -> np.ndarray:
     """A rule's linear weights; those below the smallest double are 0."""
     with np.errstate(under="ignore"):
         return np.exp(rule.log_weights)
+
+
+MOMENT_BLOCK = 1 << 18  # bounds the (k, node) temporaries of moment_table
+
+
+def rule_nodes(terms: int) -> int:
+    """Nodes exact for x^k at every k < terms: n = ceil(terms / 2), degree 2n - 1."""
+    return max(2, (terms + 1) // 2)
+
+
+def moment_table(family, ks, rule=None) -> np.ndarray:
+    """``moment_diagonals`` in blocks of ``MOMENT_BLOCK`` (k, node) entries, by default
+    under the rule of ``rule_nodes(max(ks) + 1)`` nodes, exact at every order."""
+    ks = np.asarray(ks, dtype=np.int64)
+    if rule is None:
+        rule = family.moment_rule(rule_nodes(int(ks.max(initial=0)) + 1))
+    rows = max(1, MOMENT_BLOCK // rule.nodes.size)
+    return np.concatenate([np.empty(0)] + [moment_diagonals(family, ks[i:i + rows], rule)
+                                           for i in range(0, ks.size, rows)])
 
 
 def embedding(spec) -> np.ndarray:

@@ -153,7 +153,7 @@ def test_criterion_6_identity_membership():
     def membership(nodes):
         rule = uni.moment_rule(nodes)
         return verify_identity_membership(
-            code, families, rule,
+            code, families,
             [moment_diagonals(uni, np.arange(spec.terms), rule) for spec in families])
 
     res200 = membership(200)

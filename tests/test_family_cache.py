@@ -1,9 +1,9 @@
-"""Per-family tables of ``verify``: built once per process, at any JC point.
+"""Per-family data of ``verify``: built once per process, at any JC point.
 
 A Gazeau-Klauder state depends on its weight family and its ladder length,
-not on the JC point, so ``tail_safe_xmax`` and ``cli._moment_table`` keep
+not on the JC point, so ``tail_safe_xmax`` and ``cli._ladder_moments`` keep
 what they build.  A warm ``verify`` at a new point must search no tail and
-build no moment table or rule, and print what a cold one prints.
+build no moment diagonals or rule, and print what a cold one prints.
 """
 import dataclasses
 
@@ -23,7 +23,7 @@ PAIR_IDS = ["factorial", "uniform_moment", "factorial-uniform_moment",
 
 
 def _cold():
-    for cache in (decompose, tail_safe_xmax, cli._moment_table):
+    for cache in (decompose, tail_safe_xmax, cli._ladder_moments):
         cache.cache_clear()
 
 
@@ -53,40 +53,41 @@ def _families(pair, n_fock):
 @pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)
 def test_a_warm_verify_searches_no_tail_and_builds_no_table(pair, monkeypatch, capsys):
     """The second point shares N and the families with the first: no tail bound,
-    moment table or rule is built for it, and it prints what a cold run prints."""
+    moment diagonals or rule is built for it, and it prints what a cold run prints."""
     families = ["--family1", pair[0], "--family2", pair[1], "--n-fock", "40"]
     first = ["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7", *families]
     second = ["verify", "--omega-f", "1", "--omega-s", "0.81", "--kappa", "0.69", *families]
     _verify(first, capsys)
     tails = _count(monkeypatch, "tail_mass")
     moments = _count(monkeypatch, "moment_diagonals")
+    diagonals = _count(monkeypatch, "closed_form_diagonals")
     rules = []
     for name in ("gauss_legendre", "gauss_laguerre"):
         build = getattr(QuadratureRule, name)
         monkeypatch.setattr(QuadratureRule, name, staticmethod(
             lambda *args, build=build, name=name: rules.append(name) or build(*args)))
     warm = _verify(second, capsys)
-    assert (len(tails), len(moments), len(rules)) == (0, 0, 0)
+    assert (len(tails), len(moments), len(diagonals), len(rules)) == (0, 0, 0, 0)
     _cold()
     cold = _verify(second, capsys)
-    assert tails and moments and rules
+    assert tails and moments and diagonals and rules
     assert warm == cold and warm[0] == 0
 
 
 def test_cached_tables_are_read_only():
-    rule, table = cli._moment_table(builtin_family("factorial"), 40)
-    for a in (rule.nodes, rule.log_weights, table):
-        with pytest.raises(ValueError):
-            a[0] = a[0]
+    diag, _ = cli._ladder_moments(builtin_family("factorial"), 40)
+    with pytest.raises(ValueError):
+        diag[0] = diag[0]
 
 
-def test_a_non_finite_rule_raises_on_every_call():
+def test_a_non_finite_rule_reads_as_a_failed_spot_check():
+    """A NaN rule is no usage error: its spot check reads NaN, which fails
+    ``gk.moments``, while the closed-form diagonals stay 1."""
     nan_rho = dataclasses.replace(builtin_family("uniform_moment"), name="nan_rho",
                                   log_rho=lambda x: np.full(np.shape(x), np.nan))
-    for _ in range(2):
-        with pytest.raises(cli.UsageError, match="non-finite nodes or weights"):
-            cli._moment_table(nan_rho, 40)
-    assert cli._moment_table.cache_info().currsize == 0
+    diag, spot = cli._ladder_moments(nan_rho, 40)
+    assert np.isnan(spot) and not cli._below("gk.moments", spot, 1e-8).passed
+    assert np.abs(diag - 1.0).max() <= 1e-15
 
 
 def test_a_float_cutoff_does_not_share_a_search():

@@ -17,16 +17,17 @@ from jcgraph.gk_states import (
     TailBoundError,
     TruncationTooSmallError,
     builtin_family,
+    closed_form_diagonals,
     dump_family,
     gk_state,
     jc_families,
     moment_diagonals,
-    rule_nodes,
     tail_mass,
     tail_safe_xmax,
     verify_resolution,
 )
-from oracles import eigenenergy, embedding, stability_grid, tau, verify_action_identity
+from oracles import (eigenenergy, embedding, moment_table, rule_nodes, stability_grid, tau,
+                     verify_action_identity)
 
 PARAMS = JCParams(omega_f=1.0, omega_s=1.0, kappa=0.5)
 
@@ -105,10 +106,11 @@ def test_probabilities_share_one_read_only_log_weight_array():
 
 def test_builtin_families_are_module_values():
     for name in ("factorial", "uniform_moment"):
-        assert builtin_family(name) is builtin_family(name)
+        fam = builtin_family(name)
+        assert builtin_family(name) is fam
         # the shared table would wrap k = -1 to its last entry
         with pytest.raises(ValueError):
-            moment_diagonals(builtin_family(name), [-1])
+            moment_diagonals(fam, [-1], fam.moment_rule(21))
 
 
 def test_probabilities_at_origin():
@@ -429,11 +431,11 @@ def test_moment_diagonals_match_the_loop_bit_for_bit(name, nodes, ks):
 
 
 def test_moment_diagonals_in_blocks_match_the_loop():
-    # 3 000 nodes x 2 000 orders spans several blocks of the vectorized sum
+    # 3 000 nodes x 2 000 orders spans several blocks of the oracle's table
     uni = builtin_family("uniform_moment")
     rule = uni.moment_rule(3000)
     ks = np.arange(2000)
-    np.testing.assert_array_equal(moment_diagonals(uni, ks, rule),
+    np.testing.assert_array_equal(moment_table(uni, ks, rule),
                                   loop_moment_diagonals(uni, ks, rule))
 
 
@@ -451,11 +453,37 @@ def test_moment_diagonals_are_unity():
 @pytest.mark.parametrize("name", ["factorial", "uniform_moment"])
 @pytest.mark.parametrize("terms", [16, 161, 960, 2000])
 def test_ladder_sized_rule_reproduces_every_moment(name, terms):
-    """The default rule has ceil(terms / 2) nodes, exact for x^k at every k < terms."""
+    """The oracle's rule has ceil(terms / 2) nodes, exact for x^k at every k < terms."""
     assert 2 * rule_nodes(terms) - 1 >= terms - 1
     fam = builtin_family(name)
-    dev = np.abs(moment_diagonals(fam, np.arange(terms)) - 1.0)
+    dev = np.abs(moment_table(fam, np.arange(terms)) - 1.0)
     assert dev.max() <= 1e-10
+
+
+def closed_form_bound(name, k):
+    """``closed_form_diagonals``' bound on |log_moments - log c_k|, per order k."""
+    u, k = 2.0 ** -53, np.asarray(k)
+    if name == "uniform_moment":
+        return 4.0 * u * np.log1p(k)
+    rows = gk_states._ROW + -(-k // gk_states._ROW) + 10
+    return rows * u * np.array([math.lgamma(i + 1) for i in k.tolist()])
+
+
+@pytest.mark.parametrize("name", ["factorial", "uniform_moment"])
+@pytest.mark.parametrize("terms", [160, 2000, 10_000])
+def test_closed_forms_agree_within_their_rounding_bound(name, terms):
+    fam = builtin_family(name)
+    log_c = np.array([fam.log_weight(k) for k in range(terms)])
+    gap = np.abs(fam.log_moments(terms) - log_c)
+    assert (gap <= closed_form_bound(name, np.arange(terms))).all()
+    # d_k - 1 is that gap and exp's own rounding
+    dev = np.abs(closed_form_diagonals(fam, terms) - 1.0)
+    assert (dev <= gap * (1.0 + 1e-6) + 2.0 ** -52).all()
+
+
+def test_the_factorial_bound_stays_below_the_resolution_tolerance():
+    """The bound reads 2.5e-8 at k = 5 10^4, where one cumsum's k u log k! is 2.7e-6."""
+    assert closed_form_bound("factorial", np.arange(50_000)).max() < 1e-6
 
 
 def test_moment_diagonals_high_order_stay_finite():

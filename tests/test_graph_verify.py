@@ -7,7 +7,7 @@ import pytest
 from jcgraph.hilbert import TruncationConfig, ValidationError, basis_index
 from jcgraph.jc_spectrum import JCParams, evolution_operator
 from jcgraph.code_construction import decompose
-from jcgraph.gk_states import builtin_family, jc_families, moment_diagonals, rule_nodes
+from jcgraph.gk_states import builtin_family, jc_families
 from jcgraph.graph_verify import (
     CheckRecord,
     CodeLeakageError,
@@ -24,7 +24,7 @@ from jcgraph.graph_verify import (
     transmit_demo,
     verify_identity_membership,
 )
-from oracles import embedding, q_operator, verify_anticlique
+from oracles import embedding, moment_table, q_operator, rule_nodes, verify_anticlique
 
 PARAMS = JCParams(omega_f=1.0, omega_s=1.0, kappa=0.5)
 TRUNC = TruncationConfig(40)
@@ -107,9 +107,9 @@ def test_q_operator_weights():
 
 def membership(families, rule):
     """verify_identity_membership on CODE with every ladder's diagonals under ``rule``."""
-    diagonals = [moment_diagonals(spec.family, np.arange(spec.terms), rule)
+    diagonals = [moment_table(spec.family, np.arange(spec.terms), rule)
                  for spec in families]
-    return verify_identity_membership(CODE, families, rule, diagonals)
+    return verify_identity_membership(CODE, families, diagonals)
 
 
 # exact for every moment of the longer (J) ladder

@@ -24,9 +24,9 @@ from hypothesis import given, settings, strategies as st
 
 from jcgraph import cli, code_construction, gk_states, graph_verify, hilbert, jc_spectrum
 from jcgraph.code_construction import decompose, minimal_k0, minimal_m0
-from jcgraph.gk_states import (builtin_family, gk_state, jc_families, moment_diagonals,
-                               rule_nodes, tail_safe_xmax, verify_resolution,
-                               verify_temporal_stability)
+from jcgraph.gk_states import (builtin_family, closed_form_diagonals, gk_state,
+                               jc_families, moment_diagonals, tail_safe_xmax,
+                               verify_resolution, verify_temporal_stability)
 from jcgraph.graph_verify import (
     InvalidDensityError,
     PureTransmission,
@@ -46,7 +46,7 @@ from jcgraph.hilbert import QuadratureRule, TruncationConfig, ValidationError, b
 from jcgraph.jc_spectrum import (JCParams, dressed_basis, dressed_frame,
                                  evolution_operator, hamiltonian_matrix,
                                  spectrum_residuals)
-from oracles import (dressed_index, dressed_vector, eigenenergy, embedding,
+from oracles import (dressed_index, dressed_vector, eigenenergy, embedding, moment_table,
                      stability_grid, weights)
 
 FAMILIES = ("uniform_moment", "factorial")
@@ -609,12 +609,12 @@ def test_block_reconstructions_match_dense_oracles(system, nodes):
                    - dense_resolution_residual(spec, rule)) <= 1e-14
     if family == "factorial":  # infinite radius: membership needs uniform_moment
         with pytest.raises(UnsupportedFamilyError):
-            verify_identity_membership(code, families, rule, diagonals)
+            verify_identity_membership(code, families, diagonals)
         uni = builtin_family("uniform_moment")
         families = jc_families(code, uni, uni)
         rule = uni.moment_rule(nodes)
         diagonals = [ladder_diagonals(spec, rule) for spec in families]
-    assert abs(verify_identity_membership(code, families, rule, diagonals)
+    assert abs(verify_identity_membership(code, families, diagonals)
                - dense_identity_residual(code, families, nodes)) <= 1e-14
 
 
@@ -641,48 +641,44 @@ def _count_calls(monkeypatch, name, home=jc_spectrum):
     return calls
 
 
-@pytest.mark.parametrize("pair, tables", [
-    pytest.param(("uniform_moment",) * 2, 1, id="uniform_moment"),
-    pytest.param(("factorial",) * 2, 2, id="factorial"),
-    pytest.param(("factorial", "uniform_moment"), 2, id="factorial-uniform_moment"),
-])
-def test_verify_builds_no_dense_evolution(monkeypatch, capsys, pair, tables):
+@pytest.mark.parametrize("pair", [("uniform_moment",) * 2, ("factorial",) * 2,
+                                  ("factorial", "uniform_moment")],
+                         ids=["uniform_moment", "factorial", "factorial-uniform_moment"])
+def test_verify_builds_no_dense_evolution(monkeypatch, capsys, pair):
+    """At N = 2000 no rule has more than 21 nodes and no moment_diagonals call
+    takes more than 41 orders: the resolution reads closed forms, not a rule."""
     evolutions = _count_calls(monkeypatch, "evolution_operator")
     bases = _count_calls(monkeypatch, "dressed_basis")
     hamiltonians = _count_calls(monkeypatch, "hamiltonian_matrix")
     moments = _count_calls(monkeypatch, "moment_diagonals", gk_states)
     frames = _count_calls(monkeypatch, "dressed_frame")
     tails = _count_calls(monkeypatch, "tail_mass", gk_states)
-    rules = []
+    nodes = []
 
     def counted_rule(name):
         build_rule = getattr(QuadratureRule, name)
 
         def build(*args):
-            rules.append(name)
+            nodes.append(args[-1])
             return build_rule(*args)
         return staticmethod(build)
 
     for name in ("gauss_legendre", "gauss_laguerre"):
         monkeypatch.setattr(QuadratureRule, name, counted_rule(name))
     rc = cli.main(["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
-                   "--family1", pair[0], "--family2", pair[1], "--n-fock", "40"])
+                   "--family1", pair[0], "--family2", pair[1], "--n-fock", "2000"])
     capsys.readouterr()
     assert rc == 0
     assert (len(evolutions), len(bases), len(hamiltonians)) == (0, 0, 0)
-    # one table per family, over the J ladder's orders: the moments and
-    # resolution checks read each ladder's prefix, and identity membership
-    # reads the uniform_moment table's
-    assert len(moments) == tables
     # the cut's frame, which the spectrum check and the ladders share
-    # (test_commands_build_the_cut_frame_once counts it); the one tail-safe
-    # root search, for the samples' x range, bounds 9 (uniform_moment) or
-    # 12 (factorial) tails in this N = 40 run
+    # (test_commands_build_the_cut_frame_once counts it); the tail-safe root
+    # searches, for the samples' x range, bound at most 32 tails each
     assert len(frames) == 1
     assert 1 <= len(tails) <= 64
-    # one moment rule per family, shared by both ladders and identity membership
-    assert sorted(rules) == (["gauss_legendre"] if tables == 1
-                             else ["gauss_laguerre", "gauss_legendre"])
+    # each (family, ladder length) builds one 21-node spot check on at most
+    # 41 orders, identity membership's uniform_moment ladders included
+    assert nodes and max(nodes) <= 21
+    assert moments and max(len(args[1]) for args in moments) <= 41
 
 
 @pytest.mark.parametrize("pair", [("factorial",) * 2, ("uniform_moment",) * 2,
@@ -690,34 +686,45 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, pair, tables):
                                   ("uniform_moment", "factorial")],
                          ids=["factorial", "uniform_moment", "factorial-uniform_moment",
                               "uniform_moment-factorial"])
-@pytest.mark.parametrize("n_fock", [30, 160])
+@pytest.mark.parametrize("n_fock", [30, 160, 2000])
 def test_verify_moment_records_equal_the_per_ladder_tables(pair, n_fock):
-    """The shared tables' records, bit for bit those of one table per ladder.
+    """The records, bit for bit those of each ladder's own closed-form table and
+    spot check, and within rounding those of the N-sized Gauss tables.
 
-    Each ladder gets its own ``moment_diagonals`` over its own orders under
-    its family's rule (sized from the J ladder), and identity membership one
-    per ladder under the uniform_moment rule.  At N = 30 the S ladder has
-    28 rungs, so a moments record that read past them would differ.
+    At N = 30 the S ladder has 28 rungs, so a record that read past them would
+    differ.  The oracle's tables (``moment_table``, one per family, sized from
+    the J ladder) are each within 1e-11 of the closed forms (6.1e-12 measured,
+    factorial at N = 2000), and every reconstruction moves by at most the
+    largest change of a d_k, since its block weights c^2 + s^2 sum to 1.
     """
     cfg = cli.resolve_run_config({"omega_f": 1.0, "omega_s": 0.8, "kappa": 0.7,
                                   "n_fock": n_fock, "family1": pair[0],
                                   "family2": pair[1]})
     records = {c.name: c.residual for c in cli.run_verification(cfg).checks}
     code = decompose(cfg.params, cfg.k0, cfg.trunc, cfg.m0)
-    families = jc_families(code, cfg.family1, cfg.family2)
-    n_nodes = rule_nodes(families[0].terms)
-    want = {}
-    for spec in families:
-        fam = spec.family
-        diag = ladder_diagonals(spec, fam.moment_rule(n_nodes))
-        want[f"gk.moments.{spec.label}.{fam.name}"] = float(np.abs(diag[:41] - 1.0).max())
-        want[f"gk.resolution.{spec.label}.{fam.name}"] = verify_resolution(spec, diag)
     uni = builtin_family("uniform_moment")
-    rule = uni.moment_rule(n_nodes)
+    families = jc_families(code, cfg.family1, cfg.family2)
     mem_families = jc_families(code, uni, uni)
-    want["graph.identity_membership"] = verify_identity_membership(
-        code, mem_families, rule, [ladder_diagonals(spec, rule) for spec in mem_families])
+    orders = np.arange(families[0].terms)
+    want, oracle, gaps = {}, {}, []
+    for spec in families:
+        fam, terms = spec.family, spec.terms
+        diag, table = closed_form_diagonals(fam, terms), moment_table(fam, orders)[:terms]
+        spot = moment_diagonals(fam, np.arange(min(41, terms)), fam.moment_rule(21))
+        want[f"gk.moments.{spec.label}.{fam.name}"] = float(np.abs(spot - 1.0).max())
+        name = f"gk.resolution.{spec.label}.{fam.name}"
+        want[name], oracle[name] = verify_resolution(spec, diag), verify_resolution(spec, table)
+        gaps.append(float(np.abs(table - diag).max()))
+    name = "graph.identity_membership"
+    want[name] = verify_identity_membership(
+        code, mem_families, [closed_form_diagonals(uni, spec.terms) for spec in mem_families])
+    tables = [moment_table(uni, orders)[:spec.terms] for spec in mem_families]
+    oracle[name] = verify_identity_membership(code, mem_families, tables)
+    gaps += [float(np.abs(t - closed_form_diagonals(uni, t.size)).max()) for t in tables]
     assert {name: records[name] for name in want} == want
+    assert max(gaps) <= 1e-11
+    assert all(abs(oracle[name] - records[name]) <= max(gaps) * (1.0 + 1e-9)
+               for name in oracle)
 
 
 def test_verify_embeds_each_sample_batch_once(monkeypatch, capsys):
