@@ -6,8 +6,9 @@ projectors on the two increasing Jaynes-Cummings ladders and P^3 is the
 projector onto the protected block H3.  Because H3 is spanned by energy
 eigenvectors orthogonal to both ladders, P^3 A P^3 = alpha(A) P^3 for
 every generator A, which is the Knill-Laflamme condition making H3 an
-anticlique of the graph: errors in V are not merely correctable but
-undetectable-free, so states in H3 pass through unchanged.
+anticlique of the graph: every error in V acts on H3 as a scalar, so it is
+not merely correctable but undetectable there, and states in H3 pass
+through unchanged.
 
 Membership of the identity in V is certified constructively through the
 weighted element
@@ -330,21 +331,11 @@ def channel_apply(channel: Channel, rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PureTransmission:
-    """The dephasing channel's output on a pure input |v><v|.
-
-    ``eigenvalues`` are the output's eigenvalues on its range, those of the
-    3 x 3 Gram matrix of the branches u_k = P_k v; the rest are zero.  For
-    a batch of inputs every field holds one entry (one row of eigenvalues)
-    per input.
-    """
+    """The dephasing channel's output on a pure input |v><v|: its trace and its
+    fidelity with the input, one entry per input for a batch of inputs."""
 
     trace: float | np.ndarray
-    eigenvalues: np.ndarray
     fidelity: float | np.ndarray
-
-    @property
-    def min_eigenvalue(self) -> float | np.ndarray:
-        return np.minimum(0.0, self.eigenvalues.min(axis=-1))[()]
 
 
 def dephase_pure_state(families: Sequence[GKFamilySpec], x, t,
@@ -361,9 +352,8 @@ def dephase_pure_state(families: Sequence[GKFamilySpec], x, t,
 
     For 1-D arrays x and t and a dim x n matrix v, column i is sent through
     the channel at (x[i], t[i]): each ladder's vectors come from one
-    ``ladder_vector`` call, the Gram matrices form one (n, 3, 3) stack, one
-    batched ``eigvalsh`` takes their eigenvalues, and every field of the
-    result holds one entry per column.
+    ``ladder_vector`` call, the Gram matrices form one (n, 3, 3) stack, and
+    every field of the result holds one entry per column.
     """
     v = np.asarray(v, dtype=complex)
     # rows v1, v2, v: (3, dim), or (n, 3, dim) with one matrix per column of v
@@ -383,17 +373,16 @@ def dephase_pure_state(families: Sequence[GKFamilySpec], x, t,
             raise ValidationError(
                 f"channel projectors 0 and 1 overlap: |<v1|v2>| = {overlap:.3e}")
     # u_m = sum_k (row k) c[k, m]: c1 v1, c2 v2 and v - c1 v1 - c2 v2 with
-    # c_k = <v_k|v>, so <u_l|u_m> = (c+ g c)[l, m] and <v|u_m> = (g c)[2, m]
+    # c_k = <v_k|v>, so ||u_m||^2 = (c+ g c)[m, m], the branches' Gram
+    # diagonal, and <v|u_m> = (g c)[2, m]
     c = np.zeros(g.shape, dtype=complex)
     c[..., 0, 0] = g[..., 0, 2]
     c[..., 1, 1] = g[..., 1, 2]
     c[..., :2, 2] = -g[..., :2, 2]
     c[..., 2, 2] = 1.0
     gc = g @ c
-    gram = c.conj().swapaxes(-1, -2) @ gc
     fid = (np.abs(gc[..., 2, :]) ** 2).sum(axis=-1)
-    return PureTransmission(trace=gram.trace(axis1=-2, axis2=-1).real[()],
-                            eigenvalues=np.linalg.eigvalsh(gram),
+    return PureTransmission(trace=(c.conj() * gc).sum(axis=(-2, -1)).real[()],
                             fidelity=np.minimum(1.0, fid)[()])
 
 

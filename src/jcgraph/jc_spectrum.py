@@ -41,6 +41,7 @@ import numpy as np
 
 from .hilbert import TruncationConfig, basis_index
 
+
 class DegenerateLevelError(ValueError):
     """Mixing angle requested for an exactly degenerate uncoupled level."""
 

@@ -310,6 +310,31 @@ def test_unwritable_out_is_a_usage_error(argv, target, tmp_path, capsys):
     assert not any(tmp_path.iterdir())  # a refused command writes nothing
 
 
+@pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["no-dir", "a-dir"])
+def test_unwritable_out_is_refused_before_the_work(target, monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(code_construction, "decompose",
+                        lambda *args, **kwargs: calls.append("decompose"))
+    monkeypatch.setattr(cli, "run_verification",
+                        lambda cfg: calls.append("run_verification"))
+    rc, out, err = run(["verify"] + SMALL + ["--out", str(tmp_path / target)], capsys)
+    assert (rc, out, calls) == (2, "", [])
+    assert err.startswith("error: cannot open output file ")
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["demo"] + SMALL + ["--k0", "2"], 1),  # decompose refuses the cut
+    (["verify", "--gamma-f", "8", "--gamma-s", "8", "--n-fock", "5"], 2),  # no headroom
+], ids=["check-failed", "usage-error"])
+def test_a_refused_command_leaves_out_as_it_was(argv, rc, tmp_path, capsys):
+    kept, new = tmp_path / "kept.txt", tmp_path / "new.txt"
+    kept.write_text("earlier output\n")
+    assert run(argv + ["--out", str(kept)], capsys)[:2] == (rc, "")
+    assert run(argv + ["--out", str(new)], capsys)[:2] == (rc, "")
+    assert kept.read_text() == "earlier output\n"  # not truncated
+    assert sorted(tmp_path.iterdir()) == [kept]  # and nothing made
+
+
 def test_sweep_to_file(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     argv = ["sweep", "--gamma-f-min", "1", "--gamma-f-max", "2",
@@ -362,8 +387,8 @@ def _expected_checks(family, family2=None):
             + [("graph.identity_membership", 1e-6), ("graph.anticlique", 1e-8),
                ("graph.anticlique_alpha_zero", 1e-10),
                ("graph.anticlique_alpha_identity", 1e-10),
-               ("channel.trace_preservation", 1e-10), ("channel.positivity", 1e-9),
-               ("channel.code_fidelity", 1e-8), ("channel.leak_control", 1e-12)])
+               ("channel.trace_preservation", 1e-10), ("channel.code_fidelity", 1e-8),
+               ("channel.leak_control", 1e-12)])
 
 
 @pytest.mark.parametrize("family,n_fock", [("factorial", 30), ("factorial", 60),
