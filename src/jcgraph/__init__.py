@@ -16,7 +16,7 @@ from .hilbert import QuadratureRule, TruncationConfig
 from .jc_spectrum import JCParams, dressed_basis
 from .code_construction import decompose, minimal_k0, minimal_m0
 from .gk_states import builtin_family, jc_families, verify_resolution
-from .graph_verify import frame_generator, knill_laflamme_frame
+from .graph_verify import anticlique_certificate
 
 __version__ = "0.1.0"
 
@@ -24,12 +24,11 @@ __all__ = [
     "JCParams",
     "QuadratureRule",
     "TruncationConfig",
+    "anticlique_certificate",
     "builtin_family",
     "decompose",
     "dressed_basis",
-    "frame_generator",
     "jc_families",
-    "knill_laflamme_frame",
     "minimal_k0",
     "minimal_m0",
     "verify_resolution",

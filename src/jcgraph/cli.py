@@ -275,44 +275,38 @@ def _x_range(families) -> float:
                    0.95 * spec.family.radius) for spec in specs)
 
 
-def _draw(cfg: RunConfig, code, families) -> tuple:
-    """Every sample, one at a time in a fixed order: 40 generators (j, x, t), 8 x 40
-    combination coefficients, 5 unit code amplitudes with (x, t); x in both domains."""
+def _draw(cfg: RunConfig, code, families) -> list:
+    """The channel's samples, one at a time in a fixed order: 5 unit code amplitudes,
+    each with its (x, t), x in both domains, as three lists."""
     x_hi, t_hi = _x_range(families), 10.0 / cfg.params.omega_f
     rng = np.random.default_rng(cfg.seed)
-    # h * random() is uniform(0, h) bit for bit: numpy forms 0 + h * random()
-    gens = [(int(rng.integers(1, 4)), x_hi * rng.random(), t_hi * rng.random())
-            for _ in range(40)]
-    coeffs = np.array([rng.normal(size=len(gens)) for _ in range(8)])
     dim_code, states = code.code_basis.shape[1], []
     for _ in range(5):
         a = rng.normal(size=dim_code) + 1j * rng.normal(size=dim_code)
+        # h * random() is uniform(0, h) bit for bit: numpy forms 0 + h * random()
         states.append((a / np.linalg.norm(a), x_hi * rng.random(), t_hi * rng.random()))
-    return [list(col) for col in zip(*gens)], coeffs, [list(col) for col in zip(*states)]
+    return [list(col) for col in zip(*states)]
 
 
-def _anticlique(code, families, js, xs, ts, coeffs, tol: float) -> list:
-    """Knill-Laflamme in the k0-dim frame of W = h3_basis (P3 = W W+): each
-    operator A enters as W+ A W, the combinations as one tensordot, I as W+ W."""
-    frames = gv.frame_generator(code, families, js, xs, ts)
-    w = code.h3_basis
-    kl = gv.knill_laflamme_frame(
-        w, np.concatenate([frames, np.tensordot(coeffs, frames, axes=1),
-                           (w.conj().T @ w)[None]]), tol=tol)
-    alpha_zero = max(abs(c.alpha) for c, j in zip(kl.checks, js) if j in (1, 2))
-    alpha_id = kl.checks[-1].alpha
-    return [gv.CheckRecord("graph.anticlique", kl.max_residual(), tol, kl.overall_pass),
-            _below("graph.anticlique_alpha_zero", alpha_zero, 1e-10),
-            _below("graph.anticlique_alpha_identity", abs(alpha_id - 1.0), 1e-10,
-                   alpha=alpha_id)]
+def _anticlique(code, tol: float) -> list:
+    """The anticlique bounds over the whole graph (``gv.anticlique_certificate``)."""
+    cert = gv.anticlique_certificate(code)
+    return [_below("graph.anticlique", cert.residual, tol),
+            _below("graph.anticlique_alpha_zero", cert.alpha_zero, 1e-10),
+            _below("graph.anticlique_alpha_identity", abs(cert.alpha_identity - 1.0),
+                   1e-10, alpha=cert.alpha_identity)]
 
 
 def _channel(code, families, amps, xs, ts) -> list:
     """The channel on the code states, from the branches P_k v, and on the leak
-    probe at the first state's (x, t): one column each, one call."""
+    probe at the first state's (x, t): one column each, one call.  A refused
+    input is one failing ``channel.input`` record with the channel's reason."""
     probe = gv.leak_probe(code, families, xs[0], ts[0])
     vs = np.column_stack([code.code_basis @ np.transpose(amps), probe])
-    out = gv.dephase_pure_state(families, xs + xs[:1], ts + ts[:1], vs)
+    try:
+        out = gv.dephase_pure_state(families, xs + xs[:1], ts + ts[:1], vs)
+    except (ValidationError, gv.InvalidDensityError) as exc:
+        return [gv.CheckRecord("channel.input", 1.0, 0.0, False, reason=str(exc))]
     trace, fid = out.trace[:-1], out.fidelity[:-1]
     return [_below("channel.trace_preservation",
                    max(0.0, *np.abs(trace - 1.0).tolist()), 1e-10),
@@ -325,8 +319,8 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     """The full numerical battery for one configuration, one stage per layer.
 
     Records come in stage order; a refused cut ends the report.  A record
-    passes when its residual is below its tolerance (``_below``), except the
-    anticlique and a refused cut."""
+    passes when its residual is below its tolerance (``_below``), except a
+    refusal of the cut or of the channel's input, which always fails."""
     code, residuals, checks = _cut(cfg)
     if code is None:
         return gv.VerificationReport(checks)
@@ -334,9 +328,8 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     for spec in families:
         checks += _ladder_records(spec, residuals, cfg)
     checks.append(_membership(code, families))
-    gens, coeffs, states = _draw(cfg, code, families)
-    checks += _anticlique(code, families, *gens, coeffs, cfg.tol)
-    checks += _channel(code, families, *states)
+    checks += _anticlique(code, cfg.tol)
+    checks += _channel(code, families, *_draw(cfg, code, families))
     return gv.VerificationReport(checks)
 
 

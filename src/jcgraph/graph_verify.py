@@ -21,12 +21,11 @@ The third coefficient carries the extra 1/R so that its radial integral
 is exactly one; this requires a finite convergence radius, hence the
 built-in "uniform_moment" family.
 
-The sampled checks run on batches: ``ladder_vector``, ``frame_generator``
-and ``dephase_pure_state`` take 1-D arrays of samples as well as single
-ones, and return one column, one k0 x k0 matrix or one entry per sample,
-from a fixed number of array operations however many samples there are;
-``knill_laflamme_frame`` takes a stack of frame matrices.  A single sample
-runs the same code on 1-D arrays.
+``anticlique_certificate`` proves the anticlique for every generator at
+once, from the H3 basis in the dressed frame, with no sample.  The channel
+checks take batches: for 1-D arrays of samples ``ladder_vector`` and
+``dephase_pure_state`` return one column or entry per sample, from a fixed
+number of array operations.
 """
 from __future__ import annotations
 
@@ -92,9 +91,6 @@ class VerificationReport:
     def add(self, record: CheckRecord) -> None:
         self.checks.append(record)
 
-    def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
-
     def to_dict(self) -> dict:
         return {"checks": [c.to_dict() for c in self.checks],
                 "overall_pass": self.overall_pass}
@@ -148,42 +144,13 @@ def generator(code: CodeSpec, families: Sequence[GKFamilySpec],
     corresponding ladder at phase time t, using the covariance
     U_t P^j_x U_t+ = |x, t><x, t|.
     """
-    _check_generator_index(j)
+    if j not in (1, 2, 3):
+        raise ValueError(f"generator index must be 1, 2 or 3, got {j}")
     if j == 3:
         op = code.p3.astype(complex)
     else:
         op = _ladder_projector(families[j - 1], x, t)
     return GraphGenerator(j=j, x=x, t=t, operator=op)
-
-
-def _check_generator_index(j: int) -> None:
-    if j not in (1, 2, 3):
-        raise ValueError(f"generator index must be 1, 2 or 3, got {j}")
-
-
-def frame_generator(code: CodeSpec, families: Sequence[GKFamilySpec],
-                    j, x, t) -> np.ndarray:
-    """The generator of ``generator`` seen in the H3 frame: W+ G W, k0 x k0.
-
-    W = code.h3_basis, so P3 = W W+.  A ladder generator |v><v| becomes
-    u u+ with u = W+ v; P3 itself becomes (W+ W)^2.  For 1-D arrays j, x
-    and t the result is an (n, k0, k0) stack, one sample (j[i], x[i], t[i])
-    each, and each ladder's samples are the columns of one ``ladder_vector``.
-    """
-    js, xs, ts = np.ravel(j), np.ravel(x), np.ravel(t)
-    for ji in js.tolist():
-        _check_generator_index(ji)
-    wh = code.h3_basis.conj().T
-    out = np.empty((js.size,) + (wh.shape[0],) * 2, dtype=complex)
-    for jl in (1, 2):
-        pick = js == jl
-        if pick.any():
-            u = (wh @ ladder_vector(families[jl - 1], xs[pick], ts[pick])).T
-            out[pick] = u[:, :, None] * u.conj()[:, None, :]
-    if (js == 3).any():
-        gram = wh @ code.h3_basis
-        out[js == 3] = gram @ gram
-    return out if np.ndim(j) else out[0]
 
 
 def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
@@ -245,31 +212,46 @@ def knill_laflamme_check(p: np.ndarray, ops: Sequence, tol: float = 1e-8,
     return report
 
 
-def knill_laflamme_frame(w: np.ndarray, ms, tol: float = 1e-8) -> VerificationReport:
-    """``knill_laflamme_check`` for P = W W+, each A given as M = W+ A W.
+@dataclass(frozen=True)
+class AnticliqueCertificate:
+    """For every generator A: |P3 A P3 - alpha(A) P3| <= ``residual``, |alpha(A)|
+    <= ``alpha_zero`` on the ladders; and alpha(I) = ``alpha_identity``."""
 
-    ``ms`` is a list of k0 x k0 matrices or an (n, k0, k0) stack.
-    P A P = W M W+, so alpha(A) = tr(M) / k0 and the residual
-    max |P A P - alpha P| = max |W (M - alpha I) W+| is taken over the rows
-    where W is nonzero; every other entry of both sides is exactly zero.
-    Every alpha and residual comes from one batched product.
+    residual: float
+    alpha_zero: float
+    alpha_identity: complex
+
+
+def anticlique_certificate(code: CodeSpec) -> AnticliqueCertificate:
+    """Bound the Knill-Laflamme check of P3 = W W+ (W = ``code.h3_basis``) over
+    every generator of the graph, from the dressed frame, in O(N k0^2).
+
+    A generator A enters as W+ A W, with alpha(A) = tr(W+ A W) / k0.  Every
+    block rotation is a real symmetric reflection, so M = ``frame.rotate(W)``
+    = V+ W.  A unit v = V[:, idx] a in a ladder's span (idx = ``j_indices``
+    or ``s_indices``), which holds every |x, t>, has u = W+ v = M[idx]+ a, so
+    |u|^2 <= sigma^2 = lambda_max(M[idx]+ M[idx]), and |v><v| has
+    |alpha| = |u|^2 / k0 <= sigma^2 / k0 (``alpha_zero``, over both ladders).
+    u u+ - alpha I has eigenvalues |u|^2 - alpha and -alpha, so its norm is at
+    most |u|^2, and by Cauchy-Schwarz every entry of W (u u+ - alpha I) W+ is
+    at most lambda_max(W+ W) sigma^2.  ``residual`` is the larger of that and
+    P3's own residual max |W ((W+ W)^2 - alpha I) W+|, taken on the rows where
+    W is nonzero.  alpha is linear in A, so the bounds hold on the generators'
+    whole span.  ``alpha_identity`` = tr(W+ W) / k0 = alpha(I) reads the scale
+    of W, which the bounds take as given.
     """
-    w = np.asarray(w, dtype=complex)
+    w = code.h3_basis
     k0 = w.shape[1]
-    ortho = np.abs(w.conj().T @ w - np.eye(k0)).max()
-    if ortho > 1e-9:
-        raise ValidationError(
-            f"W W+ is not a projector: max |W+W - I| = {ortho:.3e}")
-    ws = w[np.abs(w).max(axis=1) > 0]
-    ms = np.asarray(ms, dtype=complex).reshape(-1, k0, k0)
-    alphas = np.trace(ms, axis1=1, axis2=2) / k0
-    shifted = ms - alphas[:, None, None] * np.eye(k0)
-    residuals = np.abs(ws @ shifted @ ws.conj().T).max(axis=(1, 2))
-    report = VerificationReport()
-    for i, (alpha, residual) in enumerate(zip(alphas.tolist(), residuals.tolist())):
-        report.add(CheckRecord(name=f"op[{i}]", residual=residual, tolerance=tol,
-                               passed=residual < tol, alpha=alpha))
-    return report
+    gram = w.conj().T @ w
+    m = code.frame.rotate(w)
+    sigma2 = max(float(np.linalg.eigvalsh(m[idx].conj().T @ m[idx])[-1])
+                 for idx in (code.j_indices, code.s_indices))
+    p3 = gram @ gram
+    rows = w[np.abs(w).max(axis=1) > 0]
+    r3 = np.abs(rows @ (p3 - np.trace(p3) / k0 * np.eye(k0)) @ rows.conj().T).max()
+    return AnticliqueCertificate(
+        residual=max(float(np.linalg.eigvalsh(gram)[-1]) * sigma2, float(r3)),
+        alpha_zero=sigma2 / k0, alpha_identity=complex(np.trace(gram) / k0))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ tests can compare the two.
 - Gazeau-Klauder data: a rule's linear weights, the moment table of a
   ladder-sized Gauss rule, a ladder's dense embedding, the measure density
   tau and the action identity.
-- The operator graph: the weighted element Q_x and the dense
-  Knill-Laflamme check of H3 against sampled generators.
+- The operator graph: the weighted element Q_x, the dense Knill-Laflamme
+  check of H3 against sampled generators, and the same check in the
+  k0-dimensional frame of the H3 basis, the spot check of the certificate
+  that `verify` reports.
 - The temporal-stability grid under the closed-form bound that `verify`
   reports.
 """
@@ -23,7 +25,8 @@ from collections import namedtuple
 import numpy as np
 
 from jcgraph.gk_states import moment_diagonals, tail_mass
-from jcgraph.graph_verify import GraphGenerator, knill_laflamme_check, ladder_vector
+from jcgraph.graph_verify import (CheckRecord, GraphGenerator, VerificationReport,
+                                  knill_laflamme_check, ladder_vector)
 from jcgraph.hilbert import ValidationError, basis_index
 from jcgraph.jc_spectrum import DegenerateLevelError, _rescaled
 
@@ -169,6 +172,58 @@ def verify_anticlique(code, generators, tol: float = 1e-8, projector=None):
              if isinstance(g, GraphGenerator) else f"sample[{i}]"
              for i, g in enumerate(generators)]
     return knill_laflamme_check(p, generators, tol=tol, names=names)
+
+
+def frame_generator(code, families, j, x, t) -> np.ndarray:
+    """The generator of ``generator`` seen in the H3 frame: W+ G W, k0 x k0.
+
+    W = code.h3_basis, so P3 = W W+.  A ladder generator |v><v| becomes
+    u u+ with u = W+ v; P3 itself becomes (W+ W)^2.  For 1-D arrays j, x
+    and t the result is an (n, k0, k0) stack, one sample (j[i], x[i], t[i])
+    each, and each ladder's samples are the columns of one ``ladder_vector``.
+    """
+    js, xs, ts = np.ravel(j), np.ravel(x), np.ravel(t)
+    for ji in js.tolist():
+        if ji not in (1, 2, 3):
+            raise ValueError(f"generator index must be 1, 2 or 3, got {ji}")
+    wh = code.h3_basis.conj().T
+    out = np.empty((js.size,) + (wh.shape[0],) * 2, dtype=complex)
+    for jl in (1, 2):
+        pick = js == jl
+        if pick.any():
+            u = (wh @ ladder_vector(families[jl - 1], xs[pick], ts[pick])).T
+            out[pick] = u[:, :, None] * u.conj()[:, None, :]
+    if (js == 3).any():
+        gram = wh @ code.h3_basis
+        out[js == 3] = gram @ gram
+    return out if np.ndim(j) else out[0]
+
+
+def knill_laflamme_frame(w, ms, tol: float = 1e-8):
+    """``knill_laflamme_check`` for P = W W+, each A given as M = W+ A W.
+
+    ``ms`` is a list of k0 x k0 matrices or an (n, k0, k0) stack.
+    P A P = W M W+, so alpha(A) = tr(M) / k0 and the residual
+    max |P A P - alpha P| = max |W (M - alpha I) W+| is taken over the rows
+    where W is nonzero; every other entry of both sides is exactly zero.
+    Every alpha and residual comes from one batched product.
+    """
+    w = np.asarray(w, dtype=complex)
+    k0 = w.shape[1]
+    ortho = np.abs(w.conj().T @ w - np.eye(k0)).max()
+    if ortho > 1e-9:
+        raise ValidationError(
+            f"W W+ is not a projector: max |W+W - I| = {ortho:.3e}")
+    ws = w[np.abs(w).max(axis=1) > 0]
+    ms = np.asarray(ms, dtype=complex).reshape(-1, k0, k0)
+    alphas = np.trace(ms, axis1=1, axis2=2) / k0
+    shifted = ms - alphas[:, None, None] * np.eye(k0)
+    residuals = np.abs(ws @ shifted @ ws.conj().T).max(axis=(1, 2))
+    report = VerificationReport()
+    for i, (alpha, residual) in enumerate(zip(alphas.tolist(), residuals.tolist())):
+        report.add(CheckRecord(name=f"op[{i}]", residual=residual, tolerance=tol,
+                               passed=residual < tol, alpha=alpha))
+    return report
 
 
 def stability_grid(spec, xs, ts, trunc) -> np.ndarray:

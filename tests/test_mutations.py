@@ -2,12 +2,12 @@
 
 Each entry of ``MUTATIONS`` patches the library the way a fault would
 (mutation analysis: DeMillo, Lipton and Sayward, Computer 11(4), 1978) and
-names the records that must fail under it, no more and no fewer, or the
-error that must end the run.  Every mutation runs with both weight families
+names the records that must fail under it, no more and no fewer.  Every
+mutation runs with both weight families
 on both ladders at the default point 1 / 0.8 / 0.7 (k0 = 3, seed 7), at
 N = 160 unless ``N_FOCK`` says otherwise, and the unmutated run must pass.
-Every record a report can hold, the two refusals of the cut included, fails
-under at least one mutation.
+Every record a report can hold, the refusals of the cut and of the
+channel's input included, fails under at least one mutation.
 
 - ``log_weight`` + 1e-5 for k >= 500 (N = 2000): d_k - 1 is -1e-5 there,
   and the block weights c^2 ~ 1/2 halve it to a residual of 5.06e-6, over
@@ -24,45 +24,47 @@ under at least one mutation.
   the report.  Each column is still an eigenvector, so
   ``spectrum.eigen_residual`` passes.
 - The same stretch, 1 + 1e-8, on blocks n >= 20 only: the H3 basis is
-  intact, so ``decompose`` accepts the frame.  Under factorial the sampled
-  ladder vectors sit on those blocks and are 5e-9 off unit norm, and the
-  channel refuses them (``ValidationError``).  Under uniform_moment they sit
-  on the first rungs and pass; ``spectrum.gram_identity`` reads 1e-8 and
-  both stability bounds 2e-8.
+  intact, so ``decompose`` accepts the frame and the anticlique certificate
+  reads it as exact.  ``spectrum.gram_identity`` reads 1e-8 and both
+  stability bounds 2e-8.  The channel's sampled ladder vectors reach those
+  blocks and are 5e-9 (factorial) and 1.8e-9 (uniform_moment) off unit
+  norm, so the channel refuses its input (``channel.input``).
 - Frame energies x (1 + 1e-6): the eigen residual reads 1.6e-4, which the
   stability bound squares to 2.7e-6.
 - Two S energies swapped (|50, -> and |51, ->): the S ladder decreases
   there, so the cut is refused (``gk.energy_order``).
-- The first code vector mixed with the first J rung at 3e-5: the J
-  generator at the smallest sampled x reads |alpha| = 1.7e-10 (factorial)
-  and 3.0e-10 (uniform_moment) through it, while the anticlique residual
-  (at most 1.5e-9) and the code states' fidelity loss (at most 5e-10) stay
-  within their tolerances.
+- The first code vector mixed with the first J rung at 3e-5: the
+  certificate's largest |alpha| over the J span reads 9e-10 / k0 = 3.0e-10,
+  while its anticlique bound (9e-10) and the code states' fidelity loss
+  stay within their tolerances.
 - ``h3_basis`` scaled by 1 + 1e-10: alpha(I) = 1 + 2e-10, and each code
   state's trace is off by as much.  The code basis alone scaled by
   1 + 1e-9 gives code states off unit norm by 2e-9, which the channel
-  refuses as input (``InvalidDensityError``).
+  refuses as input (``channel.input``).
 - The S cut moved down one rung, onto |k0 - 1, ->, a vector of H3.
+- J read on the - branch (``j_indices`` + 1): its rungs include H3's, so
+  the anticlique fails with |alpha| = 1 / k0, the reconstructed identity
+  misses the + branch, and the two ladders overlap, which the channel
+  refuses (|<v1|v2>| = 0.98 under factorial).
 - The code basis, and only it, leaked 1e-3 onto the S rung that the first
-  channel sample weighs most: that state loses 8.6e-8 (factorial) and
-  4.9e-7 (uniform_moment) of fidelity.
+  channel sample weighs most: that state loses 1.4e-8 (factorial) and
+  3.6e-7 (uniform_moment) of fidelity.
 - The leak probe not leaked: it passes the channel unchanged.
 
 ``UNDETECTED`` holds faults that no record reads, as strict xfails: the
 day a record catches one, its test passes and fails the suite.
 """
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from jcgraph import cli, code_construction, gk_states, graph_verify
-from jcgraph.graph_verify import InvalidDensityError
-from jcgraph.hilbert import ValidationError
 
 N = 160
 FAMILIES = ("factorial", "uniform_moment")
-REFUSALS = {"gk.energy_order", "code.cut_constraint"}
+REFUSALS = {"gk.energy_order", "code.cut_constraint", "channel.input"}
 STABILITY = {"gk.temporal_stability.J", "gk.temporal_stability.S"}
 
 
@@ -146,9 +148,7 @@ def _frame_off_unit_norm(monkeypatch, family):
 
 def _frame_stretched_from_block_20(monkeypatch, family):
     _patch_frame(monkeypatch, lambda frame: _stretch(frame, np.sqrt(1.0 + 1e-8), 20))
-    if family == "factorial":
-        return ValidationError
-    return {"spectrum.gram_identity"} | STABILITY
+    return {"spectrum.gram_identity", "channel.input"} | STABILITY
 
 
 def _frame_energies_scaled(monkeypatch, family):
@@ -184,13 +184,20 @@ def _h3_basis_scaled(monkeypatch, family):
 def _code_basis_scaled(monkeypatch, family):
     _patch_code(monkeypatch, lambda code: dataclasses.replace(
         code, code_basis=(1.0 + 1e-9) * code.code_basis))
-    return InvalidDensityError
+    return {"channel.input"}
 
 
 def _s_cut_moved_down(monkeypatch, family):
     _patch_code(monkeypatch, lambda code: dataclasses.replace(
         code, s_indices=np.concatenate([code.s_indices[:1] - 2, code.s_indices])))
     return {"graph.anticlique", "graph.anticlique_alpha_zero"}
+
+
+def _j_on_minus_branch(monkeypatch, family):
+    _patch_code(monkeypatch, lambda code: dataclasses.replace(
+        code, j_indices=code.j_indices + 1))
+    return {"graph.identity_membership", "graph.anticlique",
+            "graph.anticlique_alpha_zero", "channel.input"}
 
 
 def _code_leaked_onto_sampled_rung(monkeypatch, family):
@@ -227,6 +234,7 @@ MUTATIONS = {
     "h3_basis*(1+1e-10)": _h3_basis_scaled,
     "code_basis*(1+1e-9)": _code_basis_scaled,
     "s_cut_moved_down_one_rung": _s_cut_moved_down,
+    "j_read_on_minus_branch": _j_on_minus_branch,
     "code_basis_leaked_onto_sampled_s_rung": _code_leaked_onto_sampled_rung,
     "leak_probe_not_leaked": _leak_probe_not_leaked,
 }
@@ -278,12 +286,7 @@ def test_the_unmutated_run_passes(family):
 @pytest.mark.parametrize("mutation", list(MUTATIONS))
 def test_each_mutation_fails_exactly_its_records(monkeypatch, mutation, family):
     expected = MUTATIONS[mutation](monkeypatch, family)
-    n_fock = N_FOCK.get(mutation, N)
-    if isinstance(expected, type):
-        with pytest.raises(expected):
-            _report(family, n_fock)
-        return
-    report = _report(family, n_fock)
+    report = _report(family, N_FOCK.get(mutation, N))
     assert {name for name, c in report.items() if not c.passed} == expected
     if mutation == "h3_index_dropped":
         assert report["graph.identity_membership"].residual == 1.0
@@ -297,8 +300,7 @@ def test_every_record_fails_under_some_mutation(family):
     caught = set()
     for mutate in MUTATIONS.values():
         with pytest.MonkeyPatch.context() as mp:
-            expected = mutate(mp, family)
-        caught |= expected if isinstance(expected, set) else set()
+            caught |= mutate(mp, family)
     assert caught == set(_report(family)) | REFUSALS
 
 
@@ -316,11 +318,20 @@ def test_an_undetected_fault_fails_a_record(monkeypatch, fault, family):
     ("code_basis*(1+1e-9)", "rho has trace 1.000000002"),
 ])
 def test_a_channel_refusal_is_a_failed_check(monkeypatch, capsys, mutation, message):
-    """The channel's refusal ends ``verify`` with exit 1 and one stderr line."""
+    """The channel's refusal is the report's last record, ``channel.input``: the
+    report is written with every earlier record, exit 1, the reason on stderr."""
     MUTATIONS[mutation](monkeypatch, "factorial")
     rc = cli.main(["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
                    "--n-fock", str(N), "--family1", "factorial", "--family2", "factorial"])
     out, err = capsys.readouterr()
-    assert (rc, out) == (1, "")
-    assert err.startswith(f"check failed: {message}")
-    assert "Traceback" not in err and err.count("\n") == 1
+    checks = json.loads(out)["checks"]
+    assert rc == 1
+    names = [c["name"] for c in checks]
+    # the 12 records before the channel's, then the refusal in place of its three
+    assert (len(names), names[0]) == (13, "spectrum.eigen_residual")
+    assert names[-2:] == ["graph.anticlique_alpha_identity", "channel.input"]
+    refusal = checks[-1]
+    assert (refusal["residual"], refusal["tolerance"], refusal["pass"]) == (1.0, 0.0, False)
+    line = next(line for line in err.splitlines() if "channel.input" in line)
+    assert line.startswith("check failed: channel.input: residual 1.000e+00")
+    assert f"; {message}" in line and "Traceback" not in err

@@ -2,15 +2,17 @@
 
 `verify` reads the spectrum residuals off the frame's 2x2 blocks, builds
 ladder states from dressed indices on one frame, applies U_t block by
-block, checks Knill-Laflamme in the frame of the H3 basis, sends pure code
-states through the channel as vectors and reads the resolution and
-identity-membership reconstructions block by block.  Each is compared here
-with the dense computation it replaces (`hamiltonian_matrix @
-dressed_basis` and its Gram matrix, closed-form `dressed_vector` columns,
-`evolution_operator`, `knill_laflamme_check`, `channel_apply` + `eigvalsh`
+block, bounds Knill-Laflamme over the whole graph from the H3 basis in the
+dressed frame, sends pure code states through the channel as vectors and
+reads the resolution and identity-membership reconstructions block by
+block.  Each is compared here with the dense computation it replaces
+(`hamiltonian_matrix @ dressed_basis` and its Gram matrix, closed-form
+`dressed_vector` columns, `evolution_operator`, `channel_apply` + `eigvalsh`
 + `fidelity`, and the reconstructions `E diag(d) E+` below) at N <= 60,
 on both weight families, for positive, negative and zero detuning, with x
-up to the tail-safe radius.
+up to the tail-safe radius.  The anticlique certificate is checked against
+sampled generators in the frame of the H3 basis (`oracles.frame_generator`,
+`oracles.knill_laflamme_frame`), which in turn match `knill_laflamme_check`.
 """
 import functools
 import json
@@ -20,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from jcgraph import cli, code_construction, gk_states, graph_verify, hilbert, jc_spectrum
 from jcgraph.code_construction import decompose, minimal_k0, minimal_m0
@@ -30,14 +32,13 @@ from jcgraph.gk_states import (builtin_family, closed_form_diagonals, gk_state,
 from jcgraph.graph_verify import (
     InvalidDensityError,
     UnsupportedFamilyError,
+    anticlique_certificate,
     channel_apply,
     dephase_pure_state,
     dephasing_channel,
     fidelity,
-    frame_generator,
     generator,
     knill_laflamme_check,
-    knill_laflamme_frame,
     leak_probe,
     verify_identity_membership,
 )
@@ -45,8 +46,9 @@ from jcgraph.hilbert import QuadratureRule, TruncationConfig, ValidationError, b
 from jcgraph.jc_spectrum import (JCParams, dressed_basis, dressed_frame,
                                  evolution_operator, hamiltonian_matrix,
                                  spectrum_residuals)
-from oracles import (dressed_index, dressed_vector, eigenenergy, embedding, moment_table,
-                     stability_grid, weights)
+from oracles import (dressed_index, dressed_vector, eigenenergy, embedding,
+                     frame_generator, knill_laflamme_frame, moment_table, stability_grid,
+                     weights)
 
 FAMILIES = ("uniform_moment", "factorial")
 ORACLE_TOL = 1e-12
@@ -368,6 +370,56 @@ def test_frame_knill_laflamme_matches_dense_check(system, seed):
     assert all(f.passed for f in frame.checks[:-1])
     assert frame.checks[-1].residual > 1e-3
     assert abs(frame.checks[-2].alpha - 1.0) <= ORACLE_TOL
+
+
+JUMP = 7.464101615137754  # the double nearest 2(2 + sqrt 3), where M0 jumps
+
+
+@st.composite
+def rate_points(draw):
+    """Log-uniform (gamma_f, gamma_s) in [1e-6, 40] at omega_f = 1.  Past 40 the
+    cut k0* ~ (gamma_f / 4)^2 makes the dense dim x k0 H3 basis too large to build."""
+    gamma_f, gamma_s = (10.0 ** draw(st.floats(-6.0, np.log10(40.0))) for _ in "fs")
+    return JCParams.from_rates(gamma_f, gamma_s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rate_points(), st.sampled_from(FAMILIES), st.integers(0, 2 ** 32 - 1))
+@example(JCParams.from_rates(np.nextafter(JUMP, 0.0), np.nextafter(JUMP, 0.0)), "factorial", 1)
+@example(JCParams.from_rates(JUMP, JUMP), "uniform_moment", 2)
+@example(JCParams.from_rates(np.nextafter(JUMP, 9.0), np.nextafter(JUMP, 9.0)), "factorial", 3)
+@example(JCParams(1.0, 0.8, 0.0), "uniform_moment", 4)  # decoupled, delta != 0
+@example(JCParams.from_rates(40.0, 40.0), "factorial", 5)  # k0* = 100
+def test_the_certificate_bounds_every_sampled_generator(params, family, seed):
+    """Wherever the cut k0* is admitted at N = k0* + 10, the three anticlique
+    records pass, and 40 sampled generators lie within the certificate: on the
+    code, and on the code with one H3 vector mixed 1e-3 into a ladder's span,
+    where the bounds are far from zero."""
+    k0 = minimal_k0(minimal_m0(params))
+    try:
+        code = decompose(params, k0, TruncationConfig(k0 + 10))
+    except code_construction.CutConstraintError:
+        assume(False)
+    assert all(record.passed for record in cli._anticlique(code, 1e-8))
+    fam = builtin_family(family)
+    families = jc_families(code, fam, fam)
+    rng = np.random.default_rng(seed)
+    js = rng.integers(1, 4, 40)
+    xs, ts = rng.uniform(0.0, cli._x_range(families), 40), rng.uniform(0.0, 10.0, 40)
+    ladder = families[int(rng.integers(2))].index
+    a = rng.normal(size=ladder.size) + 1j * rng.normal(size=ladder.size)
+    w = code.h3_basis.copy()
+    w[:, 0] = (w[:, 0] + 1e-3 * code.frame.embed(ladder, a / np.linalg.norm(a))) \
+        / np.sqrt(1.0 + 1e-6)
+    mixed = replace(code, h3_basis=w, code_basis=w[:, :k0 - 1])
+    assert anticlique_certificate(mixed).alpha_zero > 1e-7 / k0
+    for c in (code, mixed):
+        cert = anticlique_certificate(c)
+        report = knill_laflamme_frame(c.h3_basis, frame_generator(c, families, js, xs, ts))
+        for j, check in zip(js.tolist(), report.checks, strict=True):
+            assert check.residual <= cert.residual + 1e-15
+            if j != 3:
+                assert abs(check.alpha) <= cert.alpha_zero + 1e-15
 
 
 @settings(max_examples=25, deadline=None)
@@ -717,9 +769,9 @@ def test_verify_moment_records_equal_the_per_ladder_tables(pair, n_fock):
 def test_verify_embeds_each_sample_batch_once(monkeypatch, capsys):
     """One embed per batch of samples, not one per sample, in a factorial verify.
 
-    The H3 basis; per ladder one batch of Knill-Laflamme samples and one of
-    channel inputs; and the leak probe: 6 at N = 160.  The stability grid
-    embeds nothing: it is read in dressed coordinates.
+    The H3 basis; per ladder one batch of channel inputs; and the leak
+    probe: 4 at N = 160.  The anticlique certificate and the stability
+    bound embed nothing: they are read in dressed coordinates.
     """
     embeds = []
     embed = jc_spectrum.DressedFrame.embed
@@ -732,7 +784,7 @@ def test_verify_embeds_each_sample_batch_once(monkeypatch, capsys):
                    "--family1", "factorial", "--family2", "factorial", "--n-fock", "160"])
     capsys.readouterr()
     assert rc == 0
-    assert len(embeds) <= 6
+    assert len(embeds) <= 4
 
 
 _FRAME_POINT = ["--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
