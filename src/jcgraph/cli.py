@@ -280,7 +280,7 @@ def _draw(cfg: RunConfig, code, families) -> list:
     each with its (x, t), x in both domains, as three lists."""
     x_hi, t_hi = _x_range(families), 10.0 / cfg.params.omega_f
     rng = np.random.default_rng(cfg.seed)
-    dim_code, states = code.code_basis.shape[1], []
+    dim_code, states = code.h3_indices.size - 1, []
     for _ in range(5):
         a = rng.normal(size=dim_code) + 1j * rng.normal(size=dim_code)
         # h * random() is uniform(0, h) bit for bit: numpy forms 0 + h * random()
@@ -302,7 +302,8 @@ def _channel(code, families, amps, xs, ts) -> list:
     probe at the first state's (x, t): one column each, one call.  A refused
     input is one failing ``channel.input`` record with the channel's reason."""
     probe = gv.leak_probe(code, families, xs[0], ts[0])
-    vs = np.column_stack([code.code_basis @ np.transpose(amps), probe])
+    vs = np.column_stack([code.frame.embed(code.h3_indices[:-1], np.transpose(amps)),
+                          probe])
     try:
         out = gv.dephase_pure_state(families, xs + xs[:1], ts + ts[:1], vs)
     except (ValidationError, gv.InvalidDensityError) as exc:
@@ -345,7 +346,7 @@ def cmd_demo(cfg: RunConfig, values: dict) -> tuple:
         raise UsageError(f"x = {x} outside [0, {radius})")
     rng = np.random.default_rng(cfg.seed)
     state = values.get("state", "random")
-    dim_code = code.code_basis.shape[1]
+    dim_code = code.h3_indices.size - 1
     if values.get("allow_leak"):
         v = gv.leak_probe(code, families, x, t)
     else:
@@ -370,7 +371,7 @@ def cmd_demo(cfg: RunConfig, values: dict) -> tuple:
         norm = np.linalg.norm(amps)
         if norm == 0:
             raise UsageError("state must be nonzero")
-        v = code.code_basis @ (amps / norm)
+        v = code.frame.embed(code.h3_indices[:-1], amps / norm)
     # v is a code vector by construction, or the leaked probe; the channel's
     # fidelity on |v><v| tells the two apart.
     fid = gv.dephase_pure_state(families, x, t, v).fidelity

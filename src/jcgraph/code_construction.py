@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import TruncationConfig, ValidationError
+from .hilbert import TruncationConfig
 from .jc_spectrum import DressedFrame, JCParams, dressed_frame
 
 _WALK_CAP = 64  # steps the closed-form start may move; rounding needs a few
@@ -115,11 +115,12 @@ class CodeSpec:
     upper ladder J = ``j_indices`` = {1, 3, ..., 2N - 1} (|n,+>), the lower
     ladder S = ``s_indices`` = {2k0, 2k0 + 2, ..., 2N} (|n,->, n >= k0) and the
     decoupled |N, e> at ``decoupled_index`` = 2N + 1.  The ladders of
-    ``gk_states.jc_families`` and H3 are views of this partition.
-    ``h3_basis`` W holds the k0 H3 vectors as columns, ``code_basis`` its
-    first k0 - 1, so callers prepare code states directly.  The dense
-    projectors ``p3`` = W W+ and ``code_projector`` are built on demand for
-    the dense oracles.
+    ``gk_states.jc_families`` and H3 are views of this partition, and the
+    code is spanned by the first k0 - 1 H3 vectors: a code state with
+    amplitudes a is ``frame.embed(h3_indices[:-1], a)``, so the code's
+    dimension is ``h3_indices.size - 1`` (k0 - 1).  No basis is
+    stored; the dense projectors ``p3`` (onto H3) and ``code_projector``
+    are built from the frame on demand, for the dense reference forms.
     """
 
     trunc: TruncationConfig
@@ -129,8 +130,6 @@ class CodeSpec:
     h3_indices: np.ndarray
     j_indices: np.ndarray
     s_indices: np.ndarray
-    h3_basis: np.ndarray
-    code_basis: np.ndarray
 
     @property
     def decoupled_index(self) -> int:
@@ -138,11 +137,13 @@ class CodeSpec:
 
     @property
     def p3(self) -> np.ndarray:
-        return self.h3_basis @ self.h3_basis.conj().T
+        w = self.frame.embed(self.h3_indices, np.eye(self.h3_indices.size))
+        return w @ w.conj().T
 
     @property
     def code_projector(self) -> np.ndarray:
-        return self.code_basis @ self.code_basis.conj().T
+        w = self.frame.embed(self.h3_indices[:-1], np.eye(self.h3_indices.size - 1))
+        return w @ w.conj().T
 
 
 @functools.lru_cache(maxsize=8, typed=True)
@@ -184,17 +185,10 @@ def decompose(params: JCParams, k0: int, trunc: TruncationConfig,
             f"k0 = {k0} below the admissible minimum max(3, M0) = {k_min} (M0 = {m0})")
 
     h3_indices = np.arange(0, 2 * k0, 2)  # |0,g> and |n,-> for n = 1..k0-1
-    h3_basis = frame.embed(h3_indices, np.eye(k0))
-    dev = np.abs(h3_basis.conj().T @ h3_basis - np.eye(k0))
-    if dev.max() > 1e-10:
-        i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-        raise ValidationError(f"H3 basis vectors {i} and {j} are not orthonormal")
-    for a in (frame.cos, frame.sin, frame.energies, h3_indices, j_indices,
-              s_indices, h3_basis):
+    for a in (frame.cos, frame.sin, frame.energies, h3_indices, j_indices, s_indices):
         a.flags.writeable = False
     return CodeSpec(trunc=trunc, m0=m0, k0=k0, frame=frame, h3_indices=h3_indices,
-                    j_indices=j_indices, s_indices=s_indices, h3_basis=h3_basis,
-                    code_basis=h3_basis[:, :k0 - 1])
+                    j_indices=j_indices, s_indices=s_indices)
 
 
 def _gap_indices(gamma_f: np.ndarray, gamma_s: np.ndarray) -> np.ndarray:

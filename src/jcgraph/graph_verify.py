@@ -22,8 +22,8 @@ is exactly one; this requires a finite convergence radius, hence the
 built-in "uniform_moment" family.
 
 ``anticlique_certificate`` proves the anticlique for every generator at
-once, from the H3 basis in the dressed frame, with no sample.  The channel
-checks take batches: for 1-D arrays of samples ``ladder_vector`` and
+once, from the dressed frame and its index partition, with no sample.  The
+channel checks take batches: for 1-D arrays of samples ``ladder_vector`` and
 ``dephase_pure_state`` return one column or entry per sample, from a fixed
 number of array operations.
 """
@@ -223,35 +223,39 @@ class AnticliqueCertificate:
 
 
 def anticlique_certificate(code: CodeSpec) -> AnticliqueCertificate:
-    """Bound the Knill-Laflamme check of P3 = W W+ (W = ``code.h3_basis``) over
-    every generator of the graph, from the dressed frame, in O(N k0^2).
+    """Bound the Knill-Laflamme check of P3 = W W+ over every generator of the
+    graph, in O(N) off the dressed frame and its index partition.
 
-    A generator A enters as W+ A W, with alpha(A) = tr(W+ A W) / k0.  Every
-    block rotation is a real symmetric reflection, so M = ``frame.rotate(W)``
-    = V+ W.  A unit v = V[:, idx] a in a ladder's span (idx = ``j_indices``
-    or ``s_indices``), which holds every |x, t>, has u = W+ v = M[idx]+ a, so
-    |u|^2 <= sigma^2 = lambda_max(M[idx]+ M[idx]), and |v><v| has
-    |alpha| = |u|^2 / k0 <= sigma^2 / k0 (``alpha_zero``, over both ladders).
-    u u+ - alpha I has eigenvalues |u|^2 - alpha and -alpha, so its norm is at
-    most |u|^2, and by Cauchy-Schwarz every entry of W (u u+ - alpha I) W+ is
-    at most lambda_max(W+ W) sigma^2.  ``residual`` is the larger of that and
-    P3's own residual max |W ((W+ W)^2 - alpha I) W+|, taken on the rows where
-    W is nonzero.  alpha is linear in A, so the bounds hold on the generators'
-    whole span.  ``alpha_identity`` = tr(W+ W) / k0 = alpha(I) reads the scale
-    of W, which the bounds take as given.
+    W = V E_H3, the frame's columns at the k0 ``h3_indices``, is never formed;
+    a generator A enters as W+ A W, with alpha(A) = tr(W+ A W) / k0.  Columns
+    of different blocks share no support and the in-block cross term s c - c s
+    is exactly 0, so W+ W = diag(g) and M = V+ W = diag(g) E_H3 exactly, with
+    g = c^2 + s^2 per H3 column (1 for |0, g>).  A unit v = V[:, idx] a on a
+    ladder (idx = ``j_indices`` or ``s_indices``), which holds every |x, t>,
+    has u = W+ v = M[idx]+ a, so |u|^2 <= sigma^2 = max g^2 over (J u S) n H3
+    (0 if disjoint) and |alpha| = |u|^2 / k0 <= sigma^2 / k0 (``alpha_zero``).
+    ||u u+ - alpha I|| <= |u|^2, so by Cauchy-Schwarz every entry of
+    W (u u+ - alpha I) W+ is at most max(g) sigma^2.  ``residual`` is the
+    larger of that and P3's own residual max |W (diag(g^2) - alpha I) W+|,
+    alpha = mean(g^2), on the diagonal of each block: a block's two columns
+    share g, and |c s| <= max(c^2, s^2).  alpha is linear in A, so the bounds
+    hold on the generators' whole span.  ``alpha_identity`` = mean(g) =
+    alpha(I) reads the scale of W, which the bounds take as given.
     """
-    w = code.h3_basis
-    k0 = w.shape[1]
-    gram = w.conj().T @ w
-    m = code.frame.rotate(w)
-    sigma2 = max(float(np.linalg.eigvalsh(m[idx].conj().T @ m[idx])[-1])
-                 for idx in (code.j_indices, code.s_indices))
-    p3 = gram @ gram
-    rows = w[np.abs(w).max(axis=1) > 0]
-    r3 = np.abs(rows @ (p3 - np.trace(p3) / k0 * np.eye(k0)) @ rows.conj().T).max()
+    frame, h3 = code.frame, code.h3_indices
+    k0 = h3.size
+    norms = frame.block_entries(np.ones(frame.energies.size))[0]  # g per column
+    on_ladder = np.zeros(norms.size, dtype=bool)
+    on_ladder[code.j_indices] = on_ladder[code.s_indices] = True
+    g = norms[h3]
+    g2 = g * g
+    sigma2 = float(g2[on_ladder[h3]].max(initial=0.0))
+    shifted = np.zeros(norms.size)
+    shifted[h3] = g2 - g2.sum() / k0
+    r3 = np.abs(frame.block_entries(shifted)[0]).max()
     return AnticliqueCertificate(
-        residual=max(float(np.linalg.eigvalsh(gram)[-1]) * sigma2, float(r3)),
-        alpha_zero=sigma2 / k0, alpha_identity=complex(np.trace(gram) / k0))
+        residual=max(float(g.max()) * sigma2, float(r3)),
+        alpha_zero=sigma2 / k0, alpha_identity=complex(g.sum() / k0))
 
 
 @dataclass(frozen=True)
@@ -422,6 +426,6 @@ def leak_probe(code: CodeSpec, families: Sequence[GKFamilySpec], x: float,
     Used as the negative control: the ladder component is measured out by
     the channel, so the transmission fidelity drops well below 1.
     """
-    ladder = ladder_vector(families[0], x, t)
-    v = math.sqrt(1.0 - 0.5) * code.code_basis[:, 0] + math.sqrt(0.5) * ladder
+    v = math.sqrt(0.5) * ladder_vector(families[0], x, t)
+    v += code.frame.embed(code.h3_indices[:1], [math.sqrt(1.0 - 0.5)])
     return v / np.linalg.norm(v)

@@ -12,10 +12,10 @@ tests can compare the two.
 - Gazeau-Klauder data: a rule's linear weights, the moment table of a
   ladder-sized Gauss rule, a ladder's dense embedding, the measure density
   tau and the action identity.
-- The operator graph: the weighted element Q_x, the dense Knill-Laflamme
-  check of H3 against sampled generators, and the same check in the
-  k0-dimensional frame of the H3 basis, the spot check of the certificate
-  that `verify` reports.
+- The operator graph: the weighted element Q_x, the dense H3 basis, the
+  dense Knill-Laflamme check of H3 against sampled generators, the same
+  check in the k0-dimensional frame of an H3 basis, and the anticlique
+  certificate for any H3 basis, which `verify` reads off the frame.
 - The temporal-stability grid under the closed-form bound that `verify`
   reports.
 """
@@ -25,8 +25,8 @@ from collections import namedtuple
 import numpy as np
 
 from jcgraph.gk_states import moment_diagonals, tail_mass
-from jcgraph.graph_verify import (CheckRecord, GraphGenerator, VerificationReport,
-                                  knill_laflamme_check, ladder_vector)
+from jcgraph.graph_verify import (AnticliqueCertificate, CheckRecord, GraphGenerator,
+                                  VerificationReport, knill_laflamme_check, ladder_vector)
 from jcgraph.hilbert import ValidationError, basis_index
 from jcgraph.jc_spectrum import DegenerateLevelError, _rescaled
 
@@ -174,19 +174,27 @@ def verify_anticlique(code, generators, tol: float = 1e-8, projector=None):
     return knill_laflamme_check(p, generators, tol=tol, names=names)
 
 
-def frame_generator(code, families, j, x, t) -> np.ndarray:
-    """The generator of ``generator`` seen in the H3 frame: W+ G W, k0 x k0.
+def h3_basis(code) -> np.ndarray:
+    """The dense dim x k0 H3 basis W = V E_H3: the frame's columns at ``h3_indices``.
 
-    W = code.h3_basis, so P3 = W W+.  A ladder generator |v><v| becomes
-    u u+ with u = W+ v; P3 itself becomes (W+ W)^2.  For 1-D arrays j, x
-    and t the result is an (n, k0, k0) stack, one sample (j[i], x[i], t[i])
-    each, and each ladder's samples are the columns of one ``ladder_vector``.
+    Its first k0 - 1 columns span the code."""
+    return code.frame.embed(code.h3_indices, np.eye(code.h3_indices.size))
+
+
+def frame_generator(w, families, j, x, t) -> np.ndarray:
+    """The generator of ``generator`` seen in the frame of an H3 basis W: W+ G W.
+
+    W is dim x k0, such as ``h3_basis(code)``, and P3 = W W+.  A ladder
+    generator |v><v| becomes u u+ with u = W+ v; P3 itself becomes
+    (W+ W)^2.  For 1-D arrays j, x and t the result is an (n, k0, k0)
+    stack, one sample (j[i], x[i], t[i]) each, and each ladder's samples
+    are the columns of one ``ladder_vector``.
     """
     js, xs, ts = np.ravel(j), np.ravel(x), np.ravel(t)
     for ji in js.tolist():
         if ji not in (1, 2, 3):
             raise ValueError(f"generator index must be 1, 2 or 3, got {ji}")
-    wh = code.h3_basis.conj().T
+    wh = np.asarray(w).conj().T
     out = np.empty((js.size,) + (wh.shape[0],) * 2, dtype=complex)
     for jl in (1, 2):
         pick = js == jl
@@ -194,9 +202,35 @@ def frame_generator(code, families, j, x, t) -> np.ndarray:
             u = (wh @ ladder_vector(families[jl - 1], xs[pick], ts[pick])).T
             out[pick] = u[:, :, None] * u.conj()[:, None, :]
     if (js == 3).any():
-        gram = wh @ code.h3_basis
+        gram = wh @ w
         out[js == 3] = gram @ gram
     return out if np.ndim(j) else out[0]
+
+
+def anticlique_bound(w, code) -> AnticliqueCertificate:
+    """``anticlique_certificate`` for any dim x k0 H3 basis W, by dense k0 x k0 algebra.
+
+    The ladders are the spans of the frame's columns at ``code.j_indices``
+    and ``code.s_indices``.  Every block rotation is a real symmetric
+    reflection, so M = ``frame.rotate(W)`` = V+ W, and a ladder's largest
+    |W+ v|^2 is sigma^2 = lambda_max(M[idx]+ M[idx]).  The bounds are
+    lambda_max(W+ W) sigma^2 and P3's own residual
+    max |W ((W+ W)^2 - alpha I) W+|, taken on the rows where W is nonzero;
+    alpha_zero = max sigma^2 / k0 and alpha_identity = tr(W+ W) / k0.  The
+    library reads the same three numbers off the frame when W = ``h3_basis(code)``.
+    """
+    w = np.asarray(w, dtype=complex)
+    k0 = w.shape[1]
+    gram = w.conj().T @ w
+    m = code.frame.rotate(w)
+    sigma2 = max(float(np.linalg.eigvalsh(m[idx].conj().T @ m[idx])[-1])
+                 for idx in (code.j_indices, code.s_indices))
+    p3 = gram @ gram
+    rows = w[np.abs(w).max(axis=1) > 0]
+    r3 = np.abs(rows @ (p3 - np.trace(p3) / k0 * np.eye(k0)) @ rows.conj().T).max()
+    return AnticliqueCertificate(
+        residual=max(float(np.linalg.eigvalsh(gram)[-1]) * sigma2, float(r3)),
+        alpha_zero=sigma2 / k0, alpha_identity=complex(np.trace(gram) / k0))
 
 
 def knill_laflamme_frame(w, ms, tol: float = 1e-8):

@@ -34,8 +34,8 @@ from jcgraph.graph_verify import (
     leak_probe,
     verify_identity_membership,
 )
-from oracles import (bohr_mean_diagonal, eigenenergy, finite_time_mean, stability_grid,
-                     verify_anticlique)
+from oracles import (bohr_mean_diagonal, eigenenergy, finite_time_mean, h3_basis,
+                     stability_grid, verify_anticlique)
 
 TWO_PI = 2.0 * math.pi
 HAROCHE = JCParams(omega_f=TWO_PI * 51.1e9, omega_s=TWO_PI * 51.1e9,
@@ -199,12 +199,13 @@ def test_criterion_7_anticlique():
     alpha_id = abs(report.checks[-1].alpha - 1.0)
 
     sub_ok = True
-    dim3 = code.h3_basis.shape[1]
+    h3 = h3_basis(code)
+    dim3 = h3.shape[1]
     for _ in range(5):
         r = int(rng.integers(2, dim3 + 1))
         w, _ = np.linalg.qr(rng.normal(size=(dim3, r))
                             + 1j * rng.normal(size=(dim3, r)))
-        cols = code.h3_basis @ w
+        cols = h3 @ w
         sub = cols @ cols.conj().T
         sub_report = knill_laflamme_check(sub, ops, tol=1e-8)
         sub_ok = sub_ok and sub_report.overall_pass
@@ -228,7 +229,7 @@ def test_criterion_8_zero_error_transmission():
     for _ in range(20):
         amps = rng.normal(size=2) + 1j * rng.normal(size=2)
         amps /= np.linalg.norm(amps)
-        v = code.code_basis @ amps
+        v = code.frame.embed(code.h3_indices[:-1], amps)
         states.append(np.outer(v, v.conj()))
     worst_fid, worst_trace, worst_leak_fid = 0.0, 0.0, 0.0
     for _ in range(10):

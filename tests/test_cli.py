@@ -1,5 +1,7 @@
 """End-to-end tests of the command line interface (in-process)."""
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jcgraph import cli, code_construction, gk_states
 from jcgraph.cli import main
@@ -101,6 +104,38 @@ def test_overflow_check_cannot_raise():
     number or inf, never OverflowError."""
     assert not cli._energies_overflow(cli.JCParams(1.0, 1e300, 1e300), 10 ** 6)
     assert cli._energies_overflow(cli.JCParams(1.0, 1.0, 1e308), 10 ** 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scale=st.floats(-300.0, 300.0), ratio=st.floats(-200.0, 200.0),
+       gamma_f=st.floats(0.0, 1e3), n_fock=st.integers(3, 2000))
+def test_every_finite_point_gets_an_answer_or_a_refusal(scale, ratio, gamma_f, n_fock):
+    """omega_f = 10^scale, omega_s = 10^ratio omega_f and kappa = gamma_f omega_f:
+    each command exits 0, 1 or 2 with no traceback.  A product past the double
+    range reaches the command as inf, which is refused."""
+    omega_f = 10.0 ** scale
+    point = ["--omega-f", repr(omega_f), "--omega-s", repr(10.0 ** ratio * omega_f),
+             "--kappa", repr(gamma_f * omega_f), "--n-fock", str(n_fock)]
+    for command in ("mindim", "demo", "gk-dump", "verify"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([command] + point)
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("family", ["factorial", "uniform_moment"])
+def test_verify_passes_at_gamma_1000(family, capsys):
+    """k0* = 62 500 at gamma_f = gamma_s = 1000: no array of the run is
+    dim x k0, and the anticlique is read off the frame exactly."""
+    rc, out, err = run(["verify", "--gamma-f", "1000", "--gamma-s", "1000",
+                        "--n-fock", "62510", "--family1", family, "--family2", family],
+                       capsys)
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert (rc, err) == (0, "")
+    assert [checks[name]["residual"] for name in (
+        "graph.anticlique", "graph.anticlique_alpha_zero",
+        "graph.anticlique_alpha_identity")] == [0.0, 0.0, 0.0]
 
 
 def test_mindim_cavity_benchmark_frequencies(capsys):

@@ -21,7 +21,7 @@ from jcgraph.code_construction import (
     sweep_columns,
 )
 from jcgraph.jc_spectrum import JCParams
-from oracles import dressed_vector, embedding, s_sequence
+from oracles import dressed_vector, embedding, h3_basis, s_sequence
 
 TWO_PI = 2.0 * math.pi
 # microwave cavity benchmark point: the deep perturbative regime
@@ -171,12 +171,13 @@ def test_decompose_block_ranks_and_orthogonality():
     code = decompose(p, 3, tr)
     assert code.m0 == 1
     assert code.k0 == 3
-    # H1 and H2 are the ladders of jc_families, H3 the code's basis
+    # H1 and H2 are the ladders of jc_families, H3 the frame at h3_indices
     fam = builtin_family("factorial")
     h1, h2 = (embedding(spec) for spec in jc_families(code, fam, fam))
-    blocks = (h1, h2, code.h3_basis)
+    h3 = h3_basis(code)
+    blocks = (h1, h2, h3)
     assert [np.linalg.matrix_rank(b) for b in blocks] == [20, 18, 3]
-    for a, b in ((h1, h2), (h1, code.h3_basis), (h2, code.h3_basis)):
+    for a, b in ((h1, h2), (h1, h3), (h2, h3)):
         assert np.abs(a.conj().T @ b).max() < 1e-12
     # the three blocks cover everything except the decoupled |N, e>
     total = sum(b @ b.conj().T for b in blocks)
@@ -189,12 +190,12 @@ def test_decompose_h3_spans_ground_and_lower_branch():
     p = JCParams(omega_f=1.0, omega_s=1.0, kappa=0.2)
     tr = TruncationConfig(20)
     code = decompose(p, 3, tr)
-    assert code.h3_basis.shape == (tr.dim, 3)
-    np.testing.assert_allclose(code.h3_basis[:, 0],
-                               np.eye(tr.dim)[basis_index(0, "g")], atol=0)
-    np.testing.assert_allclose(code.h3_basis[:, 1],
+    w = h3_basis(code)
+    assert w.shape == (tr.dim, 3)
+    np.testing.assert_allclose(w[:, 0], np.eye(tr.dim)[basis_index(0, "g")], atol=0)
+    np.testing.assert_allclose(w[:, 1],
                                dressed_vector(p, 1, "minus", tr), atol=1e-14)
-    np.testing.assert_allclose(code.h3_basis[:, 2],
+    np.testing.assert_allclose(w[:, 2],
                                dressed_vector(p, 2, "minus", tr), atol=1e-14)
 
 
@@ -202,8 +203,10 @@ def test_decompose_default_code_dimension():
     p = JCParams(omega_f=1.0, omega_s=1.0, kappa=0.2)
     tr = TruncationConfig(20)
     code = decompose(p, 4, tr)
-    assert code.code_basis.shape[1] == 3
-    np.testing.assert_allclose(code.code_basis, code.h3_basis[:, :3], atol=0)
+    assert code.h3_indices.size - 1 == 3
+    code_basis = h3_basis(code)[:, :3]
+    np.testing.assert_allclose(code.code_projector, code_basis @ code_basis.conj().T,
+                               atol=0)
     assert round(np.trace(code.code_projector).real) == 3
 
 
@@ -243,11 +246,11 @@ def test_h3_basis_is_the_dressed_cut(cut):
     code = decompose(params, k0, trunc)
     want = [dressed_vector(params, 0, "ground", trunc)]
     want += [dressed_vector(params, n, "minus", trunc) for n in range(1, k0)]
-    np.testing.assert_allclose(code.h3_basis, np.column_stack(want),
-                               atol=1e-15, rtol=0)
-    np.testing.assert_allclose(code.p3, projector_onto(list(code.h3_basis.T)),
+    w = h3_basis(code)
+    np.testing.assert_allclose(w, np.column_stack(want), atol=1e-15, rtol=0)
+    np.testing.assert_allclose(code.p3, projector_onto(list(w.T)), atol=0, rtol=0)
+    np.testing.assert_allclose(code.code_projector, projector_onto(list(w[:, :k0 - 1].T)),
                                atol=0, rtol=0)
-    np.testing.assert_allclose(code.code_basis, code.h3_basis[:, :k0 - 1], atol=0)
 
 
 def test_benchmark_code_subspace():
@@ -255,10 +258,11 @@ def test_benchmark_code_subspace():
     tr = TruncationConfig(20)
     code = decompose(HAROCHE, 3, tr)
     assert code.m0 == 1
-    assert code.code_basis.shape[1] == 2
-    np.testing.assert_allclose(code.code_basis[:, 0],
+    code_basis = h3_basis(code)[:, :-1]
+    assert code_basis.shape[1] == 2
+    np.testing.assert_allclose(code_basis[:, 0],
                                np.eye(tr.dim)[basis_index(0, "g")], atol=0)
-    np.testing.assert_allclose(code.code_basis[:, 1],
+    np.testing.assert_allclose(code_basis[:, 1],
                                dressed_vector(HAROCHE, 1, "minus", tr), atol=1e-14)
 
 

@@ -12,11 +12,11 @@ import pytest
 from jcgraph import cli
 from jcgraph import code_construction as cc
 from jcgraph.code_construction import decompose
-from jcgraph.hilbert import TruncationConfig, ValidationError
+from jcgraph.hilbert import TruncationConfig
 from jcgraph.jc_spectrum import JCParams
 
 POINT = ["--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7"]
-ARRAYS = ("h3_indices", "j_indices", "s_indices", "h3_basis", "code_basis")
+ARRAYS = ("h3_indices", "j_indices", "s_indices")
 
 
 def _outcome(*args):
@@ -83,17 +83,22 @@ def test_an_inadmissible_cut_raises_on_every_call(args, error):
     assert decompose.cache_info().currsize == 0
 
 
-def test_a_non_orthonormal_h3_basis_raises_on_every_call(monkeypatch):
+def test_a_non_orthonormal_frame_is_cut_and_fails_its_records(monkeypatch):
+    """``decompose`` holds no H3 basis to refuse: a frame with c doubled is cut
+    and kept, and the report reads its H3 columns off unit norm instead."""
     frame = cc.dressed_frame
 
     def stretched(params, trunc):
         f = frame(params, trunc)
         return dataclasses.replace(f, cos=2.0 * f.cos)
     monkeypatch.setattr(cc, "dressed_frame", stretched)
-    for _ in range(2):
-        with pytest.raises(ValidationError):
-            decompose(JCParams(1, 0.8, 0.7), 3, TruncationConfig(20))
-    assert decompose.cache_info().currsize == 0
+    cfg = cli.resolve_run_config({"omega_f": 1.0, "omega_s": 0.8, "kappa": 0.7,
+                                  "n_fock": 20})
+    report = {c.name: c for c in cli.run_verification(cfg).checks}
+    assert decompose.cache_info().currsize == 1
+    assert "code.cut_constraint" not in report
+    for name in ("spectrum.gram_identity", "graph.anticlique_alpha_identity"):
+        assert not report[name].passed
 
 
 def test_twenty_demos_at_one_point_build_one_frame(monkeypatch, capsys):

@@ -114,7 +114,7 @@ def _uniform_draw(cfg, code, families):
     """``_draw`` as written with ``rng.uniform(0, h)``, kept as an oracle."""
     x_hi, t_hi = cli._x_range(families), 10.0 / cfg.params.omega_f
     rng = np.random.default_rng(cfg.seed)
-    dim_code, states = code.code_basis.shape[1], []
+    dim_code, states = code.h3_indices.size - 1, []
     for _ in range(5):
         a = rng.normal(size=dim_code) + 1j * rng.normal(size=dim_code)
         states.append((a / np.linalg.norm(a), float(rng.uniform(0.0, x_hi)),

@@ -24,12 +24,14 @@ from jcgraph.graph_verify import (
     transmit_demo,
     verify_identity_membership,
 )
-from oracles import embedding, moment_table, q_operator, rule_nodes, verify_anticlique
+from oracles import (embedding, h3_basis, moment_table, q_operator, rule_nodes,
+                     verify_anticlique)
 
 PARAMS = JCParams(omega_f=1.0, omega_s=1.0, kappa=0.5)
 TRUNC = TruncationConfig(40)
 UNI = builtin_family("uniform_moment")
 CODE = decompose(PARAMS, 3, TRUNC)
+H3 = h3_basis(CODE)
 FAMILIES = jc_families(CODE, UNI, UNI)
 
 
@@ -37,7 +39,7 @@ def code_state(seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2) + 1j * rng.normal(size=2)
     amps /= np.linalg.norm(amps)
-    return CODE.code_basis @ amps
+    return H3[:, :2] @ amps
 
 
 def test_check_record_serialization():
@@ -101,7 +103,7 @@ def test_q_operator_weights():
         v = g[:, np.argmax(np.diag(g.real))]
         v = v / np.linalg.norm(v)
         assert abs((v.conj() @ q @ v).real - 1.0) < 1e-10
-    w = CODE.h3_basis[:, 1]
+    w = H3[:, 1]
     assert abs((w.conj() @ q @ w).real - 0.25) < 1e-12
 
 
@@ -130,7 +132,7 @@ def test_identity_membership_residual_small():
 def test_identity_membership_excludes_decoupled_direction():
     idx = basis_index(TRUNC.n_fock, "e", TRUNC)
     # nothing in the graph touches |N, e>: every E diag(d) E+ term is zero there
-    for basis in (embedding(FAMILIES[0]), embedding(FAMILIES[1]), CODE.h3_basis):
+    for basis in (embedding(FAMILIES[0]), embedding(FAMILIES[1]), H3):
         assert np.abs(basis[idx]).max() == 0.0
     assert membership(FAMILIES, LADDER_RULE) < 1e-10
 
@@ -200,8 +202,7 @@ def test_verify_anticlique_linear_combinations():
 
 def test_verify_anticlique_sub_projector():
     # any rank-2 sub-projector of H3 inherits the anticlique property
-    sub = np.outer(CODE.h3_basis[:, 0], CODE.h3_basis[:, 0].conj()) \
-        + np.outer(CODE.h3_basis[:, 2], CODE.h3_basis[:, 2].conj())
+    sub = np.outer(H3[:, 0], H3[:, 0].conj()) + np.outer(H3[:, 2], H3[:, 2].conj())
     gens = [generator(CODE, FAMILIES, j, 0.4, 1.0) for j in (1, 2, 3)]
     rep = verify_anticlique(CODE, gens, projector=sub)
     assert rep.overall_pass

@@ -19,36 +19,41 @@ channel's input included, fails under at least one mutation.
 - ``log_rho`` + 1e-5: only the spot check's rule reads the density.
 - One H3 index dropped from the cut: |0, g> keeps no weight, so the
   reconstructed identity reads 0 there (residual 1).
-- A frame with c^2 + s^2 = 1 + 1e-9: ``spectrum.gram_identity`` fails, and
-  ``decompose`` refuses its H3 basis (``code.cut_constraint``), which ends
-  the report.  Each column is still an eigenvector, so
+- A frame with c^2 + s^2 = 1 + 1e-9: ``spectrum.gram_identity`` reads 1e-9
+  and both stability bounds 2e-9.  H3's columns other than |0, g> carry
+  the stretch, so alpha(I) = 1 + 6.7e-10 and the code states' traces are
+  off by up to 9.9e-10.  Each column is still an eigenvector, so
   ``spectrum.eigen_residual`` passes.
-- The same stretch, 1 + 1e-8, on blocks n >= 20 only: the H3 basis is
-  intact, so ``decompose`` accepts the frame and the anticlique certificate
-  reads it as exact.  ``spectrum.gram_identity`` reads 1e-8 and both
-  stability bounds 2e-8.  The channel's sampled ladder vectors reach those
-  blocks and are 5e-9 (factorial) and 1.8e-9 (uniform_moment) off unit
-  norm, so the channel refuses its input (``channel.input``).
+- The same stretch, 1 + 1e-8, on blocks n >= 20 only: H3's blocks are
+  intact, so the anticlique certificate reads the frame as exact.
+  ``spectrum.gram_identity`` reads 1e-8 and both stability bounds 2e-8.
+  The channel's sampled ladder vectors reach those blocks and are 5e-9
+  (factorial) and 1.8e-9 (uniform_moment) off unit norm, so the channel
+  refuses its input (``channel.input``).
 - Frame energies x (1 + 1e-6): the eigen residual reads 1.6e-4, which the
   stability bound squares to 2.7e-6.
 - Two S energies swapped (|50, -> and |51, ->): the S ladder decreases
   there, so the cut is refused (``gk.energy_order``).
-- The first code vector mixed with the first J rung at 3e-5: the
-  certificate's largest |alpha| over the J span reads 9e-10 / k0 = 3.0e-10,
-  while its anticlique bound (9e-10) and the code states' fidelity loss
-  stay within their tolerances.
-- ``h3_basis`` scaled by 1 + 1e-10: alpha(I) = 1 + 2e-10, and each code
-  state's trace is off by as much.  The code basis alone scaled by
-  1 + 1e-9 gives code states off unit norm by 2e-9, which the channel
-  refuses as input (``channel.input``).
+- ``decompose`` reading max(3, M0) one too high: it refuses the minimal
+  cut (``code.cut_constraint``), which ends the report.
+- H3's last index swapped for the first J index, |1, +>: H3 meets J, so
+  the anticlique reads 1 and |alpha| = 1 / k0, and |2, -> keeps no weight
+  in the reconstructed identity (0.6).  The code indices are untouched.
+- The H3 basis scaled by 1 + 1e-10, as the frame stretched on H3's blocks
+  n < k0 only: ``spectrum.gram_identity`` reads 2e-10, alpha(I) =
+  1 + 1.3e-10, and each code state's trace is off by up to 2e-10.  The
+  code basis alone scaled by 1 + 1e-9, as the drawn amplitudes scaled,
+  gives code states off unit norm by 2e-9, which the channel refuses as
+  input (``channel.input``).
 - The S cut moved down one rung, onto |k0 - 1, ->, a vector of H3.
 - J read on the - branch (``j_indices`` + 1): its rungs include H3's, so
   the anticlique fails with |alpha| = 1 / k0, the reconstructed identity
   misses the + branch, and the two ladders overlap, which the channel
   refuses (|<v1|v2>| = 0.98 under factorial).
-- The code basis, and only it, leaked 1e-3 onto the S rung that the first
-  channel sample weighs most: that state loses 1.4e-8 (factorial) and
-  3.6e-7 (uniform_moment) of fidelity.
+- The first code vector, in the channel's states only, leaked 1e-3 onto the
+  S rung that the first channel sample weighs most: the rung is read as
+  one more code index with amplitudes to match, and that state loses
+  1.4e-8 (factorial) and 3.6e-7 (uniform_moment) of fidelity.
 - The leak probe not leaked: it passes the channel unchanged.
 
 ``UNDETECTED`` holds faults that no record reads, as strict xfails: the
@@ -124,30 +129,29 @@ def _patch_frame(monkeypatch, change):
         monkeypatch.setattr(module, "dressed_frame", changed)
 
 
-def _with_h3_basis(code, w):
-    return dataclasses.replace(code, h3_basis=w, code_basis=w[:, :code.k0 - 1])
-
-
 def _drop_h3_index(monkeypatch, family):
     _patch_code(monkeypatch, lambda code: dataclasses.replace(
         code, h3_indices=code.h3_indices[1:]))
     return {"graph.identity_membership"}
 
 
-def _stretch(frame, scale, first_block=1):
+def _stretch(frame, scale, blocks=slice(None)):
+    """The frame with c and s scaled by ``scale`` on ``blocks`` (block n at n - 1)."""
     cos, sin = frame.cos.copy(), frame.sin.copy()
-    cos[first_block - 1:] *= scale
-    sin[first_block - 1:] *= scale
+    cos[blocks] *= scale
+    sin[blocks] *= scale
     return dataclasses.replace(frame, cos=cos, sin=sin)
 
 
 def _frame_off_unit_norm(monkeypatch, family):
     _patch_frame(monkeypatch, lambda frame: _stretch(frame, np.sqrt(1.0 + 1e-9)))
-    return {"spectrum.gram_identity", "code.cut_constraint"}
+    return {"spectrum.gram_identity", "graph.anticlique_alpha_identity",
+            "channel.trace_preservation"} | STABILITY
 
 
 def _frame_stretched_from_block_20(monkeypatch, family):
-    _patch_frame(monkeypatch, lambda frame: _stretch(frame, np.sqrt(1.0 + 1e-8), 20))
+    _patch_frame(monkeypatch,
+                 lambda frame: _stretch(frame, np.sqrt(1.0 + 1e-8), slice(19, None)))
     return {"spectrum.gram_identity", "channel.input"} | STABILITY
 
 
@@ -166,24 +170,36 @@ def _s_energies_swapped(monkeypatch, family):
     return {"spectrum.eigen_residual", "gk.energy_order"}
 
 
-def _code_vector_mixed_with_j_rung(monkeypatch, family):
-    def mixed(code):
-        w = code.h3_basis.copy()
-        rung = code.frame.embed(code.j_indices[:1], np.eye(1))[:, 0]
-        w[:, 0] = (w[:, 0] + 3e-5 * rung) / np.sqrt(1.0 + 9e-10)
-        return _with_h3_basis(code, w)
-    _patch_code(monkeypatch, mixed)
-    return {"graph.anticlique_alpha_zero"}
+def _cut_minimum_one_too_high(monkeypatch, family):
+    """``decompose`` reads max(3, M0) one too high, so it refuses the minimal cut."""
+    decompose = code_construction.decompose
+
+    def raised(params, k0, trunc, m0):
+        return decompose(params, k0, trunc, code_construction.minimal_k0(m0) + 1)
+    monkeypatch.setattr(code_construction, "decompose", raised)
+    return {"code.cut_constraint"}
+
+
+def _h3_index_swapped_for_j_rung(monkeypatch, family):
+    _patch_code(monkeypatch, lambda code: dataclasses.replace(
+        code, h3_indices=np.append(code.h3_indices[:-1], code.j_indices[0])))
+    return {"graph.identity_membership", "graph.anticlique", "graph.anticlique_alpha_zero"}
 
 
 def _h3_basis_scaled(monkeypatch, family):
-    _patch_code(monkeypatch, lambda code: _with_h3_basis(code, (1.0 + 1e-10) * code.h3_basis))
-    return {"graph.anticlique_alpha_identity", "channel.trace_preservation"}
+    _patch_code(monkeypatch, lambda code: dataclasses.replace(
+        code, frame=_stretch(code.frame, 1.0 + 1e-10, slice(code.k0 - 1))))
+    return {"spectrum.gram_identity", "graph.anticlique_alpha_identity",
+            "channel.trace_preservation"}
 
 
 def _code_basis_scaled(monkeypatch, family):
-    _patch_code(monkeypatch, lambda code: dataclasses.replace(
-        code, code_basis=(1.0 + 1e-9) * code.code_basis))
+    draw = cli._draw
+
+    def scaled(*args):
+        amps, xs, ts = draw(*args)
+        return [(1.0 + 1e-9) * a for a in amps], xs, ts
+    monkeypatch.setattr(cli, "_draw", scaled)
     return {"channel.input"}
 
 
@@ -204,19 +220,25 @@ def _code_leaked_onto_sampled_rung(monkeypatch, family):
     channel = cli._channel
 
     def leaked(code, families, amps, xs, ts):
+        # each state's first code amplitude a0 becomes a0 / sqrt(1 + 1e-6), and
+        # 1e-3 of that goes onto S rung k, read as one more code index
         spec = families[1]
         k = int(spec.family.probabilities(xs[0], spec.terms - 1).argmax())
-        basis = code.code_basis.copy()
-        rung = code.frame.embed(spec.index[k:k + 1], np.eye(1))[:, 0]
-        basis[:, 0] = (basis[:, 0] + 1e-3 * rung) / np.sqrt(1.0 + 1e-6)
-        return channel(dataclasses.replace(code, code_basis=basis), families, amps, xs, ts)
+        h3 = code.h3_indices
+        wider = dataclasses.replace(code, h3_indices=np.concatenate(
+            [h3[:-1], spec.index[k:k + 1], h3[-1:]]))
+        amps = [np.append(a, 1e-3 * a[0]) for a in amps]
+        for a in amps:
+            a[[0, -1]] /= np.sqrt(1.0 + 1e-6)
+        return channel(wider, families, amps, xs, ts)
     monkeypatch.setattr(cli, "_channel", leaked)
     return {"channel.code_fidelity"}
 
 
 def _leak_probe_not_leaked(monkeypatch, family):
-    monkeypatch.setattr(graph_verify, "leak_probe",
-                        lambda code, families, x, t: code.code_basis[:, 0])
+    def code_vector(code, families, x, t):
+        return code.frame.embed(code.h3_indices[:1], np.ones(1))
+    monkeypatch.setattr(graph_verify, "leak_probe", code_vector)
     return {"channel.leak_control"}
 
 
@@ -230,7 +252,8 @@ MUTATIONS = {
     "frame_stretched@n>=20": _frame_stretched_from_block_20,
     "frame_energies*(1+1e-6)": _frame_energies_scaled,
     "s_energies_swapped": _s_energies_swapped,
-    "code_vector_mixed_with_j_rung@3e-5": _code_vector_mixed_with_j_rung,
+    "cut_minimum_one_too_high": _cut_minimum_one_too_high,
+    "h3_index_swapped_for_j_rung": _h3_index_swapped_for_j_rung,
     "h3_basis*(1+1e-10)": _h3_basis_scaled,
     "code_basis*(1+1e-9)": _code_basis_scaled,
     "s_cut_moved_down_one_rung": _s_cut_moved_down,

@@ -2,8 +2,8 @@
 
 `verify` reads the spectrum residuals off the frame's 2x2 blocks, builds
 ladder states from dressed indices on one frame, applies U_t block by
-block, bounds Knill-Laflamme over the whole graph from the H3 basis in the
-dressed frame, sends pure code states through the channel as vectors and
+block, bounds Knill-Laflamme over the whole graph from the frame and its
+index partition, sends pure code states through the channel as vectors and
 reads the resolution and identity-membership reconstructions block by
 block.  Each is compared here with the dense computation it replaces
 (`hamiltonian_matrix @ dressed_basis` and its Gram matrix, closed-form
@@ -11,6 +11,7 @@ block.  Each is compared here with the dense computation it replaces
 + `fidelity`, and the reconstructions `E diag(d) E+` below) at N <= 60,
 on both weight families, for positive, negative and zero detuning, with x
 up to the tail-safe radius.  The anticlique certificate is checked against
+its dense form for any H3 basis (`oracles.anticlique_bound`) and against
 sampled generators in the frame of the H3 basis (`oracles.frame_generator`,
 `oracles.knill_laflamme_frame`), which in turn match `knill_laflamme_check`.
 """
@@ -46,9 +47,9 @@ from jcgraph.hilbert import QuadratureRule, TruncationConfig, ValidationError, b
 from jcgraph.jc_spectrum import (JCParams, dressed_basis, dressed_frame,
                                  evolution_operator, hamiltonian_matrix,
                                  spectrum_residuals)
-from oracles import (dressed_index, dressed_vector, eigenenergy, embedding,
-                     frame_generator, knill_laflamme_frame, moment_table, stability_grid,
-                     weights)
+from oracles import (anticlique_bound, dressed_index, dressed_vector, eigenenergy,
+                     embedding, frame_generator, h3_basis, knill_laflamme_frame,
+                     moment_table, stability_grid, weights)
 
 FAMILIES = ("uniform_moment", "factorial")
 ORACLE_TOL = 1e-12
@@ -348,14 +349,14 @@ def test_frame_knill_laflamme_matches_dense_check(system, seed):
     x_hi = cli._x_range(families)
     draws = [(j, float(rng.uniform(0.0, x_hi)), float(rng.uniform(0.0, 10.0)))
              for j in (1, 2, 3, 1, 2, 1, 2)]
+    w = h3_basis(code)
     ops = [generator(code, families, j, x, t).operator
            for j, x, t in draws]
-    ms = [frame_generator(code, families, j, x, t) for j, x, t in draws]
+    ms = [frame_generator(w, families, j, x, t) for j, x, t in draws]
     for _ in range(2):
         coeffs = rng.normal(size=len(draws))
         ops.append(sum(c * a for c, a in zip(coeffs, ops[:len(draws)])))
         ms.append(sum(c * m for c, m in zip(coeffs, ms[:len(draws)])))
-    w = code.h3_basis
     ops.append(np.eye(trunc.dim, dtype=complex))
     ms.append(w.conj().T @ w)
     # a random Hermitian error is no scalar on H3: its residual is O(1)
@@ -378,7 +379,8 @@ JUMP = 7.464101615137754  # the double nearest 2(2 + sqrt 3), where M0 jumps
 @st.composite
 def rate_points(draw):
     """Log-uniform (gamma_f, gamma_s) in [1e-6, 40] at omega_f = 1.  Past 40 the
-    cut k0* ~ (gamma_f / 4)^2 makes the dense dim x k0 H3 basis too large to build."""
+    cut k0* ~ (gamma_f / 4)^2 makes the sampled oracle's (n, k0, k0) stack, and
+    its dense H3 basis, too large to build; ``verify`` itself holds no such array."""
     gamma_f, gamma_s = (10.0 ** draw(st.floats(-6.0, np.log10(40.0))) for _ in "fs")
     return JCParams.from_rates(gamma_f, gamma_s)
 
@@ -392,15 +394,20 @@ def rate_points(draw):
 @example(JCParams.from_rates(40.0, 40.0), "factorial", 5)  # k0* = 100
 def test_the_certificate_bounds_every_sampled_generator(params, family, seed):
     """Wherever the cut k0* is admitted at N = k0* + 10, the three anticlique
-    records pass, and 40 sampled generators lie within the certificate: on the
-    code, and on the code with one H3 vector mixed 1e-3 into a ladder's span,
-    where the bounds are far from zero."""
+    records pass, the certificate read off the frame is the dense bound of the
+    H3 basis to rounding, and 40 sampled generators lie within it.  The same
+    holds for the dense bound of the H3 basis with one vector mixed 1e-3 into
+    a ladder's span, where the bounds are far from zero."""
     k0 = minimal_k0(minimal_m0(params))
     try:
         code = decompose(params, k0, TruncationConfig(k0 + 10))
     except code_construction.CutConstraintError:
         assume(False)
     assert all(record.passed for record in cli._anticlique(code, 1e-8))
+    w = h3_basis(code)
+    cert, dense = anticlique_certificate(code), anticlique_bound(w, code)
+    for field in ("residual", "alpha_zero", "alpha_identity"):
+        assert abs(getattr(cert, field) - getattr(dense, field)) <= 1e-15
     fam = builtin_family(family)
     families = jc_families(code, fam, fam)
     rng = np.random.default_rng(seed)
@@ -408,18 +415,50 @@ def test_the_certificate_bounds_every_sampled_generator(params, family, seed):
     xs, ts = rng.uniform(0.0, cli._x_range(families), 40), rng.uniform(0.0, 10.0, 40)
     ladder = families[int(rng.integers(2))].index
     a = rng.normal(size=ladder.size) + 1j * rng.normal(size=ladder.size)
-    w = code.h3_basis.copy()
-    w[:, 0] = (w[:, 0] + 1e-3 * code.frame.embed(ladder, a / np.linalg.norm(a))) \
+    mixed = w.copy()
+    mixed[:, 0] = (w[:, 0] + 1e-3 * code.frame.embed(ladder, a / np.linalg.norm(a))) \
         / np.sqrt(1.0 + 1e-6)
-    mixed = replace(code, h3_basis=w, code_basis=w[:, :k0 - 1])
-    assert anticlique_certificate(mixed).alpha_zero > 1e-7 / k0
-    for c in (code, mixed):
-        cert = anticlique_certificate(c)
-        report = knill_laflamme_frame(c.h3_basis, frame_generator(c, families, js, xs, ts))
+    assert anticlique_bound(mixed, code).alpha_zero > 1e-7 / k0
+    for basis, bound in ((w, cert), (mixed, anticlique_bound(mixed, code))):
+        report = knill_laflamme_frame(basis, frame_generator(basis, families, js, xs, ts))
         for j, check in zip(js.tolist(), report.checks, strict=True):
-            assert check.residual <= cert.residual + 1e-15
+            assert check.residual <= bound.residual + 1e-15
             if j != 3:
-                assert abs(check.alpha) <= cert.alpha_zero + 1e-15
+                assert abs(check.alpha) <= bound.alpha_zero + 1e-15
+
+
+CERTIFICATE_POINTS = {
+    "default": JCParams(1.0, 0.8, 0.7), "omega_s=1.2": JCParams(1.0, 1.2, 0.7),
+    "resonance": JCParams(1.0, 1.0, 0.7), "gamma=8": JCParams.from_rates(8.0, 8.0),
+    "gamma=40": JCParams.from_rates(40.0, 40.0), "kappa=0": JCParams(1.0, 0.8, 0.0),
+    "cavity": JCParams(2 * np.pi * 51.1e9, 2 * np.pi * 51.1e9, 2 * np.pi * 47e3),
+}
+WRONG_CUTS = {
+    "correct": lambda code: code,
+    "s_cut_moved_down": lambda code: replace(
+        code, s_indices=np.concatenate([code.s_indices[:1] - 2, code.s_indices])),
+    "j_on_minus_branch": lambda code: replace(code, j_indices=code.j_indices + 1),
+}
+
+
+@pytest.mark.parametrize("stretch", [0.0, 1e-6, 1.0])
+@pytest.mark.parametrize("cut", list(WRONG_CUTS))
+@pytest.mark.parametrize("point", list(CERTIFICATE_POINTS))
+def test_the_certificate_is_the_dense_bound_of_its_h3_basis(point, cut, stretch):
+    """The certificate read off the frame is ``oracles.anticlique_bound`` of the
+    dense W = V E_H3, on correct and wrong partitions, and on frames whose
+    cosines are stretched by 1 + stretch n / N, so g = c^2 + s^2 differs per block."""
+    params = CERTIFICATE_POINTS[point]
+    k0 = minimal_k0(minimal_m0(params))
+    code = WRONG_CUTS[cut](decompose(params, k0, TruncationConfig(k0 + 10)))
+    frame = code.frame
+    scale = 1.0 + stretch * np.arange(frame.cos.size) / frame.cos.size
+    code = replace(code, frame=replace(frame, cos=frame.cos * scale))
+    cert, dense = anticlique_certificate(code), anticlique_bound(h3_basis(code), code)
+    for field in ("residual", "alpha_zero", "alpha_identity"):
+        a, b = getattr(cert, field), getattr(dense, field)
+        assert abs(a - b) <= 1e-15 + 1e-14 * abs(b), field
+    assert (cert.alpha_zero > 0.1 / k0) == (cut != "correct")
 
 
 @settings(max_examples=25, deadline=None)
@@ -430,9 +469,9 @@ def test_pure_state_channel_matches_dense_channel(system, seed):
     rng = np.random.default_rng(seed)
     x = float(rng.uniform(0.0, cli._x_range(families)))
     t = float(rng.uniform(0.0, 10.0))
-    amps = rng.normal(size=code.code_basis.shape[1]) \
-        + 1j * rng.normal(size=code.code_basis.shape[1])
-    code_state = code.code_basis @ (amps / np.linalg.norm(amps))
+    dim_code = code.h3_indices.size - 1
+    amps = rng.normal(size=dim_code) + 1j * rng.normal(size=dim_code)
+    code_state = code.frame.embed(code.h3_indices[:-1], amps / np.linalg.norm(amps))
     # any unit vector: generic weights on both ladders and the complement
     generic = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
     generic = generic / np.linalg.norm(generic) + embedding(families[1])[:, 0]
@@ -451,7 +490,7 @@ def test_pure_state_channel_validates_its_input():
     params = JCParams(1.0, 0.8, 0.7)
     trunc = TruncationConfig(20)
     code, families = build(params, trunc, "factorial")
-    v = code.code_basis[:, 0]
+    v = h3_basis(code)[:, 0]
     with pytest.raises(InvalidDensityError):
         dephase_pure_state(families, 0.5, 1.0, 2.0 * v)
     # the same ladder twice: its projectors overlap, so they are no channel
@@ -497,12 +536,12 @@ def test_stacked_knill_laflamme_matches_one_matrix_at_a_time(system, seed):
     n = 12
     js = rng.integers(1, 4, n)
     xs, ts = rng.uniform(0.0, cli._x_range(families), n), rng.uniform(0.0, 10.0, n)
-    stack = frame_generator(code, families, js, xs, ts)
+    w = h3_basis(code)
+    stack = frame_generator(w, families, js, xs, ts)
     assert stack.shape == (n, code.k0, code.k0)
     for m, j, x, t in zip(stack, js.tolist(), xs.tolist(), ts.tolist()):
-        np.testing.assert_allclose(m, frame_generator(code, families, j, x, t),
+        np.testing.assert_allclose(m, frame_generator(w, families, j, x, t),
                                    atol=1e-15, rtol=0)
-    w = code.h3_basis
     # a random Hermitian error is no scalar on H3: its residual is O(1)
     a = rng.normal(size=(code.k0,) * 2) + 1j * rng.normal(size=(code.k0,) * 2)
     ms = np.concatenate([stack, np.tensordot(rng.normal(size=(3, n)), stack, axes=1),
@@ -525,12 +564,13 @@ def test_batched_channel_matches_one_state_at_a_time(system, seed):
     code, families = build(params, trunc, family)
     rng = np.random.default_rng(seed)
     xs, ts = rng.uniform(0.0, cli._x_range(families), 4), rng.uniform(0.0, 10.0, 4)
-    dim_code = code.code_basis.shape[1]
+    dim_code = code.h3_indices.size - 1
     amps = rng.normal(size=(dim_code, 2)) + 1j * rng.normal(size=(dim_code, 2))
     # any unit vector: generic weights on both ladders and the complement
     generic = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
     generic = generic / np.linalg.norm(generic) + embedding(families[1])[:, 0]
-    vs = np.column_stack([code.code_basis @ (amps / np.linalg.norm(amps, axis=0)),
+    vs = np.column_stack([code.frame.embed(code.h3_indices[:-1],
+                                           amps / np.linalg.norm(amps, axis=0)),
                           generic / np.linalg.norm(generic),
                           leak_probe(code, families, xs[3], ts[3])])
     out = dephase_pure_state(families, xs, ts, vs)
@@ -769,9 +809,10 @@ def test_verify_moment_records_equal_the_per_ladder_tables(pair, n_fock):
 def test_verify_embeds_each_sample_batch_once(monkeypatch, capsys):
     """One embed per batch of samples, not one per sample, in a factorial verify.
 
-    The H3 basis; per ladder one batch of channel inputs; and the leak
-    probe: 4 at N = 160.  The anticlique certificate and the stability
-    bound embed nothing: they are read in dressed coordinates.
+    The leak probe's ladder state and code vector, one vector each; the five
+    code states, k0 - 1 = 2 amplitudes each; and per ladder one batch of the
+    six channel inputs: 5 at N = 160.  The anticlique certificate and the
+    stability bound embed nothing: they are read in dressed coordinates.
     """
     embeds = []
     embed = jc_spectrum.DressedFrame.embed
@@ -784,7 +825,7 @@ def test_verify_embeds_each_sample_batch_once(monkeypatch, capsys):
                    "--family1", "factorial", "--family2", "factorial", "--n-fock", "160"])
     capsys.readouterr()
     assert rc == 0
-    assert len(embeds) <= 4
+    assert embeds == [(160,), (1,), (2, 5), (160, 6), (158, 6)]
 
 
 _FRAME_POINT = ["--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
@@ -812,14 +853,16 @@ def test_warm_verify_builds_no_frame(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command, families", [
-    ("verify", "factorial"), ("verify", "mixed"), ("demo", "uniform_moment")])
+    ("verify", "factorial"), ("verify", "mixed"), ("demo", "uniform_moment"),
+    ("gk-dump", "factorial")])
 def test_commands_never_read_a_dense_ladder(monkeypatch, capsys, command, families):
-    """No embed takes a whole ladder's identity: at N = 30, J has 30 rungs and S 28."""
+    """No embed takes a whole ladder's identity or H3's: at N = 30, J has 30
+    rungs, S 28 and H3 k0 = 3 vectors, so nothing builds a dim x k0 basis."""
     reads = []
     embed = jc_spectrum.DressedFrame.embed
 
     def counted(frame, idx, a):
-        if np.shape(a) == (len(idx),) * 2 and len(idx) in (28, 30):
+        if np.shape(a) == (len(idx),) * 2 and len(idx) in (3, 28, 30):
             reads.append(len(idx))
         return embed(frame, idx, a)
     monkeypatch.setattr(jc_spectrum.DressedFrame, "embed", counted)
