@@ -268,24 +268,18 @@ def _membership(code, families) -> gv.CheckRecord:
 
 
 def _x_range(families) -> float:
-    """The samples' largest x: within 0.95 R and tail-safe to 1e-6 on both ladders.
+    """The leak probe's largest x: within 0.95 R and tail-safe to 1e-6 on both ladders.
     A family's tail grows as its ladder shortens, so S alone sizes a shared family."""
     specs = families[1:] if families[0].family == families[1].family else families
     return min(min(gk.tail_safe_xmax(spec.family, spec.terms - 1, budget=1e-6),
                    0.95 * spec.family.radius) for spec in specs)
 
 
-def _draw(cfg: RunConfig, code, families) -> list:
-    """The channel's samples, one at a time in a fixed order: 5 unit code amplitudes,
-    each with its (x, t), x in both domains, as three lists."""
-    x_hi, t_hi = _x_range(families), 10.0 / cfg.params.omega_f
+def _draw(cfg: RunConfig, families) -> tuple:
+    """The leak probe's (x, t): x within both domains, t within 10 / omega_f."""
     rng = np.random.default_rng(cfg.seed)
-    dim_code, states = code.h3_indices.size - 1, []
-    for _ in range(5):
-        a = rng.normal(size=dim_code) + 1j * rng.normal(size=dim_code)
-        # h * random() is uniform(0, h) bit for bit: numpy forms 0 + h * random()
-        states.append((a / np.linalg.norm(a), x_hi * rng.random(), t_hi * rng.random()))
-    return [list(col) for col in zip(*states)]
+    # h * random() is uniform(0, h) bit for bit: numpy forms 0 + h * random()
+    return _x_range(families) * rng.random(), 10.0 / cfg.params.omega_f * rng.random()
 
 
 def _anticlique(code, tol: float) -> list:
@@ -297,23 +291,19 @@ def _anticlique(code, tol: float) -> list:
                    1e-10, alpha=cert.alpha_identity)]
 
 
-def _channel(code, families, amps, xs, ts) -> list:
-    """The channel on the code states, from the branches P_k v, and on the leak
-    probe at the first state's (x, t): one column each, one call.  A refused
-    input is one failing ``channel.input`` record with the channel's reason."""
-    probe = gv.leak_probe(code, families, xs[0], ts[0])
-    vs = np.column_stack([code.frame.embed(code.h3_indices[:-1], np.transpose(amps)),
-                          probe])
+def _channel(code, families, x: float, t: float) -> list:
+    """The channel on every code state (``gv.channel_certificate``), and on the
+    leak probe at (x, t).  A refused input is one failing ``channel.input``
+    record with the channel's reason."""
     try:
-        out = gv.dephase_pure_state(families, xs + xs[:1], ts + ts[:1], vs)
+        trace, loss = gv.channel_certificate(code)
+        probe = gv.dephase_pure_state(families, x, t, gv.leak_probe(code, families, x, t))
     except (ValidationError, gv.InvalidDensityError) as exc:
         return [gv.CheckRecord("channel.input", 1.0, 0.0, False, reason=str(exc))]
-    trace, fid = out.trace[:-1], out.fidelity[:-1]
-    return [_below("channel.trace_preservation",
-                   max(0.0, *np.abs(trace - 1.0).tolist()), 1e-10),
-            _below("channel.code_fidelity", max(0.0, *(1.0 - fid).tolist()), 1e-8),
+    return [_below("channel.trace_preservation", trace, 1e-10),
+            _below("channel.code_fidelity", loss, 1e-8),
             _below("channel.leak_control",
-                   max(0.0, float(out.fidelity[-1]) - (1.0 - 1e-3)), 1e-12)]
+                   max(0.0, probe.fidelity - (1.0 - 1e-3)), 1e-12)]
 
 
 def run_verification(cfg: RunConfig) -> gv.VerificationReport:
@@ -330,7 +320,7 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
         checks += _ladder_records(spec, residuals, cfg)
     checks.append(_membership(code, families))
     checks += _anticlique(code, cfg.tol)
-    checks += _channel(code, families, *_draw(cfg, code, families))
+    checks += _channel(code, families, *_draw(cfg, families))
     return gv.VerificationReport(checks)
 
 

@@ -88,33 +88,16 @@ class WeightFamily:
             log_rho = self.log_rho(base.nodes) + base.nodes
         return QuadratureRule(nodes=base.nodes, log_weights=base.log_weights + log_rho)
 
-    def probabilities(self, x, k_max: int) -> np.ndarray:
-        """p_k = x^k / (c_k N^2(x)) for k = 0..k_max, summing to 1 - tail.
-
-        ``x`` is a number, giving one row, or an array of them, giving one
-        row per x along a new last axis, all from one ``exp``.  log x and
-        log N^2(x) are taken per x, so a row is bit for bit the number's.
-        """
-        xs = np.asarray(x, dtype=float)
-        flat = xs.ravel().tolist()
-        logs = []
-        for xi in flat:
-            _check_domain(self, xi)
-            logs.append((math.log(xi) if xi > 0.0 else 0.0, self.log_n_squared(xi)))
-        if xs.ndim:  # log x and log N^2 as arrays with a k axis to broadcast on
-            logs = np.array(logs).reshape(xs.shape + (2,))
-            log_x, log_n2 = logs[..., :1], logs[..., 1:]
-        else:
-            (log_x, log_n2), = logs
+    def probabilities(self, x: float, k_max: int) -> np.ndarray:
+        """p_k = x^k / (c_k N^2(x)) for k = 0..k_max, summing to 1 - tail."""
+        _check_domain(self, x)
+        if x == 0.0:
+            p = np.zeros(k_max + 1)
+            p[0] = 1.0
+            return p
         with np.errstate(under="ignore"):
-            p = np.exp(np.arange(k_max + 1) * log_x - _log_weights(self.log_weight, k_max)
-                       - log_n2)
-        if 0.0 in flat:
-            rows = p.reshape(len(flat), -1)
-            at_zero = [i for i, xi in enumerate(flat) if xi == 0.0]
-            rows[at_zero] = 0.0
-            rows[at_zero, 0] = 1.0
-        return p
+            return np.exp(np.arange(k_max + 1) * math.log(x)
+                          - _log_weights(self.log_weight, k_max) - self.log_n_squared(x))
 
 
 @functools.lru_cache(maxsize=8)
@@ -326,9 +309,9 @@ class GKFamilySpec:
         return (int(self.index[0]) + 1) // 2
 
 
-def _phases(spec: GKFamilySpec, y) -> np.ndarray:
-    """e^{-i h_k y}, with the k axis last (one row per y for an array y)."""
-    return np.exp(-1j * spec.energies * np.asarray(y, dtype=float)[..., None])
+def _phases(spec: GKFamilySpec, y: float) -> np.ndarray:
+    """e^{-i h_k y}, one entry per rung."""
+    return np.exp(-1j * spec.energies * y)
 
 
 def _coefficients(spec: GKFamilySpec, x: float, y: float) -> np.ndarray:

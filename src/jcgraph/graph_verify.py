@@ -22,10 +22,11 @@ is exactly one; this requires a finite convergence radius, hence the
 built-in "uniform_moment" family.
 
 ``anticlique_certificate`` proves the anticlique for every generator at
-once, from the dressed frame and its index partition, with no sample.  The
-channel checks take batches: for 1-D arrays of samples ``ladder_vector`` and
-``dephase_pure_state`` return one column or entry per sample, from a fixed
-number of array operations.
+once, and ``channel_certificate`` bounds the channel's output on every code
+state at every (x, t), both from the dressed frame and its index partition,
+with no sample.  The only state ``verify`` sends through the channel is the
+leak probe, its negative control: ``ladder_vector`` and ``dephase_pure_state``
+take one (x, t) and one input.
 """
 from __future__ import annotations
 
@@ -106,28 +107,24 @@ class GraphGenerator:
     operator: np.ndarray
 
 
-def ladder_vector(spec: GKFamilySpec, x, t) -> np.ndarray:
+def ladder_vector(spec: GKFamilySpec, x: float, t: float) -> np.ndarray:
     """Unit vector |x, t> of the ladder, spanning the generator U_t P^j_x U_t+.
 
-    For 1-D arrays x and t the result is a dim x n matrix, one column per
-    pair (x[i], t[i]), from one ``probabilities`` call and one 2-D
-    ``embed``.  The truncated coefficients are renormalized so the
-    generator is an exact projector for every x in [0, R), not only where
-    the tail is small.  Where every kept coefficient underflows there is
-    nothing to renormalize: ``TruncationTooSmallError`` reports, for the
-    first such x, the photon cutoff that would meet the default tail
-    tolerance.
+    The truncated coefficients are renormalized so the generator is an
+    exact projector for every x in [0, R), not only where the tail is
+    small.  Where every kept coefficient underflows there is nothing to
+    renormalize: ``TruncationTooSmallError`` reports the photon cutoff that
+    would meet the default tail tolerance.
     """
     p = spec.family.probabilities(x, spec.terms - 1)
     # the squared norm of |x, t> is its kept mass: the frame is orthonormal
-    mass = p.sum(axis=-1, keepdims=True)
-    if not mass.all():
-        x = float(np.ravel(x)[np.flatnonzero(mass == 0.0)[0]])
+    mass = p.sum()
+    if not mass:
         need = _required_n(spec, x, TruncationConfig.tail_tol)
         raise TruncationTooSmallError(
             f"the {spec.label} ladder keeps no coefficient mass at x = {x}; "
             f"it needs a photon cutoff N >= {need}", required_n=need)
-    return spec.frame.embed(spec.index, (np.sqrt(p / mass) * _phases(spec, t)).T)
+    return spec.frame.embed(spec.index, np.sqrt(p / mass) * _phases(spec, t))
 
 
 def _ladder_projector(spec: GKFamilySpec, x: float, t: float) -> np.ndarray:
@@ -318,13 +315,13 @@ def channel_apply(channel: Channel, rho: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PureTransmission:
     """The dephasing channel's output on a pure input |v><v|: its trace and its
-    fidelity with the input, one entry per input for a batch of inputs."""
+    fidelity with the input."""
 
-    trace: float | np.ndarray
-    fidelity: float | np.ndarray
+    trace: float
+    fidelity: float
 
 
-def dephase_pure_state(families: Sequence[GKFamilySpec], x, t,
+def dephase_pure_state(families: Sequence[GKFamilySpec], x: float, t: float,
                        v: np.ndarray) -> PureTransmission:
     """``dephasing_channel`` at (x, t) applied to |v><v|, in O(dim).
 
@@ -335,41 +332,70 @@ def dephase_pure_state(families: Sequence[GKFamilySpec], x, t,
     u_k = P_k v has trace sum_k ||u_k||^2 and, v being pure, fidelity
     sum_k |<v|u_k>|^2.  Every O(dim) product is an entry of the 3 x 3 Gram
     matrix of (v1, v2, v); the rest is 3 x 3 algebra.
-
-    For 1-D arrays x and t and a dim x n matrix v, column i is sent through
-    the channel at (x[i], t[i]): each ladder's vectors come from one
-    ``ladder_vector`` call, the Gram matrices form one (n, 3, 3) stack, and
-    every field of the result holds one entry per column.
     """
-    v = np.asarray(v, dtype=complex)
-    # rows v1, v2, v: (3, dim), or (n, 3, dim) with one matrix per column of v
-    rows = np.array([ladder_vector(spec, x, t).T for spec in families[:2]]
-                    + [v.T]).swapaxes(0, -2)
-    g = rows.conj() @ rows.swapaxes(-1, -2)  # g[k, l] = <row k|row l>
-    for tr in g[..., 2, 2].real.ravel().tolist():
-        if not abs(tr - 1.0) <= 1e-9:  # NaN fails every check here
-            raise InvalidDensityError(f"rho has trace {tr}, expected 1")
+    rows = np.array([ladder_vector(spec, x, t) for spec in families[:2]]
+                    + [np.asarray(v, dtype=complex)])
+    g = rows.conj() @ rows.T  # g[k, l] = <row k|row l>
+    tr = float(g[2, 2].real)
+    if not abs(tr - 1.0) <= 1e-9:  # NaN fails every check here
+        raise InvalidDensityError(f"rho has trace {tr}, expected 1")
     for i in (0, 1):
-        for dev in np.abs(np.sqrt(g[..., i, i].real) - 1.0).ravel().tolist():
-            if not dev <= 1e-9:
-                raise ValidationError(f"channel projector {i} is not idempotent: "
-                                      f"| ||v|| - 1 | = {dev:.3e}")
-    for overlap in np.abs(g[..., 0, 1]).ravel().tolist():
-        if not overlap <= 1e-9:
-            raise ValidationError(
-                f"channel projectors 0 and 1 overlap: |<v1|v2>| = {overlap:.3e}")
+        dev = abs(math.sqrt(g[i, i].real) - 1.0)
+        if not dev <= 1e-9:
+            raise ValidationError(f"channel projector {i} is not idempotent: "
+                                  f"| ||v|| - 1 | = {dev:.3e}")
+    overlap = abs(g[0, 1])
+    if not overlap <= 1e-9:
+        raise ValidationError(
+            f"channel projectors 0 and 1 overlap: |<v1|v2>| = {overlap:.3e}")
     # u_m = sum_k (row k) c[k, m]: c1 v1, c2 v2 and v - c1 v1 - c2 v2 with
     # c_k = <v_k|v>, so ||u_m||^2 = (c+ g c)[m, m], the branches' Gram
     # diagonal, and <v|u_m> = (g c)[2, m]
-    c = np.zeros(g.shape, dtype=complex)
-    c[..., 0, 0] = g[..., 0, 2]
-    c[..., 1, 1] = g[..., 1, 2]
-    c[..., :2, 2] = -g[..., :2, 2]
-    c[..., 2, 2] = 1.0
+    c = np.array([[g[0, 2], 0.0, -g[0, 2]], [0.0, g[1, 2], -g[1, 2]], [0.0, 0.0, 1.0]])
     gc = g @ c
-    fid = (np.abs(gc[..., 2, :]) ** 2).sum(axis=-1)
-    return PureTransmission(trace=(c.conj() * gc).sum(axis=(-2, -1)).real[()],
-                            fidelity=np.minimum(1.0, fid)[()])
+    fid = (np.abs(gc[2]) ** 2).sum()
+    return PureTransmission(trace=float((c.conj() * gc).sum().real),
+                            fidelity=float(np.minimum(1.0, fid)))
+
+
+def channel_certificate(code: CodeSpec) -> tuple:
+    """Bounds (trace_preservation, code_fidelity) on |trace - 1| and 1 - fidelity
+    of ``dephase_pure_state``'s output, for every unit code state at every
+    (x, t), in O(N) off the dressed frame and its index partition.
+
+    Columns of different blocks share no support and the in-block cross term
+    s c - c s is exactly 0, so V+ V = diag(g), g = c^2 + s^2 per block (1 at
+    |0, g> and |N, e>).  At (x, t) the ladder vectors are v1 = V[:, J] a1 and
+    v2 = V[:, S] a2 with unit a1, a2 (``ladder_vector``), so ||v_i||^2 lies in
+    the range of g on its ladder; a code state v = V[:, C] a, |a| = 1,
+    C = ``h3_indices[:-1]``, has ||v||^2 = sum |a_k|^2 g_k.  Where J, S and C
+    are disjoint, <v1|v2>, <v1|v> and <v2|v> vanish, so the branches P_k v are
+    0, 0 and v: the trace is ||v||^2 and the fidelity its square at every
+    (x, t).  Hence trace_preservation = max over C of |g - 1| and
+    code_fidelity = max over C of max(0, 1 - g^2), each attained by a code
+    basis vector.  A code index on a ladder is measured at some (x, t), so
+    code_fidelity is then 1.  Where |sqrt g - 1| > 1e-9 on J or S, or J and
+    S meet, some (x, t) gives no channel: ``ValidationError`` carries the
+    reason ``dephase_pure_state`` would give.  Both bounds are numpy reductions,
+    so a NaN in g reads NaN and fails its record.
+    """
+    g = code.frame.block_entries(np.ones(code.frame.energies.size))[0]
+    on_ladder = np.zeros(g.size, dtype=bool)
+    for i, idx in enumerate((code.j_indices, code.s_indices)):
+        dev = np.abs(np.sqrt(g[idx]) - 1.0).max(initial=0.0)
+        if not dev <= 1e-9:
+            raise ValidationError(f"channel projector {i} is not idempotent: "
+                                  f"max | ||v|| - 1 | = {dev:.3e}")
+        shared = int(on_ladder[idx].sum())
+        if shared:
+            raise ValidationError(f"channel projectors 0 and 1 overlap: J and S "
+                                  f"share {shared} dressed indices")
+        on_ladder[idx] = True
+    code_idx = code.h3_indices[:-1]
+    gc = g[code_idx]
+    loss = (1.0 if on_ladder[code_idx].any()
+            else float(np.maximum(0.0, 1.0 - gc * gc).max(initial=0.0)))
+    return float(np.abs(gc - 1.0).max(initial=0.0)), loss
 
 
 def _sqrtm_psd(a: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ tests can compare the two.
   dense Knill-Laflamme check of H3 against sampled generators, the same
   check in the k0-dimensional frame of an H3 basis, and the anticlique
   certificate for any H3 basis, which `verify` reads off the frame.
+- The channel on sampled code states, which `verify` bounds off the frame.
 - The temporal-stability grid under the closed-form bound that `verify`
   reports.
 """
@@ -26,7 +27,8 @@ import numpy as np
 
 from jcgraph.gk_states import moment_diagonals, tail_mass
 from jcgraph.graph_verify import (AnticliqueCertificate, CheckRecord, GraphGenerator,
-                                  VerificationReport, knill_laflamme_check, ladder_vector)
+                                  VerificationReport, dephase_pure_state,
+                                  knill_laflamme_check, ladder_vector)
 from jcgraph.hilbert import ValidationError, basis_index
 from jcgraph.jc_spectrum import DegenerateLevelError, _rescaled
 
@@ -187,24 +189,21 @@ def frame_generator(w, families, j, x, t) -> np.ndarray:
     W is dim x k0, such as ``h3_basis(code)``, and P3 = W W+.  A ladder
     generator |v><v| becomes u u+ with u = W+ v; P3 itself becomes
     (W+ W)^2.  For 1-D arrays j, x and t the result is an (n, k0, k0)
-    stack, one sample (j[i], x[i], t[i]) each, and each ladder's samples
-    are the columns of one ``ladder_vector``.
+    stack, one sample (j[i], x[i], t[i]) each.
     """
-    js, xs, ts = np.ravel(j), np.ravel(x), np.ravel(t)
-    for ji in js.tolist():
+    wh = np.asarray(w).conj().T
+    gram = wh @ w
+    out = []
+    samples = zip(np.ravel(j).tolist(), np.ravel(x).tolist(), np.ravel(t).tolist())
+    for ji, xi, ti in samples:
         if ji not in (1, 2, 3):
             raise ValueError(f"generator index must be 1, 2 or 3, got {ji}")
-    wh = np.asarray(w).conj().T
-    out = np.empty((js.size,) + (wh.shape[0],) * 2, dtype=complex)
-    for jl in (1, 2):
-        pick = js == jl
-        if pick.any():
-            u = (wh @ ladder_vector(families[jl - 1], xs[pick], ts[pick])).T
-            out[pick] = u[:, :, None] * u.conj()[:, None, :]
-    if (js == 3).any():
-        gram = wh @ w
-        out[js == 3] = gram @ gram
-    return out if np.ndim(j) else out[0]
+        if ji == 3:
+            out.append(gram @ gram)
+        else:
+            u = wh @ ladder_vector(families[ji - 1], xi, ti)
+            out.append(np.outer(u, u.conj()))
+    return np.array(out) if np.ndim(j) else out[0]
 
 
 def anticlique_bound(w, code) -> AnticliqueCertificate:
@@ -260,6 +259,21 @@ def knill_laflamme_frame(w, ms, tol: float = 1e-8):
     return report
 
 
+def sampled_code_channel(code, families, amps, xs, ts) -> tuple:
+    """The largest |trace - 1| and 1 - fidelity of ``dephase_pure_state`` over
+    sampled code states: unit code amplitudes ``amps[i]``, embedded at
+    ``h3_indices[:-1]``, each sent through the channel at (xs[i], ts[i]).
+
+    ``verify`` once read its two code-state channel records this way, off 5
+    random states; ``channel_certificate`` bounds both for every code state
+    and every (x, t).
+    """
+    outs = [dephase_pure_state(families, x, t, code.frame.embed(code.h3_indices[:-1], a))
+            for a, x, t in zip(amps, xs, ts, strict=True)]
+    return (max(abs(out.trace - 1.0) for out in outs),
+            max(1.0 - out.fidelity for out in outs))
+
+
 def stability_grid(spec, xs, ts, trunc) -> np.ndarray:
     """The (len(xs), len(ts)) array of fidelities |<x, t| U_t |x, 0>|^2.
 
@@ -269,9 +283,9 @@ def stability_grid(spec, xs, ts, trunc) -> np.ndarray:
     frame's energies at the same indices.  The frame's block rotation is
     orthogonal, so each fidelity is |sum_k p_k(x) e^{+i h_k t} e^{-i E_k t}|^2
     and the grid is one (len(xs), terms) @ (terms, len(ts)) product.  Every
-    x's tail must be within ``trunc.tail_tol``, and all amplitudes come from
-    one ``probabilities`` call.  ``verify`` reports the closed-form bound of
-    ``gk_states.verify_temporal_stability``, which this grid must lie under.
+    x's tail must be within ``trunc.tail_tol``.  ``verify`` reports the
+    closed-form bound of ``gk_states.verify_temporal_stability``, which this
+    grid must lie under.
     """
     xs = [float(x) for x in xs]
     ts = np.asarray(ts, dtype=float)
@@ -279,5 +293,5 @@ def stability_grid(spec, xs, ts, trunc) -> np.ndarray:
     frame_phases = np.exp(-1j * np.outer(spec.frame.energies[spec.index], ts))
     for x in xs:
         assert tail_mass(spec.family, x, spec.terms - 1) <= trunc.tail_tol
-    p = spec.family.probabilities(xs, spec.terms - 1)
+    p = np.array([spec.family.probabilities(x, spec.terms - 1) for x in xs])
     return np.abs(p @ (ladder_phases.conj() * frame_phases)) ** 2

@@ -440,7 +440,7 @@ def test_verify_keeps_its_checks_and_passes(capsys, family, n_fock, omega_s):
 
 
 def test_verify_mixed_families_sample_both_domains(capsys):
-    # the KL and channel samples must lie in both families' domains
+    # the leak probe's x must lie in both families' domains
     rc, out, _ = run(["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
                       "--family1", "factorial", "--family2", "uniform_moment",
                       "--n-fock", "40"], capsys)
@@ -506,6 +506,16 @@ def test_verify_output_is_deterministic(tmp_path, capsys):
     assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("family", ["factorial", "uniform_moment"])
+def test_verify_report_does_not_depend_on_the_seed(capsys, family):
+    # the code-state channel records are a certificate, not a sample, and the
+    # leak probe's records read 0 at any (x, t) the seed draws
+    argv = ["verify"] + SMALL + ["--family1", family, "--family2", family]
+    reports = [run(argv + ["--seed", seed], capsys) for seed in ("1", "2", "3")]
+    assert [rc for rc, _, _ in reports] == [0, 0, 0]
+    assert reports[0][1] == reports[1][1] == reports[2][1]
 
 
 def test_demo_random_state(capsys):

@@ -21,15 +21,14 @@ channel's input included, fails under at least one mutation.
   reconstructed identity reads 0 there (residual 1).
 - A frame with c^2 + s^2 = 1 + 1e-9: ``spectrum.gram_identity`` reads 1e-9
   and both stability bounds 2e-9.  H3's columns other than |0, g> carry
-  the stretch, so alpha(I) = 1 + 6.7e-10 and the code states' traces are
-  off by up to 9.9e-10.  Each column is still an eigenvector, so
-  ``spectrum.eigen_residual`` passes.
+  the stretch, so alpha(I) = 1 + 6.7e-10, and the channel certificate reads
+  the code's trace off by 1e-9 at |1, ->.  Each column is still an
+  eigenvector, so ``spectrum.eigen_residual`` passes.
 - The same stretch, 1 + 1e-8, on blocks n >= 20 only: H3's blocks are
   intact, so the anticlique certificate reads the frame as exact.
   ``spectrum.gram_identity`` reads 1e-8 and both stability bounds 2e-8.
-  The channel's sampled ladder vectors reach those blocks and are 5e-9
-  (factorial) and 1.8e-9 (uniform_moment) off unit norm, so the channel
-  refuses its input (``channel.input``).
+  The ladders' columns on those blocks are 5e-9 off unit norm, so the
+  channel certificate refuses its input (``channel.input``).
 - Frame energies x (1 + 1e-6): the eigen residual reads 1.6e-4, which the
   stability bound squares to 2.7e-6.
 - Two S energies swapped (|50, -> and |51, ->): the S ladder decreases
@@ -41,19 +40,17 @@ channel's input included, fails under at least one mutation.
   in the reconstructed identity (0.6).  The code indices are untouched.
 - The H3 basis scaled by 1 + 1e-10, as the frame stretched on H3's blocks
   n < k0 only: ``spectrum.gram_identity`` reads 2e-10, alpha(I) =
-  1 + 1.3e-10, and each code state's trace is off by up to 2e-10.  The
-  code basis alone scaled by 1 + 1e-9, as the drawn amplitudes scaled,
-  gives code states off unit norm by 2e-9, which the channel refuses as
-  input (``channel.input``).
+  1 + 1.3e-10, and the code's trace is off by 2e-10.
+- The leak probe scaled by 1 + 1e-9: its trace is 1 + 2e-9, which the
+  channel refuses as input (``channel.input``).
 - The S cut moved down one rung, onto |k0 - 1, ->, a vector of H3.
 - J read on the - branch (``j_indices`` + 1): its rungs include H3's, so
   the anticlique fails with |alpha| = 1 / k0, the reconstructed identity
-  misses the + branch, and the two ladders overlap, which the channel
-  refuses (|<v1|v2>| = 0.98 under factorial).
-- The first code vector, in the channel's states only, leaked 1e-3 onto the
-  S rung that the first channel sample weighs most: the rung is read as
-  one more code index with amplitudes to match, and that state loses
-  1.4e-8 (factorial) and 3.6e-7 (uniform_moment) of fidelity.
+  misses the + branch, and J and S share dressed indices, which the
+  channel refuses.
+- S's first rung read as one more code index, in the channel's code only:
+  the channel measures code states there, so ``channel.code_fidelity``
+  reads 1.
 - The leak probe not leaked: it passes the channel unchanged.
 
 ``UNDETECTED`` holds faults that no record reads, as strict xfails: the
@@ -193,13 +190,12 @@ def _h3_basis_scaled(monkeypatch, family):
             "channel.trace_preservation"}
 
 
-def _code_basis_scaled(monkeypatch, family):
-    draw = cli._draw
+def _leak_probe_scaled(monkeypatch, family):
+    leak_probe = graph_verify.leak_probe
 
     def scaled(*args):
-        amps, xs, ts = draw(*args)
-        return [(1.0 + 1e-9) * a for a in amps], xs, ts
-    monkeypatch.setattr(cli, "_draw", scaled)
+        return (1.0 + 1e-9) * leak_probe(*args)
+    monkeypatch.setattr(graph_verify, "leak_probe", scaled)
     return {"channel.input"}
 
 
@@ -216,22 +212,16 @@ def _j_on_minus_branch(monkeypatch, family):
             "graph.anticlique_alpha_zero", "channel.input"}
 
 
-def _code_leaked_onto_sampled_rung(monkeypatch, family):
+def _code_index_on_s_rung(monkeypatch, family):
     channel = cli._channel
 
-    def leaked(code, families, amps, xs, ts):
-        # each state's first code amplitude a0 becomes a0 / sqrt(1 + 1e-6), and
-        # 1e-3 of that goes onto S rung k, read as one more code index
-        spec = families[1]
-        k = int(spec.family.probabilities(xs[0], spec.terms - 1).argmax())
+    def widened(code, families, x, t):
+        # the channel's code reads S's first rung as one more code index
         h3 = code.h3_indices
         wider = dataclasses.replace(code, h3_indices=np.concatenate(
-            [h3[:-1], spec.index[k:k + 1], h3[-1:]]))
-        amps = [np.append(a, 1e-3 * a[0]) for a in amps]
-        for a in amps:
-            a[[0, -1]] /= np.sqrt(1.0 + 1e-6)
-        return channel(wider, families, amps, xs, ts)
-    monkeypatch.setattr(cli, "_channel", leaked)
+            [h3[:-1], code.s_indices[:1], h3[-1:]]))
+        return channel(wider, families, x, t)
+    monkeypatch.setattr(cli, "_channel", widened)
     return {"channel.code_fidelity"}
 
 
@@ -255,10 +245,10 @@ MUTATIONS = {
     "cut_minimum_one_too_high": _cut_minimum_one_too_high,
     "h3_index_swapped_for_j_rung": _h3_index_swapped_for_j_rung,
     "h3_basis*(1+1e-10)": _h3_basis_scaled,
-    "code_basis*(1+1e-9)": _code_basis_scaled,
+    "leak_probe*(1+1e-9)": _leak_probe_scaled,
     "s_cut_moved_down_one_rung": _s_cut_moved_down,
     "j_read_on_minus_branch": _j_on_minus_branch,
-    "code_basis_leaked_onto_sampled_s_rung": _code_leaked_onto_sampled_rung,
+    "code_index_on_s_rung": _code_index_on_s_rung,
     "leak_probe_not_leaked": _leak_probe_not_leaked,
 }
 # a 160-rung ladder has no k >= 500
@@ -338,7 +328,7 @@ def test_an_undetected_fault_fails_a_record(monkeypatch, fault, family):
 
 @pytest.mark.parametrize("mutation, message", [
     ("frame_stretched@n>=20", "channel projector 0 is not idempotent: "),
-    ("code_basis*(1+1e-9)", "rho has trace 1.000000002"),
+    ("leak_probe*(1+1e-9)", "rho has trace 1.00000000"),
 ])
 def test_a_channel_refusal_is_a_failed_check(monkeypatch, capsys, mutation, message):
     """The channel's refusal is the report's last record, ``channel.input``: the

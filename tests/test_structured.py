@@ -2,18 +2,21 @@
 
 `verify` reads the spectrum residuals off the frame's 2x2 blocks, builds
 ladder states from dressed indices on one frame, applies U_t block by
-block, bounds Knill-Laflamme over the whole graph from the frame and its
-index partition, sends pure code states through the channel as vectors and
-reads the resolution and identity-membership reconstructions block by
-block.  Each is compared here with the dense computation it replaces
-(`hamiltonian_matrix @ dressed_basis` and its Gram matrix, closed-form
-`dressed_vector` columns, `evolution_operator`, `channel_apply` + `eigvalsh`
-+ `fidelity`, and the reconstructions `E diag(d) E+` below) at N <= 60,
+block, bounds Knill-Laflamme over the whole graph and the channel on every
+code state from the frame and its index partition, sends the leak probe
+through the channel as a vector and reads the resolution and
+identity-membership reconstructions block by block.  Each is compared here
+with the dense computation it replaces (`hamiltonian_matrix @ dressed_basis`
+and its Gram matrix, closed-form `dressed_vector` columns,
+`evolution_operator`, `channel_apply` + `eigvalsh` + `fidelity`, and the
+reconstructions `E diag(d) E+` below) at N <= 60,
 on both weight families, for positive, negative and zero detuning, with x
 up to the tail-safe radius.  The anticlique certificate is checked against
 its dense form for any H3 basis (`oracles.anticlique_bound`) and against
 sampled generators in the frame of the H3 basis (`oracles.frame_generator`,
 `oracles.knill_laflamme_frame`), which in turn match `knill_laflamme_check`.
+The channel certificate is checked against code states sent through the
+channel (`oracles.sampled_code_channel`).
 """
 import functools
 import json
@@ -35,6 +38,7 @@ from jcgraph.graph_verify import (
     UnsupportedFamilyError,
     anticlique_certificate,
     channel_apply,
+    channel_certificate,
     dephase_pure_state,
     dephasing_channel,
     fidelity,
@@ -49,7 +53,7 @@ from jcgraph.jc_spectrum import (JCParams, dressed_basis, dressed_frame,
                                  spectrum_residuals)
 from oracles import (anticlique_bound, dressed_index, dressed_vector, eigenenergy,
                      embedding, frame_generator, h3_basis, knill_laflamme_frame,
-                     moment_table, stability_grid, weights)
+                     moment_table, sampled_code_channel, stability_grid, weights)
 
 FAMILIES = ("uniform_moment", "factorial")
 ORACLE_TOL = 1e-12
@@ -312,8 +316,8 @@ def test_stability_grid_lies_under_the_bound(family, n_fock):
         log_c = np.abs([spec.family.log_weight(int(j)) for j in k])
         parts = [k * abs(np.log(x)) + log_c + abs(spec.family.log_n_squared(x))
                  if x > 0.0 else 0.0 * k for x in xs]  # p at x = 0 is exact
-        slack = u * ((spec.family.probabilities(xs, spec.terms - 1) * parts).sum(axis=1)
-                     + spec.terms + 1)
+        p = np.array([spec.family.probabilities(x, spec.terms - 1) for x in xs])
+        slack = u * ((p * parts).sum(axis=1) + spec.terms + 1)
         loss = (1.0 - grid).max(axis=1)
         assert 0.0 < loss.max() and bound < 1e-9
         assert (loss < bound + 2.0 * slack).all()
@@ -461,6 +465,61 @@ def test_the_certificate_is_the_dense_bound_of_its_h3_basis(point, cut, stretch)
     assert (cert.alpha_zero > 0.1 / k0) == (cut != "correct")
 
 
+def _g_scaled(code, rng, scale):
+    """The cut with c and s scaled by sqrt(scale) on a random half of the blocks,
+    so that g = c^2 + s^2 moves by the factor ``scale`` there."""
+    frame = code.frame
+    root = np.where(rng.random(frame.cos.size) < 0.5, np.sqrt(scale), 1.0)
+    return replace(code, frame=replace(frame, cos=frame.cos * root, sin=frame.sin * root))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rate_points(), st.sampled_from(FAMILIES), st.integers(0, 2 ** 32 - 1))
+@example(JCParams.from_rates(np.nextafter(JUMP, 0.0), np.nextafter(JUMP, 0.0)), "factorial", 1)
+@example(JCParams.from_rates(JUMP, JUMP), "uniform_moment", 2)
+@example(JCParams.from_rates(np.nextafter(JUMP, 9.0), np.nextafter(JUMP, 9.0)), "factorial", 3)
+@example(JCParams(1.0, 0.8, 0.0), "uniform_moment", 4)  # decoupled, delta != 0
+def test_the_channel_certificate_bounds_every_sampled_transmission(params, family, seed):
+    """Wherever the cut k0* is admitted at N = k0* + 10, code states sent through
+    the channel (``oracles.sampled_code_channel``) stay within
+    ``channel_certificate``: on the exact frame, on frames whose g moves by
+    1 +- 5e-10 on random blocks, and with S moved down two rungs into the code.
+
+    The code basis vectors and one random code state go at x = 0, where S's state
+    is its first rung, and 5 more random states at tail-safe x.  Where no code
+    index is on a ladder, a basis vector's trace is its g and its fidelity g^2 at
+    every (x, t), so the samples also attain both bounds."""
+    k0 = minimal_k0(minimal_m0(params))
+    try:
+        exact = decompose(params, k0, TruncationConfig(k0 + 10))
+    except code_construction.CutConstraintError:
+        assume(False)
+    fam = builtin_family(family)
+    rng = np.random.default_rng(seed)
+    dim_code = exact.h3_indices.size - 1
+    s_into_code = replace(exact, s_indices=np.concatenate(
+        [exact.s_indices[:1] - 4, exact.s_indices[:1] - 2, exact.s_indices]))
+    # g off by 5e-10 fails trace_preservation (1e-10) but not the 1e-9 input
+    # check of dephase_pure_state, which refuses a code state off by 1e-9
+    for code in (exact, _g_scaled(exact, rng, 1.0 + 5e-10),
+                 _g_scaled(exact, rng, 1.0 - 5e-10), s_into_code):
+        trace_bound, loss_bound = channel_certificate(code)
+        families = jc_families(code, fam, fam)
+        a = rng.normal(size=(6, dim_code)) + 1j * rng.normal(size=(6, dim_code))
+        amps = np.concatenate([np.eye(dim_code), a / np.linalg.norm(a, axis=1)[:, None]])
+        xs = np.concatenate([np.zeros(dim_code + 1),
+                             rng.uniform(0.0, cli._x_range(families), 5)])
+        ts = rng.uniform(0.0, 10.0, xs.size)
+        trace, loss = sampled_code_channel(code, families, amps, xs, ts)
+        assert trace <= trace_bound + 1e-13
+        assert loss <= loss_bound + 1e-13
+        if code is s_into_code:
+            assert loss_bound == 1.0 and loss > 1e-3
+        else:
+            assert trace_bound <= trace + 1e-13
+            assert loss_bound <= loss + 1e-13
+
+
 @settings(max_examples=25, deadline=None)
 @given(systems(), st.integers(0, 2 ** 32 - 1))
 def test_pure_state_channel_matches_dense_channel(system, seed):
@@ -498,33 +557,13 @@ def test_pure_state_channel_validates_its_input():
         dephase_pure_state((families[0], families[0]), 0.5, 1.0, v)
 
 
-@settings(max_examples=25, deadline=None)
-@given(systems(), st.integers(0, 2 ** 32 - 1))
-def test_batched_ladder_vectors_match_one_column_at_a_time(system, seed):
-    params, trunc, family = system
-    _, families = build(params, trunc, family)
-    rng = np.random.default_rng(seed)
-    xs = np.append(rng.uniform(0.0, cli._x_range(families), 6), 0.0)
-    ts = rng.uniform(-10.0, 10.0, xs.size)
-    for spec in families:
-        batch = graph_verify.ladder_vector(spec, xs, ts)
-        assert batch.shape == (trunc.dim, xs.size)
-        for i, (x, t) in enumerate(zip(xs, ts)):
-            np.testing.assert_allclose(batch[:, i], graph_verify.ladder_vector(spec, x, t),
-                                       atol=1e-15, rtol=0)
-
-
-def test_a_zero_ladder_column_reports_the_cutoff_of_the_first():
+def test_a_zero_ladder_column_reports_the_cutoff():
     """Past x ~ 2000 every kept factorial coefficient of a 20-rung ladder underflows."""
     _, families = build(JCParams(1.0, 0.8, 0.7), TruncationConfig(20), "factorial")
-    spec = families[0]
-    with pytest.raises(gk_states.TruncationTooSmallError) as one:
-        graph_verify.ladder_vector(spec, 2000.0, 1.0)
-    with pytest.raises(gk_states.TruncationTooSmallError) as batch:
-        graph_verify.ladder_vector(spec, [0.5, 2000.0, 3000.0], [0.0, 1.0, 2.0])
-    assert "x = 2000.0" in str(one.value)
-    assert str(batch.value) == str(one.value)
-    assert batch.value.required_n == one.value.required_n > 20
+    with pytest.raises(gk_states.TruncationTooSmallError) as err:
+        graph_verify.ladder_vector(families[0], 2000.0, 1.0)
+    assert "x = 2000.0" in str(err.value)
+    assert err.value.required_n > 20
 
 
 @settings(max_examples=25, deadline=None)
@@ -555,31 +594,6 @@ def test_stacked_knill_laflamme_matches_one_matrix_at_a_time(system, seed):
             assert abs(rec.alpha - one.alpha) <= 1e-15 * max(1.0, abs(one.alpha))
             assert rec.passed == one.passed
     assert not report.checks[-1].passed
-
-
-@settings(max_examples=25, deadline=None)
-@given(systems(), st.integers(0, 2 ** 32 - 1))
-def test_batched_channel_matches_one_state_at_a_time(system, seed):
-    params, trunc, family = system
-    code, families = build(params, trunc, family)
-    rng = np.random.default_rng(seed)
-    xs, ts = rng.uniform(0.0, cli._x_range(families), 4), rng.uniform(0.0, 10.0, 4)
-    dim_code = code.h3_indices.size - 1
-    amps = rng.normal(size=(dim_code, 2)) + 1j * rng.normal(size=(dim_code, 2))
-    # any unit vector: generic weights on both ladders and the complement
-    generic = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
-    generic = generic / np.linalg.norm(generic) + embedding(families[1])[:, 0]
-    vs = np.column_stack([code.frame.embed(code.h3_indices[:-1],
-                                           amps / np.linalg.norm(amps, axis=0)),
-                          generic / np.linalg.norm(generic),
-                          leak_probe(code, families, xs[3], ts[3])])
-    out = dephase_pure_state(families, xs, ts, vs)
-    assert out.trace.shape == out.fidelity.shape == (4,)
-    for i in range(4):
-        one = dephase_pure_state(families, xs[i], ts[i], vs[:, i])
-        assert abs(out.trace[i] - one.trace) <= 1e-15
-        assert abs(out.fidelity[i] - one.fidelity) <= 1e-15
-    assert 1.0 - out.fidelity[3] > 1e-3  # the leaked probe loses its ladder part
 
 
 def ladder_diagonals(spec, rule):
@@ -807,12 +821,10 @@ def test_verify_moment_records_equal_the_per_ladder_tables(pair, n_fock):
 
 
 def test_verify_embeds_each_sample_batch_once(monkeypatch, capsys):
-    """One embed per batch of samples, not one per sample, in a factorial verify.
-
-    The leak probe's ladder state and code vector, one vector each; the five
-    code states, k0 - 1 = 2 amplitudes each; and per ladder one batch of the
-    six channel inputs: 5 at N = 160.  The anticlique certificate and the
-    stability bound embed nothing: they are read in dressed coordinates.
+    """The leak probe is the only state a factorial verify builds: its J state and
+    code vector, then one ladder state per ladder for its channel, 4 embeds at
+    N = 160.  The anticlique and channel certificates and the stability bound
+    embed nothing: they are read in dressed coordinates.
     """
     embeds = []
     embed = jc_spectrum.DressedFrame.embed
@@ -825,7 +837,7 @@ def test_verify_embeds_each_sample_batch_once(monkeypatch, capsys):
                    "--family1", "factorial", "--family2", "factorial", "--n-fock", "160"])
     capsys.readouterr()
     assert rc == 0
-    assert embeds == [(160,), (1,), (2, 5), (160, 6), (158, 6)]
+    assert embeds == [(160,), (1,), (160,), (158,)]
 
 
 _FRAME_POINT = ["--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
