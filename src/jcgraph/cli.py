@@ -297,7 +297,8 @@ def _channel(code, families, x: float, t: float) -> list:
     record with the channel's reason."""
     try:
         trace, loss = gv.channel_certificate(code)
-        probe = gv.dephase_pure_state(families, x, t, gv.leak_probe(code, families, x, t))
+        ladders = [gv.ladder_vector(spec, x, t) for spec in families]
+        probe = gv.dephase_pure_state(families, ladders, gv.leak_probe(code, ladders[0]))
     except (ValidationError, gv.InvalidDensityError) as exc:
         return [gv.CheckRecord("channel.input", 1.0, 0.0, False, reason=str(exc))]
     return [_below("channel.trace_preservation", trace, 1e-10),
@@ -330,16 +331,15 @@ def cmd_demo(cfg: RunConfig, values: dict) -> tuple:
     radius = min(cfg.family1.radius, cfg.family2.radius)
     x = values.get("x", 0.5 * radius if math.isfinite(radius) else 1.0)
     t = values.get("t", 1.0 / cfg.params.omega_f)
-    if not (math.isfinite(x) and math.isfinite(t)):
-        raise UsageError(f"x and t must be finite, got x = {x}, t = {t}")
+    e_max = float(np.abs(code.frame.energies).max())  # every phase |E t| <= e_max |t|
+    if not (math.isfinite(x) and math.isfinite(e_max * t)):
+        raise UsageError(f"x and the phases max|E| t must be finite, got x = {x}, t = {t}")
     if not 0.0 <= x < radius:
         raise UsageError(f"x = {x} outside [0, {radius})")
     rng = np.random.default_rng(cfg.seed)
     state = values.get("state", "random")
     dim_code = code.h3_indices.size - 1
-    if values.get("allow_leak"):
-        v = gv.leak_probe(code, families, x, t)
-    else:
+    if not values.get("allow_leak"):
         if state == "random":
             amps = rng.normal(size=dim_code) + 1j * rng.normal(size=dim_code)
         elif state.startswith("basis"):
@@ -358,13 +358,18 @@ def cmd_demo(cfg: RunConfig, values: dict) -> tuple:
                 raise UsageError(f"cannot parse state {state!r}: {exc}") from exc
             if amps.size != dim_code:
                 raise UsageError(f"state needs {dim_code} amplitudes, got {amps.size}")
-        norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise UsageError("state must be nonzero")
-        v = code.frame.embed(code.h3_indices[:-1], amps / norm)
+        top = np.abs(amps).max()
+        if not 0.0 < top < math.inf:  # also false for NaN
+            raise UsageError(f"state must be nonzero and finite, got {state!r}")
+        amps = amps / top  # the norm of 1e308-sized amplitudes would overflow
+        v = np.zeros(code.frame.energies.size, dtype=complex)
+        v[code.h3_indices[:-1]] = amps / np.linalg.norm(amps)
+    ladders = [gv.ladder_vector(spec, x, t) for spec in families]
+    if values.get("allow_leak"):
+        v = gv.leak_probe(code, ladders[0])
     # v is a code vector by construction, or the leaked probe; the channel's
     # fidelity on |v><v| tells the two apart.
-    fid = gv.dephase_pure_state(families, x, t, v).fidelity
+    fid = gv.dephase_pure_state(families, ladders, v).fidelity
     return fid, 0 if fid >= 1.0 - 1e-8 else 1
 
 
@@ -380,8 +385,8 @@ def cmd_gk_dump(cfg: RunConfig, values: dict) -> dict:
         ys = [float(p) for p in values.get("ys", "0").split(",")]
     except ValueError as exc:
         raise UsageError(f"bad grid list: {exc}") from exc
-    if not all(map(math.isfinite, ys)):
-        raise UsageError(f"y values must be finite, got {ys}")
+    if not math.isfinite(float(np.abs(code.frame.energies).max()) * float(np.abs(ys).max())):
+        raise UsageError(f"y values and the phases max|E| y must be finite, got {ys}")
     for x in xs:
         if not 0.0 <= x < spec.family.radius:
             raise UsageError(f"x = {x} outside [0, {spec.family.radius})")

@@ -117,10 +117,9 @@ class CodeSpec:
     decoupled |N, e> at ``decoupled_index`` = 2N + 1.  The ladders of
     ``gk_states.jc_families`` and H3 are views of this partition, and the
     code is spanned by the first k0 - 1 H3 vectors: a code state with
-    amplitudes a is ``frame.embed(h3_indices[:-1], a)``, so the code's
-    dimension is ``h3_indices.size - 1`` (k0 - 1).  No basis is
-    stored; the dense projectors ``p3`` (onto H3) and ``code_projector``
-    are built from the frame on demand, for the dense reference forms.
+    amplitudes a holds them at ``h3_indices[:-1]`` in dressed coordinates, so
+    the code's dimension is ``h3_indices.size - 1`` (k0 - 1).  No basis is
+    stored; ``p3`` (onto H3) and ``code_projector`` are dense reference forms.
     """
 
     trunc: TruncationConfig

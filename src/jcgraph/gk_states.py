@@ -321,17 +321,20 @@ def _coefficients(spec: GKFamilySpec, x: float, y: float) -> np.ndarray:
 
 def _required_n(spec: GKFamilySpec, x: float, tol: float) -> int | None:
     terms = spec.terms
-    while tail_mass(spec.family, x, terms - 1) > tol:
-        terms *= 2
-        if terms > 2 ** 24:
-            return None
-    lo, hi = terms // 2, terms
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if tail_mass(spec.family, x, mid - 1) <= tol:
-            hi = mid
-        else:
-            lo = mid + 1
+    try:
+        while tail_mass(spec.family, x, terms - 1) > tol:
+            terms *= 2
+            if terms > 2 ** 24:
+                return None
+        lo, hi = terms // 2, terms
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if tail_mass(spec.family, x, mid - 1) <= tol:
+                hi = mid
+            else:
+                lo = mid + 1
+    except TailBoundError:
+        return None
     return lo + spec.start_index - 1
 
 

@@ -25,8 +25,8 @@ built-in "uniform_moment" family.
 once, and ``channel_certificate`` bounds the channel's output on every code
 state at every (x, t), both from the dressed frame and its index partition,
 with no sample.  The only state ``verify`` sends through the channel is the
-leak probe, its negative control: ``ladder_vector`` and ``dephase_pure_state``
-take one (x, t) and one input.
+leak probe, its negative control.  Commands hold every state in dressed
+coordinates; only the dense reference forms embed one in the product basis.
 """
 from __future__ import annotations
 
@@ -108,27 +108,26 @@ class GraphGenerator:
 
 
 def ladder_vector(spec: GKFamilySpec, x: float, t: float) -> np.ndarray:
-    """Unit vector |x, t> of the ladder, spanning the generator U_t P^j_x U_t+.
+    """|x, t>, which spans U_t P^j_x U_t+, as unit amplitudes on ``spec.index``.
 
-    The truncated coefficients are renormalized so the generator is an
-    exact projector for every x in [0, R), not only where the tail is
-    small.  Where every kept coefficient underflows there is nothing to
-    renormalize: ``TruncationTooSmallError`` reports the photon cutoff that
-    would meet the default tail tolerance.
+    The truncated coefficients are renormalized so the generator is an exact
+    projector for every x in [0, R), not only where the tail is small.  Where
+    every kept coefficient underflows there is nothing to renormalize:
+    ``TruncationTooSmallError`` reports the photon cutoff that would meet the
+    default tail tolerance, if one is certified.
     """
     p = spec.family.probabilities(x, spec.terms - 1)
-    # the squared norm of |x, t> is its kept mass: the frame is orthonormal
     mass = p.sum()
     if not mass:
         need = _required_n(spec, x, TruncationConfig.tail_tol)
-        raise TruncationTooSmallError(
-            f"the {spec.label} ladder keeps no coefficient mass at x = {x}; "
-            f"it needs a photon cutoff N >= {need}", required_n=need)
-    return spec.frame.embed(spec.index, np.sqrt(p / mass) * _phases(spec, t))
+        cutoff = f"it needs a photon cutoff N >= {need}" if need else "no certified cutoff"
+        raise TruncationTooSmallError(f"the {spec.label} ladder keeps no coefficient "
+                                      f"mass at x = {x}; {cutoff}", required_n=need)
+    return np.sqrt(p / mass) * _phases(spec, t)
 
 
 def _ladder_projector(spec: GKFamilySpec, x: float, t: float) -> np.ndarray:
-    v = ladder_vector(spec, x, t)
+    v = spec.frame.embed(spec.index, ladder_vector(spec, x, t))
     return np.outer(v, v.conj())
 
 
@@ -224,12 +223,11 @@ def anticlique_certificate(code: CodeSpec) -> AnticliqueCertificate:
     graph, in O(N) off the dressed frame and its index partition.
 
     W = V E_H3, the frame's columns at the k0 ``h3_indices``, is never formed;
-    a generator A enters as W+ A W, with alpha(A) = tr(W+ A W) / k0.  Columns
-    of different blocks share no support and the in-block cross term s c - c s
-    is exactly 0, so W+ W = diag(g) and M = V+ W = diag(g) E_H3 exactly, with
-    g = c^2 + s^2 per H3 column (1 for |0, g>).  A unit v = V[:, idx] a on a
-    ladder (idx = ``j_indices`` or ``s_indices``), which holds every |x, t>,
-    has u = W+ v = M[idx]+ a, so |u|^2 <= sigma^2 = max g^2 over (J u S) n H3
+    a generator A enters as W+ A W, with alpha(A) = tr(W+ A W) / k0.  As
+    V+ V = diag(g) (``DressedFrame.norms``), W+ W = diag(g) and M = V+ W =
+    diag(g) E_H3 exactly.  A unit v = V[:, idx] a on a ladder (idx =
+    ``j_indices`` or ``s_indices``), which holds every |x, t>, has
+    u = W+ v = M[idx]+ a, so |u|^2 <= sigma^2 = max g^2 over (J u S) n H3
     (0 if disjoint) and |alpha| = |u|^2 / k0 <= sigma^2 / k0 (``alpha_zero``).
     ||u u+ - alpha I|| <= |u|^2, so by Cauchy-Schwarz every entry of
     W (u u+ - alpha I) W+ is at most max(g) sigma^2.  ``residual`` is the
@@ -239,9 +237,8 @@ def anticlique_certificate(code: CodeSpec) -> AnticliqueCertificate:
     hold on the generators' whole span.  ``alpha_identity`` = mean(g) =
     alpha(I) reads the scale of W, which the bounds take as given.
     """
-    frame, h3 = code.frame, code.h3_indices
+    h3, norms = code.h3_indices, code.frame.norms
     k0 = h3.size
-    norms = frame.block_entries(np.ones(frame.energies.size))[0]  # g per column
     on_ladder = np.zeros(norms.size, dtype=bool)
     on_ladder[code.j_indices] = on_ladder[code.s_indices] = True
     g = norms[h3]
@@ -249,7 +246,7 @@ def anticlique_certificate(code: CodeSpec) -> AnticliqueCertificate:
     sigma2 = float(g2[on_ladder[h3]].max(initial=0.0))
     shifted = np.zeros(norms.size)
     shifted[h3] = g2 - g2.sum() / k0
-    r3 = np.abs(frame.block_entries(shifted)[0]).max()
+    r3 = np.abs(code.frame.block_entries(shifted)[0]).max()
     return AnticliqueCertificate(
         residual=max(float(g.max()) * sigma2, float(r3)),
         alpha_zero=sigma2 / k0, alpha_identity=complex(g.sum() / k0))
@@ -321,9 +318,10 @@ class PureTransmission:
     fidelity: float
 
 
-def dephase_pure_state(families: Sequence[GKFamilySpec], x: float, t: float,
+def dephase_pure_state(families: Sequence[GKFamilySpec], ladders: Sequence[np.ndarray],
                        v: np.ndarray) -> PureTransmission:
-    """``dephasing_channel`` at (x, t) applied to |v><v|, in O(dim).
+    """``dephasing_channel`` at (x, t) applied to |v><v|, in O(dim): ``ladders``
+    are ``ladder_vector`` at (x, t), ``v`` one coordinate per dressed index.
 
     With v1, v2 the ladder vectors, the Kraus projectors |v1><v1|,
     |v2><v2| and I - both are Hermitian, idempotent and complete exactly
@@ -331,11 +329,15 @@ def dephase_pure_state(families: Sequence[GKFamilySpec], x: float, t: float,
     checks its projectors.  The output sum_k u_k u_k+ of the branches
     u_k = P_k v has trace sum_k ||u_k||^2 and, v being pure, fidelity
     sum_k |<v|u_k>|^2.  Every O(dim) product is an entry of the 3 x 3 Gram
-    matrix of (v1, v2, v); the rest is 3 x 3 algebra.
+    matrix of (v1, v2, v) under V+ V = diag(g) (``DressedFrame.norms``); the
+    rest is 3 x 3 algebra.
     """
-    rows = np.array([ladder_vector(spec, x, t) for spec in families[:2]]
-                    + [np.asarray(v, dtype=complex)])
-    g = rows.conj() @ rows.T  # g[k, l] = <row k|row l>
+    norms = families[0].frame.norms
+    rows = np.zeros((3, norms.size), dtype=complex)
+    rows[0, families[0].index], rows[1, families[1].index], rows[2] = *ladders, v
+    bras = rows.conj()
+    bras *= norms  # in place: one 3 x dim temporary, not two
+    g = bras @ rows.T  # g[k, l] = <row k|row l>
     tr = float(g[2, 2].real)
     if not abs(tr - 1.0) <= 1e-9:  # NaN fails every check here
         raise InvalidDensityError(f"rho has trace {tr}, expected 1")
@@ -363,23 +365,21 @@ def channel_certificate(code: CodeSpec) -> tuple:
     of ``dephase_pure_state``'s output, for every unit code state at every
     (x, t), in O(N) off the dressed frame and its index partition.
 
-    Columns of different blocks share no support and the in-block cross term
-    s c - c s is exactly 0, so V+ V = diag(g), g = c^2 + s^2 per block (1 at
-    |0, g> and |N, e>).  At (x, t) the ladder vectors are v1 = V[:, J] a1 and
-    v2 = V[:, S] a2 with unit a1, a2 (``ladder_vector``), so ||v_i||^2 lies in
-    the range of g on its ladder; a code state v = V[:, C] a, |a| = 1,
-    C = ``h3_indices[:-1]``, has ||v||^2 = sum |a_k|^2 g_k.  Where J, S and C
-    are disjoint, <v1|v2>, <v1|v> and <v2|v> vanish, so the branches P_k v are
-    0, 0 and v: the trace is ||v||^2 and the fidelity its square at every
-    (x, t).  Hence trace_preservation = max over C of |g - 1| and
+    V+ V = diag(g) (``DressedFrame.norms``).  At (x, t) the ladder vectors are
+    v1 = V[:, J] a1 and v2 = V[:, S] a2 with unit a1, a2 (``ladder_vector``),
+    so ||v_i||^2 lies in the range of g on its ladder; a code state v = V[:, C]
+    a, |a| = 1, C = ``h3_indices[:-1]``, has ||v||^2 = sum |a_k|^2 g_k.  Where
+    J, S and C are disjoint, <v1|v2>, <v1|v> and <v2|v> vanish, so the branches
+    P_k v are 0, 0 and v: the trace is ||v||^2 and the fidelity its square at
+    every (x, t).  Hence trace_preservation = max over C of |g - 1| and
     code_fidelity = max over C of max(0, 1 - g^2), each attained by a code
     basis vector.  A code index on a ladder is measured at some (x, t), so
-    code_fidelity is then 1.  Where |sqrt g - 1| > 1e-9 on J or S, or J and
-    S meet, some (x, t) gives no channel: ``ValidationError`` carries the
-    reason ``dephase_pure_state`` would give.  Both bounds are numpy reductions,
-    so a NaN in g reads NaN and fails its record.
+    code_fidelity is then 1.  Where |sqrt g - 1| > 1e-9 on J or S, or J and S
+    meet, some (x, t) gives no channel: ``ValidationError`` carries the reason
+    ``dephase_pure_state`` would give.  Both bounds are numpy reductions, so a
+    NaN in g reads NaN and fails its record.
     """
-    g = code.frame.block_entries(np.ones(code.frame.energies.size))[0]
+    g = code.frame.norms
     on_ladder = np.zeros(g.size, dtype=bool)
     for i, idx in enumerate((code.j_indices, code.s_indices)):
         dev = np.abs(np.sqrt(g[idx]) - 1.0).max(initial=0.0)
@@ -445,13 +445,14 @@ def transmit_demo(code: CodeSpec, families: Sequence[GKFamilySpec], x: float,
     return fidelity(rho, channel_apply(channel, rho))
 
 
-def leak_probe(code: CodeSpec, families: Sequence[GKFamilySpec], x: float,
-               t: float) -> np.ndarray:
-    """Deliberately leaked pure state: code vector mixed with a ladder state.
+def leak_probe(code: CodeSpec, a1: np.ndarray) -> np.ndarray:
+    """Deliberately leaked pure state in dressed coordinates, of unit norm: the
+    first code vector mixed with the J ladder state ``a1`` (``ladder_vector``).
 
     Used as the negative control: the ladder component is measured out by
     the channel, so the transmission fidelity drops well below 1.
     """
-    v = math.sqrt(0.5) * ladder_vector(families[0], x, t)
-    v += code.frame.embed(code.h3_indices[:1], [math.sqrt(1.0 - 0.5)])
-    return v / np.linalg.norm(v)
+    v = np.zeros(code.frame.energies.size, dtype=complex)
+    v[code.j_indices] = math.sqrt(0.5) * a1
+    v[code.h3_indices[0]] = math.sqrt(1.0 - 0.5)
+    return v / math.sqrt((np.abs(v) ** 2 * code.frame.norms).sum())

@@ -138,35 +138,29 @@ class DressedFrame:
     sin: np.ndarray
     energies: np.ndarray
 
-    def rotate(self, a: np.ndarray) -> np.ndarray:
-        """Change coordinates between the product and the dressed basis.
-
-        Acts on axis 0 of a vector or matrix.  Every block rotation is a
-        real symmetric reflection, so the map is its own inverse.
-        """
-        return self._rotate_in_place(np.array(a, dtype=complex))
-
-    def _rotate_in_place(self, a: np.ndarray) -> np.ndarray:
-        """``rotate`` into ``a`` itself, a complex array the caller owns."""
-        c, s = self.cos, self.sin
-        if a.ndim == 2:
-            c, s = c[:, None], s[:, None]
-        ae, ag = a[1:-1:2], a[2:-1:2]
-        e, g = s * ae + c * ag, c * ae - s * ag
-        ae[...] = e
-        ag[...] = g
-        return a
+    @property
+    def norms(self) -> np.ndarray:
+        """V+ V = diag(g): g = c^2 + s^2 per block (s c - c s is exactly 0), 1 at singletons."""
+        return np.concatenate(([1.0], np.repeat(self.cos ** 2 + self.sin ** 2, 2), [1.0]))
 
     def embed(self, idx, a: np.ndarray) -> np.ndarray:
-        """sum_k a[k] |v_idx[k]> in the product basis, for dressed vectors v.
+        """sum_k a[k] |v_idx[k]> in the product basis, for dressed vectors v: the
+        frame's only change of basis, which only the dense reference forms make.
 
         ``a`` is a vector or a matrix (one column per result);
-        ``embed(idx, np.eye(len(idx)))`` gives the vectors themselves.
+        ``embed(idx, np.eye(len(idx)))`` gives the vectors themselves.  Each block
+        rotation is a real symmetric reflection, so ``embed(np.arange(dim), a)``
+        also maps product coordinates to dressed ones.
         """
         a = np.asarray(a, dtype=complex)
-        dressed = np.zeros((self.energies.size,) + a.shape[1:], dtype=complex)
-        dressed[idx] = a
-        return self._rotate_in_place(dressed)
+        out = np.zeros((self.energies.size,) + a.shape[1:], dtype=complex)
+        out[idx] = a
+        c, s = self.cos, self.sin
+        if out.ndim == 2:
+            c, s = c[:, None], s[:, None]
+        ae, ag = out[1:-1:2], out[2:-1:2]
+        ae[...], ag[...] = s * ae + c * ag, c * ae - s * ag
+        return out
 
     def block_entries(self, w: np.ndarray) -> tuple:
         """Diagonal and in-block off-diagonal of V diag(w) V+, in O(N).
@@ -217,9 +211,7 @@ def spectrum_residuals(params: JCParams, frame: DressedFrame) -> tuple:
     column's residual involves only its block's 2x2 entries:
     <n-1, e|H|n-1, e> = omega_f (n-1) + omega_s/2, <n, g|H|n, g> =
     omega_f n - omega_s/2 and the coupling kappa sqrt(n)/2.  The singletons
-    |0, g> and |N, e> are compared with their diagonal entries.  Columns of
-    different blocks share no support and the in-block cross term
-    s c - c s is exactly 0, so V+ V - I reduces to c^2 + s^2 - 1 per block.
+    |0, g> and |N, e> are compared with their diagonal entries.  V+ V - I = diag(g - 1).
     """
     c, s, e = frame.cos, frame.sin, frame.energies
     n = np.arange(1, c.size + 1)
@@ -233,7 +225,7 @@ def spectrum_residuals(params: JCParams, frame: DressedFrame) -> tuple:
     singles = (abs(-0.5 * params.omega_s - e[0]),
                abs(params.omega_f * c.size + 0.5 * params.omega_s - e[-1]))
     eig = float(max(plus.max(), minus.max(), *singles))
-    gram = float(np.abs(c * c + s * s - 1.0).max())
+    gram = float(np.abs(frame.norms - 1.0).max())
     return eig, gram
 
 
@@ -257,7 +249,7 @@ def dressed_basis(params: JCParams, trunc: TruncationConfig) -> DressedBasis:
     A reference form of ``dressed_frame`` for the tests; O(dim^2) memory.
     """
     frame = dressed_frame(params, trunc)
-    return DressedBasis(vectors=frame.rotate(np.eye(trunc.dim, dtype=complex)),
+    return DressedBasis(vectors=frame.embed(np.arange(trunc.dim), np.eye(trunc.dim)),
                         energies=frame.energies)
 
 

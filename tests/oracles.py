@@ -9,6 +9,9 @@ tests can compare the two.
 - The dressed spectrum level by level: mixing angle, eigenenergy, dense
   eigenvector and its position in the dressed order, and the lower-branch
   ladder S_k.
+- Product-basis coordinates: the change of basis to and from dressed
+  coordinates, and a ladder state embedded (commands hold both in dressed
+  coordinates).
 - Gazeau-Klauder data: a rule's linear weights, the moment table of a
   ladder-sized Gauss rule, a ladder's dense embedding, the measure density
   tau and the action identity.
@@ -102,6 +105,20 @@ def s_sequence(params, k: int) -> float:
     return eigenenergy(params, k, "ground" if k == 0 else "minus")
 
 
+def rotate(frame, a) -> np.ndarray:
+    """Change coordinates between the product and the dressed basis on axis 0.
+
+    ``frame.embed`` on every dressed index: each block rotation is a real
+    symmetric reflection, so the map is its own inverse.
+    """
+    return frame.embed(np.arange(frame.energies.size), a)
+
+
+def ladder_state(spec, x: float, t: float) -> np.ndarray:
+    """|x, t> in the product basis: ``ladder_vector``'s dressed amplitudes embedded."""
+    return spec.frame.embed(spec.index, ladder_vector(spec, x, t))
+
+
 def weights(rule) -> np.ndarray:
     """A rule's linear weights; those below the smallest double are 0."""
     with np.errstate(under="ignore"):
@@ -159,7 +176,7 @@ def q_operator(x: float, families, code) -> np.ndarray:
     """Q_x = P^1_x + (tau2/tau1)(x) P^2_x + (R tau1(x))^{-1} P^3, R the first radius."""
     fam1, fam2 = families[0].family, families[1].family
     tau1 = float(tau(fam1, x))
-    v1, v2 = (ladder_vector(spec, x, 0.0) for spec in families)
+    v1, v2 = (ladder_state(spec, x, 0.0) for spec in families)
     return (np.outer(v1, v1.conj()) + float(tau(fam2, x)) / tau1 * np.outer(v2, v2.conj())
             + code.p3 / (fam1.radius * tau1))
 
@@ -201,7 +218,7 @@ def frame_generator(w, families, j, x, t) -> np.ndarray:
         if ji == 3:
             out.append(gram @ gram)
         else:
-            u = wh @ ladder_vector(families[ji - 1], xi, ti)
+            u = wh @ ladder_state(families[ji - 1], xi, ti)
             out.append(np.outer(u, u.conj()))
     return np.array(out) if np.ndim(j) else out[0]
 
@@ -211,7 +228,7 @@ def anticlique_bound(w, code) -> AnticliqueCertificate:
 
     The ladders are the spans of the frame's columns at ``code.j_indices``
     and ``code.s_indices``.  Every block rotation is a real symmetric
-    reflection, so M = ``frame.rotate(W)`` = V+ W, and a ladder's largest
+    reflection, so M = ``rotate(frame, W)`` = V+ W, and a ladder's largest
     |W+ v|^2 is sigma^2 = lambda_max(M[idx]+ M[idx]).  The bounds are
     lambda_max(W+ W) sigma^2 and P3's own residual
     max |W ((W+ W)^2 - alpha I) W+|, taken on the rows where W is nonzero;
@@ -221,7 +238,7 @@ def anticlique_bound(w, code) -> AnticliqueCertificate:
     w = np.asarray(w, dtype=complex)
     k0 = w.shape[1]
     gram = w.conj().T @ w
-    m = code.frame.rotate(w)
+    m = rotate(code.frame, w)
     sigma2 = max(float(np.linalg.eigvalsh(m[idx].conj().T @ m[idx])[-1])
                  for idx in (code.j_indices, code.s_indices))
     p3 = gram @ gram
@@ -261,15 +278,20 @@ def knill_laflamme_frame(w, ms, tol: float = 1e-8):
 
 def sampled_code_channel(code, families, amps, xs, ts) -> tuple:
     """The largest |trace - 1| and 1 - fidelity of ``dephase_pure_state`` over
-    sampled code states: unit code amplitudes ``amps[i]``, embedded at
-    ``h3_indices[:-1]``, each sent through the channel at (xs[i], ts[i]).
+    sampled code states: unit code amplitudes ``amps[i]``, held at
+    ``h3_indices[:-1]`` in dressed coordinates, each sent through the channel
+    at (xs[i], ts[i]).
 
     ``verify`` once read its two code-state channel records this way, off 5
     random states; ``channel_certificate`` bounds both for every code state
     and every (x, t).
     """
-    outs = [dephase_pure_state(families, x, t, code.frame.embed(code.h3_indices[:-1], a))
-            for a, x, t in zip(amps, xs, ts, strict=True)]
+    outs = []
+    for a, x, t in zip(amps, xs, ts, strict=True):
+        v = np.zeros(code.frame.energies.size, dtype=complex)
+        v[code.h3_indices[:-1]] = a
+        ladders = [ladder_vector(spec, x, t) for spec in families]
+        outs.append(dephase_pure_state(families, ladders, v))
     return (max(abs(out.trace - 1.0) for out in outs),
             max(1.0 - out.fidelity for out in outs))
 

@@ -31,11 +31,12 @@ from jcgraph.graph_verify import (
     fidelity,
     generator,
     knill_laflamme_check,
+    ladder_vector,
     leak_probe,
     verify_identity_membership,
 )
 from oracles import (bohr_mean_diagonal, eigenenergy, finite_time_mean, h3_basis,
-                     stability_grid, verify_anticlique)
+                     rotate, stability_grid, verify_anticlique)
 
 TWO_PI = 2.0 * math.pi
 HAROCHE = JCParams(omega_f=TWO_PI * 51.1e9, omega_s=TWO_PI * 51.1e9,
@@ -240,7 +241,7 @@ def test_criterion_8_zero_error_transmission():
             out = channel_apply(channel, rho)
             worst_trace = max(worst_trace, abs(float(np.trace(out).real) - 1.0))
             worst_fid = max(worst_fid, 1.0 - fidelity(rho, out))
-        probe = leak_probe(code, families, x, t)
+        probe = rotate(code.frame, leak_probe(code, ladder_vector(families[0], x, t)))
         rho_l = np.outer(probe, probe.conj())
         worst_leak_fid = max(worst_leak_fid,
                              fidelity(rho_l, channel_apply(channel, rho_l)))

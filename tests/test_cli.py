@@ -169,6 +169,10 @@ def test_mindim_needs_no_truncation_headroom(capsys):
                         "--x", "2"],
     ["gk-dump"] + SMALL + ["--ys", "0,nan"],
     ["gk-dump"] + SMALL + ["--ys", "inf"],
+    ["gk-dump"] + SMALL + ["--ys", "1e307"],
+    ["demo"] + SMALL + ["--t", "1e307"],
+    ["demo"] + SMALL + ["--state", "nan,1"],
+    ["demo"] + SMALL + ["--state", "inf,1"],
     ["verify"] + SMALL + ["--tol", "nan"],
     ["verify"] + SMALL + ["--tol", "-1"],
     ["verify"] + SMALL + ["--tol", "inf"],
@@ -182,7 +186,8 @@ def test_mindim_needs_no_truncation_headroom(capsys):
 ], ids=["omega-nan", "gamma-inf", "sweep-nan", "gamma-1e15", "gamma-1e160",
         "demo-t-nan", "demo-t-inf", "demo-x-nan", "demo-x-inf", "demo-x-above-radius",
         "demo-x-negative", "demo-x-above-shared-radius", "dump-y-nan",
-        "dump-y-inf", "tol-nan", "tol-negative", "tol-inf", "verify-seed-negative",
+        "dump-y-inf", "dump-phase-overflow", "demo-phase-overflow", "demo-state-nan",
+        "demo-state-inf", "tol-nan", "tol-negative", "tol-inf", "verify-seed-negative",
         "demo-seed-negative", "verify-seed-config", "demo-seed-config",
         "verify-degenerate", "demo-degenerate", "dump-degenerate"])
 def test_bad_rates_fail_fast(argv, capsys, tmp_path):
@@ -534,6 +539,9 @@ def test_demo_basis_and_amplitude_states(capsys):
     assert rc == 0 and out == "1.000000000000\n"
     rc, out, _ = run(["demo"] + SMALL + ["--state", "0.6,0.8"], capsys)
     assert rc == 0 and out == "1.000000000000\n"
+    # scaled by the largest modulus first: the norm itself would overflow
+    rc, out, _ = run(["demo"] + SMALL + ["--state", "1e308,1e308"], capsys)
+    assert rc == 0 and out == "1.000000000000\n"
 
 
 def test_demo_leak_negative_control(capsys):
@@ -552,18 +560,21 @@ def test_demo_state_validation(capsys):
     assert "amplitudes" in err
 
 
-def test_demo_beyond_the_ladder_fails_as_check():
-    """Every kept coefficient underflows at x = 2000: one stderr line, no traceback."""
+@pytest.mark.parametrize("x, cutoff", [("2000", "N >= 2275"), ("1e6", "no certified cutoff")])
+def test_demo_beyond_the_ladder_fails_as_check(x, cutoff):
+    """Every kept coefficient underflows at x = 2000 and 1e6: one stderr line, no
+    traceback.  At 1e6 no tail bound is certified, so no cutoff is named."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-m", "jcgraph.cli", "demo", "--omega-f", "1", "--omega-s", "0.8",
          "--kappa", "0.7", "--n-fock", "160", "--family1", "factorial",
-         "--family2", "factorial", "--x", "2000", "--t", "1"],
+         "--family2", "factorial", "--x", x, "--t", "1"],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 1 and done.stdout == ""
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("check failed: the J ladder keeps no coefficient mass")
+    assert done.stderr.rstrip().endswith(cutoff)
     assert done.stderr.count("\n") == 1
 
 

@@ -1,5 +1,6 @@
 """Tests for Knill-Laflamme checks, identity membership and the channel."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,12 +20,13 @@ from jcgraph.graph_verify import (
     fidelity,
     generator,
     knill_laflamme_check,
+    ladder_vector,
     leak_probe,
     projective_channel,
     transmit_demo,
     verify_identity_membership,
 )
-from oracles import (embedding, h3_basis, moment_table, q_operator, rule_nodes,
+from oracles import (embedding, h3_basis, moment_table, q_operator, rotate, rule_nodes,
                      verify_anticlique)
 
 PARAMS = JCParams(omega_f=1.0, omega_s=1.0, kappa=0.5)
@@ -313,8 +315,12 @@ def test_transmit_demo_rejects_leaky_input():
 
 def test_leak_probe_shows_fidelity_drop():
     x, t = 0.45, 2.0
-    probe = leak_probe(CODE, FAMILIES, x, t)
+    probe = rotate(CODE.frame, leak_probe(CODE, ladder_vector(FAMILIES[0], x, t)))
     assert abs(np.vdot(probe, probe).real - 1.0) < 1e-12
+    # a unit state in the product basis also where the frame's columns are not
+    stretched = replace(CODE, frame=replace(CODE.frame, cos=CODE.frame.cos * (1.0 + 1e-6)))
+    v = rotate(stretched.frame, leak_probe(stretched, ladder_vector(FAMILIES[0], x, t)))
+    assert abs(np.vdot(v, v).real - 1.0) < 1e-12
     rho = np.outer(probe, probe.conj())
     ch = dephasing_channel(FAMILIES, x, t)
     fid = fidelity(rho, channel_apply(ch, rho))

@@ -226,8 +226,10 @@ def _code_index_on_s_rung(monkeypatch, family):
 
 
 def _leak_probe_not_leaked(monkeypatch, family):
-    def code_vector(code, families, x, t):
-        return code.frame.embed(code.h3_indices[:1], np.ones(1))
+    def code_vector(code, a1):
+        v = np.zeros(code.frame.energies.size, dtype=complex)
+        v[code.h3_indices[0]] = 1.0
+        return v
     monkeypatch.setattr(graph_verify, "leak_probe", code_vector)
     return {"channel.leak_control"}
 

@@ -4,7 +4,7 @@
 ladder states from dressed indices on one frame, applies U_t block by
 block, bounds Knill-Laflamme over the whole graph and the channel on every
 code state from the frame and its index partition, sends the leak probe
-through the channel as a vector and reads the resolution and
+through the channel in dressed coordinates and reads the resolution and
 identity-membership reconstructions block by block.  Each is compared here
 with the dense computation it replaces (`hamiltonian_matrix @ dressed_basis`
 and its Gram matrix, closed-form `dressed_vector` columns,
@@ -53,7 +53,8 @@ from jcgraph.jc_spectrum import (JCParams, dressed_basis, dressed_frame,
                                  spectrum_residuals)
 from oracles import (anticlique_bound, dressed_index, dressed_vector, eigenenergy,
                      embedding, frame_generator, h3_basis, knill_laflamme_frame,
-                     moment_table, sampled_code_channel, stability_grid, weights)
+                     ladder_state, moment_table, rotate, sampled_code_channel,
+                     stability_grid, weights)
 
 FAMILIES = ("uniform_moment", "factorial")
 ORACLE_TOL = 1e-12
@@ -151,7 +152,7 @@ def test_block_spectrum_residuals_catch_a_corrupted_frame():
     ]
     for bad, eig_trips, gram_trips in cases:
         eig, gram = spectrum_residuals(params, bad)
-        dense = dense_spectrum_residuals(params, trunc, bad.rotate(np.eye(trunc.dim)),
+        dense = dense_spectrum_residuals(params, trunc, rotate(bad, np.eye(trunc.dim)),
                                          bad.energies)
         np.testing.assert_allclose((eig, gram), dense, rtol=1e-12, atol=1e-15)
         assert (eig > 1e-10, gram > 1e-10) == (eig_trips, gram_trips)
@@ -196,7 +197,7 @@ def evolve(frame, v, t):
     """
     t = np.asarray(t, dtype=float)
     phases = np.exp(-1j * np.multiply.outer(frame.energies, t))
-    return frame.rotate(phases * frame.rotate(v).reshape((-1,) + (1,) * t.ndim))
+    return rotate(frame, phases * rotate(frame, v).reshape((-1,) + (1,) * t.ndim))
 
 
 def per_x_stability(spec, xs, ts):
@@ -530,16 +531,20 @@ def test_pure_state_channel_matches_dense_channel(system, seed):
     t = float(rng.uniform(0.0, 10.0))
     dim_code = code.h3_indices.size - 1
     amps = rng.normal(size=dim_code) + 1j * rng.normal(size=dim_code)
-    code_state = code.frame.embed(code.h3_indices[:-1], amps / np.linalg.norm(amps))
+    code_state = np.zeros(trunc.dim, dtype=complex)
+    code_state[code.h3_indices[:-1]] = amps / np.linalg.norm(amps)
     # any unit vector: generic weights on both ladders and the complement
     generic = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
     generic = generic / np.linalg.norm(generic) + embedding(families[1])[:, 0]
-    generic /= np.linalg.norm(generic)
+    generic = rotate(code.frame, generic / np.linalg.norm(generic))
+    ladders = [graph_verify.ladder_vector(spec, x, t) for spec in families]
     channel = dephasing_channel(families, x, t)
-    for v in (code_state, generic, leak_probe(code, families, x, t)):
+    # every input in dressed coordinates, the dense channel's in the product basis
+    for d in (code_state, generic, leak_probe(code, ladders[0])):
+        v = rotate(code.frame, d)
         rho = np.outer(v, v.conj())
         out = channel_apply(channel, rho)
-        pure = dephase_pure_state(families, x, t, v)
+        pure = dephase_pure_state(families, ladders, d)
         assert abs(pure.trace - np.trace(out).real) <= ORACLE_TOL
         assert abs(pure.fidelity - fidelity(rho, out)) <= ORACLE_TOL
     assert 1.0 - pure.fidelity > 1e-3  # the leaked probe loses its ladder part
@@ -549,12 +554,13 @@ def test_pure_state_channel_validates_its_input():
     params = JCParams(1.0, 0.8, 0.7)
     trunc = TruncationConfig(20)
     code, families = build(params, trunc, "factorial")
-    v = h3_basis(code)[:, 0]
+    v = rotate(code.frame, h3_basis(code)[:, 0])
+    ladders = [graph_verify.ladder_vector(spec, 0.5, 1.0) for spec in families]
     with pytest.raises(InvalidDensityError):
-        dephase_pure_state(families, 0.5, 1.0, 2.0 * v)
+        dephase_pure_state(families, ladders, 2.0 * v)
     # the same ladder twice: its projectors overlap, so they are no channel
     with pytest.raises(ValidationError, match="overlap"):
-        dephase_pure_state((families[0], families[0]), 0.5, 1.0, v)
+        dephase_pure_state((families[0], families[0]), ladders[:1] * 2, v)
 
 
 def test_a_zero_ladder_column_reports_the_cutoff():
@@ -672,7 +678,7 @@ def test_index_form_states_match_dense_columns(system, frac, y):
         dense = e @ gk_states._coefficients(spec, x, y)
         np.testing.assert_allclose(gk_state(spec, x, y, trunc), dense,
                                    atol=1e-15, rtol=0)
-        np.testing.assert_allclose(graph_verify.ladder_vector(spec, x, y),
+        np.testing.assert_allclose(ladder_state(spec, x, y),
                                    dense / np.linalg.norm(dense), atol=1e-15, rtol=0)
 
 
@@ -820,24 +826,36 @@ def test_verify_moment_records_equal_the_per_ladder_tables(pair, n_fock):
                for name in oracle)
 
 
-def test_verify_embeds_each_sample_batch_once(monkeypatch, capsys):
-    """The leak probe is the only state a factorial verify builds: its J state and
-    code vector, then one ladder state per ladder for its channel, 4 embeds at
-    N = 160.  The anticlique and channel certificates and the stability bound
-    embed nothing: they are read in dressed coordinates.
+@pytest.mark.parametrize("command, rc, rows", [
+    (["verify"], 0, [159, 157]), (["demo"], 0, [159, 157]),
+    (["demo", "--allow-leak"], 1, [159, 157]), (["gk-dump"], 0, None)])
+def test_commands_change_no_basis(monkeypatch, capsys, command, rc, rows):
+    """No command calls ``DressedFrame.embed``: every state a command builds is
+    held in dressed coordinates, and only the dense reference forms embed one.
+    verify and both demo forms build each ladder's state once at their (x, t):
+    one ``probabilities`` row per ladder, of 160 rungs on J and 158 on S at N = 160.
     """
-    embeds = []
+    embeds, probabilities = [], []
     embed = jc_spectrum.DressedFrame.embed
+    row = gk_states.WeightFamily.probabilities
 
-    def counted(frame, idx, a):
+    def counted_embed(frame, idx, a):
         embeds.append(np.shape(a))
         return embed(frame, idx, a)
-    monkeypatch.setattr(jc_spectrum.DressedFrame, "embed", counted)
-    rc = cli.main(["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
-                   "--family1", "factorial", "--family2", "factorial", "--n-fock", "160"])
+
+    def counted_row(family, x, k_max):
+        probabilities.append(k_max)
+        return row(family, x, k_max)
+    monkeypatch.setattr(jc_spectrum.DressedFrame, "embed", counted_embed)
+    monkeypatch.setattr(gk_states.WeightFamily, "probabilities", counted_row)
+    got = cli.main(command + ["--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+                              "--family1", "factorial", "--family2", "factorial",
+                              "--n-fock", "160"])
     capsys.readouterr()
-    assert rc == 0
-    assert embeds == [(160,), (1,), (160,), (158,)]
+    assert got == rc
+    assert embeds == []
+    if rows is not None:
+        assert probabilities == rows
 
 
 _FRAME_POINT = ["--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
