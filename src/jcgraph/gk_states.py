@@ -314,9 +314,21 @@ def _phases(spec: GKFamilySpec, y: float) -> np.ndarray:
     return np.exp(-1j * spec.energies * y)
 
 
-def _coefficients(spec: GKFamilySpec, x: float, y: float) -> np.ndarray:
+def _kept_probabilities(spec: GKFamilySpec, x: float) -> tuple:
+    """The kept p_k, k < terms, at x and their sum.  Where all underflow,
+    ``TruncationTooSmallError`` names a cutoff for the default tail_tol, if certified."""
     p = spec.family.probabilities(x, spec.terms - 1)
-    return np.sqrt(p) * _phases(spec, y)
+    mass = p.sum()
+    if not mass:
+        need = _required_n(spec, x, TruncationConfig.tail_tol)
+        cutoff = f"it needs a photon cutoff N >= {need}" if need else "no certified cutoff"
+        raise TruncationTooSmallError(f"the {spec.label} ladder keeps no coefficient "
+                                      f"mass at x = {x}; {cutoff}", required_n=need)
+    return p, mass
+
+
+def _coefficients(spec: GKFamilySpec, x: float, y: float) -> np.ndarray:
+    return np.sqrt(_kept_probabilities(spec, x)[0]) * _phases(spec, y)
 
 
 def _required_n(spec: GKFamilySpec, x: float, tol: float) -> int | None:

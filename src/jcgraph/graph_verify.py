@@ -37,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .code_construction import CodeSpec
-from .gk_states import GKFamilySpec, TruncationTooSmallError, _phases, _required_n
-from .hilbert import TruncationConfig, ValidationError
+from .gk_states import GKFamilySpec, _kept_probabilities, _phases
+from .hilbert import ValidationError
 
 
 class UnsupportedFamilyError(ValueError):
@@ -108,21 +108,11 @@ class GraphGenerator:
 
 
 def ladder_vector(spec: GKFamilySpec, x: float, t: float) -> np.ndarray:
-    """|x, t>, which spans U_t P^j_x U_t+, as unit amplitudes on ``spec.index``.
-
-    The truncated coefficients are renormalized so the generator is an exact
-    projector for every x in [0, R), not only where the tail is small.  Where
-    every kept coefficient underflows there is nothing to renormalize:
-    ``TruncationTooSmallError`` reports the photon cutoff that would meet the
-    default tail tolerance, if one is certified.
-    """
-    p = spec.family.probabilities(x, spec.terms - 1)
-    mass = p.sum()
-    if not mass:
-        need = _required_n(spec, x, TruncationConfig.tail_tol)
-        cutoff = f"it needs a photon cutoff N >= {need}" if need else "no certified cutoff"
-        raise TruncationTooSmallError(f"the {spec.label} ladder keeps no coefficient "
-                                      f"mass at x = {x}; {cutoff}", required_n=need)
+    """|x, t>, which spans U_t P^j_x U_t+, as unit amplitudes on ``spec.index``:
+    the kept coefficients (``gk_states._kept_probabilities``) renormalized, so the
+    generator is an exact projector for every x in [0, R), not only where the
+    tail is small."""
+    p, mass = _kept_probabilities(spec, x)
     return np.sqrt(p / mass) * _phases(spec, t)
 
 
@@ -312,51 +302,54 @@ def channel_apply(channel: Channel, rho: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PureTransmission:
     """The dephasing channel's output on a pure input |v><v|: its trace and its
-    fidelity with the input."""
+    fidelity with the input, read off the overlaps <v_i|v> (``dephase_pure_state``)."""
 
     trace: float
     fidelity: float
 
 
+def _on_ladders(size: int, j_indices: np.ndarray, s_indices: np.ndarray) -> np.ndarray:
+    """Mask of J u S among ``size`` dressed indices; ``ValidationError`` if they meet."""
+    on_ladder = np.zeros(size, dtype=bool)
+    on_ladder[j_indices] = True
+    shared = int(on_ladder[s_indices].sum())
+    if shared:
+        raise ValidationError(f"channel projectors 0 and 1 overlap: J and S "
+                              f"share {shared} dressed indices")
+    on_ladder[s_indices] = True
+    return on_ladder
+
+
 def dephase_pure_state(families: Sequence[GKFamilySpec], ladders: Sequence[np.ndarray],
                        v: np.ndarray) -> PureTransmission:
-    """``dephasing_channel`` at (x, t) applied to |v><v|, in O(dim): ``ladders``
+    """``dephasing_channel`` at (x, t) applied to |v><v|, in O(N): ``ladders``
     are ``ladder_vector`` at (x, t), ``v`` one coordinate per dressed index.
 
-    With v1, v2 the ladder vectors, the Kraus projectors |v1><v1|,
-    |v2><v2| and I - both are Hermitian, idempotent and complete exactly
-    when ||v1|| = ||v2|| = 1 and <v1|v2> = 0, checked to 1e-9 as Channel
-    checks its projectors.  The output sum_k u_k u_k+ of the branches
-    u_k = P_k v has trace sum_k ||u_k||^2 and, v being pure, fidelity
-    sum_k |<v|u_k>|^2.  Every O(dim) product is an entry of the 3 x 3 Gram
-    matrix of (v1, v2, v) under V+ V = diag(g) (``DressedFrame.norms``); the
-    rest is 3 x 3 algebra.
+    Under V+ V = diag(g) (``DressedFrame.norms``) the ladder vectors v_i =
+    V[:, idx_i] a_i, idx_i = ``families[i].index``, have n_i = ||v_i||^2 =
+    sum |a_i|^2 g and c_i = <v_i|v> = sum conj(a_i) g v[idx_i], and <v1|v2> = 0
+    as J and S share no index (``_on_ladders``).  So |v1><v1|, |v2><v2| and
+    I - both are a channel when ||v_i|| = 1, checked to 1e-9 as Channel checks
+    its projectors.  With p_i = |c_i|^2, the branches c1 v1, c2 v2 and v - both
+    give the output's trace ||v||^2 + 2 p1 (n1 - 1) + 2 p2 (n2 - 1) and, v being
+    pure, its fidelity p1^2 + p2^2 + (||v||^2 - p1 - p2)^2.
     """
     norms = families[0].frame.norms
-    rows = np.zeros((3, norms.size), dtype=complex)
-    rows[0, families[0].index], rows[1, families[1].index], rows[2] = *ladders, v
-    bras = rows.conj()
-    bras *= norms  # in place: one 3 x dim temporary, not two
-    g = bras @ rows.T  # g[k, l] = <row k|row l>
-    tr = float(g[2, 2].real)
+    tr = float(np.abs(v) ** 2 @ norms)
     if not abs(tr - 1.0) <= 1e-9:  # NaN fails every check here
         raise InvalidDensityError(f"rho has trace {tr}, expected 1")
-    for i in (0, 1):
-        dev = abs(math.sqrt(g[i, i].real) - 1.0)
+    n, p = np.empty(2), np.empty(2)
+    for i, (spec, a) in enumerate(zip(families, ladders)):
+        ga = norms[spec.index] * a
+        n[i] = np.vdot(a, ga).real
+        dev = abs(math.sqrt(n[i]) - 1.0)
         if not dev <= 1e-9:
             raise ValidationError(f"channel projector {i} is not idempotent: "
                                   f"| ||v|| - 1 | = {dev:.3e}")
-    overlap = abs(g[0, 1])
-    if not overlap <= 1e-9:
-        raise ValidationError(
-            f"channel projectors 0 and 1 overlap: |<v1|v2>| = {overlap:.3e}")
-    # u_m = sum_k (row k) c[k, m]: c1 v1, c2 v2 and v - c1 v1 - c2 v2 with
-    # c_k = <v_k|v>, so ||u_m||^2 = (c+ g c)[m, m], the branches' Gram
-    # diagonal, and <v|u_m> = (g c)[2, m]
-    c = np.array([[g[0, 2], 0.0, -g[0, 2]], [0.0, g[1, 2], -g[1, 2]], [0.0, 0.0, 1.0]])
-    gc = g @ c
-    fid = (np.abs(gc[2]) ** 2).sum()
-    return PureTransmission(trace=float((c.conj() * gc).sum().real),
+        p[i] = abs(np.vdot(ga, v[spec.index])) ** 2
+    _on_ladders(norms.size, families[0].index, families[1].index)
+    fid = p @ p + (tr - p.sum()) ** 2
+    return PureTransmission(trace=float(tr + 2.0 * p @ (n - 1.0)),
                             fidelity=float(np.minimum(1.0, fid)))
 
 
@@ -375,22 +368,17 @@ def channel_certificate(code: CodeSpec) -> tuple:
     code_fidelity = max over C of max(0, 1 - g^2), each attained by a code
     basis vector.  A code index on a ladder is measured at some (x, t), so
     code_fidelity is then 1.  Where |sqrt g - 1| > 1e-9 on J or S, or J and S
-    meet, some (x, t) gives no channel: ``ValidationError`` carries the reason
-    ``dephase_pure_state`` would give.  Both bounds are numpy reductions, so a
-    NaN in g reads NaN and fails its record.
+    meet (``_on_ladders``, which both check), some (x, t) gives no channel:
+    ``ValidationError`` carries the reason ``dephase_pure_state`` would give.
+    Both bounds are numpy reductions, so a NaN in g reads NaN and fails it.
     """
     g = code.frame.norms
-    on_ladder = np.zeros(g.size, dtype=bool)
     for i, idx in enumerate((code.j_indices, code.s_indices)):
         dev = np.abs(np.sqrt(g[idx]) - 1.0).max(initial=0.0)
         if not dev <= 1e-9:
             raise ValidationError(f"channel projector {i} is not idempotent: "
                                   f"max | ||v|| - 1 | = {dev:.3e}")
-        shared = int(on_ladder[idx].sum())
-        if shared:
-            raise ValidationError(f"channel projectors 0 and 1 overlap: J and S "
-                                  f"share {shared} dressed indices")
-        on_ladder[idx] = True
+    on_ladder = _on_ladders(g.size, code.j_indices, code.s_indices)
     code_idx = code.h3_indices[:-1]
     gc = g[code_idx]
     loss = (1.0 if on_ladder[code_idx].any()

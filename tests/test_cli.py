@@ -563,19 +563,21 @@ def test_demo_state_validation(capsys):
 @pytest.mark.parametrize("x, cutoff", [("2000", "N >= 2275"), ("1e6", "no certified cutoff")])
 def test_demo_beyond_the_ladder_fails_as_check(x, cutoff):
     """Every kept coefficient underflows at x = 2000 and 1e6: one stderr line, no
-    traceback.  At 1e6 no tail bound is certified, so no cutoff is named."""
+    traceback, from ``demo`` and from ``gk-dump``, which has no zero vector to
+    dump.  At 1e6 no tail bound is certified, so no cutoff is named."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "jcgraph.cli", "demo", "--omega-f", "1", "--omega-s", "0.8",
-         "--kappa", "0.7", "--n-fock", "160", "--family1", "factorial",
-         "--family2", "factorial", "--x", x, "--t", "1"],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 1 and done.stdout == ""
-    assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("check failed: the J ladder keeps no coefficient mass")
-    assert done.stderr.rstrip().endswith(cutoff)
-    assert done.stderr.count("\n") == 1
+    point = ["--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7", "--n-fock", "160",
+             "--family1", "factorial"]
+    for argv in (["demo"] + point + ["--family2", "factorial", "--x", x, "--t", "1"],
+                 ["gk-dump"] + point + ["--xs", x]):
+        done = subprocess.run([sys.executable, "-m", "jcgraph.cli"] + argv, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1 and done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("check failed: the J ladder keeps no coefficient mass")
+        assert done.stderr.rstrip().endswith(cutoff)
+        assert done.stderr.count("\n") == 1
 
 
 def test_demo_inadmissible_cut_fails_as_check(capsys):

@@ -561,6 +561,32 @@ def test_pure_state_channel_validates_its_input():
     # the same ladder twice: its projectors overlap, so they are no channel
     with pytest.raises(ValidationError, match="overlap"):
         dephase_pure_state((families[0], families[0]), ladders[:1] * 2, v)
+    # S starting on J's top rung: |<v1|v2>| is 2.4e-12 here, far below any float
+    # tolerance, but the ladders share an index, as channel_certificate reads
+    top = replace(code, s_indices=np.concatenate([code.j_indices[-1:], code.s_indices]))
+    families = jc_families(top, builtin_family("factorial"), builtin_family("factorial"))
+    ladders = [graph_verify.ladder_vector(spec, 0.5, 1.0) for spec in families]
+    for refuse in (lambda: channel_certificate(top),
+                   lambda: dephase_pure_state(families, ladders, v)):
+        with pytest.raises(ValidationError, match="overlap: J and S share 1 dressed"):
+            refuse()
+
+
+def test_pure_state_channel_holds_no_dim_sized_rows():
+    """At factorial N = 10^5 the channel on the leak probe peaks under 40 bytes per
+    dressed index: O(N) sums over each ladder, no 3 x dim rows."""
+    fac = builtin_family("factorial")
+    code = decompose(JCParams(1.0, 0.8, 0.7), 3, TruncationConfig(10 ** 5))
+    families = jc_families(code, fac, fac)
+    ladders = [graph_verify.ladder_vector(spec, 0.5, 1.0) for spec in families]
+    v = leak_probe(code, ladders[0])
+    tracemalloc.start()
+    try:
+        dephase_pure_state(families, ladders, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * v.size
 
 
 def test_a_zero_ladder_column_reports_the_cutoff():
