@@ -213,11 +213,6 @@ def cmd_sweep(values: dict, out: str | None) -> None:
     _emit(chunks(), out)
 
 
-def _below(name: str, residual, tolerance: float, **alpha) -> gv.CheckRecord:
-    """The record of a check that passes when its residual is below its tolerance."""
-    return gv.CheckRecord(name, residual, tolerance, residual < tolerance, **alpha)
-
-
 def _cut(cfg: RunConfig) -> tuple:
     """The cut (None if refused), the spectrum residuals and records, then a refusal's
     record with ``decompose``'s message.  A refused cut has no frame, so the spectrum
@@ -226,14 +221,14 @@ def _cut(cfg: RunConfig) -> tuple:
     try:
         code = cc.decompose(cfg.params, cfg.k0, cfg.trunc, cfg.m0)
     except cc.EnergyOrderError as exc:
-        failure = gv.CheckRecord("gk.energy_order", abs(exc.gap), 0.0, False, reason=str(exc))
+        failure = gv.CheckRecord("gk.energy_order", abs(exc.gap), 0.0, reason=str(exc))
     except ValueError as exc:
-        failure = gv.CheckRecord("code.cut_constraint", 1.0, 0.0, False, reason=str(exc))
+        failure = gv.CheckRecord("code.cut_constraint", 1.0, 0.0, reason=str(exc))
     frame = dressed_frame(cfg.params, cfg.trunc) if code is None else code.frame
     eig_res, gram = spectrum_residuals(cfg.params, frame)
     return code, (eig_res, gram), [
-        _below("spectrum.eigen_residual", eig_res, 1e-10),
-        _below("spectrum.gram_identity", gram, 1e-10), *filter(None, [failure])]
+        gv.CheckRecord("spectrum.eigen_residual", eig_res, 1e-10),
+        gv.CheckRecord("spectrum.gram_identity", gram, 1e-10), *filter(None, [failure])]
 
 
 @functools.lru_cache(maxsize=8)
@@ -247,15 +242,15 @@ def _ladder_moments(fam: gk.WeightFamily, terms: int) -> tuple:
     return diag, float(np.abs(spot - 1.0).max())
 
 
-def _ladder_records(spec, residuals, cfg: RunConfig) -> list:
-    """Moments and resolution off the ladder's closed-form d_k, then stability."""
+def _ladder_records(spec, residuals, horizon: float) -> list:
+    """Moments and resolution off the closed-form d_k, then stability to t = horizon."""
     fam = spec.family
     diag, moments = _ladder_moments(fam, spec.terms)
     resolution = gk.verify_resolution(spec, diag)
-    stability = gk.verify_temporal_stability(spec, *residuals, 10.0 / cfg.params.omega_f)
-    return [_below(f"gk.moments.{spec.label}.{fam.name}", moments, 1e-8),
-            _below(f"gk.resolution.{spec.label}.{fam.name}", resolution, 1e-6),
-            _below(f"gk.temporal_stability.{spec.label}", stability, 1e-9)]
+    stability = gk.verify_temporal_stability(spec, *residuals, horizon)
+    return [gv.CheckRecord(f"gk.moments.{spec.label}.{fam.name}", moments, 1e-8),
+            gv.CheckRecord(f"gk.resolution.{spec.label}.{fam.name}", resolution, 1e-6),
+            gv.CheckRecord(f"gk.temporal_stability.{spec.label}", stability, 1e-9)]
 
 
 def _membership(code, families) -> gv.CheckRecord:
@@ -264,64 +259,59 @@ def _membership(code, families) -> gv.CheckRecord:
     mem = [replace(spec, family=uni) for spec in families]
     residual = gv.verify_identity_membership(
         code, mem, [_ladder_moments(uni, spec.terms)[0] for spec in mem])
-    return _below("graph.identity_membership", residual, 1e-6)
+    return gv.CheckRecord("graph.identity_membership", residual, 1e-6)
 
 
 def _x_range(families) -> float:
-    """The leak probe's largest x: within 0.95 R and tail-safe to 1e-6 on both ladders.
-    A family's tail grows as its ladder shortens, so S alone sizes a shared family."""
+    """x_hi, the leak probe's x: the largest x within 0.95 R and tail-safe to 1e-6 on
+    both ladders.  A tail grows as its ladder shortens, so S alone sizes a shared family."""
     specs = families[1:] if families[0].family == families[1].family else families
     return min(min(gk.tail_safe_xmax(spec.family, spec.terms - 1, budget=1e-6),
                    0.95 * spec.family.radius) for spec in specs)
 
 
-def _draw(cfg: RunConfig, families) -> tuple:
-    """The leak probe's (x, t): x within both domains, t within 10 / omega_f."""
-    rng = np.random.default_rng(cfg.seed)
-    # h * random() is uniform(0, h) bit for bit: numpy forms 0 + h * random()
-    return _x_range(families) * rng.random(), 10.0 / cfg.params.omega_f * rng.random()
-
-
 def _anticlique(code, tol: float) -> list:
     """The anticlique bounds over the whole graph (``gv.anticlique_certificate``)."""
     cert = gv.anticlique_certificate(code)
-    return [_below("graph.anticlique", cert.residual, tol),
-            _below("graph.anticlique_alpha_zero", cert.alpha_zero, 1e-10),
-            _below("graph.anticlique_alpha_identity", abs(cert.alpha_identity - 1.0),
-                   1e-10, alpha=cert.alpha_identity)]
+    return [gv.CheckRecord("graph.anticlique", cert.residual, tol),
+            gv.CheckRecord("graph.anticlique_alpha_zero", cert.alpha_zero, 1e-10),
+            gv.CheckRecord("graph.anticlique_alpha_identity", abs(cert.alpha_identity - 1.0),
+                           1e-10, alpha=cert.alpha_identity)]
 
 
 def _channel(code, families, x: float, t: float) -> list:
     """The channel on every code state (``gv.channel_certificate``), and on the
-    leak probe at (x, t).  A refused input is one failing ``channel.input``
-    record with the channel's reason."""
+    leak probe at (x, t), which ``verify`` sends at (x_hi, T): the corner of the
+    domain that ``_x_range`` and ``gk.temporal_stability.*`` cover.  A refused
+    input is one failing ``channel.input`` record with the channel's reason."""
     try:
         trace, loss = gv.channel_certificate(code)
         ladders = [gv.ladder_vector(spec, x, t) for spec in families]
         probe = gv.dephase_pure_state(families, ladders, gv.leak_probe(code, ladders[0]))
     except (ValidationError, gv.InvalidDensityError) as exc:
-        return [gv.CheckRecord("channel.input", 1.0, 0.0, False, reason=str(exc))]
-    return [_below("channel.trace_preservation", trace, 1e-10),
-            _below("channel.code_fidelity", loss, 1e-8),
-            _below("channel.leak_control",
-                   max(0.0, probe.fidelity - (1.0 - 1e-3)), 1e-12)]
+        return [gv.CheckRecord("channel.input", 1.0, 0.0, reason=str(exc))]
+    return [gv.CheckRecord("channel.trace_preservation", trace, 1e-10),
+            gv.CheckRecord("channel.code_fidelity", loss, 1e-8),
+            gv.CheckRecord("channel.leak_control",
+                           max(0.0, probe.fidelity - (1.0 - 1e-3)), 1e-12)]
 
 
 def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     """The full numerical battery for one configuration, one stage per layer.
 
-    Records come in stage order; a refused cut ends the report.  A record
-    passes when its residual is below its tolerance (``_below``), except a
-    refusal of the cut or of the channel's input, which always fails."""
+    Records come in stage order; a refused cut ends the report.  Nothing is
+    drawn, so ``cfg.seed`` plays no part: stability covers t in [0, T], T =
+    10 / omega_f, and the leak probe is sent at (x_hi, T), x_hi = ``_x_range``."""
     code, residuals, checks = _cut(cfg)
     if code is None:
         return gv.VerificationReport(checks)
     families = gk.jc_families(code, cfg.family1, cfg.family2)
+    horizon = 10.0 / cfg.params.omega_f
     for spec in families:
-        checks += _ladder_records(spec, residuals, cfg)
+        checks += _ladder_records(spec, residuals, horizon)
     checks.append(_membership(code, families))
     checks += _anticlique(code, cfg.tol)
-    checks += _channel(code, families, *_draw(cfg, families))
+    checks += _channel(code, families, _x_range(families), horizon)
     return gv.VerificationReport(checks)
 
 

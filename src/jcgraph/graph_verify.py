@@ -31,7 +31,7 @@ coordinates; only the dense reference forms embed one in the product basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -59,21 +59,27 @@ class CodeLeakageError(ValueError):
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One named check: residual against tolerance, optional alpha, stderr-only reason."""
+    """One named check, which passes when its residual is below its tolerance: a
+    NaN residual fails, and so does a refusal, held at tolerance 0.  ``alpha`` and
+    the stderr-only ``reason`` are keyword-only."""
 
     name: str
     residual: float
     tolerance: float
-    passed: bool
+    _: KW_ONLY
     alpha: complex | None = None
     reason: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual < self.tolerance)
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "residual": float(self.residual),
             "tolerance": float(self.tolerance),
-            "pass": bool(self.passed),
+            "pass": self.passed,
             "alpha_re": None if self.alpha is None else float(self.alpha.real),
             "alpha_im": None if self.alpha is None else float(self.alpha.imag),
         }
@@ -88,9 +94,6 @@ class VerificationReport:
     @property
     def overall_pass(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def add(self, record: CheckRecord) -> None:
-        self.checks.append(record)
 
     def to_dict(self) -> dict:
         return {"checks": [c.to_dict() for c in self.checks],
@@ -193,8 +196,7 @@ def knill_laflamme_check(p: np.ndarray, ops: Sequence, tol: float = 1e-8,
         alpha = complex(np.trace(pap)) / rank
         residual = float(np.abs(pap - alpha * p).max())
         name = names[i] if names is not None else f"op[{i}]"
-        report.add(CheckRecord(name=name, residual=residual, tolerance=tol,
-                               passed=residual < tol, alpha=alpha))
+        report.checks.append(CheckRecord(name, residual, tol, alpha=alpha))
     return report
 
 
@@ -435,12 +437,15 @@ def transmit_demo(code: CodeSpec, families: Sequence[GKFamilySpec], x: float,
 
 def leak_probe(code: CodeSpec, a1: np.ndarray) -> np.ndarray:
     """Deliberately leaked pure state in dressed coordinates, of unit norm: the
-    first code vector mixed with the J ladder state ``a1`` (``ladder_vector``).
+    first code vector plus the J ladder state ``a1`` (``ladder_vector``), each
+    scaled by 1 / ||v||, with ||v||^2 = sum |a1|^2 g + g read off v's support.
 
     Used as the negative control: the ladder component is measured out by
     the channel, so the transmission fidelity drops well below 1.
     """
-    v = np.zeros(code.frame.energies.size, dtype=complex)
-    v[code.j_indices] = math.sqrt(0.5) * a1
-    v[code.h3_indices[0]] = math.sqrt(1.0 - 0.5)
-    return v / math.sqrt((np.abs(v) ** 2 * code.frame.norms).sum())
+    g, h0 = code.frame.norms, code.h3_indices[0]
+    scale = 1.0 / math.sqrt(float(np.abs(a1) ** 2 @ g[code.j_indices]) + g[h0])
+    v = np.zeros(g.size, dtype=complex)
+    v[code.j_indices] = scale * a1
+    v[h0] = scale
+    return v

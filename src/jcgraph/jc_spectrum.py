@@ -34,6 +34,7 @@ because perfbench's tracer wraps them by name.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,10 +139,12 @@ class DressedFrame:
     sin: np.ndarray
     energies: np.ndarray
 
-    @property
+    @functools.cached_property
     def norms(self) -> np.ndarray:
         """V+ V = diag(g): g = c^2 + s^2 per block (s c - c s is exactly 0), 1 at singletons."""
-        return np.concatenate(([1.0], np.repeat(self.cos ** 2 + self.sin ** 2, 2), [1.0]))
+        g = np.concatenate(([1.0], np.repeat(self.cos ** 2 + self.sin ** 2, 2), [1.0]))
+        g.flags.writeable = False
+        return g
 
     def embed(self, idx, a: np.ndarray) -> np.ndarray:
         """sum_k a[k] |v_idx[k]> in the product basis, for dressed vectors v: the

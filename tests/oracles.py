@@ -269,11 +269,9 @@ def knill_laflamme_frame(w, ms, tol: float = 1e-8):
     alphas = np.trace(ms, axis1=1, axis2=2) / k0
     shifted = ms - alphas[:, None, None] * np.eye(k0)
     residuals = np.abs(ws @ shifted @ ws.conj().T).max(axis=(1, 2))
-    report = VerificationReport()
-    for i, (alpha, residual) in enumerate(zip(alphas.tolist(), residuals.tolist())):
-        report.add(CheckRecord(name=f"op[{i}]", residual=residual, tolerance=tol,
-                               passed=residual < tol, alpha=alpha))
-    return report
+    return VerificationReport([CheckRecord(f"op[{i}]", residual, tol, alpha=alpha)
+                               for i, (alpha, residual)
+                               in enumerate(zip(alphas.tolist(), residuals.tolist()))])
 
 
 def sampled_code_channel(code, families, amps, xs, ts) -> tuple:

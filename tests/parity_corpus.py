@@ -40,6 +40,8 @@ FAILING_RTOL = 1e-6
 # residuals that hold their value by construction, not by rounding
 EXACT_RESIDUALS = {"channel.leak_control": 0.0, "graph.anticlique_alpha_zero": 0.0,
                    "channel.input": 1.0, "code.cut_constraint": 1.0}
+# verify's report reads no --seed: these cases repeat one at other seeds
+SEEDS = ("1", "2")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\binf\b|\bnan\b")
 
 
@@ -58,6 +60,9 @@ def _cases() -> dict:
             for ws in ("0.8", "1.2", "1"):
                 cases[f"verify-{fam}-n{n}-ws{ws}"] = (
                     ["verify"] + _point(ws) + ["--n-fock", str(n)] + _families(fam))
+        for seed in SEEDS:
+            cases[f"verify-{fam}-n160-ws0.8-seed{seed}"] = (
+                cases[f"verify-{fam}-n160-ws0.8"] + ["--seed", seed])
         demo = ["demo"] + _point("0.8") + ["--n-fock", "120"] + _families(fam)
         fixed = ["--x", "0.3", "--t", "2"]
         for form, extra in (("default", []), ("basis1", ["--state", "basis1"]),

@@ -9,11 +9,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from jcgraph import cli, gk_states
 from jcgraph.code_construction import decompose
 from jcgraph.gk_states import builtin_family, jc_families, tail_mass, tail_safe_xmax
+from jcgraph.graph_verify import CheckRecord
 from jcgraph.hilbert import QuadratureRule
 
 PAIRS = [("factorial",) * 2, ("uniform_moment",) * 2, ("factorial", "uniform_moment"),
@@ -47,7 +47,7 @@ def _families(pair, n_fock):
                                   "n_fock": n_fock, "family1": pair[0],
                                   "family2": pair[1]})
     code = decompose(cfg.params, cfg.k0, cfg.trunc, cfg.m0)
-    return cfg, code, jc_families(code, cfg.family1, cfg.family2)
+    return jc_families(code, cfg.family1, cfg.family2)
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)
@@ -86,7 +86,7 @@ def test_a_non_finite_rule_reads_as_a_failed_spot_check():
     nan_rho = dataclasses.replace(builtin_family("uniform_moment"), name="nan_rho",
                                   log_rho=lambda x: np.full(np.shape(x), np.nan))
     diag, spot = cli._ladder_moments(nan_rho, 40)
-    assert np.isnan(spot) and not cli._below("gk.moments", spot, 1e-8).passed
+    assert np.isnan(spot) and not CheckRecord("gk.moments", spot, 1e-8).passed
     assert np.abs(diag - 1.0).max() <= 1e-15
 
 
@@ -101,26 +101,11 @@ def test_a_float_cutoff_does_not_share_a_search():
 @pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)
 def test_the_sample_x_range_is_tail_safe_on_both_ladders(pair, n_fock):
     """x_hi is the smallest of both ladders' tail-safe x (and of 0.95 R), so the
-    samples' states drop at most 1e-6 of their mass on either ladder."""
-    _, _, families = _families(pair, n_fock)
+    leak probe's ladder states drop at most 1e-6 of their mass on either ladder."""
+    families = _families(pair, n_fock)
     x_hi = cli._x_range(families)
     assert x_hi == min(min(tail_safe_xmax(spec.family, spec.terms - 1, 1e-6),
                            0.95 * spec.family.radius) for spec in families)
     for spec in families:
         assert tail_mass(spec.family, x_hi, spec.terms - 1) <= 1e-6
 
-
-def _uniform_draw(cfg, families):
-    """``_draw`` as written with ``rng.uniform(0, h)``, kept as an oracle."""
-    rng = np.random.default_rng(cfg.seed)
-    return (float(rng.uniform(0.0, cli._x_range(families))),
-            float(rng.uniform(0.0, 10.0 / cfg.params.omega_f)))
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2 ** 63), pair=st.sampled_from(PAIRS))
-def test_draw_takes_the_uniform_samples(seed, pair):
-    """The leak probe's (x, t), bit for bit."""
-    cfg, _, families = _families(pair, 30)
-    cfg = dataclasses.replace(cfg, seed=seed)
-    assert cli._draw(cfg, families) == _uniform_draw(cfg, families)

@@ -45,12 +45,11 @@ def code_state(seed):
 
 
 def test_check_record_serialization():
-    rec = CheckRecord(name="a", residual=1e-9, tolerance=1e-8, passed=True)
+    rec = CheckRecord(name="a", residual=1e-9, tolerance=1e-8)
     d = rec.to_dict()
     assert d["pass"] is True
     assert d["alpha_re"] is None and d["alpha_im"] is None
-    rec = CheckRecord(name="b", residual=0.0, tolerance=1e-8, passed=True,
-                      alpha=0.5 - 0.25j)
+    rec = CheckRecord(name="b", residual=0.0, tolerance=1e-8, alpha=0.5 - 0.25j)
     d = rec.to_dict()
     assert d["alpha_re"] == 0.5 and d["alpha_im"] == -0.25
 
@@ -58,13 +57,32 @@ def test_check_record_serialization():
 def test_verification_report_aggregation():
     rep = VerificationReport()
     assert rep.overall_pass
-    rep.add(CheckRecord("x", 1e-12, 1e-8, True))
-    rep.add(CheckRecord("y", 0.5, 1e-8, False))
+    rep.checks += [CheckRecord("x", 1e-12, 1e-8), CheckRecord("y", 0.5, 1e-8)]
     assert not rep.overall_pass
     assert max(c.residual for c in rep.checks) == 0.5
     d = rep.to_dict()
     assert [c["name"] for c in d["checks"]] == ["x", "y"]
     assert d["overall_pass"] is False
+
+
+def test_a_record_passes_only_below_its_tolerance():
+    """The verdict is residual < tolerance: a NaN residual fails, and so does a
+    refusal, held at tolerance 0, whatever its residual."""
+    assert CheckRecord("a", 1e-9, 1e-8).passed
+    assert not CheckRecord("a", 1e-8, 1e-8).passed
+    assert not CheckRecord("a", math.nan, 1e-8).passed
+    assert CheckRecord("a", math.nan, 1e-8).to_dict()["pass"] is False
+    for residual in (0.0, 1.0):
+        assert not CheckRecord("channel.input", residual, 0.0, reason="refused").passed
+
+
+def test_a_record_takes_no_positional_verdict():
+    """``alpha`` and ``reason`` are keyword-only, so a stale positional pass flag
+    raises instead of being read as alpha."""
+    with pytest.raises(TypeError):
+        CheckRecord("a", 0.5, 1e-8, False)
+    with pytest.raises(TypeError):
+        CheckRecord("a", 0.5, 1e-8, passed=True)
 
 
 def test_generator_returns_exact_projectors():

@@ -589,6 +589,33 @@ def test_pure_state_channel_holds_no_dim_sized_rows():
     assert peak <= 40 * v.size
 
 
+def test_the_leak_probe_is_normalized_on_its_support():
+    """At factorial N = 10^5 ``leak_probe`` peaks at most 28 bytes per dressed index:
+    the output, one J-sized temporary and no dim-sized product for its norm.  The
+    frame's g is built first, as ``verify`` does in ``channel_certificate``."""
+    fac = builtin_family("factorial")
+    code = decompose(JCParams(1.0, 0.8, 0.7), 3, TruncationConfig(10 ** 5))
+    families = jc_families(code, fac, fac)
+    a1 = graph_verify.ladder_vector(families[0], 0.5, 1.0)
+    g = code.frame.norms
+    tracemalloc.start()
+    try:
+        v = leak_probe(code, a1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * v.size
+    assert abs(np.abs(v) ** 2 @ g - 1.0) <= 1e-14
+
+
+def test_the_frame_builds_g_once_read_only():
+    frame = decompose(JCParams(1.0, 0.8, 0.7), 3, TruncationConfig(30)).frame
+    assert frame.norms is frame.norms
+    assert not frame.norms.flags.writeable
+    with pytest.raises(ValueError):
+        frame.norms[0] = 2.0
+
+
 def test_a_zero_ladder_column_reports_the_cutoff():
     """Past x ~ 2000 every kept factorial coefficient of a 20-rung ladder underflows."""
     _, families = build(JCParams(1.0, 0.8, 0.7), TruncationConfig(20), "factorial")
