@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import random
 import sys
 from dataclasses import dataclass, replace
 
@@ -326,12 +327,12 @@ def cmd_demo(cfg: RunConfig, values: dict) -> tuple:
         raise UsageError(f"x and the phases max|E| t must be finite, got x = {x}, t = {t}")
     if not 0.0 <= x < radius:
         raise UsageError(f"x = {x} outside [0, {radius})")
-    rng = np.random.default_rng(cfg.seed)
     state = values.get("state", "random")
     dim_code = code.h3_indices.size - 1
     if not values.get("allow_leak"):
-        if state == "random":
-            amps = rng.normal(size=dim_code) + 1j * rng.normal(size=dim_code)
+        if state == "random":  # gauss has no default arguments before Python 3.11
+            gauss = functools.partial(random.Random(cfg.seed).gauss, 0.0, 1.0)
+            amps = np.array([complex(gauss(), gauss()) for _ in range(dim_code)])
         elif state.startswith("basis"):
             try:
                 idx = int(state[5:] or 0)

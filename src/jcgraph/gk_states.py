@@ -310,8 +310,10 @@ class GKFamilySpec:
 
 
 def _phases(spec: GKFamilySpec, y: float) -> np.ndarray:
-    """e^{-i h_k y}, one entry per rung."""
-    return np.exp(-1j * spec.energies * y)
+    """e^{-i h_k y}, one entry per rung, built in one complex array."""
+    phases = np.multiply(spec.energies, -1j)
+    phases *= y
+    return np.exp(phases, out=phases)
 
 
 def _kept_probabilities(spec: GKFamilySpec, x: float) -> tuple:

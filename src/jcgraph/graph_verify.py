@@ -114,9 +114,11 @@ def ladder_vector(spec: GKFamilySpec, x: float, t: float) -> np.ndarray:
     """|x, t>, which spans U_t P^j_x U_t+, as unit amplitudes on ``spec.index``:
     the kept coefficients (``gk_states._kept_probabilities``) renormalized, so the
     generator is an exact projector for every x in [0, R), not only where the
-    tail is small."""
+    tail is small.  Built in place: the probabilities row and the output, no more."""
     p, mass = _kept_probabilities(spec, x)
-    return np.sqrt(p / mass) * _phases(spec, t)
+    amps = _phases(spec, t)
+    amps *= np.sqrt(np.divide(p, mass, out=p), out=p)
+    return amps
 
 
 def _ladder_projector(spec: GKFamilySpec, x: float, t: float) -> np.ndarray:

@@ -740,7 +740,7 @@ _RUN_AND_REPORT = """
 import sys
 from jcgraph import cli
 rc = cli.main(sys.argv[1:])
-sys.stderr.write(f"\\n{rc} {'scipy' in sys.modules}\\n")
+sys.stderr.write(f"\\n{rc} {'scipy' in sys.modules} {'numpy.random' in sys.modules}\\n")
 """
 
 
@@ -749,18 +749,65 @@ sys.stderr.write(f"\\n{rc} {'scipy' in sys.modules}\\n")
     (["sweep", "--resonant", "--gamma-f-min", "7", "--gamma-f-max", "8",
       "--gamma-f-steps", "5"], 0),
     (["demo"] + SMALL, 0),
+    (["demo"] + SMALL + ["--state", "basis1"], 0),
+    (["demo"] + SMALL + ["--state", "1,2j"], 0),
     (["demo"] + SMALL + ["--allow-leak"], 1),
     (["gk-dump"] + SMALL, 0),
     (["verify"] + SMALL, 0),
-], ids=["mindim", "sweep", "demo", "demo-leak", "gk-dump", "verify"])
+], ids=["mindim", "sweep", "demo", "demo-basis1", "demo-amplitudes", "demo-leak",
+        "gk-dump", "verify"])
 def test_no_command_loads_scipy(argv, rc):
-    """scipy costs about 0.3 s to import; the quadrature rules are numpy only."""
+    """scipy costs about 0.3 s to import; the quadrature rules are numpy only.  Nor
+    does a command load ``numpy.random`` (about 5 MB), which numpy >= 2 imports
+    lazily: ``demo --state random`` draws with the standard library."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert done.stderr.splitlines()[-1] == f"{rc} False", done.stderr
+    code, scipy_loaded, random_loaded = done.stderr.splitlines()[-1].split()
+    assert (code, scipy_loaded) == (str(rc), "False"), done.stderr
+    if int(np.__version__.split(".")[0]) >= 2:  # numpy 1 imports numpy.random eagerly
+        assert random_loaded == "False", done.stderr
+
+
+def test_demo_draws_a_seeded_unit_code_state(monkeypatch, capsys):
+    """``demo --state random`` draws a normalized complex Gaussian on the code's
+    dressed indices from ``random.Random(seed)``: one state per seed."""
+    states = []
+    dephase = cli.gv.dephase_pure_state
+
+    def captured(families, ladders, v):
+        states.append(v.copy())
+        return dephase(families, ladders, v)
+    monkeypatch.setattr(cli.gv, "dephase_pure_state", captured)
+    for seed in ("3", "3", "4"):
+        assert run(["demo"] + SMALL + ["--seed", seed], capsys)[0] == 0
+    a, again, b = states
+    assert np.array_equal(a, again) and not np.allclose(a, b)
+    cfg = cli.resolve_run_config({"omega_f": 1.0, "omega_s": 1.0, "kappa": 0.5,
+                                  "n_fock": 20})
+    code = code_construction.decompose(cfg.params, cfg.k0, cfg.trunc, cfg.m0)
+    off = np.ones(a.size, dtype=bool)
+    off[code.h3_indices[:-1]] = False
+    for v in (a, b):
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+        assert not v[off].any()
+
+
+@pytest.mark.parametrize("extra, rc", [
+    (["--state", "basis1"], 0), (["--state", "1,2j"], 0), (["--allow-leak"], 1),
+], ids=["basis1", "amplitudes", "leak"])
+def test_a_demo_that_draws_nothing_builds_no_generator(monkeypatch, capsys, extra, rc):
+    """With ``random.Random`` raising, every demo but ``--state random`` answers."""
+    plain = run(["demo"] + SMALL + extra, capsys)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("demo built a random generator")
+    monkeypatch.setattr(cli.random, "Random", refused)
+    assert run(["demo"] + SMALL + extra, capsys) == plain and plain[0] == rc
+    with pytest.raises(AssertionError, match="built a random generator"):
+        main(["demo"] + SMALL)
 
 
 @pytest.mark.parametrize("argv, rc", [

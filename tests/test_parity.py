@@ -41,3 +41,15 @@ def test_verify_builds_no_random_generator(monkeypatch, name):
         raise AssertionError("verify built a random generator")
     monkeypatch.setattr(np.random, "default_rng", refused)
     assert run(argv) == plain and plain["exit"] == 0
+
+
+@pytest.mark.parametrize("name", ["verify-factorial-n160-ws0.8", "demo-factorial-default"])
+def test_out_writes_the_report_and_prints_nothing(tmp_path, name):
+    """With ``--out FILE`` stdout is empty and FILE holds, byte for byte, what the
+    same command prints without it, which keeps the corpus report."""
+    argv, dest = load(name)["argv"], tmp_path / "report"
+    written = run(argv + ["--out", str(dest)])
+    assert (written["exit"], written["stdout"]) == (load(name)["exit"], "")
+    plain = run(argv)
+    assert dest.read_text() == plain["stdout"]
+    assert mismatches(load(name), plain) == []

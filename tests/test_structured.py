@@ -608,6 +608,28 @@ def test_the_leak_probe_is_normalized_on_its_support():
     assert abs(np.abs(v) ** 2 @ g - 1.0) <= 1e-14
 
 
+def test_a_ladder_state_is_built_in_place():
+    """At factorial N = 10^5 ``ladder_vector`` peaks at most 34 bytes per rung: the
+    probabilities row while it is built, then that row and the output, with no
+    temporary for p / mass, its root or the phases.  The bits are the old formula's."""
+    fac = builtin_family("factorial")
+    code = decompose(JCParams(1.0, 0.8, 0.7), 3, TruncationConfig(10 ** 5))
+    families = jc_families(code, fac, fac)
+    graph_verify.ladder_vector(families[0], 0.5, 1.0)  # the family's log c_k table
+    tracemalloc.start()
+    try:
+        a = graph_verify.ladder_vector(families[0], 0.5, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 34 * a.size
+    for spec in families:
+        for x, t in ((0.5, 1.0), (0.0, 0.0), (0.3, -2.0), (0.9, 1e5)):
+            p, mass = gk_states._kept_probabilities(spec, x)
+            old = np.sqrt(p / mass) * np.exp(-1j * spec.energies * t)
+            assert graph_verify.ladder_vector(spec, x, t).tobytes() == old.tobytes()
+
+
 def test_the_frame_builds_g_once_read_only():
     frame = decompose(JCParams(1.0, 0.8, 0.7), 3, TruncationConfig(30)).frame
     assert frame.norms is frame.norms
