@@ -15,6 +15,7 @@ import argparse
 import bisect
 import configparser
 import functools
+import itertools
 import json
 import math
 import os
@@ -182,35 +183,62 @@ def cmd_mindim(cfg: RunConfig) -> dict:
 
 
 def cmd_sweep(values: dict, out: str | None) -> None:
-    """Write the sweep's CSV, formatting ``_SWEEP_CHUNK`` rows at a time.
+    """Write the sweep's CSV, ``_SWEEP_CHUNK`` rows at a time.
 
-    Every M0 is computed, and every usage error raised, before the first
-    line is written, so a refused sweep writes nothing.
+    Every M0 is computed, and every usage error raised (``--resonant`` with a
+    gamma_s key is one), before the first line is written, so a refused sweep
+    writes nothing.  Each distinct rate is formatted once and its text indexed
+    into the rows: on the resonant line chunk by chunk, twice a row; on a grid
+    in blocks of at most a chunk, gamma_f rows times gamma_s columns.  Only a
+    grid row longer than a chunk formats rates again: its gamma_s blocks for
+    each gamma_f rate, and that rate for each block.
     """
     needed = ("gamma_f_min", "gamma_f_max", "gamma_f_steps")
     if any(k not in values for k in needed):
         raise UsageError("sweep needs --gamma-f-min/--gamma-f-max/--gamma-f-steps")
+    s_keys = ("gamma_s_min", "gamma_s_max", "gamma_s_steps")
+    resonant = values.get("resonant")
+    if resonant and any(k in values for k in s_keys):
+        raise UsageError("--resonant sets gamma_s = gamma_f; drop --gamma-s-min/"
+                         "--gamma-s-max/--gamma-s-steps")
     f_range = (values["gamma_f_min"], values["gamma_f_max"])
     try:
-        if values.get("resonant"):
+        if resonant:
             rates = cc.resonant_rates(f_range, values["gamma_f_steps"])
         else:
-            s_needed = ("gamma_s_min", "gamma_s_max", "gamma_s_steps")
-            if any(k not in values for k in s_needed):
+            if any(k not in values for k in s_keys):
                 raise UsageError("grid sweep needs --gamma-s-min/--gamma-s-max/"
                                  "--gamma-s-steps (or --resonant)")
             rates = cc.grid_rates(f_range,
                                   (values["gamma_s_min"], values["gamma_s_max"]),
                                   (values["gamma_f_steps"], values["gamma_s_steps"]))
-        columns = cc.sweep_columns(*rates)
+        m0, k0_star, d_min = cc.sweep_columns(*rates)[2:]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    text = functools.partial(map, "%.12g,".__mod__)  # a rate's CSV field and its comma
+    # cells: the rows' (gamma_f, gamma_s) texts in order, made a block at a time
+    if resonant:  # one axis: each rate's text is both
+        blocks = (list(text(rates[0][i:i + _SWEEP_CHUNK].tolist()))
+                  for i in range(0, m0.size, _SWEEP_CHUNK))
+        cells = itertools.chain.from_iterable(zip(t, t) for t in blocks)
+    else:  # blocks of at most a chunk: gamma_f rows times gamma_s columns
+        steps_s = values["gamma_s_steps"]
+        f_axis, s_axis = rates[0][::steps_s], rates[1][:steps_s]
+        f_rows = max(1, _SWEEP_CHUNK // steps_s)
+        # a row longer than a chunk is read in chunk-sized blocks; the last block is kept
+        s_block = functools.lru_cache(1)(
+            lambda j: list(text(s_axis[j:j + _SWEEP_CHUNK].tolist())))
+        cells = itertools.chain.from_iterable(
+            itertools.product(text(f_axis[i:i + f_rows].tolist()), s_block(j))
+            for i in range(0, f_axis.size, f_rows) for j in range(0, steps_s, _SWEEP_CHUNK))
 
     def chunks():
         yield "gamma_s,gamma_f,m0,k0_star,d_min\n"
-        for start in range(0, columns[0].size, _SWEEP_CHUNK):
-            rows = zip(*(c[start:start + _SWEEP_CHUNK].tolist() for c in columns))
-            yield "".join(["%.12g,%.12g,%d,%d,%d\n" % row for row in rows])
+        for start in range(0, m0.size, _SWEEP_CHUNK):
+            part = slice(start, start + _SWEEP_CHUNK)
+            # the cells come last: zip ends with the chunk and takes no cell beyond it
+            rows = zip(m0[part].tolist(), k0_star[part].tolist(), d_min[part].tolist(), cells)
+            yield "".join([f"{s}{f}{m},{k},{d}\n" for m, k, d, (f, s) in rows])
     _emit(chunks(), out)
 
 

@@ -88,6 +88,10 @@ def _cases() -> dict:
     cases["mindim-gamma8"] = ["mindim", "--gamma-f", "8", "--gamma-s", "8"]
     cases["sweep-resonant"] = ["sweep", "--resonant", "--gamma-f-min", "7",
                                "--gamma-f-max", "8", "--gamma-f-steps", "5"]
+    # detuned both ways: each rate repeats along its grid axis
+    cases["sweep-grid"] = ["sweep", "--gamma-f-min", "2", "--gamma-f-max", "40",
+                           "--gamma-f-steps", "7", "--gamma-s-min", "0.5",
+                           "--gamma-s-max", "80", "--gamma-s-steps", "9"]
     return cases
 
 

@@ -7,7 +7,9 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -298,6 +300,49 @@ def test_sweep_csv_is_the_same_in_every_chunk_size(chunk, monkeypatch, tmp_path,
     target = tmp_path / "rows.csv"
     assert run(flags + ["--out", str(target)], capsys) == (0, "", "")
     assert target.read_text() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps_f=st.integers(1, 12), steps_s=st.integers(1, 12), data=st.data())
+def test_grid_sweep_csv_is_the_same_in_every_chunk_size(steps_f, steps_s, data):
+    """A grid's rows are written _SWEEP_CHUNK at a time, chunks ending anywhere in
+    a gamma_f row, rows longer than a chunk included; stdout and --out alike."""
+    chunk = data.draw(st.integers(1, steps_f * steps_s + 1), label="chunk")
+    flags = ["sweep", "--gamma-f-min", "2", "--gamma-f-max", "40",
+             "--gamma-f-steps", str(steps_f), "--gamma-s-min", "0.5",
+             "--gamma-s-max", "80", "--gamma-s-steps", str(steps_s)]
+    want = _reference_csv([(gf, gs) for gf in np.linspace(2.0, 40.0, steps_f)
+                           for gs in np.linspace(0.5, 80.0, steps_s)])
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_SWEEP_CHUNK", chunk):
+        target = os.path.join(tmp, "rows.csv")
+        for argv in (flags, flags + ["--out", target]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            assert out.getvalue() == ("" if "--out" in argv else want)
+        with open(target) as fh:
+            assert fh.read() == want
+
+
+@pytest.mark.parametrize("s_flags", [
+    ["--gamma-s-min", "100", "--gamma-s-max", "200", "--gamma-s-steps", "3"],
+    ["--gamma-s-steps", "3"],
+    ["--config", "GRID_CONFIG"],
+], ids=["all-flags", "one-flag", "config"])
+def test_resonant_sweep_refuses_gamma_s_flags(s_flags, monkeypatch, tmp_path, capsys):
+    """--resonant sets gamma_s = gamma_f, so a gamma_s axis from flags or a config
+    file is a usage error, raised before any axis is built."""
+    def no_axis(*_):
+        raise AssertionError("the rate axis was built")
+    monkeypatch.setattr(code_construction, "_rate_axis", no_axis)
+    config = tmp_path / "grid.ini"
+    config.write_text("[sweep]\ngamma-s-min = 100\ngamma-s-max = 200\n")
+    s_flags = [str(config) if a == "GRID_CONFIG" else a for a in s_flags]
+    rc, out, err = run(["sweep", "--resonant", "--gamma-f-min", "7", "--gamma-f-max", "8",
+                        "--gamma-f-steps", "2"] + s_flags, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --resonant") and "--gamma-s-min" in err
 
 
 def test_sweep_with_an_unresolvable_row_writes_nothing(tmp_path, capsys):
