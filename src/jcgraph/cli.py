@@ -261,21 +261,18 @@ def _cut(cfg: RunConfig) -> tuple:
 
 
 @functools.lru_cache(maxsize=8)
-def _ladder_moments(fam: gk.WeightFamily, terms: int) -> tuple:
-    """A ladder's d_k, k < terms, from the family's closed forms, read-only, and the
-    ``gk.moments`` residual of its 21-node rule on k < min(41, terms), which that
-    rule integrates exactly; built once per process for each (family, terms)."""
-    diag = gk.closed_form_diagonals(fam, terms)
-    diag.flags.writeable = False
+def _ladder_moments(fam: gk.WeightFamily, terms: int) -> float:
+    """The ``gk.moments`` residual of the family's 21-node rule on k < min(41, terms),
+    which that rule integrates exactly; built once per process for each (family, terms)."""
     spot = gk.moment_diagonals(fam, np.arange(min(41, terms)), fam.moment_rule(21))
-    return diag, float(np.abs(spot - 1.0).max())
+    return float(np.abs(spot - 1.0).max())
 
 
 def _ladder_records(spec, residuals, horizon: float) -> list:
     """Moments and resolution off the closed-form d_k, then stability to t = horizon."""
     fam = spec.family
-    diag, moments = _ladder_moments(fam, spec.terms)
-    resolution = gk.verify_resolution(spec, diag)
+    resolution = gk.verify_resolution(spec, gk.closed_form_diagonals(fam, spec.terms))
+    moments = _ladder_moments(fam, spec.terms)  # after d_k: its k < 41 read a slice
     stability = gk.verify_temporal_stability(spec, *residuals, horizon)
     return [gv.CheckRecord(f"gk.moments.{spec.label}.{fam.name}", moments, 1e-8),
             gv.CheckRecord(f"gk.resolution.{spec.label}.{fam.name}", resolution, 1e-6),
@@ -284,10 +281,9 @@ def _ladder_records(spec, residuals, horizon: float) -> list:
 
 def _membership(code, families) -> gv.CheckRecord:
     """Identity membership on the same ladders under uniform_moment (finite radius)."""
-    uni = gk.builtin_family("uniform_moment")
-    mem = [replace(spec, family=uni) for spec in families]
+    mem = [replace(spec, family=gk.builtin_family("uniform_moment")) for spec in families]
     residual = gv.verify_identity_membership(
-        code, mem, [_ladder_moments(uni, spec.terms)[0] for spec in mem])
+        code, mem, [gk.closed_form_diagonals(spec.family, spec.terms) for spec in mem])
     return gv.CheckRecord("graph.identity_membership", residual, 1e-6)
 
 
@@ -309,10 +305,10 @@ def _anticlique(code, tol: float) -> list:
 
 
 def _channel(code, families, x: float, t: float) -> list:
-    """The channel on every code state (``gv.channel_certificate``), and on the
-    leak probe at (x, t), which ``verify`` sends at (x_hi, T): the corner of the
-    domain that ``_x_range`` and ``gk.temporal_stability.*`` cover.  A refused
-    input is one failing ``channel.input`` record with the channel's reason."""
+    """The channel on every code state (``gv.channel_certificate``), and on the leak
+    probe at (x, t): ``verify`` sends it at (x_hi, T), tail-safe to 1e-6 only, so past
+    the tail of 1e-12 that ``gk.temporal_stability.*`` assumes.  A refused input is
+    one failing ``channel.input`` record with the channel's reason."""
     try:
         trace, loss = gv.channel_certificate(code)
         ladders = [gv.ladder_vector(spec, x, t) for spec in families]
@@ -336,9 +332,10 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
         return gv.VerificationReport(checks)
     families = gk.jc_families(code, cfg.family1, cfg.family2)
     horizon = 10.0 / cfg.params.omega_f
+    membership = _membership(code, families)  # first: uniform_moment's table at J's length
     for spec in families:
         checks += _ladder_records(spec, residuals, horizon)
-    checks.append(_membership(code, families))
+    checks.append(membership)
     checks += _anticlique(code, cfg.tol)
     checks += _channel(code, families, _x_range(families), horizon)
     return gv.VerificationReport(checks)
@@ -504,6 +501,9 @@ def main(argv=None) -> int:
                 f"the largest usable N is {top}" if top >= cfg.k0 + 10 else
                 f"no N >= k0 + 10 = {cfg.k0 + 10} is usable at this point"))
         if args.command == "verify":
+            if not math.isfinite(10.0 / cfg.params.omega_f):  # a subnormal omega_f
+                raise UsageError(f"the stability horizon T = 10/omega_f overflows a "
+                                 f"double at omega_f = {cfg.params.omega_f!r}")
             report = run_verification(cfg)
             _emit(json.dumps(report.to_dict(), indent=2) + "\n", out)
             for c in report.checks:

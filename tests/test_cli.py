@@ -9,13 +9,14 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from jcgraph import cli, code_construction, gk_states
+from jcgraph import cli, code_construction
 from jcgraph.cli import main
 from jcgraph.hilbert import QuadratureRule
 
@@ -109,21 +110,39 @@ def test_overflow_check_cannot_raise():
 
 
 @settings(max_examples=150, deadline=None)
-@given(scale=st.floats(-300.0, 300.0), ratio=st.floats(-200.0, 200.0),
+@given(scale=st.floats(-320.0, 300.0), ratio=st.floats(-200.0, 200.0),
        gamma_f=st.floats(0.0, 1e3), n_fock=st.integers(3, 2000))
+@example(scale=-310.0, ratio=math.log10(0.8), gamma_f=0.7, n_fock=30)  # subnormal omega_f
 def test_every_finite_point_gets_an_answer_or_a_refusal(scale, ratio, gamma_f, n_fock):
     """omega_f = 10^scale, omega_s = 10^ratio omega_f and kappa = gamma_f omega_f:
-    each command exits 0, 1 or 2 with no traceback.  A product past the double
-    range reaches the command as inf, which is refused."""
+    each command exits 0, 1 or 2 with no traceback and no RuntimeWarning.  A
+    product past the double range reaches the command as inf, which is refused;
+    so is verify's horizon 10/omega_f at omega_f < 5.6e-308, subnormal included."""
     omega_f = 10.0 ** scale
     point = ["--omega-f", repr(omega_f), "--omega-s", repr(10.0 ** ratio * omega_f),
              "--kappa", repr(gamma_f * omega_f), "--n-fock", str(n_fock)]
     for command in ("mindim", "demo", "gk-dump", "verify"):
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main([command] + point)
         assert rc in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("omega_f", [1e-310, 5.5e-308])
+def test_verify_refuses_a_horizon_past_the_double_range(omega_f, capsys):
+    """10/omega_f overflows below omega_f = 5.6e-308, subnormal or not: verify refuses
+    before any stage runs, with no warning and no report, instead of writing inf bounds."""
+    point = ["--omega-f", repr(omega_f), "--omega-s", repr(0.8 * omega_f),
+             "--kappa", repr(0.7 * omega_f), "--n-fock", "30"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(["verify"] + point, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: the stability horizon T = 10/omega_f overflows")
 
 
 @pytest.mark.parametrize("family", ["factorial", "uniform_moment"])
@@ -747,17 +766,6 @@ def test_config_keys_match_the_flags():
                 "store_const": cli._BOOL_KEYS, "str": cli._STR_KEYS}
     assert sum(map(len, key_sets.values())) == len(cli._ALL_KEYS)
     assert kinds == {key: kind for kind, keys in key_sets.items() for key in keys}
-
-
-def test_demos_share_the_log_weight_tables(capsys):
-    """The built-in families are module values, so a second demo builds no table."""
-    argv = ["demo", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
-            "--n-fock", "120"]
-    run(argv, capsys)
-    misses = gk_states._log_weights.cache_info().misses
-    rc, _, _ = run(argv, capsys)
-    assert rc == 0
-    assert gk_states._log_weights.cache_info().misses == misses
 
 
 def test_reused_parser_leaks_no_state(tmp_path, capsys):

@@ -89,19 +89,18 @@ def test_probabilities_frozen_values():
     assert abs(q[3] - 0.125) < 1e-15
 
 
-def test_probabilities_share_one_read_only_log_weight_array():
+def test_probabilities_match_the_per_term_loop():
+    """The shared table's slice, bit for bit, whether the table is longer or built here
+    (``tests/test_family_cache.py`` pins the sharing)."""
     for name, x in (("factorial", 37.0), ("uniform_moment", 0.9)):
         fam = builtin_family(name)
         ks = np.arange(161)
-        # the per-call list the shared array replaces, bit for bit
         log_c = np.array([fam.log_weight(int(k)) for k in ks])
         with np.errstate(under="ignore"):
             loop = np.exp(ks * math.log(x) - log_c - fam.log_n_squared(x))
         np.testing.assert_array_equal(fam.probabilities(x, 160), loop)
-        shared = gk_states._log_weights(fam.log_weight, 160)
-        assert gk_states._log_weights(fam.log_weight, 160) is shared
-        with pytest.raises(ValueError):
-            shared[0] = 0.0
+        closed_form_diagonals(fam, 1000)
+        np.testing.assert_array_equal(fam.probabilities(x, 160), loop)
 
 
 def test_builtin_families_are_module_values():
