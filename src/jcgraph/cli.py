@@ -2,9 +2,9 @@
 
 System parameters come either as the frequency triple (--omega-f,
 --omega-s, --kappa) or as the dimensionless rate pair (--gamma-f,
---gamma-s, optionally --reference-omega-f); exactly one group must be
-given.  A key = value config file (INI sections, any section names) can
-supply the same keys, with command line flags taking precedence.
+--gamma-s, optionally --reference-omega-f), exactly one group; --hz
+multiplies the triple or the reference by 2 pi.  A key = value config file
+(INI sections, any section names) can supply the same keys; flags win.
 
 Exit codes: 0 on success, 1 when a numerical check fails, 2 on usage or
 configuration errors.
@@ -21,7 +21,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,9 +114,10 @@ def _merged(args: argparse.Namespace) -> dict:
 
 def resolve_run_config(values: dict) -> RunConfig:
     freq = [k for k in ("omega_f", "omega_s", "kappa") if k in values]
-    rates = [k for k in ("gamma_f", "gamma_s") if k in values]
+    rates = [k for k in ("gamma_f", "gamma_s", "reference_omega_f") if k in values]
     if freq and rates:
-        raise UsageError("give either the frequency triple or the rate pair, not both")
+        raise UsageError("give either the frequency triple or the rate pair "
+                         "(with --reference-omega-f), not both")
     if not freq and not rates:
         raise UsageError("system parameters required: --omega-f/--omega-s/--kappa "
                          "or --gamma-f/--gamma-s")
@@ -124,15 +125,17 @@ def resolve_run_config(values: dict) -> RunConfig:
         ({"gamma_f", "gamma_s"} - set(rates))
     if missing:
         raise UsageError(f"incomplete parameter group; missing {sorted(missing)}")
+    scale = 2.0 * math.pi if values.get("hz") else 1.0
+    if scale != 1.0 and rates == ["gamma_f", "gamma_s"]:  # no frequency to convert
+        raise UsageError("--hz needs a frequency: give --reference-omega-f with the rate pair")
     try:
         if freq:
-            scale = 2.0 * math.pi if values.get("hz") else 1.0
             params = JCParams(omega_f=scale * values["omega_f"],
                               omega_s=scale * values["omega_s"],
                               kappa=scale * values["kappa"])
         else:
             params = JCParams.from_rates(values["gamma_f"], values["gamma_s"],
-                                         omega_f=values.get("reference_omega_f", 1.0))
+                                         omega_f=scale * values.get("reference_omega_f", 1.0))
         m0 = cc.minimal_m0(params)  # the run's only M0: the commands read cfg.m0
         k0_star = cc.minimal_k0(m0)
         trunc = TruncationConfig(n_fock=values.get("n_fock", 60))
@@ -212,7 +215,7 @@ def cmd_sweep(values: dict, out: str | None) -> None:
             rates = cc.grid_rates(f_range,
                                   (values["gamma_s_min"], values["gamma_s_max"]),
                                   (values["gamma_f_steps"], values["gamma_s_steps"]))
-        m0, k0_star, d_min = cc.sweep_columns(*rates)[2:]
+        m0, k0_star, d_min = cc.sweep_columns(*rates)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     text = functools.partial(map, "%.12g,".__mod__)  # a rate's CSV field and its comma
@@ -261,29 +264,29 @@ def _cut(cfg: RunConfig) -> tuple:
 
 
 @functools.lru_cache(maxsize=8)
-def _ladder_moments(fam: gk.WeightFamily, terms: int) -> float:
-    """The ``gk.moments`` residual of the family's 21-node rule on k < min(41, terms),
-    which that rule integrates exactly; built once per process for each (family, terms)."""
-    spot = gk.moment_diagonals(fam, np.arange(min(41, terms)), fam.moment_rule(21))
+def _ladder_moments(fam: gk.WeightFamily, orders: int) -> float:
+    """The ``gk.moments`` residual of the family's 21-node rule on k < orders, which
+    that rule integrates exactly for orders <= 41; built once per process for each
+    (family, orders), so a family riding both ladders is spot-checked once."""
+    spot = gk.moment_diagonals(fam, np.arange(orders), fam.moment_rule(21))
     return float(np.abs(spot - 1.0).max())
 
 
-def _ladder_records(spec, residuals, horizon: float) -> list:
-    """Moments and resolution off the closed-form d_k, then stability to t = horizon."""
+def _ladder_records(spec, stability: float) -> list:
+    """Moments and resolution off the closed-form d_k, then the frame's stability bound."""
     fam = spec.family
     resolution = gk.verify_resolution(spec, gk.closed_form_diagonals(fam, spec.terms))
-    moments = _ladder_moments(fam, spec.terms)  # after d_k: its k < 41 read a slice
-    stability = gk.verify_temporal_stability(spec, *residuals, horizon)
+    moments = _ladder_moments(fam, min(41, spec.terms))  # after d_k: its k < 41 read a slice
     return [gv.CheckRecord(f"gk.moments.{spec.label}.{fam.name}", moments, 1e-8),
             gv.CheckRecord(f"gk.resolution.{spec.label}.{fam.name}", resolution, 1e-6),
             gv.CheckRecord(f"gk.temporal_stability.{spec.label}", stability, 1e-9)]
 
 
-def _membership(code, families) -> gv.CheckRecord:
-    """Identity membership on the same ladders under uniform_moment (finite radius)."""
-    mem = [replace(spec, family=gk.builtin_family("uniform_moment")) for spec in families]
-    residual = gv.verify_identity_membership(
-        code, mem, [gk.closed_form_diagonals(spec.family, spec.terms) for spec in mem])
+def _membership(code) -> gv.CheckRecord:
+    """Identity membership on the cut's ladders under uniform_moment's d_k (finite radius)."""
+    uni = gk.builtin_family("uniform_moment")
+    d = [gk.closed_form_diagonals(uni, idx.size) for idx in (code.j_indices, code.s_indices)]
+    residual = gv.verify_identity_membership(code, d)
     return gv.CheckRecord("graph.identity_membership", residual, 1e-6)
 
 
@@ -326,15 +329,17 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
 
     Records come in stage order; a refused cut ends the report.  Nothing is
     drawn, so ``cfg.seed`` plays no part: stability covers t in [0, T], T =
-    10 / omega_f, and the leak probe is sent at (x_hi, T), x_hi = ``_x_range``."""
+    10 / omega_f, one bound for the frame that both ladder records carry, and
+    the leak probe is sent at (x_hi, T), x_hi = ``_x_range``."""
     code, residuals, checks = _cut(cfg)
     if code is None:
         return gv.VerificationReport(checks)
     families = gk.jc_families(code, cfg.family1, cfg.family2)
     horizon = 10.0 / cfg.params.omega_f
-    membership = _membership(code, families)  # first: uniform_moment's table at J's length
+    membership = _membership(code)  # first: uniform_moment's table at J's length
+    stability = gk.verify_temporal_stability(code.frame, *residuals, horizon)
     for spec in families:
-        checks += _ladder_records(spec, residuals, horizon)
+        checks += _ladder_records(spec, stability)
     checks.append(membership)
     checks += _anticlique(code, cfg.tol)
     checks += _channel(code, families, _x_range(families), horizon)

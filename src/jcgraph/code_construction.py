@@ -231,13 +231,13 @@ def _gap_block(gamma_f: np.ndarray, gamma_s: np.ndarray) -> np.ndarray:
 
 
 def sweep_columns(gamma_f: np.ndarray, gamma_s: np.ndarray) -> tuple:
-    """The sweep's columns gamma_s, gamma_f, m0, k0_star and d_min, as arrays.
+    """The sweep's columns m0, k0_star and d_min, as arrays.
 
     One entry per rate pair, in the arrays' order.
     """
     m0 = _gap_indices(gamma_f, gamma_s)
     k0_star = np.maximum(3, m0)
-    return gamma_s, gamma_f, m0, k0_star, k0_star - 1
+    return m0, k0_star, k0_star - 1
 
 
 def _check_rows(*steps: int) -> None:
@@ -259,16 +259,13 @@ def _rate_axis(gamma_range: tuple, steps: int) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def grid_rates(gamma_f_range: tuple, gamma_s_range: tuple, steps) -> tuple:
+def grid_rates(gamma_f_range: tuple, gamma_s_range: tuple, steps: tuple) -> tuple:
     """The rate pairs (gamma_f, gamma_s) of a grid sweep, two arrays in row-major order.
 
-    ``steps`` is the number of grid points per axis (a single int applies
-    to both).  The outer loop runs over gamma_f, the inner over gamma_s.
+    ``steps`` is (steps_f, steps_s), the number of grid points per axis.  The
+    outer loop runs over gamma_f, the inner over gamma_s.
     """
-    try:
-        steps_f, steps_s = steps
-    except TypeError:
-        steps_f = steps_s = steps
+    steps_f, steps_s = steps
     _check_rows(steps_f, steps_s)
     gfs = _rate_axis(gamma_f_range, steps_f)
     gss = _rate_axis(gamma_s_range, steps_s)

@@ -428,12 +428,12 @@ def verify_resolution(spec: GKFamilySpec, diagonals: np.ndarray) -> float:
     return float(max(np.abs(d).max(), np.abs(off).max()))
 
 
-def verify_temporal_stability(spec: GKFamilySpec, eig_residual: float, gram: float,
+def verify_temporal_stability(frame: DressedFrame, eig_residual: float, gram: float,
                               t_max: float) -> float:
-    """Bound on 1 - F, F = |<x, t| U_t |x, 0>|^2, over t in [0, t_max] and every x
-    whose tail is within beta = 1e-12 (x in [0, x_max]: both built-in tails grow).
+    """Bound on 1 - F, F = |<x, t| U_t |x, 0>|^2, on any ladder of ``frame``, over t in
+    [0, t_max] and every x whose tail is within beta = 1e-12 (x in [0, x_max]: tails grow).
 
-    With the ladder's frame columns V, H V = V E + R: rho = ``eig_residual`` bounds
+    With a ladder's frame columns V, H V = V E + R: rho = ``eig_residual`` bounds
     each column of R, one per 2x2 block, so |R b| <= rho |b|; V+ V is diagonal within
     gamma = ``gram`` of I.  v = |x, t> = V a_t, a_t = sqrt(p_k) e^{-i E_k t},
     m = |a|^2 >= 1 - beta, w = U_t |x, 0>: Duhamel's formula gives |w - v| <=
@@ -445,7 +445,7 @@ def verify_temporal_stability(spec: GKFamilySpec, eig_residual: float, gram: flo
     c^2 + s^2 - 1 is within 3u: gamma + 4u.
     """
     u = 2.0 ** -53
-    rho = eig_residual + 20.0 * u * float(np.abs(spec.frame.energies).max())
+    rho = eig_residual + 20.0 * u * float(np.abs(frame.energies).max())
     return 2e-12 + 2.0 * (gram + 4.0 * u) + (t_max * rho) ** 2
 
 

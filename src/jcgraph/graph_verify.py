@@ -18,8 +18,10 @@ weighted element
 whose integral int tau1(x) BohrMean_t[U_t Q_x U_t+] dx reproduces the
 identity on the truncated space (minus the decoupled |N, e> direction).
 The third coefficient carries the extra 1/R so that its radial integral
-is exactly one; this requires a finite convergence radius, hence the
-built-in "uniform_moment" family.
+is exactly one; this requires a finite convergence radius, so
+``verify_identity_membership`` takes the moment diagonals of such a family
+(``verify`` passes the built-in "uniform_moment"'s) and reads the ladders J
+and S off the cut.
 
 ``anticlique_certificate`` proves the anticlique for every generator at
 once, and ``channel_certificate`` bounds the channel's output on every code
@@ -39,10 +41,6 @@ import numpy as np
 from .code_construction import CodeSpec
 from .gk_states import GKFamilySpec, _kept_probabilities, _phases
 from .hilbert import ValidationError
-
-
-class UnsupportedFamilyError(ValueError):
-    """Identity membership requested with an unsuitable weight family."""
 
 
 class InvalidDensityError(ValueError):
@@ -144,32 +142,26 @@ def generator(code: CodeSpec, families: Sequence[GKFamilySpec],
     return GraphGenerator(j=j, x=x, t=t, operator=op)
 
 
-def verify_identity_membership(code: CodeSpec, families: Sequence[GKFamilySpec],
-                               diagonals: Sequence[np.ndarray]) -> float:
+def verify_identity_membership(code: CodeSpec, diagonals: Sequence[np.ndarray]) -> float:
     """Max entrywise deviation of the reconstructed identity from I.
 
     The reconstruction is the radial integral of tau1(x) times the Bohr
     mean of U_t Q_x U_t+.  The Bohr mean is taken analytically per ladder
     (each ladder is strictly increasing, so only diagonal terms in its
     embedded basis survive), which turns the integral into moment form:
-    the ladder diagonals become int rho_i(x) x^k dx / c_k, given per ladder
-    in ``diagonals`` (k = 0..terms-1, as ``verify_resolution`` takes them),
-    and the H3 term int_0^R tau1(x) / (R tau1(x)) dx is exactly 1.  The
-    ladders (from ``jc_families(code, ...)``) and H3 are views of the code's
-    partition of the dressed indices, so one dressed weight vector holds all
-    three and the result is read off the blocks of ``code.frame``.  The
-    decoupled |N, e> direction is excluded: no generator has support there,
-    so the reconstruction is zero there.
+    the ladder diagonals become int rho_i(x) x^k dx / c_k, given for the
+    cut's ladders J = ``code.j_indices`` and S = ``code.s_indices`` in
+    ``diagonals`` (k = 0..terms-1, as ``verify_resolution`` takes them),
+    and the H3 term int_0^R tau1(x) / (R tau1(x)) dx is exactly 1.
+    Precondition: both diagonals belong to one family of finite radius R,
+    which the H3 term assumes and d_k does not carry.  J, S and H3 are
+    views of the code's partition of the dressed indices, so one dressed
+    weight vector holds all three and the result is read off the blocks of
+    ``code.frame``.  The decoupled |N, e> direction is excluded: no
+    generator has support there, so the reconstruction is zero there.
     """
-    fam1 = families[0].family
-    fam2 = families[1].family
-    if not math.isfinite(fam1.radius) or fam2.radius != fam1.radius:
-        raise UnsupportedFamilyError(
-            "identity membership needs matching finite convergence radii; "
-            f"got R1 = {fam1.radius}, R2 = {fam2.radius}")
     weights = np.zeros(code.trunc.dim)
-    for spec, d in zip(families, diagonals):
-        weights[spec.index] = d
+    weights[code.j_indices], weights[code.s_indices] = diagonals
     weights[code.h3_indices] = 1.0
     diag, off = code.frame.block_entries(weights)
     dev = np.abs(diag - 1.0)

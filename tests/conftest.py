@@ -1,7 +1,7 @@
 """Every test starts and ends with cold per-process caches.
 
 ``decompose`` keeps its last cuts, ``tail_safe_xmax`` its last searches,
-``cli._ladder_moments`` each ladder's spot check and ``gk_states._TABLES``
+``cli._ladder_moments`` each family's spot check and ``gk_states._TABLES``
 each family's log c_k and d_k tables.  Tests that count the frames, tail
 bounds, rules or tables a command builds, or that patch what they read, need
 them built anew.

@@ -63,7 +63,8 @@ def test_criterion_1_benchmark_minimal_dimension():
 
 def test_criterion_2_resonant_threshold_location():
     t0 = time.perf_counter()
-    _, gamma_f, _, _, d_min = sweep_columns(*resonant_rates((0.5, 16.0), 1551))  # step 0.01
+    gamma_f, gamma_s = resonant_rates((0.5, 16.0), 1551)  # step 0.01
+    d_min = sweep_columns(gamma_f, gamma_s)[2]
     jump = next(g for g, d in zip(gamma_f.tolist(), d_min.tolist()) if d >= 3)
     elapsed = time.perf_counter() - t0
     target = 2.0 * (2.0 + math.sqrt(3.0))
@@ -154,8 +155,7 @@ def test_criterion_6_identity_membership():
     def membership(nodes):
         rule = uni.moment_rule(nodes)
         return verify_identity_membership(
-            code, families,
-            [moment_diagonals(uni, np.arange(spec.terms), rule) for spec in families])
+            code, [moment_diagonals(uni, np.arange(spec.terms), rule) for spec in families])
 
     res200 = membership(200)
     res100 = membership(100)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -109,6 +110,17 @@ def test_overflow_check_cannot_raise():
     assert cli._energies_overflow(cli.JCParams(1.0, 1.0, 1e308), 10 ** 6)
 
 
+def _quiet(argv):
+    """main(argv) with stdout and stderr captured: (rc, out, err, RuntimeWarnings)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return (rc, out.getvalue(), err.getvalue(),
+            [w for w in caught if issubclass(w.category, RuntimeWarning)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(scale=st.floats(-320.0, 300.0), ratio=st.floats(-200.0, 200.0),
        gamma_f=st.floats(0.0, 1e3), n_fock=st.integers(3, 2000))
@@ -122,14 +134,49 @@ def test_every_finite_point_gets_an_answer_or_a_refusal(scale, ratio, gamma_f, n
     point = ["--omega-f", repr(omega_f), "--omega-s", repr(10.0 ** ratio * omega_f),
              "--kappa", repr(gamma_f * omega_f), "--n-fock", str(n_fock)]
     for command in ("mindim", "demo", "gk-dump", "verify"):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main([command] + point)
+        rc, _, err, warned = _quiet([command] + point)
         assert rc in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "Traceback" not in err and not warned
+
+
+def _assert_finite_report(argv):
+    """A verify report, exit 0 or 1, in strict JSON (no NaN or Infinity token),
+    with every residual finite and no RuntimeWarning on the way."""
+    def refuse(token):
+        raise AssertionError(f"{token} in the report of {argv}")
+    rc, out, err, warned = _quiet(["verify"] + argv)
+    checks = json.loads(out, parse_constant=refuse)["checks"]
+    assert rc in (0, 1) and not warned and "Traceback" not in err
+    assert checks and all(math.isfinite(c["residual"]) for c in checks)
+
+
+@pytest.mark.parametrize("exp, n_fock", [("e306", 174), ("e307", 16)])
+def test_verify_at_the_overflow_edge_reports_finite_residuals(exp, n_fock):
+    """The largest usable N at the default point times 1e306 and 1e307: every
+    energy is within a double, and so is every product the records read (the
+    spectrum residuals' diagonal entries and the stability bound included)."""
+    _assert_finite_report(["--omega-f", "1" + exp, "--omega-s", "0.8" + exp,
+                           "--kappa", "0.7" + exp, "--n-fock", str(n_fock)])
+
+
+@settings(max_examples=15, deadline=None)
+@given(scale=st.floats(303.0, 308.2))
+def test_verify_at_the_largest_usable_n_reports_finite_residuals(scale):
+    """The default point times 10^scale at the N that verify's own refusal names
+    (its bisection of the overflow test), or, past scale 307.09, that refusal
+    with no N named.  The ladders are factorial, whose verify at scale 303 (N =
+    179 620) takes a quarter of uniform_moment's; no tail reads the scale."""
+    omega_f = 10.0 ** scale
+    point = ["--omega-f", repr(omega_f), "--omega-s", repr(0.8 * omega_f),
+             "--kappa", repr(0.7 * omega_f), "--family1", "factorial",
+             "--family2", "factorial"]
+    rc, out, err, _ = _quiet(["verify"] + point + ["--n-fock", str(10 ** 6)])
+    assert (rc, out) == (2, "")
+    usable = re.search(r"the largest usable N is (\d+)\n", err)
+    if usable is None:
+        assert "no N >= k0 + 10 = 13 is usable" in err
+    else:
+        _assert_finite_report(point + ["--n-fock", usable[1]])
 
 
 @pytest.mark.parametrize("omega_f", [1e-310, 5.5e-308])
@@ -342,6 +389,41 @@ def test_grid_sweep_csv_is_the_same_in_every_chunk_size(steps_f, steps_s, data):
             assert out.getvalue() == ("" if "--out" in argv else want)
         with open(target) as fh:
             assert fh.read() == want
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mindim", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+      "--reference-omega-f", "3"], "the frequency triple or the rate pair"),
+    (["mindim", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+      "--config", "REFERENCE_CONFIG"], "the frequency triple or the rate pair"),
+    (["gk-dump", "--gamma-f", "0.7", "--gamma-s", "0.875", "--hz"], "--hz needs a frequency"),
+    (["mindim", "--gamma-f", "8", "--gamma-s", "8", "--config", "HZ_CONFIG"],
+     "--hz needs a frequency"),
+], ids=["reference-with-triple", "reference-config-with-triple", "hz-with-rates",
+        "hz-config-with-rates"])
+def test_a_system_flag_the_group_cannot_read_is_a_usage_error(argv, message, tmp_path,
+                                                              capsys):
+    """--reference-omega-f belongs to the rate pair and --hz converts a frequency, so
+    the triple with a reference and a bare rate pair with --hz are refused, from
+    flags or a config file, where either flag would otherwise go unread."""
+    configs = {"REFERENCE_CONFIG": "reference-omega-f = 3\n", "HZ_CONFIG": "hz = true\n"}
+    for name, body in configs.items():
+        (tmp_path / name).write_text("[system]\n" + body)
+    argv = [str(tmp_path / a) if a in configs else a for a in argv]
+    rc, out, err = run(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_hz_scales_the_reference_frequency(capsys):
+    """--hz multiplies --reference-omega-f by 2 pi as it does the triple: the rates
+    0.7 / 0.875 at a reference of 2 Hz are the triple 2 / 1.6 / 1.4 in Hz, bit for
+    bit, and not the triple in rad/s."""
+    rates = ["gk-dump", "--gamma-f", "0.7", "--gamma-s", "0.875", "--reference-omega-f", "2"]
+    triple = ["gk-dump", "--omega-f", "2", "--omega-s", "1.6", "--kappa", "1.4"]
+    hz = run(rates + ["--hz"], capsys)
+    assert hz == run(triple + ["--hz"], capsys) and hz[0] == 0
+    assert run(rates, capsys) == run(triple, capsys) != hz
 
 
 @pytest.mark.parametrize("s_flags", [

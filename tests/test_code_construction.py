@@ -266,15 +266,19 @@ def test_benchmark_code_subspace():
                                dressed_vector(HAROCHE, 1, "minus", tr), atol=1e-14)
 
 
+def _columns(gamma_f, gamma_s):
+    """The sweep's CSV columns gamma_s, gamma_f, m0, k0_star, d_min, as lists."""
+    return [c.tolist() for c in (gamma_s, gamma_f, *sweep_columns(gamma_f, gamma_s))]
+
+
 def grid_sweep(gamma_f_range, gamma_s_range, steps):
-    """The grid sweep's columns gamma_s, gamma_f, m0, k0_star, d_min, as lists."""
-    return [c.tolist() for c in sweep_columns(*grid_rates(gamma_f_range, gamma_s_range,
-                                                          steps))]
+    """The grid sweep's columns, ``steps`` = (steps_f, steps_s)."""
+    return _columns(*grid_rates(gamma_f_range, gamma_s_range, steps))
 
 
 def resonant_sweep(gamma_range, steps):
-    """The resonant sweep's columns gamma_s, gamma_f, m0, k0_star, d_min, as lists."""
-    return [c.tolist() for c in sweep_columns(*resonant_rates(gamma_range, steps))]
+    """The resonant sweep's columns."""
+    return _columns(*resonant_rates(gamma_range, steps))
 
 
 def test_dmin_sweep_grid_order_and_values():
@@ -289,11 +293,6 @@ def test_dmin_sweep_grid_order_and_values():
         assert d == k - 1
 
 
-def test_dmin_sweep_scalar_steps():
-    columns = grid_sweep((1.0, 2.0), (1.0, 2.0), 3)
-    assert [len(c) for c in columns] == [9] * 5
-
-
 def test_resonant_sweep_diagonal():
     gamma_s, gamma_f, m0, _, d_min = columns = resonant_sweep((7.0, 8.0), 5)
     assert len(gamma_f) == 5
@@ -305,12 +304,12 @@ def test_resonant_sweep_diagonal():
 
 def test_sweep_validation():
     with pytest.raises(ValueError):
-        grid_sweep((1.0, 0.5), (0.5, 1.0), 3)  # inverted range
+        grid_sweep((1.0, 0.5), (0.5, 1.0), (3, 3))  # inverted range
     with pytest.raises(ValueError):
         resonant_sweep((0.5, 1.0), 1)  # fewer than two points
     for bad in ((math.nan, 1.0), (0.5, math.nan), (0.5, math.inf), (0.0, 1.0)):
         with pytest.raises(ValueError):
-            grid_sweep((0.5, 1.0), bad, 2)
+            grid_sweep((0.5, 1.0), bad, (2, 2))
         with pytest.raises(ValueError):
             resonant_sweep(bad, 2)
 
@@ -379,7 +378,7 @@ def test_sweeps_raise_the_scalar_message(sweep, gamma_f, gamma_s):
 
 @pytest.mark.parametrize("sweep, rows", [
     (lambda: resonant_sweep((1.0, 2.0), 10 ** 12), 10 ** 12),
-    (lambda: grid_sweep((1.0, 2.0), (1.0, 2.0), 10 ** 4), 10 ** 8),
+    (lambda: grid_sweep((1.0, 2.0), (1.0, 2.0), (10 ** 4, 10 ** 4)), 10 ** 8),
 ], ids=["resonant-1e12", "grid-1e4x1e4"])
 def test_sweep_row_cap_refuses_before_allocating(sweep, rows, monkeypatch):
     def no_axis(*_):

@@ -4,12 +4,14 @@ A Gazeau-Klauder state depends on its weight family and its ladder length,
 not on the JC point.  ``gk_states._TABLES`` holds one read-only pair of
 tables per family, log c_k and d_k, built at the longest length asked for;
 every shorter ladder reads a slice of it.  ``tail_safe_xmax`` and
-``cli._ladder_moments`` (the ``gk.moments`` spot check, per family and
-ladder length) keep what they build too.  A cold ``verify`` builds one pair
-per family, and a warm ``verify`` at a new point or a ``demo`` must search
-no tail and build no table or rule, and print what a cold one prints.
+``cli._ladder_moments`` (the ``gk.moments`` spot check, per family and the
+orders it reads, k < min(41, terms)) keep what they build too.  A cold
+``verify`` builds one pair and one spot check per family, and a warm
+``verify`` at a new point or a ``demo`` must search no tail and build no
+table or rule, and print what a cold one prints.
 """
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -117,6 +119,30 @@ def test_a_cold_verify_builds_one_table_pair_per_family(pair, n_fock, monkeypatc
     assert _verify(["verify", *point], capsys)[0] == 0
     assert _verify(["demo", *point], capsys)[0] == 0
     assert built == []
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)
+def test_a_cold_verify_spot_checks_each_family_once(pair, monkeypatch, capsys):
+    """The spot check reads its family and k < min(41, terms) alone, and at N = 160
+    both ladders have over 41 rungs (J 160, S 158): one ``moment_diagonals`` call
+    per distinct family, so a family on both ladders is spot-checked once."""
+    moments = _count(monkeypatch, "moment_diagonals")
+    assert _verify(["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+                    "--n-fock", "160", "--family1", pair[0], "--family2", pair[1]],
+                   capsys)[0] == 0
+    assert sorted(args[0].name for args in moments) == sorted(set(pair))
+    assert all(args[1].size == 41 for args in moments)
+
+
+def test_a_cold_verify_bounds_stability_once(monkeypatch, capsys):
+    """The stability bound reads the frame, its residuals and T, no ladder: one
+    evaluation per verify, whose value both ``gk.temporal_stability`` records carry."""
+    calls = _count(monkeypatch, "verify_temporal_stability")
+    rc, out, _ = _verify(["verify", "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+                          "--n-fock", "160"], capsys)
+    records = {c["name"]: c["residual"] for c in json.loads(out)["checks"]}
+    assert rc == 0 and len(calls) == 1
+    assert records["gk.temporal_stability.J"] == records["gk.temporal_stability.S"] > 0.0
 
 
 @pytest.mark.parametrize("name", ["factorial", "uniform_moment"])

@@ -13,7 +13,6 @@ from jcgraph.graph_verify import (
     CheckRecord,
     CodeLeakageError,
     InvalidDensityError,
-    UnsupportedFamilyError,
     VerificationReport,
     channel_apply,
     dephasing_channel,
@@ -131,17 +130,11 @@ def membership(families, rule):
     """verify_identity_membership on CODE with every ladder's diagonals under ``rule``."""
     diagonals = [moment_table(spec.family, np.arange(spec.terms), rule)
                  for spec in families]
-    return verify_identity_membership(CODE, families, diagonals)
+    return verify_identity_membership(CODE, diagonals)
 
 
 # exact for every moment of the longer (J) ladder
 LADDER_RULE = UNI.moment_rule(rule_nodes(FAMILIES[0].terms))
-
-
-def test_identity_membership_requires_matching_radii():
-    fams = jc_families(CODE, UNI, builtin_family("factorial"))
-    with pytest.raises(UnsupportedFamilyError, match="matching finite"):
-        membership(fams, LADDER_RULE)
 
 
 def test_identity_membership_residual_small():

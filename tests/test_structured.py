@@ -35,7 +35,6 @@ from jcgraph.gk_states import (builtin_family, closed_form_diagonals, gk_state,
                                verify_resolution, verify_temporal_stability)
 from jcgraph.graph_verify import (
     InvalidDensityError,
-    UnsupportedFamilyError,
     anticlique_certificate,
     channel_apply,
     channel_certificate,
@@ -309,8 +308,8 @@ def test_stability_grid_lies_under_the_bound(family, n_fock):
     code, families = build(params, trunc, family)
     residuals = spectrum_residuals(params, code.frame)
     t_max, u = 10.0 / params.omega_f, 2.0 ** -53
+    bound = verify_temporal_stability(code.frame, *residuals, t_max)  # one for both ladders
     for spec in families:
-        bound = verify_temporal_stability(spec, *residuals, t_max)
         xs = np.linspace(0.0, xmax(family, spec.terms, 1e-12), 10)
         grid = stability_grid(spec, xs, np.linspace(0.0, t_max, 10), trunc)
         k = np.arange(spec.terms)
@@ -782,13 +781,11 @@ def test_block_reconstructions_match_dense_oracles(system, nodes):
         assert abs(verify_resolution(spec, diag)
                    - dense_resolution_residual(spec, rule)) <= 1e-14
     if family == "factorial":  # infinite radius: membership needs uniform_moment
-        with pytest.raises(UnsupportedFamilyError):
-            verify_identity_membership(code, families, diagonals)
         uni = builtin_family("uniform_moment")
         families = jc_families(code, uni, uni)
         rule = uni.moment_rule(nodes)
         diagonals = [ladder_diagonals(spec, rule) for spec in families]
-    assert abs(verify_identity_membership(code, families, diagonals)
+    assert abs(verify_identity_membership(code, diagonals)
                - dense_identity_residual(code, families, nodes)) <= 1e-14
 
 
@@ -849,8 +846,8 @@ def test_verify_builds_no_dense_evolution(monkeypatch, capsys, pair):
     # searches, for the samples' x range, bound at most 32 tails each
     assert len(frames) == 1
     assert 1 <= len(tails) <= 64
-    # each (family, ladder length) builds one 21-node spot check on at most
-    # 41 orders, identity membership's uniform_moment ladders included
+    # each (family, orders) builds one 21-node spot check on at most 41
+    # orders; identity membership reads closed forms and builds none
     assert nodes and max(nodes) <= 21
     assert moments and max(len(args[1]) for args in moments) <= 41
 
@@ -891,9 +888,9 @@ def test_verify_moment_records_equal_the_per_ladder_tables(pair, n_fock):
         gaps.append(float(np.abs(table - diag).max()))
     name = "graph.identity_membership"
     want[name] = verify_identity_membership(
-        code, mem_families, [closed_form_diagonals(uni, spec.terms) for spec in mem_families])
+        code, [closed_form_diagonals(uni, spec.terms) for spec in mem_families])
     tables = [moment_table(uni, orders)[:spec.terms] for spec in mem_families]
-    oracle[name] = verify_identity_membership(code, mem_families, tables)
+    oracle[name] = verify_identity_membership(code, tables)
     gaps += [float(np.abs(t - closed_form_diagonals(uni, t.size)).max()) for t in tables]
     assert {name: records[name] for name in want} == want
     assert max(gaps) <= 1e-11
