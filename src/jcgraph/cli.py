@@ -1,10 +1,11 @@
 """Command line interface: mindim, sweep, verify, demo and gk-dump.
 
-System parameters come either as the frequency triple (--omega-f,
---omega-s, --kappa) or as the dimensionless rate pair (--gamma-f,
---gamma-s, optionally --reference-omega-f), exactly one group; --hz
-multiplies the triple or the reference by 2 pi.  A key = value config file
-(INI sections, any section names) can supply the same keys; flags win.
+Each command takes only the keys in its ``_KEYS`` table, as exact flags (no
+prefix stands for a flag) or from a key = value config file (INI sections, any
+names, each key once); flags win.  Every command but sweep takes the system
+parameters, either the frequency triple (--omega-f, --omega-s, --kappa) or the
+dimensionless rate pair (--gamma-f, --gamma-s, optionally --reference-omega-f),
+exactly one group; --hz multiplies the triple or the reference by 2 pi.
 
 Exit codes: 0 on success, 1 when a numerical check fails, 2 on usage or
 configuration errors.
@@ -33,12 +34,6 @@ from .hilbert import TruncationConfig, ValidationError
 from .jc_spectrum import (DegenerateLevelError, JCParams, dressed_basis,
                           dressed_frame, spectrum_residuals)
 
-_FLOAT_KEYS = {"omega_f", "omega_s", "kappa", "gamma_f", "gamma_s", "reference_omega_f",
-               "tol", "x", "t", "gamma_f_min", "gamma_f_max", "gamma_s_min", "gamma_s_max"}
-_INT_KEYS = {"k0", "n_fock", "seed", "gamma_f_steps", "gamma_s_steps"}
-_BOOL_KEYS = {"hz", "resonant", "allow_leak"}
-_STR_KEYS = {"family1", "family2", "state", "which", "xs", "ys", "out"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
 _SWEEP_CHUNK = 1 << 16  # CSV rows formatted per write: bounds a sweep's text in memory
 
 
@@ -60,9 +55,48 @@ class RunConfig:
     seed: int
 
 
-def load_config_file(path: str) -> dict:
-    # values are literal, as flags are: no '%' interpolation
-    parser = configparser.ConfigParser(interpolation=None)
+def _boolean(raw: str) -> bool:
+    """A config file's yes or no; as a flag the key takes no value and means yes."""
+    try:  # 1/0, true/false, yes/no or on/off, in any case
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+_SYSTEM = {"omega_f": float, "omega_s": float, "kappa": float, "gamma_f": float,
+           "gamma_s": float, "reference_omega_f": float, "hz": _boolean}
+_STATES = {**_SYSTEM, "k0": int, "n_fock": int, "family1": str, "family2": str}
+# Each command's keys, as flags and config keys, and the reader of each value.
+# mindim reads no n_fock or seed, and sweep and verify no seed: they stay only
+# because perfbench's command lines pass them.
+_KEYS = {command: {**keys, "out": str} for command, keys in {
+    "mindim": {**_SYSTEM, "n_fock": int, "seed": int},
+    "sweep": {"gamma_f_min": float, "gamma_f_max": float, "gamma_f_steps": int,
+              "gamma_s_min": float, "gamma_s_max": float, "gamma_s_steps": int,
+              "resonant": _boolean, "seed": int},
+    "verify": {**_STATES, "tol": float, "seed": int},
+    "demo": {**_STATES, "seed": int, "x": float, "t": float, "state": str,
+             "allow_leak": _boolean},
+    "gk-dump": {**_STATES, "which": str, "xs": str, "ys": str},
+}.items()}
+_HELP = {"mindim": "report M0, the minimal cut and the code dimension",
+         "sweep": "sweep the minimal code dimension over rate grids",
+         "verify": "run the full verification battery, emit a JSON report",
+         "demo": "transmit a code state through the graph channel",
+         "gk-dump": "dump coherent-state data as JSON",
+         "hz": "interpret frequencies as Hz (multiplied by 2 pi)",
+         "resonant": "sweep along gamma_s = gamma_f", "xs": "comma separated x grid",
+         "state": "'random', 'basisK', or comma amplitudes", "ys": "comma separated y grid",
+         "allow_leak": "send a deliberately leaked probe state instead",
+         "which": "J (upper ladder) or S (lower ladder)",
+         "out": "write output to this file instead of stdout"}
+
+
+def load_config_file(path: str, keys: dict) -> dict:
+    """The file's values, each read by its reader in ``keys``; a key outside ``keys``
+    or given twice (in two sections, or as n-fock and n_fock) is refused.  Values are
+    literal, as flags are (no '%' interpolation), and [DEFAULT] is a plain section."""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -71,45 +105,29 @@ def load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not read:
         raise UsageError(f"config file not found: {path}")
-    values: dict = {}
+    values, where = {}, {}  # each key's value and the section that gave it
     for section in parser.sections():
         for key, raw in parser.items(section):
             key = key.replace("-", "_")
-            if key not in _ALL_KEYS:
+            if key not in keys:
                 raise UsageError(f"unknown config key {key!r} in [{section}]")
-            values[key] = raw
+            if key in where:
+                raise UsageError(f"config key {key!r} in [{section}] repeats the one "
+                                 f"in [{where[key]}]")
+            where[key] = section
+            try:
+                values[key] = keys[key](raw)
+            except ValueError as exc:
+                raise UsageError(f"bad value for {key}: {exc}") from exc
     return values
 
 
-def _coerce(key: str, raw):
-    if raw is None or not isinstance(raw, str):
-        return raw
-    try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-    except ValueError as exc:
-        raise UsageError(f"bad value for {key}: {exc}") from exc
-    return raw
-
-
 def _merged(args: argparse.Namespace) -> dict:
-    """Config-file values overridden by explicitly given flags."""
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
-    for key, val in vars(args).items():
-        if key in _ALL_KEYS and val is not None:
-            values[key] = val
-    return {k: _coerce(k, v) for k, v in values.items()}
+    """The command's config-file values overridden by explicitly given flags."""
+    keys = _KEYS[args.command]
+    values = load_config_file(args.config, keys) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
+    return values
 
 
 def resolve_run_config(values: dict) -> RunConfig:
@@ -417,58 +435,19 @@ def cmd_gk_dump(cfg: RunConfig, values: dict) -> dict:
 # ---------------------------------------------------------------- wiring
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    grp = common.add_argument_group("system parameters")
-    grp.add_argument("--omega-f", type=float, dest="omega_f")
-    grp.add_argument("--omega-s", type=float, dest="omega_s")
-    grp.add_argument("--kappa", type=float)
-    grp.add_argument("--gamma-f", type=float, dest="gamma_f")
-    grp.add_argument("--gamma-s", type=float, dest="gamma_s")
-    grp.add_argument("--reference-omega-f", type=float, dest="reference_omega_f")
-    grp.add_argument("--hz", action="store_const", const=True,
-                     help="interpret frequencies as Hz (multiplied by 2 pi)")
-    com = common.add_argument_group("construction")
-    com.add_argument("--k0", type=int)
-    com.add_argument("--n-fock", type=int, dest="n_fock")
-    com.add_argument("--family1")
-    com.add_argument("--family2")
-    com.add_argument("--tol", type=float)
-    com.add_argument("--seed", type=int)
-    common.add_argument("--config", help="key = value config file")
-    common.add_argument("--out", help="write output to this file instead of stdout")
-
     parser = argparse.ArgumentParser(
         prog="jcgraph",
         description="Qubit-oscillator zero-error codes from Jaynes-Cummings "
                     "operator graphs")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("mindim", parents=[common],
-                   help="report M0, the minimal cut and the code dimension")
-    sw = sub.add_parser("sweep", parents=[common],
-                        help="sweep the minimal code dimension over rate grids")
-    sw.add_argument("--gamma-f-min", type=float, dest="gamma_f_min")
-    sw.add_argument("--gamma-f-max", type=float, dest="gamma_f_max")
-    sw.add_argument("--gamma-f-steps", type=int, dest="gamma_f_steps")
-    sw.add_argument("--gamma-s-min", type=float, dest="gamma_s_min")
-    sw.add_argument("--gamma-s-max", type=float, dest="gamma_s_max")
-    sw.add_argument("--gamma-s-steps", type=int, dest="gamma_s_steps")
-    sw.add_argument("--resonant", action="store_const", const=True,
-                    help="sweep along gamma_s = gamma_f")
-    sub.add_parser("verify", parents=[common],
-                   help="run the full verification battery, emit a JSON report")
-    de = sub.add_parser("demo", parents=[common],
-                        help="transmit a code state through the graph channel")
-    de.add_argument("--x", type=float)
-    de.add_argument("--t", type=float)
-    de.add_argument("--state", help="'random', 'basisK', or comma amplitudes")
-    de.add_argument("--allow-leak", action="store_const", const=True,
-                    dest="allow_leak",
-                    help="send a deliberately leaked probe state instead")
-    du = sub.add_parser("gk-dump", parents=[common],
-                        help="dump coherent-state data as JSON")
-    du.add_argument("--which", help="J (upper ladder) or S (lower ladder)")
-    du.add_argument("--xs", help="comma separated x grid")
-    du.add_argument("--ys", help="comma separated y grid")
+    for command, keys in _KEYS.items():
+        # flags match exactly: a prefix such as --t would otherwise read as --tol
+        cmd = sub.add_parser(command, help=_HELP[command], allow_abbrev=False)
+        for key, reader in keys.items():
+            kind = (dict(action="store_const", const=True) if reader is _boolean
+                    else dict(type=reader))
+            cmd.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key), **kind)
+        cmd.add_argument("--config", help="key = value config file")
     return parser
 
 

@@ -1,5 +1,4 @@
 """End-to-end tests of the command line interface (in-process)."""
-import argparse
 import contextlib
 import io
 import json
@@ -275,11 +274,12 @@ def test_degenerate_point_fails_only_where_states_are_built(capsys):
     rc, out, _ = run(["mindim"] + DEGENERATE, capsys)
     assert rc == 0
     assert json.loads(out)["k0_star"] == 3
-    rc, out, _ = run(["sweep"] + DEGENERATE + ["--resonant", "--gamma-f-min", "7",
-                                               "--gamma-f-max", "8",
-                                               "--gamma-f-steps", "5"], capsys)
-    assert rc == 0
-    assert out.splitlines()[-1] == "8,8,4,4,3"
+    # sweep reads rate ranges only: system parameters are refused
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep"] + DEGENERATE + ["--resonant", "--gamma-f-min", "7",
+                                      "--gamma-f-max", "8", "--gamma-f-steps", "5"], capsys)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --omega-f" in capsys.readouterr().err
 
 
 def test_verify_factorial_passes_at_960(capsys):
@@ -831,23 +831,94 @@ def test_config_values_are_literal(tmp_path, capsys):
     assert "cannot parse state '50%'" in err
 
 
-def test_config_keys_match_the_flags():
-    """Each config key set names exactly the flags of its kind, over all subcommands."""
+SYSTEM = {"omega_f", "omega_s", "kappa", "gamma_f", "gamma_s", "reference_omega_f", "hz"}
+STATES = SYSTEM | {"k0", "n_fock", "family1", "family2"}
+# every command's flags and config keys: what it reads, --out, and the seed and
+# n_fock that the benchmark's command lines pass
+TABLES = {
+    "mindim": SYSTEM | {"n_fock", "seed", "out"},
+    "sweep": {"gamma_f_min", "gamma_f_max", "gamma_f_steps", "gamma_s_min", "gamma_s_max",
+              "gamma_s_steps", "resonant", "seed", "out"},
+    "verify": STATES | {"tol", "seed", "out"},
+    "demo": STATES | {"seed", "x", "t", "state", "allow_leak", "out"},
+    "gk-dump": STATES | {"which", "xs", "ys", "out"},
+}
+FOREIGN = [(command, key) for command, keys in TABLES.items()
+           for key in sorted(set().union(*TABLES.values()) - keys)]
+
+
+def test_each_command_has_its_own_key_table():
+    assert {command: set(keys) for command, keys in cli._KEYS.items()} == TABLES
+
+
+@pytest.mark.parametrize("command, key", FOREIGN, ids=[f"{c}-{k}" for c, k in FOREIGN])
+def test_a_command_refuses_every_key_outside_its_table(command, key, tmp_path, capsys):
+    """A key outside the command's table is refused, as a flag and as a config key."""
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        run([command, flag, "1"], capsys)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\n{key} = 1\n")
+    rc, out, err = run([command, "--config", str(cfg)], capsys)
+    assert (rc, out) == (2, "")
+    assert f"error: unknown config key '{key}' in [run]" in err
+
+
+@pytest.mark.parametrize("argv, foreign", [
+    (["sweep", "--resonant", "--gamma-f-min", "7", "--gamma-f-max", "8", "--gamma-f-steps",
+      "2"], "--omega-f 3 --hz --k0 9 --family1 nosuch"),
+    (["verify"] + SMALL, "--t 1e9"),
+    (["gk-dump"] + SMALL, "--x 0.2"),
+    (["mindim"] + STRONG, "--ref 3"),
+], ids=["sweep-system-flags", "verify-t-for-tol", "gk-dump-x-for-xs", "mindim-ref"])
+def test_a_flag_is_never_read_as_another_or_dropped(argv, foreign, capsys):
+    """Flags match exactly: no prefix of a flag stands for it (--t is not --tol), and
+    sweep takes no system or construction flag."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv + foreign.split(), capsys)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {foreign}\n")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("[run]\nx = 0.5\nwhich = S\nresonant = true\n", "unknown config key 'x' in [run]"),
+    ("[a]\ngamma_f = 8\ngamma_s = 8\n\n[b]\ngamma_f = 1\n",
+     "config key 'gamma_f' in [b] repeats the one in [a]"),
+    ("[run]\nn-fock = 40\nn_fock = 20\n", "config key 'n_fock' in [run] repeats the one in [run]"),
+], ids=["foreign-keys", "repeated-across-sections", "repeated-as-hyphen-and-underscore"])
+def test_a_foreign_or_repeated_config_key_is_refused(body, message, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(body)
+    rc, out, err = run(["verify"] + SMALL + ["--config", str(cfg)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_a_default_section_is_read_like_any_other(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[DEFAULT]\ngamma_f = 8\ngamma_s = 8\n")
+    rc, out, _ = run(["mindim", "--config", str(cfg)], capsys)
+    assert rc == 0 and json.loads(out)["m0"] == 4
+    cfg.write_text("[DEFAULT]\ngamma_f = 8\n\n[a]\ngamma_s = 8\n\n[b]\nn_fock = 20\n")
+    rc, out, _ = run(["mindim", "--config", str(cfg)], capsys)
+    assert rc == 0 and json.loads(out)["m0"] == 4
+
+
+@pytest.mark.parametrize("command", TABLES)
+def test_a_flag_and_its_config_key_read_the_same_value(command, tmp_path):
+    """Each key's one reader reads --key V and key = V alike."""
     parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    kinds = {}
-    for action in (a for p in (parser, *sub.choices.values()) for a in p._actions):
-        if action.dest in ("help", "command", "config"):
-            continue
-        if isinstance(action, argparse._StoreConstAction):
-            kind = "store_const"
-        else:
-            kind = {float: "float", int: "int", None: "str"}[action.type]
-        assert kinds.setdefault(action.dest, kind) == kind, action.dest
-    key_sets = {"float": cli._FLOAT_KEYS, "int": cli._INT_KEYS,
-                "store_const": cli._BOOL_KEYS, "str": cli._STR_KEYS}
-    assert sum(map(len, key_sets.values())) == len(cli._ALL_KEYS)
-    assert kinds == {key: kind for kind, keys in key_sets.items() for key in keys}
+    for key, reader in cli._KEYS[command].items():
+        flag = "--" + key.replace("_", "-")
+        raw = {float: "0.25", int: "3", str: "J", cli._boolean: None}[reader]
+        cfg = tmp_path / f"{key}.ini"
+        cfg.write_text(f"[run]\n{key} = {'yes' if raw is None else raw}\n")
+        from_flag = cli._merged(parser.parse_args([command, flag] + ([raw] if raw else [])))
+        from_file = cli._merged(parser.parse_args([command, "--config", str(cfg)]))
+        assert from_flag == from_file and list(from_flag) == [key], key
+        assert [type(v) for v in from_flag.values()] == [type(v) for v in from_file.values()]
 
 
 def test_reused_parser_leaks_no_state(tmp_path, capsys):
@@ -998,5 +1069,6 @@ def test_usage_errors(capsys, tmp_path):
         assert rc == 2
         assert f"unknown config key '{key}'" in err
     # nonsense cut
-    rc, _, _ = run(["mindim"] + WEAK + ["--k0", "0"], capsys)
+    rc, _, err = run(["verify"] + WEAK + ["--k0", "0"], capsys)
     assert rc == 2
+    assert "k0 must be >= 1" in err
