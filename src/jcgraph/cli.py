@@ -51,7 +51,6 @@ class RunConfig:
     trunc: TruncationConfig
     family1: gk.WeightFamily
     family2: gk.WeightFamily
-    tol: float
     seed: int
 
 
@@ -74,7 +73,7 @@ _KEYS = {command: {**keys, "out": str} for command, keys in {
     "sweep": {"gamma_f_min": float, "gamma_f_max": float, "gamma_f_steps": int,
               "gamma_s_min": float, "gamma_s_max": float, "gamma_s_steps": int,
               "resonant": _boolean, "seed": int},
-    "verify": {**_STATES, "tol": float, "seed": int},
+    "verify": {**_STATES, "seed": int},
     "demo": {**_STATES, "seed": int, "x": float, "t": float, "state": str,
              "allow_leak": _boolean},
     "gk-dump": {**_STATES, "which": str, "xs": str, "ys": str},
@@ -164,14 +163,11 @@ def resolve_run_config(values: dict) -> RunConfig:
     k0 = values.get("k0", k0_star)
     if k0 < 1:
         raise UsageError(f"k0 must be >= 1, got {k0}")
-    tol = values.get("tol", 1e-8)
-    if not 0.0 < tol < math.inf:
-        raise UsageError(f"tol must be positive and finite, got {tol}")
     seed = values.get("seed", 7)
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     return RunConfig(params=params, m0=m0, k0=k0, trunc=trunc, family1=fam1,
-                     family2=fam2, tol=tol, seed=seed)
+                     family2=fam2, seed=seed)
 
 
 def _energies_overflow(params: JCParams, n: int) -> bool:
@@ -309,17 +305,17 @@ def _membership(code) -> gv.CheckRecord:
 
 
 def _x_range(families) -> float:
-    """x_hi, the leak probe's x: the largest x within 0.95 R and tail-safe to 1e-6 on
-    both ladders.  A tail grows as its ladder shortens, so S alone sizes a shared family."""
+    """x_hi, the leak probe's x: the largest x whose certified tail is within beta on
+    both ladders, the x domain of ``gk.temporal_stability.*``.  A tail grows as its
+    ladder shortens, so S alone sizes a shared family."""
     specs = families[1:] if families[0].family == families[1].family else families
-    return min(min(gk.tail_safe_xmax(spec.family, spec.terms - 1, budget=1e-6),
-                   0.95 * spec.family.radius) for spec in specs)
+    return min(gk.tail_safe_xmax(spec.family, spec.terms - 1) for spec in specs)
 
 
-def _anticlique(code, tol: float) -> list:
+def _anticlique(code) -> list:
     """The anticlique bounds over the whole graph (``gv.anticlique_certificate``)."""
     cert = gv.anticlique_certificate(code)
-    return [gv.CheckRecord("graph.anticlique", cert.residual, tol),
+    return [gv.CheckRecord("graph.anticlique", cert.residual, 1e-8),
             gv.CheckRecord("graph.anticlique_alpha_zero", cert.alpha_zero, 1e-10),
             gv.CheckRecord("graph.anticlique_alpha_identity", abs(cert.alpha_identity - 1.0),
                            1e-10, alpha=cert.alpha_identity)]
@@ -327,14 +323,14 @@ def _anticlique(code, tol: float) -> list:
 
 def _channel(code, families, x: float, t: float) -> list:
     """The channel on every code state (``gv.channel_certificate``), and on the leak
-    probe at (x, t): ``verify`` sends it at (x_hi, T), tail-safe to 1e-6 only, so past
-    the tail of 1e-12 that ``gk.temporal_stability.*`` assumes.  A refused input is
-    one failing ``channel.input`` record with the channel's reason."""
+    probe at (x, t): ``verify`` sends it at (x_hi, T), within the x and t that
+    ``gk.temporal_stability.*`` covers.  A refused input is one failing
+    ``channel.input`` record with the channel's reason."""
     try:
         trace, loss = gv.channel_certificate(code)
         ladders = [gv.ladder_vector(spec, x, t) for spec in families]
         probe = gv.dephase_pure_state(families, ladders, gv.leak_probe(code, ladders[0]))
-    except (ValidationError, gv.InvalidDensityError) as exc:
+    except ValidationError as exc:
         return [gv.CheckRecord("channel.input", 1.0, 0.0, reason=str(exc))]
     return [gv.CheckRecord("channel.trace_preservation", trace, 1e-10),
             gv.CheckRecord("channel.code_fidelity", loss, 1e-8),
@@ -359,7 +355,7 @@ def run_verification(cfg: RunConfig) -> gv.VerificationReport:
     for spec in families:
         checks += _ladder_records(spec, stability)
     checks.append(membership)
-    checks += _anticlique(code, cfg.tol)
+    checks += _anticlique(code)
     checks += _channel(code, families, _x_range(families), horizon)
     return gv.VerificationReport(checks)
 
@@ -441,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "operator graphs")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, keys in _KEYS.items():
-        # flags match exactly: a prefix such as --t would otherwise read as --tol
+        # flags match exactly: gk-dump would otherwise read a prefix such as --x as --xs
         cmd = sub.add_parser(command, help=_HELP[command], allow_abbrev=False)
         for key, reader in keys.items():
             kind = (dict(action="store_const", const=True) if reader is _boolean
@@ -510,7 +506,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (cc.CutConstraintError, gk.DomainError, gk.TruncationTooSmallError,
-            ValidationError, gv.InvalidDensityError) as exc:
+            ValidationError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable command dispatch")

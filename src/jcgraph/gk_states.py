@@ -34,6 +34,7 @@ from .code_construction import CodeSpec
 from .jc_spectrum import DressedFrame
 
 _TAIL_ITER_CAP = 1_000_000
+_BETA = 1e-12  # the tail budget of temporal stability: see verify_temporal_stability
 _ROW = 256  # log k! is summed in rows of this many terms: see _log_factorials
 
 
@@ -213,7 +214,7 @@ def _falsi_weight(f_new: float, f_old: float) -> float:
 
 
 @functools.lru_cache(maxsize=32, typed=True)
-def tail_safe_xmax(family: WeightFamily, n_cut: int, budget: float = 1e-12) -> float:
+def tail_safe_xmax(family: WeightFamily, n_cut: int, budget: float = _BETA) -> float:
     """Largest x, to one ulp, whose certified truncation tail stays within budget.
 
     The last 32 searches are kept per process: x depends on the family, the
@@ -431,7 +432,7 @@ def verify_resolution(spec: GKFamilySpec, diagonals: np.ndarray) -> float:
 def verify_temporal_stability(frame: DressedFrame, eig_residual: float, gram: float,
                               t_max: float) -> float:
     """Bound on 1 - F, F = |<x, t| U_t |x, 0>|^2, on any ladder of ``frame``, over t in
-    [0, t_max] and every x whose tail is within beta = 1e-12 (x in [0, x_max]: tails grow).
+    [0, t_max] and every x whose tail is within beta = ``_BETA`` (x in [0, x_max]: tails grow).
 
     With a ladder's frame columns V, H V = V E + R: rho = ``eig_residual`` bounds
     each column of R, one per 2x2 block, so |R b| <= rho |b|; V+ V is diagonal within
@@ -446,7 +447,7 @@ def verify_temporal_stability(frame: DressedFrame, eig_residual: float, gram: fl
     """
     u = 2.0 ** -53
     rho = eig_residual + 20.0 * u * float(np.abs(frame.energies).max())
-    return 2e-12 + 2.0 * (gram + 4.0 * u) + (t_max * rho) ** 2
+    return 2.0 * _BETA + 2.0 * (gram + 4.0 * u) + (t_max * rho) ** 2
 
 
 def dump_family(spec: GKFamilySpec, xs: Sequence[float],

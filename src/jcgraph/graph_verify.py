@@ -43,10 +43,6 @@ from .gk_states import GKFamilySpec, _kept_probabilities, _phases
 from .hilbert import ValidationError
 
 
-class InvalidDensityError(ValueError):
-    """Channel input is not a density operator within tolerance."""
-
-
 class CodeLeakageError(ValueError):
     """Transmission input has support outside the code subspace."""
 
@@ -282,13 +278,13 @@ def channel_apply(channel: Channel, rho: np.ndarray) -> np.ndarray:
     """Apply the projective channel to a density operator (validated)."""
     rho = np.asarray(rho, dtype=complex)
     if np.abs(rho - rho.conj().T).max() > 1e-9:
-        raise InvalidDensityError("rho is not Hermitian within 1e-9")
+        raise ValidationError("rho is not Hermitian within 1e-9")
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-9:
-        raise InvalidDensityError(f"rho has trace {tr}, expected 1")
+        raise ValidationError(f"rho has trace {tr}, expected 1")
     lo = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
     if lo < -1e-9:
-        raise InvalidDensityError(f"rho has negative eigenvalue {lo:.3e}")
+        raise ValidationError(f"rho has negative eigenvalue {lo:.3e}")
     out = np.zeros_like(rho)
     for p in channel.projectors:
         out = out + p @ rho @ p
@@ -333,7 +329,7 @@ def dephase_pure_state(families: Sequence[GKFamilySpec], ladders: Sequence[np.nd
     norms = families[0].frame.norms
     tr = float(np.abs(v) ** 2 @ norms)
     if not abs(tr - 1.0) <= 1e-9:  # NaN fails every check here
-        raise InvalidDensityError(f"rho has trace {tr}, expected 1")
+        raise ValidationError(f"rho has trace {tr}, expected 1")
     n, p = np.empty(2), np.empty(2)
     for i, (spec, a) in enumerate(zip(families, ladders)):
         ga = norms[spec.index] * a

@@ -77,6 +77,9 @@ def _cases() -> dict:
     cases["verify-gamma1000"] = ["verify", "--gamma-f", "1000", "--gamma-s", "1000",
                                  "--n-fock", "62510"]
     cases["verify-k0-2"] = ["verify"] + _point("0.8") + ["--n-fock", "20", "--k0", "2"]
+    # one long ladder per family: the leak probe's x_hi is a tail search on it
+    for fam, n in (("uniform_moment", "50000"), ("factorial", "10000")):
+        cases[f"verify-{fam}-n{n}"] = ["verify"] + _point("0.8") + ["--n-fock", n] + _families(fam)
     cases["demo-x1e6"] = (["demo"] + _point("0.8") + ["--n-fock", "160"]
                           + _families("factorial") + ["--x", "1e6", "--t", "1"])
     cases["gk-dump-S"] = ["gk-dump"] + _point("0.8") + ["--n-fock", "20", "--which", "S"]

@@ -240,9 +240,6 @@ def test_mindim_needs_no_truncation_headroom(capsys):
     ["demo"] + SMALL + ["--t", "1e307"],
     ["demo"] + SMALL + ["--state", "nan,1"],
     ["demo"] + SMALL + ["--state", "inf,1"],
-    ["verify"] + SMALL + ["--tol", "nan"],
-    ["verify"] + SMALL + ["--tol", "-1"],
-    ["verify"] + SMALL + ["--tol", "inf"],
     ["verify"] + SMALL + ["--seed", "-1"],
     ["demo"] + SMALL + ["--seed", "-1"],
     ["verify"] + SMALL + ["--config", "SEED_CONFIG"],
@@ -254,7 +251,7 @@ def test_mindim_needs_no_truncation_headroom(capsys):
         "demo-t-nan", "demo-t-inf", "demo-x-nan", "demo-x-inf", "demo-x-above-radius",
         "demo-x-negative", "demo-x-above-shared-radius", "dump-y-nan",
         "dump-y-inf", "dump-phase-overflow", "demo-phase-overflow", "demo-state-nan",
-        "demo-state-inf", "tol-nan", "tol-negative", "tol-inf", "verify-seed-negative",
+        "demo-state-inf", "verify-seed-negative",
         "demo-seed-negative", "verify-seed-config", "demo-seed-config",
         "verify-degenerate", "demo-degenerate", "dump-degenerate"])
 def test_bad_rates_fail_fast(argv, capsys, tmp_path):
@@ -839,7 +836,7 @@ TABLES = {
     "mindim": SYSTEM | {"n_fock", "seed", "out"},
     "sweep": {"gamma_f_min", "gamma_f_max", "gamma_f_steps", "gamma_s_min", "gamma_s_max",
               "gamma_s_steps", "resonant", "seed", "out"},
-    "verify": STATES | {"tol", "seed", "out"},
+    "verify": STATES | {"seed", "out"},
     "demo": STATES | {"seed", "x", "t", "state", "allow_leak", "out"},
     "gk-dump": STATES | {"which", "xs", "ys", "out"},
 }
@@ -866,6 +863,20 @@ def test_a_command_refuses_every_key_outside_its_table(command, key, tmp_path, c
     assert f"error: unknown config key '{key}' in [run]" in err
 
 
+@pytest.mark.parametrize("command", TABLES)
+def test_no_command_takes_a_tolerance(command, tmp_path, capsys):
+    """verify's records have fixed tolerances, graph.anticlique's 1e-8 too: --tol is
+    refused by every command, as a flag and as a config key."""
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--tol", "1e-8"], capsys)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-8" in capsys.readouterr().err
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\ntol = 1e-8\n")
+    rc, out, err = run([command, "--config", str(cfg)], capsys)
+    assert (rc, out, err) == (2, "", "error: unknown config key 'tol' in [run]\n")
+
+
 @pytest.mark.parametrize("argv, foreign", [
     (["sweep", "--resonant", "--gamma-f-min", "7", "--gamma-f-max", "8", "--gamma-f-steps",
       "2"], "--omega-f 3 --hz --k0 9 --family1 nosuch"),
@@ -874,8 +885,8 @@ def test_a_command_refuses_every_key_outside_its_table(command, key, tmp_path, c
     (["mindim"] + STRONG, "--ref 3"),
 ], ids=["sweep-system-flags", "verify-t-for-tol", "gk-dump-x-for-xs", "mindim-ref"])
 def test_a_flag_is_never_read_as_another_or_dropped(argv, foreign, capsys):
-    """Flags match exactly: no prefix of a flag stands for it (--t is not --tol), and
-    sweep takes no system or construction flag."""
+    """Flags match exactly: no prefix of a flag stands for it (--x is not --xs), and a
+    flag the command does not take (verify's --t, sweep's system flags) is refused."""
     with pytest.raises(SystemExit) as exc:
         run(argv + foreign.split(), capsys)
     assert exc.value.code == 2

@@ -12,7 +12,6 @@ from jcgraph.gk_states import builtin_family, jc_families
 from jcgraph.graph_verify import (
     CheckRecord,
     CodeLeakageError,
-    InvalidDensityError,
     VerificationReport,
     channel_apply,
     dephasing_channel,
@@ -257,15 +256,15 @@ def test_channel_apply_matches_definition_and_preserves_trace():
 def test_channel_apply_rejects_bad_input():
     ch = dephasing_channel(FAMILIES, 0.3, 1.1)
     dim = TRUNC.dim
-    with pytest.raises(InvalidDensityError):
+    with pytest.raises(ValidationError):
         channel_apply(ch, np.eye(dim, dtype=complex))  # trace N, not 1
     bad = np.zeros((dim, dim), dtype=complex)
     bad[0, 1] = 1.0
-    with pytest.raises(InvalidDensityError):
+    with pytest.raises(ValidationError):
         channel_apply(ch, bad)  # not Hermitian
     neg = np.zeros((dim, dim), dtype=complex)
     neg[0, 0], neg[1, 1] = 1.5, -0.5
-    with pytest.raises(InvalidDensityError):
+    with pytest.raises(ValidationError):
         channel_apply(ch, neg)  # negative eigenvalue
 
 

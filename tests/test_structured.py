@@ -34,7 +34,6 @@ from jcgraph.gk_states import (builtin_family, closed_form_diagonals, gk_state,
                                jc_families, moment_diagonals, tail_safe_xmax,
                                verify_resolution, verify_temporal_stability)
 from jcgraph.graph_verify import (
-    InvalidDensityError,
     anticlique_certificate,
     channel_apply,
     channel_certificate,
@@ -407,7 +406,7 @@ def test_the_certificate_bounds_every_sampled_generator(params, family, seed):
         code = decompose(params, k0, TruncationConfig(k0 + 10))
     except code_construction.CutConstraintError:
         assume(False)
-    assert all(record.passed for record in cli._anticlique(code, 1e-8))
+    assert all(record.passed for record in cli._anticlique(code))
     w = h3_basis(code)
     cert, dense = anticlique_certificate(code), anticlique_bound(w, code)
     for field in ("residual", "alpha_zero", "alpha_identity"):
@@ -555,7 +554,7 @@ def test_pure_state_channel_validates_its_input():
     code, families = build(params, trunc, "factorial")
     v = rotate(code.frame, h3_basis(code)[:, 0])
     ladders = [graph_verify.ladder_vector(spec, 0.5, 1.0) for spec in families]
-    with pytest.raises(InvalidDensityError):
+    with pytest.raises(ValidationError):
         dephase_pure_state(families, ladders, 2.0 * v)
     # the same ladder twice: its projectors overlap, so they are no channel
     with pytest.raises(ValidationError, match="overlap"):
