@@ -7,8 +7,8 @@ parameters, either the frequency triple (--omega-f, --omega-s, --kappa) or the
 dimensionless rate pair (--gamma-f, --gamma-s, optionally --reference-omega-f),
 exactly one group; --hz multiplies the triple or the reference by 2 pi.
 
-Exit codes: 0 on success, 1 when a numerical check fails, 2 on usage or
-configuration errors.
+Exit codes: 0 on success, 1 when a numerical check fails, 2 on usage, configuration
+or write errors, and, from the console entry point, 141 when the reader closes stdout.
 """
 from __future__ import annotations
 
@@ -185,10 +185,17 @@ def _emit(text, out: str | None, mode: str = "w") -> None:
             fh = open(out, mode)
         except OSError as exc:
             raise UsageError(f"cannot open output file {out}: {exc.strerror}") from exc
-        with fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    try:  # a full disk fails a write, or the flush (on close, for a file)
+        if out:
+            with fh:
+                fh.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except BrokenPipeError:  # a reader that closed stdout: entry() ends quietly
+        raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {out or 'stdout'}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------- commands
@@ -513,7 +520,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:  # console entry point
-    sys.exit(main())
+    try:
+        code = main()  # _emit flushes stdout: a closed pipe raises in main, not at exit
+    except BrokenPipeError:  # Python's SIGPIPE note: no more output, exit 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -29,12 +29,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hilbert import QuadratureRule, TruncationConfig, _frozen
+from .hilbert import QuadratureRule, _frozen
 from .code_construction import CodeSpec
 from .jc_spectrum import DressedFrame
 
 _TAIL_ITER_CAP = 1_000_000
-_BETA = 1e-12  # the tail budget of temporal stability: see verify_temporal_stability
+_BETA = 1e-12  # the one tail budget of every GK state: see verify_temporal_stability
 _ROW = 256  # log k! is summed in rows of this many terms: see _log_factorials
 
 
@@ -319,11 +319,11 @@ def _phases(spec: GKFamilySpec, y: float) -> np.ndarray:
 
 def _kept_probabilities(spec: GKFamilySpec, x: float) -> tuple:
     """The kept p_k, k < terms, at x and their sum.  Where all underflow,
-    ``TruncationTooSmallError`` names a cutoff for the default tail_tol, if certified."""
+    ``TruncationTooSmallError`` names the cutoff for beta = ``_BETA``, if certified."""
     p = spec.family.probabilities(x, spec.terms - 1)
     mass = p.sum()
     if not mass:
-        need = _required_n(spec, x, TruncationConfig.tail_tol)
+        need = _required_n(spec, x)
         cutoff = f"it needs a photon cutoff N >= {need}" if need else "no certified cutoff"
         raise TruncationTooSmallError(f"the {spec.label} ladder keeps no coefficient "
                                       f"mass at x = {x}; {cutoff}", required_n=need)
@@ -334,17 +334,17 @@ def _coefficients(spec: GKFamilySpec, x: float, y: float) -> np.ndarray:
     return np.sqrt(_kept_probabilities(spec, x)[0]) * _phases(spec, y)
 
 
-def _required_n(spec: GKFamilySpec, x: float, tol: float) -> int | None:
+def _required_n(spec: GKFamilySpec, x: float) -> int | None:
     terms = spec.terms
     try:
-        while tail_mass(spec.family, x, terms - 1) > tol:
+        while tail_mass(spec.family, x, terms - 1) > _BETA:
             terms *= 2
             if terms > 2 ** 24:
                 return None
         lo, hi = terms // 2, terms
         while lo < hi:
             mid = (lo + hi) // 2
-            if tail_mass(spec.family, x, mid - 1) <= tol:
+            if tail_mass(spec.family, x, mid - 1) <= _BETA:
                 hi = mid
             else:
                 lo = mid + 1
@@ -353,19 +353,18 @@ def _required_n(spec: GKFamilySpec, x: float, tol: float) -> int | None:
     return lo + spec.start_index - 1
 
 
-def gk_state(spec: GKFamilySpec, x: float, y: float,
-             trunc: TruncationConfig) -> np.ndarray:
+def gk_state(spec: GKFamilySpec, x: float, y: float) -> np.ndarray:
     """Truncated Gazeau-Klauder state with the full-series normalization.
 
     The returned vector keeps the exact coefficients, so its squared norm
-    is 1 minus the neglected tail mass; the tail must fit within
-    ``trunc.tail_tol`` or the error reports the photon cutoff that would.
+    is 1 minus the neglected tail mass; the tail must fit within beta =
+    ``_BETA`` or the error reports the photon cutoff that would.
     """
     tail = tail_mass(spec.family, x, spec.terms - 1)
-    if tail > trunc.tail_tol:
-        need = _required_n(spec, x, trunc.tail_tol)
+    if tail > _BETA:
+        need = _required_n(spec, x)
         raise TruncationTooSmallError(
-            f"tail mass {tail:.3e} at x = {x} exceeds tail_tol = {trunc.tail_tol:.1e}; "
+            f"tail mass {tail:.3e} at x = {x} exceeds beta = {_BETA:.0e}; "
             f"the {spec.label} ladder needs a photon cutoff N >= {need}", required_n=need)
     return spec.frame.embed(spec.index, _coefficients(spec, x, y))
 

@@ -16,7 +16,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,10 +29,9 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Photon cutoff N; every state's neglected tail mass is held to ``tail_tol``."""
+    """Photon cutoff N."""
 
     n_fock: int
-    tail_tol: ClassVar[float] = 1e-9
 
     def __post_init__(self) -> None:
         # an integral cutoff only: 20.0 would equal 20 yet break the index arrays

@@ -135,7 +135,7 @@ def test_criterion_5_gk_property_suite():
             xmax = tail_safe_xmax(fam, spec.terms - 1, budget=1e-12)
             fids = stability_grid(
                 spec, np.linspace(0.0, xmax, 10),
-                np.linspace(0.0, 10.0 / HAROCHE.omega_f, 10), N60)
+                np.linspace(0.0, 10.0 / HAROCHE.omega_f, 10))
             worst_stability = max(worst_stability, float((1.0 - fids).max()))
     elapsed = time.perf_counter() - t0
     ok = (worst_moment < 1e-8 and worst_resolution < 1e-6

@@ -34,6 +34,13 @@ def run(argv, capsys):
     return rc, captured.out, captured.err
 
 
+def _env():
+    """The environment for ``python -m jcgraph.cli`` in a subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_mindim_weak_coupling(capsys):
     rc, out, _ = run(["mindim"] + WEAK, capsys)
     assert rc == 0
@@ -518,6 +525,39 @@ def test_a_refused_command_leaves_out_as_it_was(argv, rc, tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [kept]  # and nothing made
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("to", ["out", "stdout"])
+def test_a_failed_write_is_a_usage_error(to):
+    """/dev/full opens but refuses every write: exit 2, one stderr line, no traceback,
+    whether the write fails on --out's close or on the flush of stdout."""
+    argv = [sys.executable, "-m", "jcgraph.cli", "mindim"] + STRONG
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(argv + ["--out", "/dev/full"] if to == "out" else argv,
+                              env=_env(), stdout=subprocess.PIPE if to == "out" else full,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    where = "/dev/full" if to == "out" else "stdout"
+    assert (done.returncode, done.stdout or "") == (2, "")
+    assert done.stderr.startswith(f"error: cannot write {where}: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def test_a_closed_pipe_ends_quietly():
+    """A reader that closes stdout after the sweep's header: the sweep stops with
+    exit 141 (128 + SIGPIPE) and writes nothing to stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jcgraph.cli", "sweep", "--resonant", "--gamma-f-min", "1",
+         "--gamma-f-max", "300", "--gamma-f-steps", "200000"],
+        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"gamma_s,gamma_f,m0,k0_star,d_min\n"
+        proc.stdout.close()  # about 8 MB of rows remain: far more than a pipe holds
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (141, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+
+
 def test_sweep_to_file(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     argv = ["sweep", "--gamma-f-min", "1", "--gamma-f-max", "2",
@@ -703,18 +743,16 @@ def test_demo_state_validation(capsys):
     assert "amplitudes" in err
 
 
-@pytest.mark.parametrize("x, cutoff", [("2000", "N >= 2275"), ("1e6", "no certified cutoff")])
+@pytest.mark.parametrize("x, cutoff", [("2000", "N >= 2324"), ("1e6", "no certified cutoff")])
 def test_demo_beyond_the_ladder_fails_as_check(x, cutoff):
     """Every kept coefficient underflows at x = 2000 and 1e6: one stderr line, no
     traceback, from ``demo`` and from ``gk-dump``, which has no zero vector to
     dump.  At 1e6 no tail bound is certified, so no cutoff is named."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
     point = ["--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7", "--n-fock", "160",
              "--family1", "factorial"]
     for argv in (["demo"] + point + ["--family2", "factorial", "--x", x, "--t", "1"],
                  ["gk-dump"] + point + ["--xs", x]):
-        done = subprocess.run([sys.executable, "-m", "jcgraph.cli"] + argv, env=env,
+        done = subprocess.run([sys.executable, "-m", "jcgraph.cli"] + argv, env=_env(),
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 1 and done.stdout == ""
         assert "Traceback" not in done.stderr
@@ -977,10 +1015,7 @@ def test_no_command_loads_scipy(argv, rc):
     """scipy costs about 0.3 s to import; the quadrature rules are numpy only.  Nor
     does a command load ``numpy.random`` (about 5 MB), which numpy >= 2 imports
     lazily: ``demo --state random`` draws with the standard library."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (_SRC, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT, *argv], env=_env(),
                           capture_output=True, text=True, timeout=120)
     code, scipy_loaded, random_loaded = done.stderr.splitlines()[-1].split()
     assert (code, scipy_loaded) == (str(rc), "False"), done.stderr
@@ -1067,7 +1102,7 @@ def test_usage_errors(capsys, tmp_path):
     assert rc == 2
     assert "headroom" in err
     # the node count is no option: the rule is sized from the ladder; nor is
-    # the tail tolerance: the library default holds
+    # the tail budget: beta is one constant of gk_states
     for flag, key, value in (("--nodes", "nodes", "200"),
                              ("--tail-tol", "tail_tol", "1e-9")):
         with pytest.raises(SystemExit) as exc:

@@ -393,17 +393,17 @@ def test_tail_mass_does_not_stop_at_an_underflowed_term():
     assert abs(tail_mass(fac, 2000.0, 159) - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("x, need", [(1000.0, 1196), (2000.0, 2275)])
+@pytest.mark.parametrize("x, need", [(1000.0, 1231), (2000.0, 2324)])
 def test_gk_state_beyond_the_ladder_reports_the_cutoff(x, need):
     tr = TruncationConfig(160)
     fac = builtin_family("factorial")
     j, _ = jc_families(decompose(PARAMS, 3, tr), fac, fac)
     with pytest.raises(TruncationTooSmallError) as err:
-        gk_state(j, x, 0.0, tr)
+        gk_state(j, x, 0.0)
     assert err.value.required_n == need
-    # the reported photon cutoff is minimal for the tail tolerance
-    assert tail_mass(fac, x, need - j.start_index) <= tr.tail_tol
-    assert tail_mass(fac, x, need - j.start_index - 1) > tr.tail_tol
+    # the reported photon cutoff is minimal for the tail budget beta
+    assert tail_mass(fac, x, need - j.start_index) <= gk_states._BETA
+    assert tail_mass(fac, x, need - j.start_index - 1) > gk_states._BETA
 
 
 def loop_moment_diagonals(family, ks, rule):
@@ -552,7 +552,7 @@ def test_gk_state_matches_direct_construction():
     uni = builtin_family("uniform_moment")
     j, _ = jc_families(decompose(PARAMS, 3, tr), uni, uni)
     x, y = 0.25, 1.3
-    v = gk_state(j, x, y, tr)
+    v = gk_state(j, x, y)
     # direct sum over the ladder: sqrt(p_k) e^{-i h_k y} on |k+1, +>
     direct = np.zeros(tr.dim, dtype=complex)
     for k in range(j.terms):
@@ -569,12 +569,12 @@ def test_gk_state_truncation_error_reports_needed_cutoff():
     uni = builtin_family("uniform_moment")
     j, _ = jc_families(decompose(PARAMS, 3, tr), uni, uni)
     with pytest.raises(TruncationTooSmallError) as err:
-        gk_state(j, 0.9, 0.0, tr)
+        gk_state(j, 0.9, 0.0)
     need = err.value.required_n
     assert need > tr.n_fock
-    # the reported photon cutoff is minimal for the requested tolerance
-    assert tail_mass(uni, 0.9, need - j.start_index) <= 1e-9
-    assert tail_mass(uni, 0.9, need - j.start_index - 1) > 1e-9
+    # the reported photon cutoff is minimal for the tail budget beta
+    assert tail_mass(uni, 0.9, need - j.start_index) <= gk_states._BETA
+    assert tail_mass(uni, 0.9, need - j.start_index - 1) > gk_states._BETA
 
 
 def test_ladder_embeddings_are_orthonormal():
@@ -618,7 +618,7 @@ def test_temporal_stability_equals_kept_mass_squared():
     x = 0.3
     kept = 1.0 - geometric_tail(x, j.terms - 1)
     for t in (0.0, 1.7, 9.4):
-        fid = stability_grid(j, [x], [t], tr)[0, 0]
+        fid = stability_grid(j, [x], [t])[0, 0]
         assert abs(fid - kept ** 2) < 1e-12
 
 
@@ -628,8 +628,8 @@ def test_temporal_stability_through_the_evolution_operator():
     fac = builtin_family("factorial")
     _, s = jc_families(decompose(PARAMS, 3, tr), fac, fac)
     t = 2.1
-    v0 = gk_state(s, 1.5, 0.0, tr)
-    vt = gk_state(s, 1.5, t, tr)
+    v0 = gk_state(s, 1.5, 0.0)
+    vt = gk_state(s, 1.5, t)
     u = evolution_operator(PARAMS, t, tr)
     assert np.abs(u @ v0 - vt).max() < 1e-12
 

@@ -20,6 +20,7 @@ channel (`oracles.sampled_code_channel`).
 """
 import functools
 import json
+import math
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -31,7 +32,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from jcgraph import cli, code_construction, gk_states, graph_verify, hilbert, jc_spectrum
 from jcgraph.code_construction import decompose, minimal_k0, minimal_m0
 from jcgraph.gk_states import (builtin_family, closed_form_diagonals, gk_state,
-                               jc_families, moment_diagonals, tail_safe_xmax,
+                               jc_families, moment_diagonals, tail_mass, tail_safe_xmax,
                                verify_resolution, verify_temporal_stability)
 from jcgraph.graph_verify import (
     anticlique_certificate,
@@ -61,6 +62,16 @@ ORACLE_TOL = 1e-12
 @functools.lru_cache(maxsize=None)
 def xmax(family: str, terms: int, budget: float) -> float:
     return tail_safe_xmax(builtin_family(family), terms - 1, budget=budget)
+
+
+def within_beta(spec, frac: float) -> float:
+    """frac of the ladder's x_max at beta, stepped down while its computed tail exceeds
+    beta: near x_max the bound wobbles by ulps (factorial, 58 rungs: 1.0000000000000018e-12
+    one ulp below x_max, 9.999999999999982e-13 at it), and gk_state refuses such an x."""
+    x = frac * xmax(spec.family.name, spec.terms, gk_states._BETA)
+    while tail_mass(spec.family, x, spec.terms - 1) > gk_states._BETA:
+        x = math.nextafter(x, 0.0)
+    return x
 
 
 @st.composite
@@ -179,11 +190,11 @@ def test_structured_evolution_matches_dense_operator(system, frac, t, seed):
     assert np.abs(evolve(frame, v, ts)
                   - np.column_stack([u_y @ v for u_y in us])).max() <= ORACLE_TOL
     for spec in families:
-        xs = (frac * xmax(family, spec.terms, 1e-12), 0.0)
-        dense = [[abs(np.vdot(gk_state(spec, x, y, trunc),
-                              u_y @ gk_state(spec, x, 0.0, trunc))) ** 2
+        xs = (within_beta(spec, frac), 0.0)
+        dense = [[abs(np.vdot(gk_state(spec, x, y),
+                              u_y @ gk_state(spec, x, 0.0))) ** 2
                   for y, u_y in zip(ts, us)] for x in xs]
-        np.testing.assert_allclose(stability_grid(spec, xs, ts, trunc),
+        np.testing.assert_allclose(stability_grid(spec, xs, ts),
                                    dense, atol=ORACLE_TOL, rtol=0)
 
 
@@ -218,7 +229,7 @@ def test_stability_phases_built_once_match_the_per_x_form(system, ts):
     _, families = build(params, trunc, family)
     for spec in families:
         xs = np.linspace(0.0, xmax(family, spec.terms, 1e-12), 10)
-        np.testing.assert_allclose(stability_grid(spec, xs, ts, trunc),
+        np.testing.assert_allclose(stability_grid(spec, xs, ts),
                                    per_x_stability(spec, xs, ts), atol=1e-13, rtol=0)
 
 
@@ -310,7 +321,7 @@ def test_stability_grid_lies_under_the_bound(family, n_fock):
     bound = verify_temporal_stability(code.frame, *residuals, t_max)  # one for both ladders
     for spec in families:
         xs = np.linspace(0.0, xmax(family, spec.terms, 1e-12), 10)
-        grid = stability_grid(spec, xs, np.linspace(0.0, t_max, 10), trunc)
+        grid = stability_grid(spec, xs, np.linspace(0.0, t_max, 10))
         k = np.arange(spec.terms)
         log_c = np.abs([spec.family.log_weight(int(j)) for j in k])
         parts = [k * abs(np.log(x)) + log_c + abs(spec.family.log_n_squared(x))
@@ -737,6 +748,7 @@ def test_block_entries_match_dense_product(system, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(systems(), st.floats(0.0, 1.0), st.floats(-20.0, 20.0))
+@example((JCParams(1.0, 1.0, 1.0), TruncationConfig(60), "factorial"), 1.0 - 2.0 ** -53, 0.0)
 def test_index_form_states_match_dense_columns(system, frac, y):
     """gk_state and ladder_vector against sum_k coeff_k |e_k> on closed-form columns."""
     params, trunc, family = system
@@ -747,9 +759,9 @@ def test_index_form_states_match_dense_columns(system, frac, y):
         assert spec.terms == e.shape[1]
         np.testing.assert_array_equal(spec.energies,
                                       [eigenenergy(params, n, branch) for n in levels])
-        x = frac * xmax(family, spec.terms, 1e-12)
+        x = within_beta(spec, frac)
         dense = e @ gk_states._coefficients(spec, x, y)
-        np.testing.assert_allclose(gk_state(spec, x, y, trunc), dense,
+        np.testing.assert_allclose(gk_state(spec, x, y), dense,
                                    atol=1e-15, rtol=0)
         np.testing.assert_allclose(ladder_state(spec, x, y),
                                    dense / np.linalg.norm(dense), atol=1e-15, rtol=0)
