@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import configparser
+import contextlib
 import functools
 import itertools
 import json
@@ -185,13 +186,10 @@ def _emit(text, out: str | None, mode: str = "w") -> None:
             fh = open(out, mode)
         except OSError as exc:
             raise UsageError(f"cannot open output file {out}: {exc.strerror}") from exc
-    try:  # a full disk fails a write, or the flush (on close, for a file)
-        if out:
-            with fh:
-                fh.writelines(chunks)
-        else:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
+    try:  # a full disk fails a write or the flush
+        with fh if out else contextlib.nullcontext(sys.stdout) as target:
+            target.writelines(chunks)
+            target.flush()
     except BrokenPipeError:  # a reader that closed stdout: entry() ends quietly
         raise
     except OSError as exc:
@@ -521,10 +519,13 @@ def main(argv=None) -> int:
 
 def entry() -> None:  # console entry point
     try:
-        code = main()  # _emit flushes stdout: a closed pipe raises in main, not at exit
+        code = main()  # _emit flushes stdout: a failed write raises in main, not at exit
     except BrokenPipeError:  # Python's SIGPIPE note: no more output, exit 128 + SIGPIPE
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
+    try:  # a failed write leaves its bytes in stdout's buffer, and the flush at exit
+        sys.stdout.flush()  # would fail again, warn on stderr and turn the code into 120
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

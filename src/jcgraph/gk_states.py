@@ -356,16 +356,16 @@ def _required_n(spec: GKFamilySpec, x: float) -> int | None:
 def gk_state(spec: GKFamilySpec, x: float, y: float) -> np.ndarray:
     """Truncated Gazeau-Klauder state with the full-series normalization.
 
-    The returned vector keeps the exact coefficients, so its squared norm
-    is 1 minus the neglected tail mass; the tail must fit within beta =
-    ``_BETA`` or the error reports the photon cutoff that would.
+    The returned vector keeps the exact coefficients, so its squared norm is 1 minus
+    the neglected tail mass.  x must lie in [0, ``tail_safe_xmax``] at beta, the
+    stability record's domain, or the error names the cutoff whose tail at x fits.
     """
-    tail = tail_mass(spec.family, x, spec.terms - 1)
-    if tail > _BETA:
+    x_max = tail_safe_xmax(spec.family, spec.terms - 1)
+    if x > x_max:
         need = _required_n(spec, x)
         raise TruncationTooSmallError(
-            f"tail mass {tail:.3e} at x = {x} exceeds beta = {_BETA:.0e}; "
-            f"the {spec.label} ladder needs a photon cutoff N >= {need}", required_n=need)
+            f"x = {x} exceeds x_max = {x_max!r} at beta = {_BETA:.0e}; the {spec.label} "
+            f"ladder needs a photon cutoff N >= {need}", required_n=need)
     return spec.frame.embed(spec.index, _coefficients(spec, x, y))
 
 

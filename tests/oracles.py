@@ -28,8 +28,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from jcgraph import gk_states
-from jcgraph.gk_states import moment_diagonals, tail_mass
+from jcgraph.gk_states import moment_diagonals, tail_safe_xmax
 from jcgraph.graph_verify import (AnticliqueCertificate, CheckRecord, GraphGenerator,
                                   VerificationReport, dephase_pure_state,
                                   knill_laflamme_check, ladder_vector)
@@ -304,15 +303,15 @@ def stability_grid(spec, xs, ts) -> np.ndarray:
     frame's energies at the same indices.  The frame's block rotation is
     orthogonal, so each fidelity is |sum_k p_k(x) e^{+i h_k t} e^{-i E_k t}|^2
     and the grid is one (len(xs), terms) @ (terms, len(ts)) product.  Every
-    x's tail must be within beta = ``gk_states._BETA``, the domain that
-    ``verify`` certifies: it reports the closed-form bound of
-    ``gk_states.verify_temporal_stability``, which this grid must lie under.
+    x must lie in [0, x_max], x_max = ``tail_safe_xmax`` at beta =
+    ``gk_states._BETA``: the domain that ``verify`` certifies, where it reports
+    the closed-form bound of ``gk_states.verify_temporal_stability``, which
+    this grid must lie under.
     """
     xs = [float(x) for x in xs]
     ts = np.asarray(ts, dtype=float)
     ladder_phases = np.exp(-1j * np.outer(spec.energies, ts))
     frame_phases = np.exp(-1j * np.outer(spec.frame.energies[spec.index], ts))
-    for x in xs:
-        assert tail_mass(spec.family, x, spec.terms - 1) <= gk_states._BETA
+    assert max(xs, default=0.0) <= tail_safe_xmax(spec.family, spec.terms - 1)
     p = np.array([spec.family.probabilities(x, spec.terms - 1) for x in xs])
     return np.abs(p @ (ladder_phases.conj() * frame_phases)) ** 2

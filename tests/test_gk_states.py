@@ -577,6 +577,22 @@ def test_gk_state_truncation_error_reports_needed_cutoff():
     assert tail_mass(uni, 0.9, need - j.start_index - 1) > gk_states._BETA
 
 
+def test_gk_state_refuses_exactly_beyond_the_certified_domain():
+    """gk_state accepts every x in [0, x_max] at beta, the domain the stability record
+    certifies, and refuses the next double, where the ladder needs one more rung."""
+    tr = TruncationConfig(60)
+    fac = builtin_family("factorial")
+    _, s = jc_families(decompose(JCParams(1.0, 1.0, 1.0), 3, tr), fac, fac)
+    x_max = tail_safe_xmax(fac, s.terms - 1)
+    below = math.nextafter(x_max, 0.0)
+    assert tail_mass(fac, below, s.terms - 1) > gk_states._BETA  # the tail wobbles by ulps
+    for x in (below, x_max):
+        assert gk_state(s, x, 0.0).shape == (tr.dim,)
+    with pytest.raises(TruncationTooSmallError) as err:
+        gk_state(s, math.nextafter(x_max, math.inf), 0.0)
+    assert err.value.required_n == tr.n_fock + 1
+
+
 def test_ladder_embeddings_are_orthonormal():
     tr = TruncationConfig(25)
     uni = builtin_family("uniform_moment")

@@ -20,7 +20,6 @@ channel (`oracles.sampled_code_channel`).
 """
 import functools
 import json
-import math
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -32,7 +31,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from jcgraph import cli, code_construction, gk_states, graph_verify, hilbert, jc_spectrum
 from jcgraph.code_construction import decompose, minimal_k0, minimal_m0
 from jcgraph.gk_states import (builtin_family, closed_form_diagonals, gk_state,
-                               jc_families, moment_diagonals, tail_mass, tail_safe_xmax,
+                               jc_families, moment_diagonals, tail_safe_xmax,
                                verify_resolution, verify_temporal_stability)
 from jcgraph.graph_verify import (
     anticlique_certificate,
@@ -64,14 +63,11 @@ def xmax(family: str, terms: int, budget: float) -> float:
     return tail_safe_xmax(builtin_family(family), terms - 1, budget=budget)
 
 
-def within_beta(spec, frac: float) -> float:
-    """frac of the ladder's x_max at beta, stepped down while its computed tail exceeds
-    beta: near x_max the bound wobbles by ulps (factorial, 58 rungs: 1.0000000000000018e-12
-    one ulp below x_max, 9.999999999999982e-13 at it), and gk_state refuses such an x."""
-    x = frac * xmax(spec.family.name, spec.terms, gk_states._BETA)
-    while tail_mass(spec.family, x, spec.terms - 1) > gk_states._BETA:
-        x = math.nextafter(x, 0.0)
-    return x
+# x one ulp below x_max on the factorial S ladder (58 rungs) reads a tail of
+# 1.0000000000000018e-12 > beta, x_max itself 9.999999999999982e-13: tail_mass
+# wobbles by ulps, and both lie in the certified domain [0, x_max] that gk_state
+# and the stability oracle accept
+EDGE = (JCParams(1.0, 1.0, 1.0), TruncationConfig(60), "factorial")
 
 
 @st.composite
@@ -175,6 +171,7 @@ def test_frame_rejects_the_degenerate_point():
 @settings(max_examples=40, deadline=None)
 @given(systems(), st.floats(0.0, 1.0), st.floats(-20.0, 20.0),
        st.integers(0, 2 ** 32 - 1))
+@example(EDGE, 1.0 - 2.0 ** -53, 2.0, 0)
 def test_structured_evolution_matches_dense_operator(system, frac, t, seed):
     params, trunc, family = system
     _, families = build(params, trunc, family)
@@ -190,7 +187,7 @@ def test_structured_evolution_matches_dense_operator(system, frac, t, seed):
     assert np.abs(evolve(frame, v, ts)
                   - np.column_stack([u_y @ v for u_y in us])).max() <= ORACLE_TOL
     for spec in families:
-        xs = (within_beta(spec, frac), 0.0)
+        xs = (frac * xmax(family, spec.terms, 1e-12), 0.0)
         dense = [[abs(np.vdot(gk_state(spec, x, y),
                               u_y @ gk_state(spec, x, 0.0))) ** 2
                   for y, u_y in zip(ts, us)] for x in xs]
@@ -748,7 +745,7 @@ def test_block_entries_match_dense_product(system, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(systems(), st.floats(0.0, 1.0), st.floats(-20.0, 20.0))
-@example((JCParams(1.0, 1.0, 1.0), TruncationConfig(60), "factorial"), 1.0 - 2.0 ** -53, 0.0)
+@example(EDGE, 1.0 - 2.0 ** -53, 0.0)
 def test_index_form_states_match_dense_columns(system, frac, y):
     """gk_state and ladder_vector against sum_k coeff_k |e_k> on closed-form columns."""
     params, trunc, family = system
@@ -759,7 +756,7 @@ def test_index_form_states_match_dense_columns(system, frac, y):
         assert spec.terms == e.shape[1]
         np.testing.assert_array_equal(spec.energies,
                                       [eigenenergy(params, n, branch) for n in levels])
-        x = within_beta(spec, frac)
+        x = frac * xmax(family, spec.terms, 1e-12)
         dense = e @ gk_states._coefficients(spec, x, y)
         np.testing.assert_allclose(gk_state(spec, x, y), dense,
                                    atol=1e-15, rtol=0)
