@@ -8,7 +8,8 @@ dimensionless rate pair (--gamma-f, --gamma-s, optionally --reference-omega-f),
 exactly one group; --hz multiplies the triple or the reference by 2 pi.
 
 Exit codes: 0 on success, 1 when a numerical check fails, 2 on usage, configuration
-or write errors, and, from the console entry point, 141 when the reader closes stdout.
+or write errors or a cutoff too large for memory, and, from the console entry point,
+141 when the reader closes stdout.
 """
 from __future__ import annotations
 
@@ -340,7 +341,7 @@ def _channel(code, families, x: float, t: float) -> list:
     return [gv.CheckRecord("channel.trace_preservation", trace, 1e-10),
             gv.CheckRecord("channel.code_fidelity", loss, 1e-8),
             gv.CheckRecord("channel.leak_control",
-                           max(0.0, probe.fidelity - (1.0 - 1e-3)), 1e-12)]
+                           max(0.0, probe - (1.0 - 1e-3)), 1e-12)]
 
 
 def run_verification(cfg: RunConfig) -> gv.VerificationReport:
@@ -409,7 +410,7 @@ def cmd_demo(cfg: RunConfig, values: dict) -> tuple:
         v = gv.leak_probe(code, ladders[0])
     # v is a code vector by construction, or the leaked probe; the channel's
     # fidelity on |v><v| tells the two apart.
-    fid = gv.dephase_pure_state(families, ladders, v).fidelity
+    fid = gv.dephase_pure_state(families, ladders, v)
     return fid, 0 if fid >= 1.0 - 1e-8 else 1
 
 
@@ -460,6 +461,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    cfg = None
     try:
         values = _merged(args)
         out = values.get("out")
@@ -509,6 +511,10 @@ def main(argv=None) -> int:
     except (UsageError, DegenerateLevelError) as exc:
         # a degenerate level has no dressed basis: no state can be built
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # the cutoff's N-sized arrays do not fit
+        at = f" at n_fock = {cfg.trunc.n_fock}" if cfg else ""
+        print(f"error: out of memory{at}", file=sys.stderr)
         return 2
     except (cc.CutConstraintError, gk.DomainError, gk.TruncationTooSmallError,
             ValidationError) as exc:

@@ -42,9 +42,8 @@ class CutConstraintError(ValueError):
 class EnergyOrderError(CutConstraintError):
     """A dressed ladder failed to increase strictly: the cut lies below M0."""
 
-    def __init__(self, message: str, index: int, gap: float = 0.0):
+    def __init__(self, message: str, gap: float):
         super().__init__(message)
-        self.index = index
         self.gap = gap
 
 
@@ -114,25 +113,19 @@ class CodeSpec:
     ``h3_indices`` = {0, 2, ..., 2k0 - 2} (|0,g>, |1,->, ..., |k0-1,->), the
     upper ladder J = ``j_indices`` = {1, 3, ..., 2N - 1} (|n,+>), the lower
     ladder S = ``s_indices`` = {2k0, 2k0 + 2, ..., 2N} (|n,->, n >= k0) and the
-    decoupled |N, e> at ``decoupled_index`` = 2N + 1.  The ladders of
+    decoupled |N, e>, the frame's last index 2N + 1.  The ladders of
     ``gk_states.jc_families`` and H3 are views of this partition, and the
     code is spanned by the first k0 - 1 H3 vectors: a code state with
     amplitudes a holds them at ``h3_indices[:-1]`` in dressed coordinates, so
-    the code's dimension is ``h3_indices.size - 1`` (k0 - 1).  No basis is
-    stored; ``p3`` (onto H3) and ``code_projector`` are dense reference forms.
+    the code's dimension is ``h3_indices.size - 1`` (k0 - 1).  That is the whole
+    cut: dim = ``frame.energies.size``, k0 = ``h3_indices.size``, no basis is
+    stored, and ``p3`` (onto H3) and ``code_projector`` are dense reference forms.
     """
 
-    trunc: TruncationConfig
-    m0: int
-    k0: int
     frame: DressedFrame
     h3_indices: np.ndarray
     j_indices: np.ndarray
     s_indices: np.ndarray
-
-    @property
-    def decoupled_index(self) -> int:
-        return 2 * self.trunc.n_fock + 1
 
     @property
     def p3(self) -> np.ndarray:
@@ -175,7 +168,7 @@ def decompose(params: JCParams, k0: int, trunc: TruncationConfig,
             raise EnergyOrderError(
                 f"{label} ladder not strictly increasing: h[{i + 1}] - h[{i}] = "
                 f"{gaps[i]:.3e} (cut k0 = {k0} below the monotonicity threshold?)",
-                index=i, gap=float(gaps[i]))
+                gap=float(gaps[i]))
     if m0 is None:
         m0 = minimal_m0(params)
     k_min = minimal_k0(m0)
@@ -186,8 +179,8 @@ def decompose(params: JCParams, k0: int, trunc: TruncationConfig,
     h3_indices = np.arange(0, 2 * k0, 2)  # |0,g> and |n,-> for n = 1..k0-1
     for a in (frame.cos, frame.sin, frame.energies, h3_indices, j_indices, s_indices):
         a.flags.writeable = False
-    return CodeSpec(trunc=trunc, m0=m0, k0=k0, frame=frame, h3_indices=h3_indices,
-                    j_indices=j_indices, s_indices=s_indices)
+    return CodeSpec(frame=frame, h3_indices=h3_indices, j_indices=j_indices,
+                    s_indices=s_indices)
 
 
 def _gap_indices(gamma_f: np.ndarray, gamma_s: np.ndarray) -> np.ndarray:

@@ -47,11 +47,8 @@ class TailBoundError(ValueError):
 
 
 class TruncationTooSmallError(ValueError):
-    """The truncated ladder drops more coefficient mass than allowed."""
-
-    def __init__(self, message: str, required_n: int | None = None):
-        super().__init__(message)
-        self.required_n = required_n
+    """The truncated ladder drops more coefficient mass than allowed; the message
+    names the photon cutoff whose tail fits, where one is certified."""
 
 
 @dataclass(frozen=True)
@@ -214,26 +211,24 @@ def _falsi_weight(f_new: float, f_old: float) -> float:
 
 
 @functools.lru_cache(maxsize=32, typed=True)
-def tail_safe_xmax(family: WeightFamily, n_cut: int, budget: float = _BETA) -> float:
-    """Largest x, to one ulp, whose certified truncation tail stays within budget.
+def tail_safe_xmax(family: WeightFamily, n_cut: int) -> float:
+    """Largest x, to one ulp, whose certified truncation tail stays within beta =
+    ``_BETA``, the one tail budget of every GK state.
 
-    The last 32 searches are kept per process: x depends on the family, the
-    ladder length and the budget alone.  The cache is typed, so n_cut = 159.0
-    raises as it does uncached instead of sharing the entry of 159.
+    The last 32 searches are kept per process: x depends on the family and
+    the ladder length alone.  The cache is typed, so n_cut = 159.0 raises as
+    it does uncached instead of sharing the entry of 159.
 
     The bracket starts at [0, R(1 - 1e-12)] on a finite radius R and at the
-    last doubling of x = 1, 2, 4, ... (up to 1e6) that stayed within budget
-    otherwise.  A regula falsi on log(bound / budget) with the
+    last doubling of x = 1, 2, 4, ... (up to 1e6) that stayed within beta
+    otherwise.  A regula falsi on log(bound / beta) with the
     Anderson-Björck weight (Illinois' halving where that weight is not
     positive) narrows it, bisecting while an end's log is infinite (x = 0,
-    or no certified bound), and keeps bound(lo) <= budget < bound(hi) until
+    or no certified bound), and keeps bound(lo) <= beta < bound(hi) until
     lo and hi are adjacent doubles.  The result x meets the crossing
-    contract bound(x) <= budget < bound(nextafter(x, inf)), or is the
-    bracket's upper end when that end is within budget.
+    contract bound(x) <= beta < bound(nextafter(x, inf)), or is the
+    bracket's upper end when that end is within beta.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-
     def bound(x: float) -> float:
         # Close to the radius the certified bound may be unobtainable in a
         # bounded number of terms; for the search that simply means "too big".
@@ -243,7 +238,7 @@ def tail_safe_xmax(family: WeightFamily, n_cut: int, budget: float = _BETA) -> f
             return math.inf
 
     def excess(mass: float) -> float:
-        ratio = mass / budget
+        ratio = mass / _BETA
         return math.log(ratio) if ratio > 0.0 else -math.inf
 
     lo, lo_mass = 0.0, 0.0
@@ -251,11 +246,11 @@ def tail_safe_xmax(family: WeightFamily, n_cut: int, budget: float = _BETA) -> f
         hi = family.radius * (1.0 - 1e-12)
         hi_mass = bound(hi)
     else:
-        # each doubled radius was within budget, so it is the bracket's lo
+        # each doubled radius was within beta, so it is the bracket's lo
         hi = 1.0
-        while (hi_mass := bound(hi)) <= budget and hi < 1e6:
+        while (hi_mass := bound(hi)) <= _BETA and hi < 1e6:
             lo, lo_mass, hi = hi, hi_mass, 2.0 * hi
-    if hi_mass <= budget:
+    if hi_mass <= _BETA:
         return hi
     f_lo, f_hi = excess(lo_mass), excess(hi_mass)
     kept = 0  # the end the last step kept: +1 hi, -1 lo, 0 none yet
@@ -268,7 +263,7 @@ def tail_safe_xmax(family: WeightFamily, n_cut: int, budget: float = _BETA) -> f
         x = min(max(x, math.nextafter(lo, math.inf)), math.nextafter(hi, -math.inf))
         mass = bound(x)
         f = excess(mass)
-        if mass <= budget:
+        if mass <= _BETA:
             if kept > 0:  # hi stays a second time: shrink its weight
                 f_hi *= _falsi_weight(f, f_lo)
             lo, f_lo, kept = x, f, 1
@@ -326,7 +321,7 @@ def _kept_probabilities(spec: GKFamilySpec, x: float) -> tuple:
         need = _required_n(spec, x)
         cutoff = f"it needs a photon cutoff N >= {need}" if need else "no certified cutoff"
         raise TruncationTooSmallError(f"the {spec.label} ladder keeps no coefficient "
-                                      f"mass at x = {x}; {cutoff}", required_n=need)
+                                      f"mass at x = {x}; {cutoff}")
     return p, mass
 
 
@@ -365,7 +360,7 @@ def gk_state(spec: GKFamilySpec, x: float, y: float) -> np.ndarray:
         need = _required_n(spec, x)
         raise TruncationTooSmallError(
             f"x = {x} exceeds x_max = {x_max!r} at beta = {_BETA:.0e}; the {spec.label} "
-            f"ladder needs a photon cutoff N >= {need}", required_n=need)
+            f"ladder needs a photon cutoff N >= {need}")
     return spec.frame.embed(spec.index, _coefficients(spec, x, y))
 
 
@@ -431,7 +426,8 @@ def verify_resolution(spec: GKFamilySpec, diagonals: np.ndarray) -> float:
 def verify_temporal_stability(frame: DressedFrame, eig_residual: float, gram: float,
                               t_max: float) -> float:
     """Bound on 1 - F, F = |<x, t| U_t |x, 0>|^2, on any ladder of ``frame``, over t in
-    [0, t_max] and every x whose tail is within beta = ``_BETA`` (x in [0, x_max]: tails grow).
+    [0, t_max] and x in [0, x_max], x_max = ``tail_safe_xmax`` at beta = ``_BETA``: a
+    domain held by refusal (``gk_state``), as ``tail_mass`` wobbles by ulps in x.
 
     With a ladder's frame columns V, H V = V E + R: rho = ``eig_residual`` bounds
     each column of R, one per 2x2 block, so |R b| <= rho |b|; V+ V is diagonal within

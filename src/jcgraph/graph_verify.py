@@ -153,16 +153,14 @@ def verify_identity_membership(code: CodeSpec, diagonals: Sequence[np.ndarray]) 
     which the H3 term assumes and d_k does not carry.  J, S and H3 are
     views of the code's partition of the dressed indices, so one dressed
     weight vector holds all three and the result is read off the blocks of
-    ``code.frame``.  The decoupled |N, e> direction is excluded: no
-    generator has support there, so the reconstruction is zero there.
+    ``code.frame``.  The decoupled |N, e> direction, the frame's last index,
+    is excluded: no generator has support there, so the reconstruction is zero there.
     """
-    weights = np.zeros(code.trunc.dim)
+    weights = np.zeros(code.frame.energies.size)
     weights[code.j_indices], weights[code.s_indices] = diagonals
     weights[code.h3_indices] = 1.0
     diag, off = code.frame.block_entries(weights)
-    dev = np.abs(diag - 1.0)
-    dev[code.decoupled_index] = 0.0
-    return float(max(dev.max(), np.abs(off).max()))
+    return float(max(np.abs(diag[:-1] - 1.0).max(), np.abs(off).max()))
 
 
 def knill_laflamme_check(p: np.ndarray, ops: Sequence, tol: float = 1e-8,
@@ -291,15 +289,6 @@ def channel_apply(channel: Channel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PureTransmission:
-    """The dephasing channel's output on a pure input |v><v|: its trace and its
-    fidelity with the input, read off the overlaps <v_i|v> (``dephase_pure_state``)."""
-
-    trace: float
-    fidelity: float
-
-
 def _on_ladders(size: int, j_indices: np.ndarray, s_indices: np.ndarray) -> np.ndarray:
     """Mask of J u S among ``size`` dressed indices; ``ValidationError`` if they meet."""
     on_ladder = np.zeros(size, dtype=bool)
@@ -313,41 +302,38 @@ def _on_ladders(size: int, j_indices: np.ndarray, s_indices: np.ndarray) -> np.n
 
 
 def dephase_pure_state(families: Sequence[GKFamilySpec], ladders: Sequence[np.ndarray],
-                       v: np.ndarray) -> PureTransmission:
-    """``dephasing_channel`` at (x, t) applied to |v><v|, in O(N): ``ladders``
-    are ``ladder_vector`` at (x, t), ``v`` one coordinate per dressed index.
+                       v: np.ndarray) -> float:
+    """The fidelity of ``dephasing_channel`` at (x, t) applied to |v><v| with the
+    input, in O(N): ``ladders`` are ``ladder_vector`` at (x, t), ``v`` one
+    coordinate per dressed index, of trace ||v||^2 = 1 within 1e-9.
 
     Under V+ V = diag(g) (``DressedFrame.norms``) the ladder vectors v_i =
-    V[:, idx_i] a_i, idx_i = ``families[i].index``, have n_i = ||v_i||^2 =
+    V[:, idx_i] a_i, idx_i = ``families[i].index``, have ||v_i||^2 =
     sum |a_i|^2 g and c_i = <v_i|v> = sum conj(a_i) g v[idx_i], and <v1|v2> = 0
     as J and S share no index (``_on_ladders``).  So |v1><v1|, |v2><v2| and
     I - both are a channel when ||v_i|| = 1, checked to 1e-9 as Channel checks
     its projectors.  With p_i = |c_i|^2, the branches c1 v1, c2 v2 and v - both
-    give the output's trace ||v||^2 + 2 p1 (n1 - 1) + 2 p2 (n2 - 1) and, v being
-    pure, its fidelity p1^2 + p2^2 + (||v||^2 - p1 - p2)^2.
+    give, v being pure, the fidelity p1^2 + p2^2 + (||v||^2 - p1 - p2)^2.
     """
     norms = families[0].frame.norms
     tr = float(np.abs(v) ** 2 @ norms)
     if not abs(tr - 1.0) <= 1e-9:  # NaN fails every check here
         raise ValidationError(f"rho has trace {tr}, expected 1")
-    n, p = np.empty(2), np.empty(2)
+    p = np.empty(2)
     for i, (spec, a) in enumerate(zip(families, ladders)):
         ga = norms[spec.index] * a
-        n[i] = np.vdot(a, ga).real
-        dev = abs(math.sqrt(n[i]) - 1.0)
+        dev = abs(math.sqrt(np.vdot(a, ga).real) - 1.0)
         if not dev <= 1e-9:
             raise ValidationError(f"channel projector {i} is not idempotent: "
                                   f"| ||v|| - 1 | = {dev:.3e}")
         p[i] = abs(np.vdot(ga, v[spec.index])) ** 2
     _on_ladders(norms.size, families[0].index, families[1].index)
-    fid = p @ p + (tr - p.sum()) ** 2
-    return PureTransmission(trace=float(tr + 2.0 * p @ (n - 1.0)),
-                            fidelity=float(np.minimum(1.0, fid)))
+    return float(np.minimum(1.0, p @ p + (tr - p.sum()) ** 2))
 
 
 def channel_certificate(code: CodeSpec) -> tuple:
     """Bounds (trace_preservation, code_fidelity) on |trace - 1| and 1 - fidelity
-    of ``dephase_pure_state``'s output, for every unit code state at every
+    of ``dephasing_channel``'s output, for every unit code state at every
     (x, t), in O(N) off the dressed frame and its index partition.
 
     V+ V = diag(g) (``DressedFrame.norms``).  At (x, t) the ladder vectors are

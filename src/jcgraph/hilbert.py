@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-_LEVEL_INDEX = {"g": 0, "e": 1, 0: 0, 1: 1}
+_LEVEL_INDEX = {"g": 0, "e": 1}
 
 
 class ValidationError(ValueError):
@@ -44,12 +44,8 @@ class TruncationConfig:
         return 2 * (self.n_fock + 1)
 
 
-def basis_index(n: int, s, trunc: TruncationConfig | None = None) -> int:
-    """Flattened index of the product basis state |n, s>.
-
-    ``s`` is 'g' or 'e' (0 and 1 are accepted as aliases).  When ``trunc``
-    is given the photon number is checked against the cutoff.
-    """
+def basis_index(n: int, s: str) -> int:
+    """Flattened index 2n + s of the product basis state |n, s>, s = 'g' or 'e'."""
     try:
         level = _LEVEL_INDEX[s]
     except (KeyError, TypeError):
@@ -57,8 +53,6 @@ def basis_index(n: int, s, trunc: TruncationConfig | None = None) -> int:
     n = int(n)
     if n < 0:
         raise IndexError(f"photon number must be >= 0, got {n}")
-    if trunc is not None and n > trunc.n_fock:
-        raise IndexError(f"photon number {n} exceeds the cutoff N = {trunc.n_fock}")
     return 2 * n + level
 
 

@@ -30,8 +30,7 @@ import numpy as np
 
 from jcgraph.gk_states import moment_diagonals, tail_safe_xmax
 from jcgraph.graph_verify import (AnticliqueCertificate, CheckRecord, GraphGenerator,
-                                  VerificationReport, dephase_pure_state,
-                                  knill_laflamme_check, ladder_vector)
+                                  VerificationReport, knill_laflamme_check, ladder_vector)
 from jcgraph.hilbert import ValidationError, basis_index
 from jcgraph.jc_spectrum import DegenerateLevelError, _rescaled
 
@@ -275,23 +274,28 @@ def knill_laflamme_frame(w, ms, tol: float = 1e-8):
 
 
 def sampled_code_channel(code, families, amps, xs, ts) -> tuple:
-    """The largest |trace - 1| and 1 - fidelity of ``dephase_pure_state`` over
-    sampled code states: unit code amplitudes ``amps[i]``, held at
+    """The largest |trace - 1| and 1 - fidelity of the dephasing channel's output
+    over sampled code states: unit code amplitudes ``amps[i]``, held at
     ``h3_indices[:-1]`` in dressed coordinates, each sent through the channel
     at (xs[i], ts[i]).
 
-    ``verify`` once read its two code-state channel records this way, off 5
-    random states; ``channel_certificate`` bounds both for every code state
-    and every (x, t).
+    In the product basis the channel's projectors |v1><v1|, |v2><v2| and
+    I - both split a pure input u into the branches b = c1 v1, c2 v2 and
+    u - both, c_i = <v_i|u>, and the output sum |b><b| has trace sum |b|^2 and
+    fidelity sum |<u|b>|^2 with the input.  ``verify`` once read its two
+    code-state channel records off 5 random states; ``channel_certificate``
+    bounds both for every code state and every (x, t).
     """
-    outs = []
+    traces, losses = [], []
     for a, x, t in zip(amps, xs, ts, strict=True):
         v = np.zeros(code.frame.energies.size, dtype=complex)
         v[code.h3_indices[:-1]] = a
-        ladders = [ladder_vector(spec, x, t) for spec in families]
-        outs.append(dephase_pure_state(families, ladders, v))
-    return (max(abs(out.trace - 1.0) for out in outs),
-            max(1.0 - out.fidelity for out in outs))
+        u = rotate(code.frame, v)
+        branches = [np.vdot(w, u) * w for w in (ladder_state(spec, x, t) for spec in families)]
+        branches.append(u - sum(branches))
+        traces.append(abs(sum(np.vdot(b, b).real for b in branches) - 1.0))
+        losses.append(1.0 - sum(abs(np.vdot(u, b)) ** 2 for b in branches))
+    return max(traces), max(losses)
 
 
 def stability_grid(spec, xs, ts) -> np.ndarray:

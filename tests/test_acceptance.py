@@ -132,7 +132,7 @@ def test_criterion_5_gk_property_suite():
         for spec in jc_families(decompose(HAROCHE, 3, N60), fam, fam):
             diagonals = moment_diagonals(fam, np.arange(spec.terms), rule)
             worst_resolution = max(worst_resolution, verify_resolution(spec, diagonals))
-            xmax = tail_safe_xmax(fam, spec.terms - 1, budget=1e-12)
+            xmax = tail_safe_xmax(fam, spec.terms - 1)
             fids = stability_grid(
                 spec, np.linspace(0.0, xmax, 10),
                 np.linspace(0.0, 10.0 / HAROCHE.omega_f, 10))

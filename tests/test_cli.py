@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jcgraph import cli, code_construction
+from jcgraph import cli, code_construction, gk_states
 from jcgraph.cli import main
 from jcgraph.hilbert import QuadratureRule
 
@@ -720,8 +720,9 @@ def test_demo_random_state(capsys):
 
 
 def test_demo_basis_and_amplitude_states(capsys):
-    rc, out, _ = run(["demo"] + SMALL + ["--state", "basis1"], capsys)
-    assert rc == 0 and out == "1.000000000000\n"
+    for state in ("basis0", "basis1"):  # both basis vectors of the k0 = 3 code
+        rc, out, _ = run(["demo"] + SMALL + ["--state", state], capsys)
+        assert rc == 0 and out == "1.000000000000\n"
     rc, out, _ = run(["demo"] + SMALL + ["--state", "0.6,0.8"], capsys)
     assert rc == 0 and out == "1.000000000000\n"
     # scaled by the largest modulus first: the norm itself would overflow
@@ -736,8 +737,10 @@ def test_demo_leak_negative_control(capsys):
 
 
 def test_demo_state_validation(capsys):
-    rc, _, err = run(["demo"] + SMALL + ["--state", "basis9"], capsys)
-    assert rc == 2
+    for state in ("basis2", "basis9"):  # the code at k0 = 3 has dimension 2
+        rc, _, err = run(["demo"] + SMALL + ["--state", state], capsys)
+        assert rc == 2
+        assert err == f"error: basis index {state[5:]} outside code dimension 2\n"
     rc, _, err = run(["demo"] + SMALL + ["--state", "spam"], capsys)
     assert rc == 2
     rc, _, err = run(["demo"] + SMALL + ["--state", "1,0,0"], capsys)
@@ -749,7 +752,8 @@ def test_demo_state_validation(capsys):
 def test_demo_beyond_the_ladder_fails_as_check(x, cutoff):
     """Every kept coefficient underflows at x = 2000 and 1e6: one stderr line, no
     traceback, from ``demo`` and from ``gk-dump``, which has no zero vector to
-    dump.  At 1e6 no tail bound is certified, so no cutoff is named."""
+    dump.  At 1e6 the cutoff search stops at the first tail it cannot certify, so
+    no cutoff is named, though one exists (ROADMAP item 2(b))."""
     point = ["--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7", "--n-fock", "160",
              "--family1", "factorial"]
     for argv in (["demo"] + point + ["--family2", "factorial", "--x", x, "--t", "1"],
@@ -761,6 +765,42 @@ def test_demo_beyond_the_ladder_fails_as_check(x, cutoff):
         assert done.stderr.startswith("check failed: the J ladder keeps no coefficient mass")
         assert done.stderr.rstrip().endswith(cutoff)
         assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.xfail(strict=True, reason="gk_states._required_n gives up at the first "
+                   "TailBoundError instead of walking on (ROADMAP item 2(b))")
+def test_a_cutoff_past_an_uncertified_tail_is_named(capsys):
+    """At x = 1e6 the factorial tail past 160 rungs has no certified bound, but the
+    one past 1 007 043 rungs is within beta and the one past 1 007 042 is not: the
+    J ladder needs N >= 1 007 044, and demo and gk-dump should name it."""
+    point = ["--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7", "--n-fock", "160",
+             "--family1", "factorial"]
+    for argv in (["demo"] + point + ["--family2", "factorial", "--x", "1e6", "--t", "1"],
+                 ["gk-dump"] + point + ["--xs", "1e6"]):
+        rc, out, err = run(argv, capsys)
+        assert rc == 1 and out == ""
+        assert err.rstrip().endswith("it needs a photon cutoff N >= 1007044")
+
+
+def test_a_cutoff_is_certified_at_x_1e6():
+    """The cutoff that the xfail above asks for: the factorial tail at x = 1e6 is
+    within beta past 1 007 043 rungs and not past 1 007 042."""
+    fac = gk_states.builtin_family("factorial")
+    assert gk_states.tail_mass(fac, 1e6, 1_007_043) <= gk_states._BETA
+    assert gk_states.tail_mass(fac, 1e6, 1_007_042) > gk_states._BETA
+
+
+@pytest.mark.parametrize("command", ["verify", "demo", "gk-dump"])
+def test_a_cutoff_too_large_for_memory_is_a_usage_error(command, monkeypatch, capsys):
+    """Where the cutoff's N-sized arrays do not fit, the command ends with exit 2 and
+    one error line naming n_fock, not a MemoryError traceback."""
+    def no_memory(params, trunc):
+        raise MemoryError
+    monkeypatch.setattr(code_construction, "dressed_frame", no_memory)
+    rc, out, err = run([command, "--omega-f", "1", "--omega-s", "0.8", "--kappa", "0.7",
+                        "--n-fock", "1000000000"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: out of memory at n_fock = 1000000000\n"
 
 
 def test_demo_inadmissible_cut_fails_as_check(capsys):

@@ -169,8 +169,8 @@ def test_decompose_block_ranks_and_orthogonality():
     p = JCParams(omega_f=1.0, omega_s=1.0, kappa=0.2)
     tr = TruncationConfig(20)
     code = decompose(p, 3, tr)
-    assert code.m0 == 1
-    assert code.k0 == 3
+    assert minimal_m0(p) == 1
+    assert code.h3_indices.size == 3 and code.frame.energies.size == tr.dim
     # H1 and H2 are the ladders of jc_families, H3 the frame at h3_indices
     fam = builtin_family("factorial")
     h1, h2 = (embedding(spec) for spec in jc_families(code, fam, fam))
@@ -221,7 +221,7 @@ def test_decompose_rejects_bad_cuts():
     ps = JCParams.from_rates(8.0, 8.0)
     with pytest.raises(CutConstraintError):
         decompose(ps, 3, tr)
-    assert decompose(ps, 4, tr).k0 == 4
+    assert decompose(ps, 4, tr).h3_indices.size == 4
 
 
 @st.composite
@@ -257,7 +257,7 @@ def test_benchmark_code_subspace():
     """The benchmark cavity point yields the two-dimensional code."""
     tr = TruncationConfig(20)
     code = decompose(HAROCHE, 3, tr)
-    assert code.m0 == 1
+    assert minimal_m0(HAROCHE) == 1
     code_basis = h3_basis(code)[:, :-1]
     assert code_basis.shape[1] == 2
     np.testing.assert_allclose(code_basis[:, 0],
@@ -376,10 +376,17 @@ def test_sweeps_raise_the_scalar_message(sweep, gamma_f, gamma_s):
     assert str(err.value) == str(scalar.value)
 
 
+def test_a_grid_of_exactly_the_row_cap_is_accepted():
+    """1000 x 1000 rows, the cap itself; one gamma_s point more is refused below."""
+    gamma_f, gamma_s = grid_rates((1.0, 2.0), (1.0, 2.0), (1000, 1000))
+    assert gamma_f.size == gamma_s.size == 10 ** 6
+
+
 @pytest.mark.parametrize("sweep, rows", [
     (lambda: resonant_sweep((1.0, 2.0), 10 ** 12), 10 ** 12),
     (lambda: grid_sweep((1.0, 2.0), (1.0, 2.0), (10 ** 4, 10 ** 4)), 10 ** 8),
-], ids=["resonant-1e12", "grid-1e4x1e4"])
+    (lambda: grid_rates((1.0, 2.0), (1.0, 2.0), (1000, 1001)), 1001000),
+], ids=["resonant-1e12", "grid-1e4x1e4", "grid-1000x1001"])
 def test_sweep_row_cap_refuses_before_allocating(sweep, rows, monkeypatch):
     def no_axis(*_):
         raise AssertionError("the rate axis was built")

@@ -189,9 +189,9 @@ def test_a_non_finite_rule_reads_as_a_failed_spot_check():
 
 def test_a_float_cutoff_does_not_share_a_search():
     fam = builtin_family("factorial")
-    tail_safe_xmax(fam, 159, 1e-6)
+    tail_safe_xmax(fam, 159)
     with pytest.raises(TypeError):
-        tail_safe_xmax(fam, 159.0, 1e-6)
+        tail_safe_xmax(fam, 159.0)
 
 
 @pytest.mark.parametrize("n_fock", [60, 160])

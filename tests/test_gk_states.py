@@ -1,6 +1,7 @@
 """Tests for weight families, tail bounds and generalized coherent states."""
 import bisect
 import math
+import re
 import sys
 from unittest import mock
 
@@ -30,6 +31,12 @@ from oracles import (eigenenergy, embedding, moment_table, rule_nodes, stability
                      verify_action_identity)
 
 PARAMS = JCParams(omega_f=1.0, omega_s=1.0, kappa=0.5)
+BETA = gk_states._BETA  # the one tail budget of every GK state
+
+
+def named_cutoff(err) -> int:
+    """The photon cutoff N that a ``TruncationTooSmallError``'s message names."""
+    return int(re.search(r"N >= (\d+)", str(err.value))[1])
 
 
 def poisson_tail(x, n_cut):
@@ -155,11 +162,9 @@ def test_tail_mass_trivial_cases():
 def test_tail_safe_xmax_is_sharp():
     for name in ("factorial", "uniform_moment"):
         fam = builtin_family(name)
-        x = tail_safe_xmax(fam, 60, budget=1e-12)
-        assert tail_mass(fam, x, 60) <= 1e-12
-        assert tail_mass(fam, x * 1.01, 60) > 1e-12
-    with pytest.raises(ValueError):
-        tail_safe_xmax(builtin_family("factorial"), 10, budget=0.0)
+        x = tail_safe_xmax(fam, 60)
+        assert tail_mass(fam, x, 60) <= BETA
+        assert tail_mass(fam, x * 1.01, 60) > BETA
 
 
 @pytest.mark.parametrize("name", ["factorial", "uniform_moment"])
@@ -172,7 +177,7 @@ def test_tail_safe_xmax_bounds_the_upper_end_once(name):
         return tail_mass(family, x, n_cut)
 
     with mock.patch.object(gk_states, "tail_mass", counted):
-        tail_safe_xmax(builtin_family(name), 60, budget=1e-12)
+        tail_safe_xmax(builtin_family(name), 60)
     assert xs.count(max(xs)) == 1
 
 
@@ -234,26 +239,25 @@ def walk_tail_mass(family, x, n_cut):
     raise TailBoundError("no certified bound")
 
 
-XMAX_DOMAIN = (st.sampled_from(("factorial", "uniform_moment")), st.integers(5, 500),
-               st.sampled_from((1e-12, 1e-9, 1e-6)))
+XMAX_DOMAIN = (st.sampled_from(("factorial", "uniform_moment")), st.integers(5, 500))
 
 
 @settings(max_examples=60, deadline=None)
 @given(*XMAX_DOMAIN)
-def test_tail_safe_xmax_matches_full_bisection(name, n_cut, budget):
-    """bound(x) <= budget < bound(next double), at the bisection's x to 1e-13."""
+def test_tail_safe_xmax_matches_full_bisection(name, n_cut):
+    """bound(x) <= beta < bound(next double), at the bisection's x to 1e-13."""
     fam = builtin_family(name)
-    x = tail_safe_xmax(fam, n_cut, budget)
+    x = tail_safe_xmax(fam, n_cut)
     bracket_end = fam.radius * (1.0 - 1e-12) if math.isfinite(fam.radius) else None
-    assert _bound_or_inf(fam, x, n_cut) <= budget
+    assert _bound_or_inf(fam, x, n_cut) <= BETA
     assert (x == bracket_end
-            or _bound_or_inf(fam, math.nextafter(x, math.inf), n_cut) > budget)
-    assert abs(x - bisection_xmax(fam, n_cut, budget)) <= 1e-13 * x
+            or _bound_or_inf(fam, math.nextafter(x, math.inf), n_cut) > BETA)
+    assert abs(x - bisection_xmax(fam, n_cut, BETA)) <= 1e-13 * x
 
 
 @settings(max_examples=60, deadline=None)
 @given(*XMAX_DOMAIN)
-def test_tail_safe_xmax_bounds_at_most_32_times(name, n_cut, budget):
+def test_tail_safe_xmax_bounds_at_most_32_times(name, n_cut):
     calls = []
 
     def counted(family, x, n_cut):
@@ -261,7 +265,7 @@ def test_tail_safe_xmax_bounds_at_most_32_times(name, n_cut, budget):
         return tail_mass(family, x, n_cut)
 
     with mock.patch.object(gk_states, "tail_mass", counted):
-        tail_safe_xmax(builtin_family(name), n_cut, budget)
+        tail_safe_xmax(builtin_family(name), n_cut)
     assert len(calls) <= 32
 
 
@@ -290,10 +294,9 @@ def restarted_xmax(family, n_cut, budget):
     return lo
 
 
-@pytest.mark.parametrize("n_cut, budget", [(5, 1e-12), (5, 1e-3), (20, 1e-12),
-                                           (60, 1e-12), (60, 1e-6), (500, 1e-12)])
-def test_tail_safe_xmax_bisects_from_the_last_doubling(n_cut, budget):
-    """The search narrows [last doubling within budget, next doubling], not [0, hi].
+@pytest.mark.parametrize("n_cut", [5, 20, 60, 500])
+def test_tail_safe_xmax_bisects_from_the_last_doubling(n_cut):
+    """The search narrows [last doubling within beta, next doubling], not [0, hi].
 
     Every bound after the doubling lies strictly inside that bracket, and
     the result is a restarted-at-0 bisection's x to 1e-13, found with
@@ -307,9 +310,9 @@ def test_tail_safe_xmax_bisects_from_the_last_doubling(n_cut, budget):
         return tail_mass(family, x, n_cut)
 
     with mock.patch.object(gk_states, "tail_mass", counted):
-        x = tail_safe_xmax(fam, n_cut, budget)
+        x = tail_safe_xmax(fam, n_cut)
         calls = len(xs)
-        reference = restarted_xmax(fam, n_cut, budget)
+        reference = restarted_xmax(fam, n_cut, BETA)
     restarted_calls = len(xs) - calls
     probes = xs[:calls]
     doublings = 1
@@ -317,8 +320,8 @@ def test_tail_safe_xmax_bisects_from_the_last_doubling(n_cut, budget):
         doublings += 1
     hi = probes[doublings - 1]
     lo = 0.5 * hi if hi > 1.0 else 0.0
-    assert tail_mass(fam, hi, n_cut) > budget
-    assert lo == 0.0 or tail_mass(fam, lo, n_cut) <= budget
+    assert tail_mass(fam, hi, n_cut) > BETA
+    assert lo == 0.0 or tail_mass(fam, lo, n_cut) <= BETA
     assert all(lo < p < hi for p in probes[doublings:])
     assert lo <= x < hi
     assert abs(x - reference) <= 1e-13 * x
@@ -400,7 +403,7 @@ def test_gk_state_beyond_the_ladder_reports_the_cutoff(x, need):
     j, _ = jc_families(decompose(PARAMS, 3, tr), fac, fac)
     with pytest.raises(TruncationTooSmallError) as err:
         gk_state(j, x, 0.0)
-    assert err.value.required_n == need
+    assert named_cutoff(err) == need
     # the reported photon cutoff is minimal for the tail budget beta
     assert tail_mass(fac, x, need - j.start_index) <= gk_states._BETA
     assert tail_mass(fac, x, need - j.start_index - 1) > gk_states._BETA
@@ -518,9 +521,9 @@ def test_jc_families_are_views_of_the_code():
     j, s = jc_families(code, uni, uni)
     assert j.frame is code.frame and s.frame is code.frame
     assert j.index is code.j_indices and s.index is code.s_indices
-    # H3, J, S and the decoupled |N, e> partition the dressed indices
+    # H3, J, S and the decoupled |N, e> at 2N + 1 partition the dressed indices
     parts = np.concatenate([code.h3_indices, code.j_indices, code.s_indices,
-                            [code.decoupled_index]])
+                            [2 * tr.n_fock + 1]])
     np.testing.assert_array_equal(np.sort(parts), np.arange(tr.dim))
 
 
@@ -531,7 +534,7 @@ def test_jc_families_rejects_cut_below_threshold():
     strong = JCParams.from_rates(8.0, 8.0)
     with pytest.raises(EnergyOrderError) as err:
         decompose(strong, 3, tr)
-    assert err.value.index == 0
+    assert "h[1] - h[0]" in str(err.value)
     assert err.value.gap <= 0
     # at the admissible cut the same parameters pass
     j, s = jc_families(decompose(strong, 4, tr), uni, uni)
@@ -570,7 +573,7 @@ def test_gk_state_truncation_error_reports_needed_cutoff():
     j, _ = jc_families(decompose(PARAMS, 3, tr), uni, uni)
     with pytest.raises(TruncationTooSmallError) as err:
         gk_state(j, 0.9, 0.0)
-    need = err.value.required_n
+    need = named_cutoff(err)
     assert need > tr.n_fock
     # the reported photon cutoff is minimal for the tail budget beta
     assert tail_mass(uni, 0.9, need - j.start_index) <= gk_states._BETA
@@ -590,7 +593,7 @@ def test_gk_state_refuses_exactly_beyond_the_certified_domain():
         assert gk_state(s, x, 0.0).shape == (tr.dim,)
     with pytest.raises(TruncationTooSmallError) as err:
         gk_state(s, math.nextafter(x_max, math.inf), 0.0)
-    assert err.value.required_n == tr.n_fock + 1
+    assert named_cutoff(err) == tr.n_fock + 1
 
 
 def test_ladder_embeddings_are_orthonormal():

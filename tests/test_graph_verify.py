@@ -142,7 +142,7 @@ def test_identity_membership_residual_small():
 
 
 def test_identity_membership_excludes_decoupled_direction():
-    idx = basis_index(TRUNC.n_fock, "e", TRUNC)
+    idx = basis_index(TRUNC.n_fock, "e")
     # nothing in the graph touches |N, e>: every E diag(d) E+ term is zero there
     for basis in (embedding(FAMILIES[0]), embedding(FAMILIES[1]), H3):
         assert np.abs(basis[idx]).max() == 0.0

@@ -23,6 +23,7 @@ def test_truncation_config_dim():
 def test_truncation_config_validation():
     with pytest.raises(ValueError):
         TruncationConfig(n_fock=1)
+    assert TruncationConfig(n_fock=2).dim == 6  # the smallest cutoff
 
 
 def test_basis_index_worked_values():
@@ -31,9 +32,6 @@ def test_basis_index_worked_values():
     assert basis_index(0, "e") == 1
     assert basis_index(3, "g") == 6
     assert basis_index(3, "e") == 7
-    # integer levels are accepted too
-    assert basis_index(3, 0) == 6
-    assert basis_index(3, 1) == 7
 
 
 def test_basis_index_errors():
@@ -41,10 +39,8 @@ def test_basis_index_errors():
         basis_index(-1, "g")
     with pytest.raises(IndexError):
         basis_index(0, "x")
-    with pytest.raises(IndexError):
-        basis_index(5, "g", TruncationConfig(4))
-    # inside the cutoff is fine
-    assert basis_index(4, "e", TruncationConfig(4)) == 9
+    with pytest.raises(IndexError):  # a level is named, not numbered
+        basis_index(3, 0)
 
 
 def test_projector_from_orthonormal_columns():

@@ -185,7 +185,7 @@ def _h3_index_swapped_for_j_rung(monkeypatch, family):
 
 def _h3_basis_scaled(monkeypatch, family):
     _patch_code(monkeypatch, lambda code: dataclasses.replace(
-        code, frame=_stretch(code.frame, 1.0 + 1e-10, slice(code.k0 - 1))))
+        code, frame=_stretch(code.frame, 1.0 + 1e-10, slice(code.h3_indices.size - 1))))
     return {"spectrum.gram_identity", "graph.anticlique_alpha_identity",
             "channel.trace_preservation"}
 

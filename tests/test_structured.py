@@ -20,6 +20,7 @@ channel (`oracles.sampled_code_channel`).
 """
 import functools
 import json
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -59,8 +60,8 @@ ORACLE_TOL = 1e-12
 
 
 @functools.lru_cache(maxsize=None)
-def xmax(family: str, terms: int, budget: float) -> float:
-    return tail_safe_xmax(builtin_family(family), terms - 1, budget=budget)
+def xmax(family: str, terms: int) -> float:
+    return tail_safe_xmax(builtin_family(family), terms - 1)
 
 
 # x one ulp below x_max on the factorial S ladder (58 rungs) reads a tail of
@@ -187,7 +188,7 @@ def test_structured_evolution_matches_dense_operator(system, frac, t, seed):
     assert np.abs(evolve(frame, v, ts)
                   - np.column_stack([u_y @ v for u_y in us])).max() <= ORACLE_TOL
     for spec in families:
-        xs = (frac * xmax(family, spec.terms, 1e-12), 0.0)
+        xs = (frac * xmax(family, spec.terms), 0.0)
         dense = [[abs(np.vdot(gk_state(spec, x, y),
                               u_y @ gk_state(spec, x, 0.0))) ** 2
                   for y, u_y in zip(ts, us)] for x in xs]
@@ -225,7 +226,7 @@ def test_stability_phases_built_once_match_the_per_x_form(system, ts):
     params, trunc, family = system
     _, families = build(params, trunc, family)
     for spec in families:
-        xs = np.linspace(0.0, xmax(family, spec.terms, 1e-12), 10)
+        xs = np.linspace(0.0, xmax(family, spec.terms), 10)
         np.testing.assert_allclose(stability_grid(spec, xs, ts),
                                    per_x_stability(spec, xs, ts), atol=1e-13, rtol=0)
 
@@ -317,7 +318,7 @@ def test_stability_grid_lies_under_the_bound(family, n_fock):
     t_max, u = 10.0 / params.omega_f, 2.0 ** -53
     bound = verify_temporal_stability(code.frame, *residuals, t_max)  # one for both ladders
     for spec in families:
-        xs = np.linspace(0.0, xmax(family, spec.terms, 1e-12), 10)
+        xs = np.linspace(0.0, xmax(family, spec.terms), 10)
         grid = stability_grid(spec, xs, np.linspace(0.0, t_max, 10))
         k = np.arange(spec.terms)
         log_c = np.abs([spec.family.log_weight(int(j)) for j in k])
@@ -550,10 +551,9 @@ def test_pure_state_channel_matches_dense_channel(system, seed):
         v = rotate(code.frame, d)
         rho = np.outer(v, v.conj())
         out = channel_apply(channel, rho)
-        pure = dephase_pure_state(families, ladders, d)
-        assert abs(pure.trace - np.trace(out).real) <= ORACLE_TOL
-        assert abs(pure.fidelity - fidelity(rho, out)) <= ORACLE_TOL
-    assert 1.0 - pure.fidelity > 1e-3  # the leaked probe loses its ladder part
+        fid = dephase_pure_state(families, ladders, d)
+        assert abs(fid - fidelity(rho, out)) <= ORACLE_TOL
+    assert 1.0 - fid > 1e-3  # the leaked probe loses its ladder part
 
 
 def test_pure_state_channel_validates_its_input():
@@ -650,7 +650,7 @@ def test_a_zero_ladder_column_reports_the_cutoff():
     with pytest.raises(gk_states.TruncationTooSmallError) as err:
         graph_verify.ladder_vector(families[0], 2000.0, 1.0)
     assert "x = 2000.0" in str(err.value)
-    assert err.value.required_n > 20
+    assert int(re.search(r"N >= (\d+)", str(err.value))[1]) > 20
 
 
 @settings(max_examples=25, deadline=None)
@@ -664,12 +664,13 @@ def test_stacked_knill_laflamme_matches_one_matrix_at_a_time(system, seed):
     xs, ts = rng.uniform(0.0, cli._x_range(families), n), rng.uniform(0.0, 10.0, n)
     w = h3_basis(code)
     stack = frame_generator(w, families, js, xs, ts)
-    assert stack.shape == (n, code.k0, code.k0)
+    k0 = code.h3_indices.size
+    assert stack.shape == (n, k0, k0)
     for m, j, x, t in zip(stack, js.tolist(), xs.tolist(), ts.tolist()):
         np.testing.assert_allclose(m, frame_generator(w, families, j, x, t),
                                    atol=1e-15, rtol=0)
     # a random Hermitian error is no scalar on H3: its residual is O(1)
-    a = rng.normal(size=(code.k0,) * 2) + 1j * rng.normal(size=(code.k0,) * 2)
+    a = rng.normal(size=(k0, k0)) + 1j * rng.normal(size=(k0, k0))
     ms = np.concatenate([stack, np.tensordot(rng.normal(size=(3, n)), stack, axes=1),
                          (w.conj().T @ w)[None], (a + a.conj().T)[None]])
     for report in (knill_laflamme_frame(w, ms), knill_laflamme_frame(w, list(ms))):
@@ -700,7 +701,8 @@ def dense_identity_reconstruction(code, families, rule):
 
     ``rule`` is a plain rule on [0, R); each ladder folds its rho into it.
     """
-    recon = np.zeros((code.trunc.dim, code.trunc.dim), dtype=complex)
+    dim = code.frame.energies.size
+    recon = np.zeros((dim, dim), dtype=complex)
     for spec in families:
         fam = spec.family
         eff = QuadratureRule(nodes=rule.nodes,
@@ -712,10 +714,10 @@ def dense_identity_reconstruction(code, families, rule):
 
 def dense_identity_residual(code, families, nodes):
     """max |recon - I| off the decoupled |N, e> row and column."""
-    trunc = code.trunc
+    dim, n_fock = code.frame.energies.size, code.frame.cos.size
     rule = QuadratureRule.gauss_legendre(0.0, families[0].family.radius, nodes)
-    diff = np.abs(dense_identity_reconstruction(code, families, rule) - np.eye(trunc.dim))
-    keep = np.arange(trunc.dim) != basis_index(trunc.n_fock, "e", trunc)
+    diff = np.abs(dense_identity_reconstruction(code, families, rule) - np.eye(dim))
+    keep = np.arange(dim) != basis_index(n_fock, "e")
     return float(diff[np.ix_(keep, keep)].max())
 
 
@@ -724,7 +726,7 @@ def dense_dressed_vectors(params, trunc):
     cols = [dressed_vector(params, 0, "ground", trunc)]
     cols += [dressed_vector(params, n, b, trunc) for n in range(1, trunc.n_fock + 1)
              for b in ("plus", "minus")]
-    return np.column_stack(cols + [np.eye(trunc.dim)[basis_index(trunc.n_fock, "e", trunc)]])
+    return np.column_stack(cols + [np.eye(trunc.dim)[basis_index(trunc.n_fock, "e")]])
 
 
 @settings(max_examples=30, deadline=None)
@@ -756,7 +758,7 @@ def test_index_form_states_match_dense_columns(system, frac, y):
         assert spec.terms == e.shape[1]
         np.testing.assert_array_equal(spec.energies,
                                       [eigenenergy(params, n, branch) for n in levels])
-        x = frac * xmax(family, spec.terms, 1e-12)
+        x = frac * xmax(family, spec.terms)
         dense = e @ gk_states._coefficients(spec, x, y)
         np.testing.assert_allclose(gk_state(spec, x, y), dense,
                                    atol=1e-15, rtol=0)
